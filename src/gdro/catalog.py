@@ -182,7 +182,7 @@ def run_assertions(entry: CatalogEntry, results) -> list:
     if results.double_report is not None and results.double_report.cells:
         clean = [c for row in results.double_report.cells for c in row if c.error is None]
         if clean:
-            worst = max(max(c.mono_gap_n, c.mono_gap_m) for c in clean)
+            worst = max(c.mono_violation for c in clean)
             out.append(_check("double-orderings", worst, MONO_TOL))
 
     if results.m_ladder is not None and len(results.m_ladder) >= 2:

@@ -17,19 +17,17 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
 from . import catalog as cat
 from . import expr as ex
 from ._parallel import resolve_threads
-from .convergence import (ConvergenceReport, LadderRow, asc_residuals,
-                          asc_residuals_global, monotone_ladder,
-                          obstacle_violations, stability_probe)
+from .convergence import (ConvergenceReport, asc_residuals, asc_residuals_global,
+                          interior_gap, monotone_ladder, stability_probe)
 from .gcore import (Grid, PenaltyParams, ProblemSpec, StabilityError,
-                    contamination_cone_width, obstacle_fields,
-                    uncontaminated_mask, validate_problem)
+                    contamination_cone_width, obstacle_fields, validate_problem)
 from .lattice import DoubleLadderReport, double_ladder, penalized_sweep
 from .pde import (PdeSchemeParams, complementarity_residual,
                   solve_double_obstacle_direct, solve_penalized_pde)
@@ -176,6 +174,8 @@ def _parse_ladders(value):
             raise ConfigError("expected an array", "/ladders/%s" % key)
         out[key] = [_as_number(v, "/ladders/%s/%d" % (key, i))
                     for i, v in enumerate(seq)]
+        if key != "epsilon_list" and out[key] != sorted(out[key]):
+            raise ConfigError("expected an ascending list", "/ladders/%s" % key)
     return out
 
 
@@ -294,15 +294,25 @@ def _ladder_rows(results):
         rows.extend(results.m_ladder)
     if results.double_report is not None:
         for cell_row in results.double_report.cells:
-            for c in cell_row:
-                rows.append(LadderRow(
-                    n=c.n, m=c.m,
-                    sup_upper_violation=c.sup_upper_violation,
-                    sup_lower_violation=c.sup_lower_violation,
-                    mono_violation=max(c.mono_gap_n, c.mono_gap_m),
-                    asc_plus=c.asc_plus, asc_minus=c.asc_minus,
-                    error=c.error))
+            rows.extend(cell_row)
     return rows
+
+
+def _m_ladder(spec, grid, penalties, ladders, threads):
+    """Rows of the m-ladder at the configured n_upper, and the double ladder
+    over n_list x m_list (None without an n_list) that shares its sweeps."""
+    def ladder(n_list):
+        return double_ladder(spec, grid, n_list, ladders["m_list"],
+                             penalty_mode=penalties.penalty_mode,
+                             kappa_f=penalties.kappa_f, threads=threads)
+
+    double = ladder(ladders["n_list"]) if "n_list" in ladders else None
+    if double is not None and penalties.n_upper in double.n_list:
+        cells = double.cells[double.n_list.index(penalties.n_upper)]
+    else:
+        cells = ladder([penalties.n_upper]).cells[0]
+    # the report lists m-ladder rows without ordering gaps
+    return [replace(c, mono_gap_n=np.nan, mono_gap_m=np.nan) for c in cells], double
 
 
 def _generic_assertions(results, spec, grid, penalties):
@@ -356,9 +366,8 @@ def run(config: RunConfig, threads: int = 1, assert_mode: bool = False,
             results.fields["pde"] = solve_penalized_pde(
                 spec, PdeSchemeParams(grid=grid, penalty=penalties), threads=threads)
         if config.method == "both":
-            keep = uncontaminated_mask(spec, grid)
-            results.cross_gap = float(np.max(np.abs(np.where(
-                keep, results.fields["lattice"].u - results.fields["pde"].u, 0.0))))
+            results.cross_gap = interior_gap(spec, grid, results.fields["lattice"].u,
+                                             results.fields["pde"].u)
 
         if "n_list" in ladders:
             results.ladder_report = monotone_ladder(
@@ -366,26 +375,8 @@ def run(config: RunConfig, threads: int = 1, assert_mode: bool = False,
                 penalty_mode=penalties.penalty_mode, kappa_f=penalties.kappa_f,
                 threads=threads)
         if "m_list" in ladders:
-            rows = []
-            for m in ladders["m_list"]:
-                row = LadderRow(n=penalties.n_upper, m=float(m))
-                try:
-                    fld = penalized_sweep(spec, grid, PenaltyParams(
-                        n_upper=penalties.n_upper, m_lower=float(m),
-                        penalty_mode=penalties.penalty_mode,
-                        kappa_f=penalties.kappa_f), threads=threads)
-                    row.asc_plus, row.asc_minus = asc_residuals(fld, spec, grid)
-                    row.sup_lower_violation, row.sup_upper_violation = \
-                        obstacle_violations(fld, spec, grid)
-                except (StabilityError, ValueError) as err:
-                    row.error = str(err)
-                rows.append(row)
-            results.m_ladder = rows
-            if "n_list" in ladders:
-                results.double_report = double_ladder(
-                    spec, grid, ladders["n_list"], ladders["m_list"],
-                    penalty_mode=penalties.penalty_mode,
-                    kappa_f=penalties.kappa_f, threads=threads)
+            results.m_ladder, results.double_report = _m_ladder(
+                spec, grid, penalties, ladders, threads)
         for eps in ladders.get("epsilon_list", ()):
             gap, _ = stability_probe(spec, _perturb_lower(spec, eps), grid,
                                      penalties, threads=threads)

@@ -8,29 +8,17 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import expr as ex
-from .gcore import (NODEWISE_IMPLICIT, DEFAULT_KAPPA_F, Grid, PenaltyParams,
-                    ProblemSpec, StabilityError, obstacle_fields,
-                    uncontaminated_mask)
-from .lattice import SolutionField, penalized_sweep, reflected_sweep
+from .gcore import (NODEWISE_IMPLICIT, DEFAULT_KAPPA_F, Coefficients, Grid,
+                    PenaltyParams, ProblemSpec, StabilityError, driver_sample,
+                    obstacle_fields, uncontaminated_mask)
+from .lattice import penalized_sweep, reflected_sweep
 from .pde import PdeSchemeParams, solve_penalized_pde
+# LadderRow, asc_residuals and obstacle_violations are also this module's API
+from .scheme import (LadderRow, SolutionField, asc_residuals, ladder_row,
+                     obstacle_violations, ordering_gap)
 
 #: entries at or below this floor are noise and are excluded from rate fits
 RATE_FIT_FLOOR = 10.0 * np.finfo(float).eps
-
-
-@dataclass
-class LadderRow:
-    n: float
-    m: float  # inf marks exact lower reflection
-    sup_upper_violation: float = np.nan
-    sup_lower_violation: float = np.nan
-    mono_violation: float = np.nan
-    asc_plus: float = np.nan
-    asc_minus: float = np.nan
-    cross_gap: float = np.nan
-    z_gap: float = np.nan
-    error: str | None = None
 
 
 @dataclass
@@ -40,26 +28,9 @@ class ConvergenceReport:
     rate_exponent_target: float = 1.0
 
 
-def obstacle_violations(field: SolutionField, spec: ProblemSpec, grid: Grid):
-    """(sup (u-h)^-, sup (u-h')^+) over all nodes."""
-    h, hp = obstacle_fields(spec, grid)
-    low = float(np.max(np.maximum(h - field.u, 0.0)))
-    up = float(np.max(np.maximum(field.u - hp, 0.0)))
-    return low, up
-
-
-def asc_residuals(field: SolutionField, spec: ProblemSpec, grid: Grid):
-    """Pushing-consistency residuals (asc_plus, asc_minus).
-
-    Per spatial column, sums (u - h) * da_plus over time and takes the
-    magnitude; asc_plus is the sup of those column magnitudes (asc_minus
-    analogous with (h' - u) * da_minus).  Exact lower reflection gives
-    asc_plus = 0 because increments occur only where u sits on h.
-    """
-    h, hp = obstacle_fields(spec, grid)
-    cols_plus = np.sum((field.u - h) * field.a_plus, axis=0)
-    cols_minus = np.sum((hp - field.u) * field.a_minus, axis=0)
-    return float(np.max(np.abs(cols_plus))), float(np.max(np.abs(cols_minus)))
+def interior_gap(spec: ProblemSpec, grid: Grid, a, b) -> float:
+    """Sup |a - b| of two grid fields over the uncontaminated interior."""
+    return float(np.max(np.abs(np.where(uncontaminated_mask(spec, grid), a - b, 0.0))))
 
 
 def asc_residuals_global(field: SolutionField, spec: ProblemSpec, grid: Grid):
@@ -95,36 +66,27 @@ def monotone_ladder(spec: ProblemSpec, grid: Grid, n_list,
         raise ValueError("n_list must be sorted ascending")
     report = ConvergenceReport()
     fields = []
-    prev = None
     for n in n_list:
-        row = LadderRow(n=n, m=np.inf)
         try:
             fld = reflected_sweep(spec, grid, n, penalty_mode=penalty_mode,
                                   kappa_f=kappa_f, threads=threads)
         except (StabilityError, ValueError) as err:
-            row.error = str(err)
-            report.rows.append(row)
+            report.rows.append(LadderRow(n=n, m=np.inf, error=str(err)))
             fields.append(None)
-            prev = None
             continue
-        row.sup_lower_violation, row.sup_upper_violation = obstacle_violations(fld, spec, grid)
-        row.asc_plus, row.asc_minus = asc_residuals(fld, spec, grid)
-        row.mono_violation = (float(np.max(np.maximum(fld.u - prev.u, 0.0)))
-                              if prev is not None else 0.0)
-        report.rows.append(row)
+        prev = fields[-1] if fields else None
+        report.rows.append(ladder_row(fld, spec, grid, n, np.inf,
+                                      mono_gap_n=ordering_gap(fld, prev)))
         fields.append(fld)
-        prev = fld
     report.rate_slope = _fit_rate_slope(
         [r.n for r in report.rows if r.error is None],
         [r.sup_upper_violation for r in report.rows if r.error is None])
 
     # decay of the derivative field toward the finest rung, interior only
     finest = next((f for f in reversed(fields) if f is not None), None)
-    if finest is not None:
-        keep = uncontaminated_mask(spec, grid)
-        for row, fld in zip(report.rows, fields):
-            if fld is not None:
-                row.z_gap = float(np.max(np.abs(np.where(keep, fld.z - finest.z, 0.0))))
+    for row, fld in zip(report.rows, fields):
+        if fld is not None:
+            row.z_gap = interior_gap(spec, grid, fld.z, finest.z)
     return report
 
 
@@ -142,18 +104,13 @@ def stability_probe(spec1: ProblemSpec, spec2: ProblemSpec, grid: Grid,
     output_gap = float(np.max(np.abs(f1.u - f2.u)))
 
     x = grid.x
-    phi_gap = float(np.max(np.abs(
-        np.asarray(ex.eval_expr(spec1.phi, {"x": x})) - np.asarray(ex.eval_expr(spec2.phi, {"x": x})))))
+    phi_gap = float(np.max(np.abs(Coefficients(spec1, x)("phi")
+                                  - Coefficients(spec2, x)("phi"))))
     h1, hp1 = obstacle_fields(spec1, grid)
     h2, hp2 = obstacle_fields(spec2, grid)
     obstacle_gap = max(float(np.max(np.abs(h1 - h2))), float(np.max(np.abs(hp1 - hp2))))
-    f_gap = 0.0
-    for t in np.linspace(0.0, grid.t_max, 5):
-        for y0 in (-2.0, 0.0, 2.0):
-            for z0 in (-2.0, 0.0, 2.0):
-                bind = {"t": t, "x": x, "y": y0, "z": z0}
-                f_gap = max(f_gap, float(np.max(np.abs(
-                    np.asarray(ex.eval_expr(spec1.f, bind)) - np.asarray(ex.eval_expr(spec2.f, bind))))))
+    f_gap = float(np.max(np.abs(driver_sample(spec1, grid.t_max, x)
+                                - driver_sample(spec2, grid.t_max, x))))
     return output_gap, max(phi_gap, obstacle_gap, f_gap)
 
 
@@ -163,5 +120,4 @@ def cross_validate(spec: ProblemSpec, grid: Grid, penalties: PenaltyParams,
     latt = penalized_sweep(spec, grid, penalties, threads=threads)
     fd = solve_penalized_pde(spec, PdeSchemeParams(grid=grid, penalty=penalties),
                              threads=threads)
-    keep = uncontaminated_mask(spec, grid)
-    return float(np.max(np.abs(np.where(keep, latt.u - fd.u, 0.0))))
+    return interior_gap(spec, grid, latt.u, fd.u)

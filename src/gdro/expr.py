@@ -286,7 +286,8 @@ def _eval(expr, bindings):
     if fn == "exp":
         # IEEE semantics: overflow saturates to inf instead of raising
         if isinstance(a, np.ndarray):
-            return np.exp(a)
+            with np.errstate(over="ignore"):
+                return np.exp(a)
         try:
             return math.exp(a)
         except OverflowError:

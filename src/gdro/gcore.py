@@ -174,7 +174,8 @@ class PenaltyParams:
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str          # obstacle-crossing | terminal-sandwich | negative-diffusion
+    kind: str  # non-finite-coefficient | obstacle-crossing | terminal-sandwich
+               # | negative-diffusion
     t_index: int
     x_index: int
     t: float
@@ -195,64 +196,105 @@ class ValidationReport:
         return self.violations[0] if self.violations else None
 
 
-def _eval_tx(e, t, x):
-    return ex.eval_expr(e, {"t": t, "x": x})
+class Coefficients:
+    """Evaluates the coefficient fields b, l, sigma, h, h_prime, phi and the
+    driver f of one problem on a fixed x-array.
+
+    ``coeffs(name, t)`` takes a scalar t (one row, shaped like x) or an
+    array column ``t[:, None]`` (a table, one row per time).  A scalar t is
+    bound as an array, so a row is computed by the same numpy kernels as
+    the matching table row and the two agree bitwise.  Fields free of t are
+    evaluated once and come back as zero-copy broadcast views.
+    """
+
+    def __init__(self, spec, x):
+        self.spec = spec
+        self.x = np.asarray(x, dtype=float)
+        self.static = {}  # name -> row of a t-free field
+        for name in ("b", "l", "sigma", "h", "h_prime", "phi"):
+            e = getattr(spec, name)
+            if "t" not in ex.variables(e):
+                self.static[name] = np.broadcast_to(ex.eval_expr(e, {"x": self.x}),
+                                                    self.x.shape)
+
+    def __call__(self, name, t=None):
+        column = isinstance(t, np.ndarray)
+        a = self.static.get(name)
+        if a is None:
+            bind = {"x": self.x}
+            if t is not None:
+                bind["t"] = t if column else np.full(self.x.shape, t)
+            a = ex.eval_expr(getattr(self.spec, name), bind)
+        return np.broadcast_to(a, np.broadcast_shapes(t.shape, self.x.shape)) if column else a
+
+    def f(self, t, x, y, z):
+        out = ex.eval_expr(self.spec.f, {"t": t, "x": x, "y": y, "z": z})
+        return out if np.shape(out) == np.shape(y) else np.broadcast_to(out, np.shape(y))
+
+
+def driver_sample(spec, t_max, x, dy=0.0, dz=0.0):
+    """f at a deterministic sample: t in linspace(0, t_max, 5), the given x,
+    y + dy and z + dz for y, z in {-2, 0, 2}; shape (5, x.size, 3, 3)."""
+    t = np.linspace(0.0, t_max, 5)[:, None, None, None]
+    y = np.broadcast_to(np.array([-2.0, 0.0, 2.0])[:, None], (5, np.size(x), 3, 3))
+    return Coefficients(spec, x).f(t, np.reshape(x, (-1, 1, 1)), y + dy, y.swapaxes(2, 3) + dz)
+
+
+#: fields whose values on the reporting grid must be finite
+_FINITE_FIELDS = ("b", "l", "sigma", "h", "h_prime", "phi")
 
 
 def validate_problem(spec: ProblemSpec, grid: Grid,
                      kappa_f: float = DEFAULT_KAPPA_F) -> ValidationReport:
     """Check the standing assumptions on the grid.
 
-    Verifies h <= h' at every node, the terminal sandwich
-    h(T,.) <= phi <= h'(T,.), and sigma >= 0; estimates empirical Lipschitz
-    constants of f in (y, z) by sampled difference quotients and warns when
-    they exceed the configured kappa_f.  Returns violations, never raises.
+    Verifies that b, l, sigma, h, h' and phi are finite, h <= h' at every
+    node, the terminal sandwich h(T,.) <= phi <= h'(T,.), and sigma >= 0;
+    estimates empirical Lipschitz constants of f in (y, z) by sampled
+    difference quotients and warns when they exceed the configured kappa_f.
+    Returns violations, never raises.
     """
     x = grid.x
+    coeffs = Coefficients(spec, x)
     report = ValidationReport(ok=True)
 
-    def first_bad(mask, i, kind, detail_fmt, *vals):
-        js = np.nonzero(mask)[0]
-        if js.size:
-            j = int(js[0])
-            report.violations.append(Violation(
-                kind, i, j, float(grid.t[i]), float(x[j]),
-                detail_fmt % tuple(v[j] for v in vals)))
-            report.ok = False
-            return True
-        return False
+    def first_bad(kind, mask, detail_fmt, *vals, i0=0):
+        """Violation at the first True of a (rows, n_x) mask, rows from t_index i0."""
+        k = int(np.argmax(mask))
+        if not mask.flat[k]:
+            return []
+        r, j = divmod(k, mask.shape[1])
+        return [Violation(kind, i0 + r, j, float(grid.t[i0 + r]), float(x[j]),
+                          detail_fmt % tuple(v[r, j] for v in vals))]
 
-    crossing_seen = diffusion_seen = False
-    for i, t in enumerate(grid.t):
-        hv = np.broadcast_to(np.asarray(_eval_tx(spec.h, t, x), dtype=float), x.shape)
-        hpv = np.broadcast_to(np.asarray(_eval_tx(spec.h_prime, t, x), dtype=float), x.shape)
-        sv = np.broadcast_to(np.asarray(_eval_tx(spec.sigma, t, x), dtype=float), x.shape)
-        if not crossing_seen:
-            crossing_seen = first_bad(hv > hpv, i, "obstacle-crossing",
-                                      "h=%.9g > h'=%.9g", hv, hpv)
-        if not diffusion_seen:
-            diffusion_seen = first_bad(sv < 0, i, "negative-diffusion", "sigma=%.9g < 0", sv)
+    table = {name: coeffs(name, grid.t[:, None]) for name in _FINITE_FIELDS[:-1]}
+    table["phi"] = coeffs("phi")[None, :]
+    for name in _FINITE_FIELDS:
+        report.violations += first_bad(
+            "non-finite-coefficient", ~np.isfinite(table[name]), name + "=%.9g",
+            table[name], i0=grid.n_t if name == "phi" else 0)
+    hv, hpv = table["h"], table["h_prime"]
+    # in time order, crossings first on a tie, as a scan over the slices finds them
+    report.violations += sorted(
+        first_bad("obstacle-crossing", hv > hpv, "h=%.9g > h'=%.9g", hv, hpv)
+        + first_bad("negative-diffusion", table["sigma"] < 0, "sigma=%.9g < 0",
+                    table["sigma"]), key=lambda v: v.t_index)
 
-    phiv = np.broadcast_to(np.asarray(ex.eval_expr(spec.phi, {"x": x}), dtype=float), x.shape)
-    hT = np.broadcast_to(np.asarray(_eval_tx(spec.h, spec.horizon, x), dtype=float), x.shape)
-    hpT = np.broadcast_to(np.asarray(_eval_tx(spec.h_prime, spec.horizon, x), dtype=float), x.shape)
-    first_bad(hT > phiv, grid.n_t, "terminal-sandwich", "h(T)=%.9g > phi=%.9g", hT, phiv)
-    first_bad(phiv > hpT, grid.n_t, "terminal-sandwich", "phi=%.9g > h'(T)=%.9g", phiv, hpT)
+    phiv = table["phi"]
+    hT = coeffs("h", spec.horizon)[None, :]
+    hpT = coeffs("h_prime", spec.horizon)[None, :]
+    report.violations += first_bad("terminal-sandwich", hT > phiv,
+                                   "h(T)=%.9g > phi=%.9g", hT, phiv, i0=grid.n_t)
+    report.violations += first_bad("terminal-sandwich", phiv > hpT,
+                                   "phi=%.9g > h'(T)=%.9g", phiv, hpT, i0=grid.n_t)
+    report.ok = not report.violations
 
-    # empirical Lipschitz constants of f in (y, z): deterministic sample
-    ts = np.linspace(0.0, spec.horizon, 5)
+    # empirical Lipschitz constants of f in (y, z)
     xs = np.linspace(spec.x_min, spec.x_max, 9)
-    base = np.array([-2.0, 0.0, 2.0])
     delta = 0.5
-    lip_y = lip_z = 0.0
-    for t in ts:
-        for y0 in base:
-            for z0 in base:
-                f0 = np.asarray(ex.eval_expr(spec.f, {"t": t, "x": xs, "y": y0, "z": z0}))
-                fy = np.asarray(ex.eval_expr(spec.f, {"t": t, "x": xs, "y": y0 + delta, "z": z0}))
-                fz = np.asarray(ex.eval_expr(spec.f, {"t": t, "x": xs, "y": y0, "z": z0 + delta}))
-                lip_y = max(lip_y, float(np.max(np.abs(fy - f0))) / delta)
-                lip_z = max(lip_z, float(np.max(np.abs(fz - f0))) / delta)
+    f0 = driver_sample(spec, spec.horizon, xs)
+    lip_y = float(np.max(np.abs(driver_sample(spec, spec.horizon, xs, dy=delta) - f0))) / delta
+    lip_z = float(np.max(np.abs(driver_sample(spec, spec.horizon, xs, dz=delta) - f0))) / delta
     report.f_lipschitz_y = lip_y
     report.f_lipschitz_z = lip_z
     if max(lip_y, lip_z) > kappa_f:
@@ -264,21 +306,13 @@ def validate_problem(spec: ProblemSpec, grid: Grid,
 
 def obstacle_fields(spec: ProblemSpec, grid: Grid):
     """Lower and upper obstacle values on the full grid, shape (n_t+1, n_x)."""
-    x = grid.x
-    h = np.empty((grid.n_t + 1, grid.n_x))
-    hp = np.empty_like(h)
-    for i, t in enumerate(grid.t):
-        h[i] = np.broadcast_to(np.asarray(_eval_tx(spec.h, t, x), dtype=float), x.shape)
-        hp[i] = np.broadcast_to(np.asarray(_eval_tx(spec.h_prime, t, x), dtype=float), x.shape)
-    return h, hp
+    coeffs = Coefficients(spec, grid.x)
+    return coeffs("h", grid.t[:, None]), coeffs("h_prime", grid.t[:, None])
 
 
 def contamination_cone_width(spec: ProblemSpec, grid: Grid) -> np.ndarray:
     """Diagnostic cone width sigma_high * max|sigma(t,x)| * sqrt(T - t) per slice."""
-    smax = 0.0
-    for t in grid.t:
-        sv = np.asarray(_eval_tx(spec.sigma, t, grid.x), dtype=float)
-        smax = max(smax, float(np.max(np.abs(sv))))
+    smax = float(np.max(np.abs(Coefficients(spec, grid.x)("sigma", grid.t[:, None]))))
     return spec.band.sigma_high * smax * np.sqrt(grid.t_max - grid.t)
 
 

@@ -20,58 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._coeffs import CoeffCache
 from ._parallel import ChunkRunner
-from .gcore import (EXPLICIT, NODEWISE_IMPLICIT, DEFAULT_KAPPA_F, Grid,
-                    PenaltyParams, ProblemSpec, StabilityError,
-                    obstacle_fields)
+from .gcore import (EXPLICIT, NODEWISE_IMPLICIT, DEFAULT_KAPPA_F, Coefficients,
+                    Grid, PenaltyParams, ProblemSpec, StabilityError)
+from .scheme import (LadderRow, SolutionField, central_diff, ceil_eps,
+                     ladder_row, obstacle_update, ordering_gap, z_field)
 
 #: widened-domain margin, in adversarial diffusive standard deviations
 MARGIN_SIGMAS = 6.0
 #: largest allowed one-cell upwind drift weight |mu|/dx per step
 MAX_DRIFT_WEIGHT = 0.5
-#: guard against floating-point noise when snapping probe spans to cells
-_CEIL_EPS = 1e-9
-
-
-def _ceil_eps(a):
-    return np.ceil(a - _CEIL_EPS)
-
-
-@dataclass
-class SolutionField:
-    """Grid fields produced by one sweep.
-
-    u             value grid, shape (n_t+1, n_x); u[-1] is the terminal slice
-    z             sigma(t,x) * central x-difference of u (one-sided at edges)
-    a_plus        per-step lower pushing increments (>= 0)
-    a_minus       per-step upper pulling increments (>= 0)
-    k_defect      per-node gap of the non-chosen volatility candidate (<= 0)
-    sigma_choice  index of the realized volatility endpoint (0 low, 1 high)
-    """
-    grid: Grid
-    u: np.ndarray
-    z: np.ndarray
-    a_plus: np.ndarray
-    a_minus: np.ndarray
-    k_defect: np.ndarray
-    sigma_choice: np.ndarray
-
-
-def _central_diff(u, dx):
-    d = np.empty_like(u)
-    d[1:-1] = (u[2:] - u[:-2]) / (2.0 * dx)
-    d[0] = (u[1] - u[0]) / dx
-    d[-1] = (u[-1] - u[-2]) / dx
-    return d
-
-
-def _z_field(spec, grid, u):
-    coeffs = CoeffCache(spec, grid.x)
-    z = np.empty_like(u)
-    for i, t in enumerate(grid.t):
-        z[i] = coeffs.sigma(t) * _central_diff(u[i], grid.dx)
-    return z
 
 
 def _endpoint_expectation(u_next, idx, variance, mu, dx, n_nodes):
@@ -82,7 +40,7 @@ def _endpoint_expectation(u_next, idx, variance, mu, dx, n_nodes):
             "drift displacement per step exceeds %.2g cells; refine the time grid"
             % MAX_DRIFT_WEIGHT)
     span = np.sqrt(variance / (1.0 - s)) / dx
-    k = np.maximum(1, _ceil_eps(span).astype(np.int64))
+    k = np.maximum(1, ceil_eps(span).astype(np.int64))
     kdx2 = (k * dx) ** 2
     p = variance / (2.0 * kdx2)
     up = u_next[np.minimum(idx + k, n_nodes - 1)]
@@ -121,9 +79,9 @@ def conditional_g_expectation(next_slice, t, x, spec: ProblemSpec, grid: Grid):
     scalar = np.ndim(x) == 0
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     idx = np.clip(np.rint((xv - grid.x_min) / grid.dx).astype(np.int64), 0, grid.n_x - 1)
-    coeffs = CoeffCache(spec, grid.x)
+    coeffs = Coefficients(spec, grid.x)
     value, choice, defects = _g_expectation_arrays(
-        u_next, idx, coeffs.sigma(t)[idx], coeffs.b(t)[idx], coeffs.l(t)[idx],
+        u_next, idx, coeffs("sigma", t)[idx], coeffs("b", t)[idx], coeffs("l", t)[idx],
         spec.band, grid.dt, grid.dx, grid.n_x)
     if scalar:
         return float(value[0]), int(choice[0]), (float(defects[0, 0]), float(defects[1, 0]))
@@ -132,29 +90,15 @@ def conditional_g_expectation(next_slice, t, x, spec: ProblemSpec, grid: Grid):
 
 def _extension_cells(spec, grid):
     """Ghost-margin width: drift reach plus MARGIN_SIGMAS diffusive deviations."""
-    coeffs = CoeffCache(spec, grid.x)
-    smax = bmax = 0.0
-    hi2 = spec.band.sigma_high ** 2
-    for t in grid.t:
-        smax = max(smax, float(np.max(np.abs(coeffs.sigma(t)))))
-        bmax = max(bmax, float(np.max(np.abs(coeffs.b(t) + coeffs.l(t) * hi2))))
+    coeffs = Coefficients(spec, grid.x)
+    sv, bv, lv = (coeffs(name, grid.t[:, None]) for name in ("sigma", "b", "l"))
+    smax = float(np.max(np.abs(sv)))
+    bmax = float(np.max(np.abs(bv + lv * spec.band.sigma_high ** 2)))
     reach = bmax * grid.t_max + MARGIN_SIGMAS * spec.band.sigma_high * smax * np.sqrt(grid.t_max)
-    cells = int(_ceil_eps(reach / grid.dx))
-    if cells > 200_000:
-        raise StabilityError("widened lattice domain would need %d ghost cells" % cells)
-    return cells
-
-
-def _solve_lower(base, h, m, dt):
-    """Exact nodewise solve of y = base + dt*m*(y-h)^-; linear below h."""
-    low = (base + dt * m * h) / (1.0 + dt * m)
-    return np.where(base < h, low, base)
-
-
-def _solve_upper(base, hp, n, dt):
-    """Exact nodewise solve of y = base - dt*n*(y-h')^+; linear above h'."""
-    high = (base + dt * n * hp) / (1.0 + dt * n)
-    return np.where(base > hp, high, base)
+    cells = ceil_eps(reach / grid.dx)
+    if not cells <= 200_000:
+        raise StabilityError("widened lattice domain would need %.0f ghost cells" % cells)
+    return int(cells)
 
 
 def _run_sweep(spec, grid, penalties: PenaltyParams, threads=1):
@@ -166,61 +110,29 @@ def _run_sweep(spec, grid, penalties: PenaltyParams, threads=1):
     # u == h exactly; hence x_min + dx*(j - mc), not (x_min - mc*dx) + dx*j
     xg = grid.x_min + dx * (np.arange(nxe) - mc)
     core = slice(mc, nxe - mc)
-    coeffs = CoeffCache(spec, xg)
+    coeffs = Coefficients(spec, xg)
     band = spec.band
-    n_up = penalties.n_upper
-    m_lo = penalties.m_value
-    implicit = penalties.penalty_mode == NODEWISE_IMPLICIT
-    project = penalties.project_lower
 
-    shape = (grid.n_t + 1, grid.n_x)
-    out = SolutionField(
-        grid=grid,
-        u=np.zeros(shape), z=np.zeros(shape),
-        a_plus=np.zeros(shape), a_minus=np.zeros(shape),
-        k_defect=np.zeros(shape), sigma_choice=np.zeros(shape, dtype=np.int8),
-    )
-    u = coeffs.phi()
+    out = SolutionField.empty(grid)
+    u = coeffs("phi")
     out.u[grid.n_t] = u[core]
 
     with ChunkRunner(nxe, threads) as runner:
         for i in range(grid.n_t - 1, -1, -1):
             t = i * dt
-            sv, bv, lv = coeffs.sigma(t), coeffs.b(t), coeffs.l(t)
-            hv, hpv = coeffs.h(t), coeffs.h_prime(t)
-            z_tilde = sv * _central_diff(u, dx)
+            sv, bv, lv, hv, hpv = (coeffs(name, t) for name in
+                                   ("sigma", "b", "l", "h", "h_prime"))
+            z_tilde = sv * central_diff(u, dx)
             u_next = u
 
             def step(lo, hi, t=t, u_next=u_next, z_tilde=z_tilde,
                      sv=sv, bv=bv, lv=lv, hv=hv, hpv=hpv):
                 idx = np.arange(lo, hi)
-                xs = xg[lo:hi]
                 c, choice, defects = _g_expectation_arrays(
                     u_next, idx, sv[lo:hi], bv[lo:hi], lv[lo:hi], band, dt, dx, nxe)
-                kdef = np.minimum(defects[0], defects[1])
-                base = c + dt * coeffs.f(t, xs, c, z_tilde[lo:hi])
-                h = hv[lo:hi]
-                hp = hpv[lo:hi]
-                if project:
-                    if n_up:
-                        pre = (_solve_upper(base, hp, n_up, dt) if implicit
-                               else base - dt * n_up * np.maximum(c - hp, 0.0))
-                    else:
-                        pre = base
-                    a_minus = base - pre
-                    val = np.maximum(h, pre)
-                    a_plus = val - pre
-                else:
-                    if implicit:
-                        after_lower = _solve_lower(base, h, m_lo, dt) if m_lo else base
-                        a_plus = after_lower - base
-                        val = _solve_upper(after_lower, hp, n_up, dt) if n_up else after_lower
-                        a_minus = after_lower - val
-                    else:
-                        a_plus = dt * m_lo * np.maximum(h - c, 0.0)
-                        a_minus = dt * n_up * np.maximum(c - hp, 0.0)
-                        val = base + a_plus - a_minus
-                return val, a_plus, a_minus, kdef, choice
+                base = c + dt * coeffs.f(t, xg[lo:hi], c, z_tilde[lo:hi])
+                return obstacle_update(base, c, hv[lo:hi], hpv[lo:hi], dt, penalties) + (
+                    np.minimum(defects[0], defects[1]), choice)
 
             val, a_plus, a_minus, kdef, choice = runner.run(step)
             u = val
@@ -230,7 +142,7 @@ def _run_sweep(spec, grid, penalties: PenaltyParams, threads=1):
             out.k_defect[i] = kdef[core]
             out.sigma_choice[i] = choice[core]
 
-    out.z = _z_field(spec, grid, out.u)
+    out.z = z_field(spec, grid, out.u)
     return out
 
 
@@ -263,19 +175,6 @@ def reflected_sweep(spec: ProblemSpec, grid: Grid, n_upper: float,
 
 
 @dataclass
-class CellSummary:
-    n: float
-    m: float
-    sup_lower_violation: float
-    sup_upper_violation: float
-    mono_gap_n: float  # sup (u at this n  -  u at previous smaller n)^+
-    mono_gap_m: float  # sup (u at previous smaller m  -  u at this m)^+
-    asc_plus: float = np.nan
-    asc_minus: float = np.nan
-    error: str | None = None
-
-
-@dataclass
 class DoubleLadderReport:
     n_list: list
     m_list: list
@@ -295,37 +194,24 @@ def double_ladder(spec: ProblemSpec, grid: Grid, n_list, m_list,
     m_list = [float(v) for v in m_list]
     if sorted(n_list) != n_list or sorted(m_list) != m_list:
         raise ValueError("n_list and m_list must be sorted ascending")
-    hf, hpf = obstacle_fields(spec, grid) if m_list and n_list else (None, None)
     report = DoubleLadderReport(n_list=n_list, m_list=m_list, cells=[])
-    prev_row = None
+    above = [None] * len(m_list)  # the previous n's fields, per m
     for n in n_list:
-        row = []
-        prev_field = None
-        row_fields = []
-        for j, m in enumerate(m_list):
+        row, fields = [], []
+        for m, prev_n in zip(m_list, above):
             try:
                 fld = penalized_sweep(spec, grid, PenaltyParams(
                     n_upper=n, m_lower=m, penalty_mode=penalty_mode, kappa_f=kappa_f),
                     threads=threads)
             except (StabilityError, ValueError) as err:
-                row.append(CellSummary(n, m, np.nan, np.nan, np.nan, np.nan,
-                                       error=str(err)))
-                row_fields.append(None)
-                prev_field = None
+                row.append(LadderRow(n=n, m=m, error=str(err)))
+                fields.append(None)
                 continue
-            low = float(np.max(np.maximum(hf - fld.u, 0.0)))
-            up = float(np.max(np.maximum(fld.u - hpf, 0.0)))
-            gap_m = 0.0
-            if prev_field is not None:
-                gap_m = float(np.max(np.maximum(prev_field.u - fld.u, 0.0)))
-            gap_n = 0.0
-            if prev_row is not None and prev_row[j] is not None:
-                gap_n = float(np.max(np.maximum(fld.u - prev_row[j].u, 0.0)))
-            ascp = float(np.max(np.abs(np.sum((fld.u - hf) * fld.a_plus, axis=0))))
-            ascm = float(np.max(np.abs(np.sum((hpf - fld.u) * fld.a_minus, axis=0))))
-            row.append(CellSummary(n, m, low, up, gap_n, gap_m, ascp, ascm))
-            row_fields.append(fld)
-            prev_field = fld
+            prev_m = fields[-1] if fields else None
+            row.append(ladder_row(fld, spec, grid, n, m,
+                                  mono_gap_n=ordering_gap(fld, prev_n),
+                                  mono_gap_m=ordering_gap(prev_m, fld)))
+            fields.append(fld)
         report.cells.append(row)
-        prev_row = row_fields
+        above = fields
     return report

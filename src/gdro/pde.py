@@ -8,11 +8,16 @@ satisfying
     dt_sub * (sigma_high^2 max sigma^2 / dx^2 + |2 l sigma_high^2 + b|_max / dx
               + kappa_f + n_upper + m_lower) <= 1,
 
-and only the requested slices are stored.  Boundary columns use one-sided
-first differences with the curvature copied from the adjacent interior
-column (quadratic ghost nodes), which is exact for quadratic profiles; the
-complementarity residual masks a cone near the boundary where that
-extrapolation and the clamped probes pollute the fields.
+at the reported times, and only the requested slices are stored.  Every
+substep checks the bound again, node by node, on its own coefficient rows,
+so a coefficient peaking between reported times raises StabilityError
+instead of blowing the field up.
+
+Boundary columns use one-sided first differences with the curvature copied
+from the adjacent interior column (quadratic ghost nodes), which is exact
+for quadratic profiles; the complementarity residual masks a cone near the
+boundary where that extrapolation and the clamped probes pollute the
+fields.
 """
 
 from __future__ import annotations
@@ -21,12 +26,11 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from ._coeffs import CoeffCache
 from ._parallel import ChunkRunner
-from .gcore import (EXPLICIT, NODEWISE_IMPLICIT, Grid, PenaltyParams,
+from .gcore import (EXPLICIT, NODEWISE_IMPLICIT, Coefficients, Grid, PenaltyParams,
                     ProblemSpec, StabilityError, g_eval, obstacle_fields,
                     uncontaminated_mask)
-from .lattice import SolutionField, _ceil_eps, _solve_lower, _solve_upper, _z_field
+from .scheme import CEIL_EPS, SolutionField, ceil_eps, obstacle_update, z_field
 
 CONSTANT_EXTRAPOLATION = "constant-extrapolation"
 
@@ -50,33 +54,51 @@ class PdeSchemeParams:
 
 def f_operator(d2u, du, u, x, t, spec: ProblemSpec):
     """Full spatial operator G(sigma^2 d2u + 2 l du) + b du + f(t,x,u,sigma du)."""
-    from . import expr as ex
-    bind = {"t": t, "x": x}
-    sv = ex.eval_expr(spec.sigma, bind)
-    bv = ex.eval_expr(spec.b, bind)
-    lv = ex.eval_expr(spec.l, bind)
+    coeffs = Coefficients(spec, x)
+    sv, bv, lv = (coeffs(name, t) for name in ("sigma", "b", "l"))
     out = (g_eval(sv ** 2 * d2u + 2.0 * lv * du, spec.band) + bv * du
-           + ex.eval_expr(spec.f, {"t": t, "x": x, "y": u, "z": sv * du}))
-    return out if isinstance(out, np.ndarray) else float(out)
+           + coeffs.f(t, x, u, sv * du))
+    return out if np.ndim(out) else float(out)
+
+
+def _explicit_rate(spec, penalties, direct, dx, sv, bv, lv, per_node=False):
+    """Rate r of the explicit bound dt_sub * r <= 1 (module docstring), from
+    the maxima of the given coefficient fields or, with ``per_node``, at
+    every node."""
+    hi2 = spec.band.sigma_high ** 2
+    s2 = sv ** 2
+    trans = np.abs(2.0 * lv * hi2 + bv)
+    if not per_node:
+        s2, trans = float(np.max(s2)), float(np.max(trans))
+    rate = hi2 * s2 / dx ** 2 + trans / dx + penalties.kappa_f
+    if not direct and penalties.penalty_mode == EXPLICIT:
+        rate = rate + (penalties.n_upper + penalties.m_value)
+    return rate
 
 
 def _stability_substeps(spec, grid, penalties, direct, max_substeps):
-    """Substeps per reported step so the explicit bound holds for dt_sub."""
-    coeffs = CoeffCache(spec, grid.x)
-    hi2 = spec.band.sigma_high ** 2
-    smax2 = trans = 0.0
-    for t in grid.t:
-        smax2 = max(smax2, float(np.max(coeffs.sigma(t) ** 2)))
-        trans = max(trans, float(np.max(np.abs(2.0 * coeffs.l(t) * hi2 + coeffs.b(t)))))
-    rate = hi2 * smax2 / grid.dx ** 2 + trans / grid.dx + penalties.kappa_f
-    if not direct and penalties.penalty_mode == EXPLICIT:
-        rate += penalties.n_upper + penalties.m_value
-    nsub = max(1, int(_ceil_eps(grid.dt * rate)))
-    if nsub > max_substeps:
+    """Substeps per reported step so the explicit bound holds for dt_sub at
+    the reported times; _run_pde checks it again at every substep."""
+    coeffs = Coefficients(spec, grid.x)
+    rate = _explicit_rate(spec, penalties, direct, grid.dx,
+                          *(coeffs(name, grid.t[:, None]) for name in ("sigma", "b", "l")))
+    nsub = ceil_eps(grid.dt * rate)
+    if not nsub <= max_substeps:
         raise StabilityError(
-            "explicit stability needs %d substeps per step (cap %d); "
+            "explicit stability needs %.0f substeps per step (cap %d); "
             "bound dt*rate = %.6g" % (nsub, max_substeps, grid.dt * rate))
-    return nsub
+    return max(1, int(nsub))
+
+
+def _check_substep(spec, penalties, direct, grid, dts, ts, sv, bv, lv):
+    """Raise unless the explicit bound holds at every node of the substep at ts."""
+    rate = _explicit_rate(spec, penalties, direct, grid.dx, sv, bv, lv, per_node=True)
+    bad = np.flatnonzero(~(dts * rate <= 1.0 + CEIL_EPS))
+    if bad.size:
+        j = int(bad[0])
+        raise StabilityError(
+            "explicit stability bound fails between reported times at t=%.9g x=%.9g: "
+            "dt_sub*rate = %.6g > 1" % (ts, grid.x[j], dts * rate[j]))
 
 
 def _ghost_row(u):
@@ -96,22 +118,14 @@ def _run_pde(spec, grid, penalties, direct, max_substeps, threads=1):
     dts = dt / nsub
     x = grid.x
     n_x = grid.n_x
-    coeffs = CoeffCache(spec, x)
+    coeffs = Coefficients(spec, x)
     band = spec.band
     lo2, hi2 = band.sigma_low ** 2, band.sigma_high ** 2
-    n_up = penalties.n_upper
-    m_lo = penalties.m_value
-    implicit = penalties.penalty_mode == NODEWISE_IMPLICIT
-    project_lower = penalties.project_lower
+    # t-free rows are the rows _stability_substeps sized the substeps on
+    recheck = any(name not in coeffs.static for name in ("sigma", "b", "l"))
 
-    shape = (grid.n_t + 1, n_x)
-    out = SolutionField(
-        grid=grid,
-        u=np.zeros(shape), z=np.zeros(shape),
-        a_plus=np.zeros(shape), a_minus=np.zeros(shape),
-        k_defect=np.zeros(shape), sigma_choice=np.zeros(shape, dtype=np.int8),
-    )
-    u = coeffs.phi()
+    out = SolutionField.empty(grid)
+    u = coeffs("phi")
     out.u[grid.n_t] = u
 
     with ChunkRunner(n_x, threads) as runner:
@@ -124,9 +138,10 @@ def _run_pde(spec, grid, penalties, direct, max_substeps, threads=1):
                 # anchored at i*dt so the final substep's clamp uses exactly
                 # the reported slice time (keeps the sandwich bitwise exact)
                 ts = i * dt + (nsub - 1 - s) * dts
-                sv, bv, lv = coeffs.sigma(ts), coeffs.b(ts), coeffs.l(ts)
-                hv = coeffs.h(ts)
-                hpv = coeffs.h_prime(ts)
+                sv, bv, lv, hv, hpv = (coeffs(name, ts) for name in
+                                       ("sigma", "b", "l", "h", "h_prime"))
+                if recheck:
+                    _check_substep(spec, penalties, direct, grid, dts, ts, sv, bv, lv)
                 g = _ghost_row(u)
                 d2 = (g[2:] - 2.0 * u + g[:-2]) / dx ** 2
                 d1 = (g[2:] - g[:-2]) / (2.0 * dx)
@@ -137,38 +152,10 @@ def _run_pde(spec, grid, penalties, direct, max_substeps, threads=1):
                     harg = sv[lo:hi] ** 2 * d2[lo:hi] + 2.0 * lv[lo:hi] * d1[lo:hi]
                     F = (g_eval(harg, band) + bv[lo:hi] * d1[lo:hi]
                          + coeffs.f(ts, x[lo:hi], u_in[lo:hi], sv[lo:hi] * d1[lo:hi]))
-                    val = u_in[lo:hi] + dts * F
-                    h = hv[lo:hi]
-                    hp = hpv[lo:hi]
-                    if direct:
-                        lower = np.maximum(h, val)
-                        ap = lower - val
-                        val2 = np.minimum(hp, lower)
-                        am = lower - val2
-                    elif implicit:
-                        if project_lower:
-                            pre = _solve_upper(val, hp, n_up, dts) if n_up else val
-                            am = val - pre
-                            val2 = np.maximum(h, pre)
-                            ap = val2 - pre
-                        else:
-                            lower = _solve_lower(val, h, m_lo, dts) if m_lo else val
-                            ap = lower - val
-                            val2 = _solve_upper(lower, hp, n_up, dts) if n_up else lower
-                            am = lower - val2
-                    else:
-                        if project_lower:
-                            upper = val - dts * n_up * np.maximum(u_in[lo:hi] - hp, 0.0)
-                            am = val - upper
-                            val2 = np.maximum(h, upper)
-                            ap = val2 - upper
-                        else:
-                            ap = dts * m_lo * np.maximum(h - u_in[lo:hi], 0.0)
-                            am = dts * n_up * np.maximum(u_in[lo:hi] - hp, 0.0)
-                            val2 = val + ap - am
                     kd = -0.5 * (hi2 - lo2) * np.abs(harg) * dts
                     ch = (harg > 0.0).astype(np.int8)
-                    return val2, ap, am, kd, ch
+                    return obstacle_update(u_in[lo:hi] + dts * F, u_in[lo:hi], hv[lo:hi],
+                                           hpv[lo:hi], dts, penalties, direct) + (kd, ch)
 
                 u, ap, am, kd, choice = runner.run(substep)
                 a_plus_acc += ap
@@ -180,7 +167,7 @@ def _run_pde(spec, grid, penalties, direct, max_substeps, threads=1):
             out.k_defect[i] = kdef_acc
             out.sigma_choice[i] = choice
 
-    out.z = _z_field(spec, grid, out.u)
+    out.z = z_field(spec, grid, out.u)
     return out
 
 
@@ -245,25 +232,23 @@ def complementarity_residual(field: SolutionField, spec: ProblemSpec, grid: Grid
     """
     u = field.u
     dt, dx = grid.dt, grid.dx
-    x = grid.x
     h, hp = obstacle_fields(spec, grid)
-    coeffs = CoeffCache(spec, x)
+    coeffs = Coefficients(spec, grid.x)
+    tcol = grid.t[:-1, None]
+    sv, bv, lv = (coeffs(name, tcol)[:, 1:-1] for name in ("sigma", "b", "l"))
+    ui, inner = u[:-1], u[:-1, 1:-1]
+    d2 = (ui[:, 2:] - 2.0 * inner + ui[:, :-2]) / dx ** 2
+    d1 = (ui[:, 2:] - ui[:, :-2]) / (2.0 * dx)
+    F = (g_eval(sv ** 2 * d2 + 2.0 * lv * d1, spec.band) + bv * d1
+         + coeffs.f(tcol, grid.x[1:-1], inner, sv * d1))
+    ddt = (u[1:, 1:-1] - inner) / dt
     r = np.full((grid.n_t + 1, grid.n_x), np.nan)
-    for i in range(grid.n_t):
-        t = float(grid.t[i])
-        ui = u[i]
-        d2 = (ui[2:] - 2.0 * ui[1:-1] + ui[:-2]) / dx ** 2
-        d1 = (ui[2:] - ui[:-2]) / (2.0 * dx)
-        sv, bv, lv = coeffs.sigma(t)[1:-1], coeffs.b(t)[1:-1], coeffs.l(t)[1:-1]
-        F = (g_eval(sv ** 2 * d2 + 2.0 * lv * d1, spec.band) + bv * d1
-             + coeffs.f(t, x[1:-1], ui[1:-1], sv * d1))
-        ddt = (u[i + 1][1:-1] - ui[1:-1]) / dt
-        r[i, 1:-1] = np.maximum(ui[1:-1] - hp[i, 1:-1],
-                                np.minimum(ui[1:-1] - h[i, 1:-1], -ddt - F))
+    r[:-1, 1:-1] = np.maximum(inner - hp[:-1, 1:-1],
+                              np.minimum(inner - h[:-1, 1:-1], -ddt - F))
 
     contact = (np.abs(u - h) <= _CONTACT_TOL) | (np.abs(u - hp) <= _CONTACT_TOL)
-    kt = int(_ceil_eps(RESIDUAL_CONTACT_MARGIN_T * grid.t_max / dt))
-    kx = int(_ceil_eps(RESIDUAL_CONTACT_MARGIN_X * (grid.x_max - grid.x_min) / dx))
+    kt = int(ceil_eps(RESIDUAL_CONTACT_MARGIN_T * grid.t_max / dt))
+    kx = int(ceil_eps(RESIDUAL_CONTACT_MARGIN_X * (grid.x_max - grid.x_min) / dx))
     near_contact = _dilate(contact, kt, kx)
     keep = uncontaminated_mask(spec, grid) & ~near_contact & ~np.isnan(r)
     keep[grid.n_t, :] = False

@@ -154,6 +154,38 @@ class TestRun:
     def test_missing_config_file(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.json")]) == EXIT_VALIDATION
 
+    def test_substep_stability_between_reported_times(self, tmp_path, capsys):
+        # sigma is 1 at every reported time t = k/20 but reaches 4 in between,
+        # so substeps sized on the reported slices alone would blow up
+        rc = _solve(tmp_path, {
+            "problem": {"horizon": 1.0, "x_min": -3.0, "x_max": 3.0,
+                        "sigma_low": 0.5, "sigma_high": 1.0,
+                        "sigma": "1 + 3*pos(sin(62.83185307179586*t))",
+                        "phi": "0.1*sin(3*x)"},
+            "grid": {"n_t": 20, "n_x": 121}, "method": "pde", "emit": []}, "--assert")
+        assert rc == EXIT_STABILITY
+        err = capsys.readouterr().err
+        assert "stability status=rejected" in err and "between reported times" in err
+
+    @pytest.mark.parametrize("name", ["sigma", "b"])
+    def test_non_finite_coefficient_exit(self, tmp_path, capsys, name):
+        rc = _solve(tmp_path, {
+            "problem": dict(INLINE_HEAT, **{name: "exp(1000*x)"}),
+            "grid": {"n_t": 10, "n_x": 11}})
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        # exp(1000*x) overflows past x = 0.71; the first such node is x_7 = 1.2
+        assert "kind=non-finite-coefficient t_index=0 x_index=7" in err
+        assert 'detail="%s=inf"' % name in err
+        assert "Warning" not in err
+
+    def test_unsorted_ladder_rejected(self, tmp_path, capsys):
+        rc = _solve(tmp_path, {
+            "problem": "american-put-analog", "grid": {"n_t": 10, "n_x": 21},
+            "ladders": {"m_list": [100, 10]}})
+        assert rc == EXIT_VALIDATION
+        assert "/ladders/m_list" in capsys.readouterr().err
+
 
 def test_threads_env_fallback(monkeypatch):
     from gdro._parallel import resolve_threads

@@ -1,0 +1,121 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gdro import catalog
+from gdro.gcore import (EXPLICIT, NODEWISE_IMPLICIT, Coefficients, Grid, PenaltyParams,
+                        ProblemSpec)
+from gdro.scheme import obstacle_update
+
+VALUES = st.floats(-100.0, 100.0, allow_nan=False)
+INTENSITY = st.sampled_from([0.0, 1.0, 64.0]) | st.floats(0.0, 1e4)
+
+# (direct, m_lower): the direct solve, projection, and two-sided penalties
+DIRECT, PROJECTION, PENALTIES = (True, 0.0), (False, "projection"), (False, None)
+MODES = [DIRECT, PROJECTION, PENALTIES]
+
+
+def _step_ulps(x, k):
+    for _ in range(abs(k)):
+        x = np.nextafter(x, np.inf if k > 0 else -np.inf)
+    return x
+
+
+@st.composite
+def updates(draw, modes=MODES):
+    """One obstacle update: mode, penalties, dt and a slice of nodes.
+
+    Some nodes put base within an ulp of h or h', where the rounded
+    implicit solves are most fragile; ``higher`` raises base by a bump or
+    by one ulp.
+    """
+    direct, m_lower = draw(st.sampled_from(modes))
+    penalties = PenaltyParams(
+        n_upper=draw(INTENSITY),
+        m_lower=draw(INTENSITY) if m_lower is None else m_lower,
+        penalty_mode=draw(st.sampled_from([EXPLICIT, NODEWISE_IMPLICIT])))
+    nodes = draw(st.lists(st.tuples(
+        VALUES, VALUES, VALUES, st.floats(0.0, 50.0), st.sampled_from(["free", "h", "hp"]),
+        st.integers(-1, 1), st.floats(0.0, 50.0) | st.just(None)), min_size=1, max_size=16))
+    base, anchor, h, hp, higher = [], [], [], [], []
+    for b, a, lo, width, near, ulps, bump in nodes:
+        hi = lo + width
+        b = _step_ulps({"free": b, "h": lo, "hp": hi}[near], ulps)
+        base.append(b)
+        anchor.append(a)
+        h.append(lo)
+        hp.append(hi)
+        higher.append(np.nextafter(b, np.inf) if bump is None else b + bump)
+    return dict(direct=direct, penalties=penalties, dt=draw(st.floats(1e-4, 0.1)),
+                base=np.array(base), anchor=np.array(anchor), h=np.array(h),
+                hp=np.array(hp), higher=np.array(higher))
+
+
+def _run(u, base):
+    return obstacle_update(base, u["anchor"], u["h"], u["hp"], u["dt"], u["penalties"],
+                           direct=u["direct"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(updates())
+def test_value_non_decreasing_in_base(u):
+    lower, _, _ = _run(u, u["base"])
+    higher, _, _ = _run(u, u["higher"])
+    assert np.all(higher >= lower)
+
+
+@settings(max_examples=200, deadline=None)
+@given(updates())
+def test_increments_non_negative(u):
+    _, a_plus, a_minus = _run(u, u["base"])
+    assert np.all(a_plus >= 0.0) and np.all(a_minus >= 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(updates([DIRECT]))
+def test_direct_sandwich_is_exact(u):
+    value, _, _ = _run(u, u["base"])
+    assert np.all(u["h"] <= value) and np.all(value <= u["hp"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(updates([PROJECTION]))
+def test_projection_pushes_only_on_the_lower_obstacle(u):
+    value, a_plus, _ = _run(u, u["base"])
+    assert np.all(value[a_plus > 0.0] == u["h"][a_plus > 0.0])
+
+
+def _catalog_specs():
+    return [catalog.build_spec(catalog.get_entry(n)) for n in catalog.catalog_names()]
+
+
+INLINE = ProblemSpec.from_strings(
+    horizon=1.0, x_min=-3.0, x_max=3.0, sigma_low=0.5, sigma_high=1.5,
+    sigma="sqrt(1 + 0.5*sin(x*t)^2)", b="0.1*exp(-t)*x - 0.01*t^3",
+    l="0.05*log(2 + cos(x + t))", h="-1 + 0.1*exp(t - x^2)",
+    h_prime="1 + sqrt(t + 0.1*x^2)", phi="0.1*sin(x)", name="inline")
+
+
+@pytest.mark.parametrize("spec", _catalog_specs() + [INLINE], ids=lambda s: s.name)
+def test_table_equals_rows_bitwise(spec):
+    n_t, n_x = 200, 161
+    grid = Grid.for_problem(spec, n_t, n_x)
+    coeffs = Coefficients(spec, grid.x)
+    for name in ("b", "l", "sigma", "h", "h_prime"):
+        table = coeffs(name, grid.t[:, None])
+        assert table.shape == (n_t + 1, n_x)
+        for i in range(n_t + 1):
+            # the sweeps evaluate one row per step at t = i*dt
+            row = coeffs(name, i * grid.dt)
+            assert np.ascontiguousarray(table[i]).tobytes() == \
+                np.ascontiguousarray(row).tobytes(), (name, i)
+
+
+def test_t_free_fields_are_zero_copy_views():
+    spec = catalog.build_spec(catalog.get_entry("gheat-convex"))
+    grid = Grid.for_problem(spec, 10, 21)
+    coeffs = Coefficients(spec, grid.x)
+    table = coeffs("sigma", grid.t[:, None])
+    assert table.shape == (11, 21) and table.strides[0] == 0
+    assert np.shares_memory(table, coeffs("sigma", 0.5))

@@ -1,0 +1,86 @@
+"""SHA-256 digests of every catalog entry's CLI outputs.
+
+    python3 tools/catalog_digests.py [--root DIR] [--work DIR]
+
+Runs ``gdro solve --assert --method both`` on each catalog entry at its
+default grid, emitting field, report and residual files, with the package
+imported from ``DIR/src`` (default: this checkout).  Prints one line per
+output file, ``<entry> <file> <sha256>``, plus each run's exit code.  Two
+checkouts whose printouts match produce byte-identical outputs, which is
+the contract a behaviour-preserving refactor must keep:
+
+    python3 tools/catalog_digests.py --root ../old > old.txt
+    python3 tools/catalog_digests.py > new.txt
+    diff old.txt new.txt
+
+Uses only the standard library; the solves run in child processes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+_LIST_ENTRIES = ("import json; from gdro.catalog import CATALOG; "
+                 "print(json.dumps({k: list(e.grid) for k, e in sorted(CATALOG.items())}))")
+
+
+def _env(root):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(root, "src")
+    return env
+
+
+def _sha256(path):
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
+
+
+def catalog_digests(root, work):
+    """Yield (entry, file, digest) with file '#exit' carrying the exit code."""
+    env = _env(root)
+    listing = subprocess.run([sys.executable, "-c", _LIST_ENTRIES], env=env,
+                             check=True, capture_output=True, text=True)
+    for name, (n_t, n_x) in json.loads(listing.stdout).items():
+        out_dir = os.path.join(work, name)
+        config = os.path.join(work, name + ".json")
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump({"problem": name, "grid": {"n_t": n_t, "n_x": n_x},
+                       "method": "both", "emit": ["field", "report", "residual"]}, fh)
+        proc = subprocess.run([sys.executable, "-m", "gdro.cli", "solve", "--config", config,
+                               "--out", out_dir, "--assert"],
+                              env=env, capture_output=True, text=True)
+        yield name, "#exit", str(proc.returncode)
+        if os.path.isdir(out_dir):
+            for fname in sorted(os.listdir(out_dir)):
+                yield name, fname, _sha256(os.path.join(out_dir, fname))
+
+
+def main(argv=None):
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--root", default=here, help="checkout whose src/ is run")
+    ap.add_argument("--work", help="keep outputs here (default: a temporary directory)")
+    args = ap.parse_args(argv)
+    root = os.path.abspath(args.root)
+    if args.work:
+        os.makedirs(args.work, exist_ok=True)
+        rows = list(catalog_digests(root, args.work))
+    else:
+        with tempfile.TemporaryDirectory() as work:
+            rows = list(catalog_digests(root, work))
+    for row in rows:
+        print(" ".join(row))
+    return 0 if all(code == "0" for _, f, code in rows if f == "#exit") else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
