@@ -4,11 +4,13 @@ Usage:
     gdro solve --config run.json [--method pde|lattice|both] [--assert]
                [--out DIR] [--threads N]
 
-Exit codes: 0 success, 2 input validation failure, 3 step-size/stability
-rejection, 4 assertion-suite failure under --assert.  Diagnostics go to
-stderr as key=value lines; numeric output files are written with 17
-significant digits so doubles round-trip exactly and reruns are
-byte-identical for any thread count.
+Exit codes: 0 success, 2 input validation failure (including an expression
+undefined at a node it is evaluated on), 3 step-size/stability rejection or
+a non-finite solved field, 4 assertion-suite failure under --assert.
+Diagnostics go to stderr as key=value lines; numeric output files are
+written with 17 significant digits so doubles round-trip exactly and reruns
+are byte-identical.  ``--threads`` is accepted for compatibility and has no
+effect: the solvers are single-threaded.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import numpy as np
 
 from . import catalog as cat
 from . import expr as ex
-from ._parallel import resolve_threads
 from .convergence import (ConvergenceReport, asc_residuals, asc_residuals_global,
                           interior_gap, monotone_ladder, stability_probe)
 from .gcore import (Grid, PenaltyParams, ProblemSpec, StabilityError,
@@ -298,13 +299,13 @@ def _ladder_rows(results):
     return rows
 
 
-def _m_ladder(spec, grid, penalties, ladders, threads):
+def _m_ladder(spec, grid, penalties, ladders):
     """Rows of the m-ladder at the configured n_upper, and the double ladder
     over n_list x m_list (None without an n_list) that shares its sweeps."""
     def ladder(n_list):
         return double_ladder(spec, grid, n_list, ladders["m_list"],
                              penalty_mode=penalties.penalty_mode,
-                             kappa_f=penalties.kappa_f, threads=threads)
+                             kappa_f=penalties.kappa_f)
 
     double = ladder(ladders["n_list"]) if "n_list" in ladders else None
     if double is not None and penalties.n_upper in double.n_list:
@@ -336,22 +337,25 @@ def _generic_assertions(results, spec, grid, penalties):
     return out
 
 
-def run(config: RunConfig, threads: int = 1, assert_mode: bool = False,
+def _non_finite_node(results):
+    """(method, t_index, x_index) of the first non-finite u a solve produced:
+    the latest slice holding one (the solves run backward), at its lowest x."""
+    solved = dict(results.fields, direct=results.direct_field)
+    for method, fld in sorted(solved.items()):
+        if fld is None:
+            continue
+        bad = ~np.isfinite(fld.u)
+        if bad.any():
+            i = int(np.flatnonzero(bad.any(axis=1))[-1])
+            return method, i, int(np.argmax(bad[i]))
+    return None
+
+
+def run(config: RunConfig, assert_mode: bool = False,
         out_dir: str | None = None) -> int:
     """Execute one configured run; returns the process exit code."""
     spec, grid, penalties = config.spec, config.grid, config.penalties
     out_path = out_dir if out_dir is not None else config.output_dir
-
-    report = validate_problem(spec, grid, kappa_f=penalties.kappa_f)
-    for warning in report.warnings:
-        _diag("warn", msg='"%s"' % warning)
-    if not report.ok:
-        v = report.first_violation
-        _diag("validate", status="fail", kind=v.kind, t_index=v.t_index,
-              x_index=v.x_index, t=_fmt(v.t), x=_fmt(v.x), detail='"%s"' % v.detail)
-        return EXIT_VALIDATION
-    _diag("validate", status="ok", f_lipschitz_y=_fmt(report.f_lipschitz_y),
-          f_lipschitz_z=_fmt(report.f_lipschitz_z))
 
     ladders = dict(config.ladders)
     if assert_mode and config.entry is not None and not ladders:
@@ -359,12 +363,22 @@ def run(config: RunConfig, threads: int = 1, assert_mode: bool = False,
 
     results = RunResults(grid=grid)
     try:
+        report = validate_problem(spec, grid, kappa_f=penalties.kappa_f)
+        for warning in report.warnings:
+            _diag("warn", msg='"%s"' % warning)
+        if not report.ok:
+            v = report.first_violation
+            _diag("validate", status="fail", kind=v.kind, t_index=v.t_index,
+                  x_index=v.x_index, t=_fmt(v.t), x=_fmt(v.x), detail='"%s"' % v.detail)
+            return EXIT_VALIDATION
+        _diag("validate", status="ok", f_lipschitz_y=_fmt(report.f_lipschitz_y),
+              f_lipschitz_z=_fmt(report.f_lipschitz_z))
+
         if config.method in ("lattice", "both"):
-            results.fields["lattice"] = penalized_sweep(spec, grid, penalties,
-                                                        threads=threads)
+            results.fields["lattice"] = penalized_sweep(spec, grid, penalties)
         if config.method in ("pde", "both"):
             results.fields["pde"] = solve_penalized_pde(
-                spec, PdeSchemeParams(grid=grid, penalty=penalties), threads=threads)
+                spec, PdeSchemeParams(grid=grid, penalty=penalties))
         if config.method == "both":
             results.cross_gap = interior_gap(spec, grid, results.fields["lattice"].u,
                                              results.fields["pde"].u)
@@ -372,25 +386,35 @@ def run(config: RunConfig, threads: int = 1, assert_mode: bool = False,
         if "n_list" in ladders:
             results.ladder_report = monotone_ladder(
                 spec, grid, ladders["n_list"],
-                penalty_mode=penalties.penalty_mode, kappa_f=penalties.kappa_f,
-                threads=threads)
+                penalty_mode=penalties.penalty_mode, kappa_f=penalties.kappa_f)
         if "m_list" in ladders:
             results.m_ladder, results.double_report = _m_ladder(
-                spec, grid, penalties, ladders, threads)
+                spec, grid, penalties, ladders)
         for eps in ladders.get("epsilon_list", ()):
-            gap, _ = stability_probe(spec, _perturb_lower(spec, eps), grid,
-                                     penalties, threads=threads)
+            gap, _ = stability_probe(spec, _perturb_lower(spec, eps), grid, penalties)
             results.stability_gaps.append(gap)
 
         if "residual" in config.emit:
             results.direct_field = solve_double_obstacle_direct(
-                spec, PdeSchemeParams(grid=grid, penalty=penalties), threads=threads)
+                spec, PdeSchemeParams(grid=grid, penalty=penalties))
             r_grid, results.residual_sup = complementarity_residual(
                 results.direct_field, spec, grid)
         else:
             r_grid = None
     except StabilityError as err:
         _diag("stability", status="rejected", detail='"%s"' % err)
+        return EXIT_STABILITY
+    except ex.DomainError as err:
+        # an expression undefined at a node validation did not sample, such
+        # as the lattice's ghost cells or a driver value off the sample
+        _diag("validate", status="fail", kind="domain-error", detail='"%s"' % err)
+        return EXIT_VALIDATION
+
+    bad = _non_finite_node(results)
+    if bad is not None:
+        method, i, j = bad
+        _diag("stability", status="rejected", kind="non-finite-field", method=method,
+              t_index=i, x_index=j, t=_fmt(grid.t[i]), x=_fmt(grid.x[j]))
         return EXIT_STABILITY
 
     os.makedirs(out_path, exist_ok=True)
@@ -466,7 +490,7 @@ def main(argv=None) -> int:
                        help="run the problem's assertion suite; exit 4 on failure")
     solve.add_argument("--out", help="output directory (overrides config output_dir)")
     solve.add_argument("--threads", type=int,
-                       help="worker threads per slice (or env GDRO_THREADS)")
+                       help="accepted for compatibility; has no effect")
     args = parser.parse_args(argv)
 
     try:
@@ -476,8 +500,7 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     if args.method:
         config.method = args.method
-    return run(config, threads=resolve_threads(args.threads),
-               assert_mode=args.assert_mode, out_dir=args.out)
+    return run(config, assert_mode=args.assert_mode, out_dir=args.out)
 
 
 if __name__ == "__main__":

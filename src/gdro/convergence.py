@@ -51,8 +51,7 @@ def _fit_rate_slope(n_values, violations):
 
 def monotone_ladder(spec: ProblemSpec, grid: Grid, n_list,
                     penalty_mode: str = NODEWISE_IMPLICIT,
-                    kappa_f: float = DEFAULT_KAPPA_F,
-                    threads: int = 1) -> ConvergenceReport:
+                    kappa_f: float = DEFAULT_KAPPA_F) -> ConvergenceReport:
     """Reflected sweeps along an ascending ladder of upper intensities.
 
     Fills per-rung upper violations (which should decay like 1/n), the
@@ -69,7 +68,7 @@ def monotone_ladder(spec: ProblemSpec, grid: Grid, n_list,
     for n in n_list:
         try:
             fld = reflected_sweep(spec, grid, n, penalty_mode=penalty_mode,
-                                  kappa_f=kappa_f, threads=threads)
+                                  kappa_f=kappa_f)
         except (StabilityError, ValueError) as err:
             report.rows.append(LadderRow(n=n, m=np.inf, error=str(err)))
             fields.append(None)
@@ -91,7 +90,7 @@ def monotone_ladder(spec: ProblemSpec, grid: Grid, n_list,
 
 
 def stability_probe(spec1: ProblemSpec, spec2: ProblemSpec, grid: Grid,
-                    penalties: PenaltyParams, threads: int = 1):
+                    penalties: PenaltyParams):
     """Sensitivity of matched sweeps to a data perturbation.
 
     Returns (output_gap, input_gap): the sup-norm distance of the two value
@@ -99,8 +98,8 @@ def stability_probe(spec1: ProblemSpec, spec2: ProblemSpec, grid: Grid,
     (terminal, obstacles, driver).  Used as a trend test; no constant is
     asserted.
     """
-    f1 = penalized_sweep(spec1, grid, penalties, threads=threads)
-    f2 = penalized_sweep(spec2, grid, penalties, threads=threads)
+    f1 = penalized_sweep(spec1, grid, penalties)
+    f2 = penalized_sweep(spec2, grid, penalties)
     output_gap = float(np.max(np.abs(f1.u - f2.u)))
 
     x = grid.x
@@ -114,10 +113,8 @@ def stability_probe(spec1: ProblemSpec, spec2: ProblemSpec, grid: Grid,
     return output_gap, max(phi_gap, obstacle_gap, f_gap)
 
 
-def cross_validate(spec: ProblemSpec, grid: Grid, penalties: PenaltyParams,
-                   threads: int = 1) -> float:
+def cross_validate(spec: ProblemSpec, grid: Grid, penalties: PenaltyParams) -> float:
     """Sup gap between the two solvers over the uncontaminated interior."""
-    latt = penalized_sweep(spec, grid, penalties, threads=threads)
-    fd = solve_penalized_pde(spec, PdeSchemeParams(grid=grid, penalty=penalties),
-                             threads=threads)
+    latt = penalized_sweep(spec, grid, penalties)
+    fd = solve_penalized_pde(spec, PdeSchemeParams(grid=grid, penalty=penalties))
     return interior_gap(spec, grid, latt.u, fd.u)

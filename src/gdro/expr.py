@@ -51,7 +51,7 @@ class DomainError(ExprError):
 
 @dataclass(frozen=True)
 class Expression:
-    """Immutable AST node; safe to share across threads after parsing."""
+    """Immutable AST node; safe to share once parsed."""
 
 
 @dataclass(frozen=True)

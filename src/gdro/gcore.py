@@ -252,7 +252,9 @@ def validate_problem(spec: ProblemSpec, grid: Grid,
     node, the terminal sandwich h(T,.) <= phi <= h'(T,.), and sigma >= 0;
     estimates empirical Lipschitz constants of f in (y, z) by sampled
     difference quotients and warns when they exceed the configured kappa_f.
-    Returns violations, never raises.
+    Returns the violations it finds; an expression undefined at a node it
+    evaluates (``sqrt`` or ``log`` of a negative value, say) raises
+    ``expr.DomainError`` instead.
     """
     x = grid.x
     coeffs = Coefficients(spec, x)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import ChunkRunner
 from .gcore import (EXPLICIT, NODEWISE_IMPLICIT, DEFAULT_KAPPA_F, Coefficients,
                     Grid, PenaltyParams, ProblemSpec, StabilityError)
 from .scheme import (LadderRow, SolutionField, central_diff, ceil_eps,
@@ -101,7 +100,7 @@ def _extension_cells(spec, grid):
     return int(cells)
 
 
-def _run_sweep(spec, grid, penalties: PenaltyParams, threads=1):
+def _run_sweep(spec, grid, penalties: PenaltyParams):
     dt, dx = grid.dt, grid.dx
     penalties.check_explicit_cfl(dt)
     mc = _extension_cells(spec, grid)
@@ -117,30 +116,20 @@ def _run_sweep(spec, grid, penalties: PenaltyParams, threads=1):
     u = coeffs("phi")
     out.u[grid.n_t] = u[core]
 
-    with ChunkRunner(nxe, threads) as runner:
-        for i in range(grid.n_t - 1, -1, -1):
-            t = i * dt
-            sv, bv, lv, hv, hpv = (coeffs(name, t) for name in
-                                   ("sigma", "b", "l", "h", "h_prime"))
-            z_tilde = sv * central_diff(u, dx)
-            u_next = u
-
-            def step(lo, hi, t=t, u_next=u_next, z_tilde=z_tilde,
-                     sv=sv, bv=bv, lv=lv, hv=hv, hpv=hpv):
-                idx = np.arange(lo, hi)
-                c, choice, defects = _g_expectation_arrays(
-                    u_next, idx, sv[lo:hi], bv[lo:hi], lv[lo:hi], band, dt, dx, nxe)
-                base = c + dt * coeffs.f(t, xg[lo:hi], c, z_tilde[lo:hi])
-                return obstacle_update(base, c, hv[lo:hi], hpv[lo:hi], dt, penalties) + (
-                    np.minimum(defects[0], defects[1]), choice)
-
-            val, a_plus, a_minus, kdef, choice = runner.run(step)
-            u = val
-            out.u[i] = u[core]
-            out.a_plus[i] = a_plus[core]
-            out.a_minus[i] = a_minus[core]
-            out.k_defect[i] = kdef[core]
-            out.sigma_choice[i] = choice[core]
+    idx = np.arange(nxe)
+    for i in range(grid.n_t - 1, -1, -1):
+        t = i * dt
+        sv, bv, lv, hv, hpv = (coeffs(name, t) for name in
+                               ("sigma", "b", "l", "h", "h_prime"))
+        z_tilde = sv * central_diff(u, dx)
+        c, choice, defects = _g_expectation_arrays(u, idx, sv, bv, lv, band, dt, dx, nxe)
+        base = c + dt * coeffs.f(t, xg, c, z_tilde)
+        u, a_plus, a_minus = obstacle_update(base, c, hv, hpv, dt, penalties)
+        out.u[i] = u[core]
+        out.a_plus[i] = a_plus[core]
+        out.a_minus[i] = a_minus[core]
+        out.k_defect[i] = np.minimum(defects[0], defects[1])[core]
+        out.sigma_choice[i] = choice[core]
 
     out.z = z_field(spec, grid, out.u)
     return out
@@ -155,14 +144,14 @@ def penalized_sweep(spec: ProblemSpec, grid: Grid, penalties: PenaltyParams,
     equation in the node value exactly (the driver stays frozen at c), which
     removes the step-size coupling to n and m.  ``m_lower="projection"``
     turns the lower penalty into the exact reflection of reflected_sweep.
+    ``threads`` is accepted for compatibility and ignored.
     """
-    return _run_sweep(spec, grid, penalties, threads)
+    return _run_sweep(spec, grid, penalties)
 
 
 def reflected_sweep(spec: ProblemSpec, grid: Grid, n_upper: float,
                     penalty_mode: str = EXPLICIT,
-                    kappa_f: float = DEFAULT_KAPPA_F,
-                    threads: int = 1) -> SolutionField:
+                    kappa_f: float = DEFAULT_KAPPA_F) -> SolutionField:
     """Sweep with exact lower reflection and a penalized upper constraint.
 
     The projection max(h, .) is applied after the upper-penalty update, so
@@ -171,7 +160,7 @@ def reflected_sweep(spec: ProblemSpec, grid: Grid, n_upper: float,
     """
     penalties = PenaltyParams(n_upper=n_upper, m_lower="projection",
                               penalty_mode=penalty_mode, kappa_f=kappa_f)
-    return _run_sweep(spec, grid, penalties, threads)
+    return _run_sweep(spec, grid, penalties)
 
 
 @dataclass
@@ -183,8 +172,7 @@ class DoubleLadderReport:
 
 def double_ladder(spec: ProblemSpec, grid: Grid, n_list, m_list,
                   penalty_mode: str = NODEWISE_IMPLICIT,
-                  kappa_f: float = DEFAULT_KAPPA_F,
-                  threads: int = 1) -> DoubleLadderReport:
+                  kappa_f: float = DEFAULT_KAPPA_F) -> DoubleLadderReport:
     """Penalized sweeps over the (n, m) product, with ordering diagnostics.
 
     Per-cell sweep failures are recorded in the cell and the ladder carries
@@ -201,8 +189,7 @@ def double_ladder(spec: ProblemSpec, grid: Grid, n_list, m_list,
         for m, prev_n in zip(m_list, above):
             try:
                 fld = penalized_sweep(spec, grid, PenaltyParams(
-                    n_upper=n, m_lower=m, penalty_mode=penalty_mode, kappa_f=kappa_f),
-                    threads=threads)
+                    n_upper=n, m_lower=m, penalty_mode=penalty_mode, kappa_f=kappa_f))
             except (StabilityError, ValueError) as err:
                 row.append(LadderRow(n=n, m=m, error=str(err)))
                 fields.append(None)

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from ._parallel import ChunkRunner
 from .gcore import (EXPLICIT, NODEWISE_IMPLICIT, Coefficients, Grid, PenaltyParams,
                     ProblemSpec, StabilityError, g_eval, obstacle_fields,
                     uncontaminated_mask)
@@ -110,7 +109,7 @@ def _ghost_row(u):
     return g
 
 
-def _run_pde(spec, grid, penalties, direct, max_substeps, threads=1):
+def _run_pde(spec, grid, penalties, direct, max_substeps):
     dt, dx = grid.dt, grid.dx
     if penalties.penalty_mode == NODEWISE_IMPLICIT and dt * penalties.kappa_f >= 1.0:
         raise StabilityError("implicit mode requires dt*kappa_f < 1")
@@ -128,44 +127,33 @@ def _run_pde(spec, grid, penalties, direct, max_substeps, threads=1):
     u = coeffs("phi")
     out.u[grid.n_t] = u
 
-    with ChunkRunner(n_x, threads) as runner:
-        for i in range(grid.n_t - 1, -1, -1):
-            a_plus_acc = np.zeros(n_x)
-            a_minus_acc = np.zeros(n_x)
-            kdef_acc = np.zeros(n_x)
-            choice = np.zeros(n_x, dtype=np.int8)
-            for s in range(nsub):
-                # anchored at i*dt so the final substep's clamp uses exactly
-                # the reported slice time (keeps the sandwich bitwise exact)
-                ts = i * dt + (nsub - 1 - s) * dts
-                sv, bv, lv, hv, hpv = (coeffs(name, ts) for name in
-                                       ("sigma", "b", "l", "h", "h_prime"))
-                if recheck:
-                    _check_substep(spec, penalties, direct, grid, dts, ts, sv, bv, lv)
-                g = _ghost_row(u)
-                d2 = (g[2:] - 2.0 * u + g[:-2]) / dx ** 2
-                d1 = (g[2:] - g[:-2]) / (2.0 * dx)
-                u_in = u
-
-                def substep(lo, hi, ts=ts, u_in=u_in, d2=d2, d1=d1,
-                            sv=sv, bv=bv, lv=lv, hv=hv, hpv=hpv):
-                    harg = sv[lo:hi] ** 2 * d2[lo:hi] + 2.0 * lv[lo:hi] * d1[lo:hi]
-                    F = (g_eval(harg, band) + bv[lo:hi] * d1[lo:hi]
-                         + coeffs.f(ts, x[lo:hi], u_in[lo:hi], sv[lo:hi] * d1[lo:hi]))
-                    kd = -0.5 * (hi2 - lo2) * np.abs(harg) * dts
-                    ch = (harg > 0.0).astype(np.int8)
-                    return obstacle_update(u_in[lo:hi] + dts * F, u_in[lo:hi], hv[lo:hi],
-                                           hpv[lo:hi], dts, penalties, direct) + (kd, ch)
-
-                u, ap, am, kd, choice = runner.run(substep)
-                a_plus_acc += ap
-                a_minus_acc += am
-                kdef_acc += kd
-            out.u[i] = u
-            out.a_plus[i] = a_plus_acc
-            out.a_minus[i] = a_minus_acc
-            out.k_defect[i] = kdef_acc
-            out.sigma_choice[i] = choice
+    for i in range(grid.n_t - 1, -1, -1):
+        a_plus_acc = np.zeros(n_x)
+        a_minus_acc = np.zeros(n_x)
+        kdef_acc = np.zeros(n_x)
+        for s in range(nsub):
+            # anchored at i*dt so the final substep's clamp uses exactly
+            # the reported slice time (keeps the sandwich bitwise exact)
+            ts = i * dt + (nsub - 1 - s) * dts
+            sv, bv, lv, hv, hpv = (coeffs(name, ts) for name in
+                                   ("sigma", "b", "l", "h", "h_prime"))
+            if recheck:
+                _check_substep(spec, penalties, direct, grid, dts, ts, sv, bv, lv)
+            g = _ghost_row(u)
+            d2 = (g[2:] - 2.0 * u + g[:-2]) / dx ** 2
+            d1 = (g[2:] - g[:-2]) / (2.0 * dx)
+            harg = sv ** 2 * d2 + 2.0 * lv * d1
+            F = g_eval(harg, band) + bv * d1 + coeffs.f(ts, x, u, sv * d1)
+            kdef_acc += -0.5 * (hi2 - lo2) * np.abs(harg) * dts
+            choice = (harg > 0.0).astype(np.int8)
+            u, ap, am = obstacle_update(u + dts * F, u, hv, hpv, dts, penalties, direct)
+            a_plus_acc += ap
+            a_minus_acc += am
+        out.u[i] = u
+        out.a_plus[i] = a_plus_acc
+        out.a_minus[i] = a_minus_acc
+        out.k_defect[i] = kdef_acc
+        out.sigma_choice[i] = choice
 
     out.z = z_field(spec, grid, out.u)
     return out
@@ -179,10 +167,11 @@ def solve_penalized_pde(spec: ProblemSpec, params: PdeSchemeParams,
     mode; nodewise-implicit mode resolves them exactly against the node
     value, matching the lattice semantics so ladders are comparable.
     ``m_lower="projection"`` replaces the lower penalty with the exact
-    reflection, mirroring the lattice's reflected sweep.
+    reflection, mirroring the lattice's reflected sweep.  ``threads`` is
+    accepted for compatibility and ignored.
     """
     return _run_pde(spec, params.grid, params.penalty, direct=False,
-                    max_substeps=params.max_substeps, threads=threads)
+                    max_substeps=params.max_substeps)
 
 
 def solve_double_obstacle_direct(spec: ProblemSpec, params: PdeSchemeParams,
@@ -190,10 +179,11 @@ def solve_double_obstacle_direct(spec: ProblemSpec, params: PdeSchemeParams,
     """Explicit step followed by the double projection min(h', max(h, .)).
 
     Penalty intensities are ignored (and excluded from the stability bound);
-    the output satisfies h <= u <= h' exactly at every node.
+    the output satisfies h <= u <= h' exactly at every node.  ``threads`` is
+    accepted for compatibility and ignored.
     """
     return _run_pde(spec, params.grid, params.penalty, direct=True,
-                    max_substeps=params.max_substeps, threads=threads)
+                    max_substeps=params.max_substeps)
 
 
 def _dilate(mask, kt, kx):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -10,6 +11,11 @@ from gdro.cli import (EXIT_ASSERT, EXIT_OK, EXIT_STABILITY, EXIT_VALIDATION,
 INLINE_HEAT = {
     "horizon": 1.0, "x_min": -3.0, "x_max": 3.0,
     "sigma_low": 1.0, "sigma_high": 1.0, "phi": "x*x",
+}
+
+UNCERTAIN_SINE = {
+    "horizon": 1.0, "x_min": -3.0, "x_max": 3.0,
+    "sigma_low": 0.5, "sigma_high": 1.0, "phi": "0.1*sin(x)", "h": "-1", "h_prime": "1",
 }
 
 
@@ -179,21 +185,52 @@ class TestRun:
         assert 'detail="%s=inf"' % name in err
         assert "Warning" not in err
 
+    @pytest.mark.parametrize("override", [
+        {"sigma": "sqrt(x + 2.9)"},   # undefined on the reporting grid
+        {"f": "log(1 + y)"},          # undefined at a sampled driver value
+        {"sigma": "sqrt(x + 3.2)"},   # undefined only in the lattice's ghost cells
+    ], ids=["reporting-grid", "driver", "ghost-cells"])
+    def test_domain_error_exit(self, tmp_path, override):
+        cfg = _write(tmp_path, {
+            "problem": dict(UNCERTAIN_SINE, **override),
+            "grid": {"n_t": 20, "n_x": 41}, "method": "lattice"})
+        proc = subprocess.run(
+            [sys.executable, "-m", "gdro.cli", "solve", "--config", cfg,
+             "--out", str(tmp_path / "out")], capture_output=True, text=True)
+        assert proc.returncode == EXIT_VALIDATION
+        assert "validate status=fail kind=domain-error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_non_finite_field_rejected(self, tmp_path, capsys):
+        # h is finite on the reporting grid but 0*inf = nan in the lattice's
+        # ghost cells beyond x = -3.05; the nan spreads into the reported window
+        rc = _solve(tmp_path, {
+            "problem": dict(UNCERTAIN_SINE, h="-1 + 0*exp(800*(-x - 3.05))"),
+            "grid": {"n_t": 20, "n_x": 41}, "method": "both",
+            "emit": ["field", "report", "residual"]})
+        assert rc == EXIT_STABILITY
+        err = capsys.readouterr().err
+        assert "stability status=rejected kind=non-finite-field method=lattice" in err
+        assert "t_index=15 x_index=0 t=0.75 x=-3" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_threads_flag_starts_no_thread(self, tmp_path, monkeypatch):
+        started = []
+        original = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self: started.append(self) or original(self))
+        rc = _solve(tmp_path, {
+            "problem": "gheat-convex", "grid": {"n_t": 10, "n_x": 21},
+            "method": "both", "emit": ["residual"]}, "--threads", "8")
+        assert rc == EXIT_OK
+        assert started == []
+
     def test_unsorted_ladder_rejected(self, tmp_path, capsys):
         rc = _solve(tmp_path, {
             "problem": "american-put-analog", "grid": {"n_t": 10, "n_x": 21},
             "ladders": {"m_list": [100, 10]}})
         assert rc == EXIT_VALIDATION
         assert "/ladders/m_list" in capsys.readouterr().err
-
-
-def test_threads_env_fallback(monkeypatch):
-    from gdro._parallel import resolve_threads
-    monkeypatch.delenv("GDRO_THREADS", raising=False)
-    assert resolve_threads(None) == 1
-    monkeypatch.setenv("GDRO_THREADS", "6")
-    assert resolve_threads(None) == 6
-    assert resolve_threads(2) == 2  # explicit flag wins
 
 
 def test_console_entry_point(tmp_path):
