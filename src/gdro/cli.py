@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field as dc_field, replace
+from itertools import compress
 
 import numpy as np
 
@@ -234,49 +235,62 @@ def _fmt(v):
     return "%.17g" % v
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, slices):
+    """Write a CSV: ``header``, then each slice ``(lead, keys, values)``.
+
+    Row r of a slice is ``lead + keys[r]`` followed by row r of the 2-D array
+    ``values``, each entry as "%.17g": 17 significant digits, so every double
+    round-trips exactly.  A slice's rows form one template, filled by a
+    single ``%``.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for lead, keys, values in slices:
+            if keys:
+                row = ",".join(["%.17g"] * values.shape[1]) + "\n"
+                fh.write((lead + (row + lead).join(keys) + row)
+                         % tuple(values.ravel().tolist()))
+
+
+def _grid_slices(grid, columns, keep):
+    """The ``_write_csv`` slices of the (n_t+1, n_x) arrays ``columns``, one
+    per time index i, led by "t_i," and keyed by "x_j," at the nodes the mask
+    ``keep`` marks.  t is formatted once per slice and x once per call; the
+    values are gathered one slice at a time."""
+    x_keys = ["%.17g," % v for v in grid.x.tolist()]
+    values = np.empty((grid.n_x, len(columns)))
+    for i, t in enumerate(grid.t.tolist()):
+        for k, c in enumerate(columns):
+            values[:, k] = c[i]
+        nodes = keep[i]
+        yield "%.17g," % t, list(compress(x_keys, nodes.tolist())), values[nodes]
 
 
 def write_field_csv(path, fld, grid):
-    t, x = grid.t, grid.x
-
-    def rows():
-        for i in range(grid.n_t + 1):
-            for j in range(grid.n_x):
-                yield (t[i], x[j], fld.u[i, j], fld.z[i, j], fld.a_plus[i, j],
-                       fld.a_minus[i, j], fld.k_defect[i, j], fld.sigma_choice[i, j])
-
+    """Write ``t,x,u,z,a_plus,a_minus,k_defect,sigma_choice`` at every node
+    of ``fld``, slice by slice in t and in x within a slice."""
     _write_csv(path, ("t", "x", "u", "z", "a_plus", "a_minus", "k_defect", "sigma_choice"),
-               rows())
+               _grid_slices(grid, (fld.u, fld.z, fld.a_plus, fld.a_minus,
+                                   fld.k_defect, fld.sigma_choice),
+                            np.ones(fld.u.shape, dtype=bool)))
 
 
 def write_report_csv(path, ladder_rows, rate_slope):
+    """Write one row per ladder row, each ending in the fitted ``rate_slope``
+    (nan when there is none), as a single slice with no t/x lead."""
     slope = rate_slope if rate_slope is not None else float("nan")
-
-    def rows():
-        for r in ladder_rows:
-            yield (r.n, r.m, r.sup_upper_violation, r.sup_lower_violation,
-                   r.mono_violation, r.asc_plus, r.asc_minus, r.cross_gap, slope)
-
+    values = np.array([(r.n, r.m, r.sup_upper_violation, r.sup_lower_violation,
+                        r.mono_violation, r.asc_plus, r.asc_minus, r.cross_gap, slope)
+                       for r in ladder_rows], dtype=float)
     _write_csv(path, ("n", "m", "sup_upper_violation", "sup_lower_violation",
                       "mono_violation", "asc_plus", "asc_minus", "cross_gap",
-                      "rate_slope"), rows())
+                      "rate_slope"),
+               [("", [""] * len(values), values)])
 
 
 def write_residual_csv(path, r_grid, grid):
-    t, x = grid.t, grid.x
-
-    def rows():
-        for i in range(grid.n_t + 1):
-            for j in range(grid.n_x):
-                if not np.isnan(r_grid[i, j]):
-                    yield (t[i], x[j], r_grid[i, j])
-
-    _write_csv(path, ("t", "x", "r"), rows())
+    """Write ``t,x,r`` at the nodes where the residual ``r_grid`` is not nan."""
+    _write_csv(path, ("t", "x", "r"), _grid_slices(grid, (r_grid,), ~np.isnan(r_grid)))
 
 
 def _perturb_lower(spec, eps):
@@ -362,53 +376,56 @@ def run(config: RunConfig, assert_mode: bool = False,
         ladders = dict(config.entry.ladders)
 
     results = RunResults(grid=grid)
-    try:
-        report = validate_problem(spec, grid, kappa_f=penalties.kappa_f)
-        for warning in report.warnings:
-            _diag("warn", msg='"%s"' % warning)
-        if not report.ok:
-            v = report.first_violation
-            _diag("validate", status="fail", kind=v.kind, t_index=v.t_index,
-                  x_index=v.x_index, t=_fmt(v.t), x=_fmt(v.x), detail='"%s"' % v.detail)
+    # 0*inf or inf-inf in a solve gives a nan that the non-finite-field check
+    # below reports; numpy's RuntimeWarning about it would only be noise
+    with np.errstate(invalid="ignore", over="ignore"):
+        try:
+            report = validate_problem(spec, grid, kappa_f=penalties.kappa_f)
+            for warning in report.warnings:
+                _diag("warn", msg='"%s"' % warning)
+            if not report.ok:
+                v = report.first_violation
+                _diag("validate", status="fail", kind=v.kind, t_index=v.t_index,
+                      x_index=v.x_index, t=_fmt(v.t), x=_fmt(v.x), detail='"%s"' % v.detail)
+                return EXIT_VALIDATION
+            _diag("validate", status="ok", f_lipschitz_y=_fmt(report.f_lipschitz_y),
+                  f_lipschitz_z=_fmt(report.f_lipschitz_z))
+
+            if config.method in ("lattice", "both"):
+                results.fields["lattice"] = penalized_sweep(spec, grid, penalties)
+            if config.method in ("pde", "both"):
+                results.fields["pde"] = solve_penalized_pde(
+                    spec, PdeSchemeParams(grid=grid, penalty=penalties))
+            if config.method == "both":
+                results.cross_gap = interior_gap(spec, grid, results.fields["lattice"].u,
+                                                 results.fields["pde"].u)
+
+            if "n_list" in ladders:
+                results.ladder_report = monotone_ladder(
+                    spec, grid, ladders["n_list"],
+                    penalty_mode=penalties.penalty_mode, kappa_f=penalties.kappa_f)
+            if "m_list" in ladders:
+                results.m_ladder, results.double_report = _m_ladder(
+                    spec, grid, penalties, ladders)
+            for eps in ladders.get("epsilon_list", ()):
+                gap, _ = stability_probe(spec, _perturb_lower(spec, eps), grid, penalties)
+                results.stability_gaps.append(gap)
+
+            if "residual" in config.emit:
+                results.direct_field = solve_double_obstacle_direct(
+                    spec, PdeSchemeParams(grid=grid, penalty=penalties))
+                r_grid, results.residual_sup = complementarity_residual(
+                    results.direct_field, spec, grid)
+            else:
+                r_grid = None
+        except StabilityError as err:
+            _diag("stability", status="rejected", detail='"%s"' % err)
+            return EXIT_STABILITY
+        except ex.DomainError as err:
+            # an expression undefined at a node validation did not sample, such
+            # as the lattice's ghost cells or a driver value off the sample
+            _diag("validate", status="fail", kind="domain-error", detail='"%s"' % err)
             return EXIT_VALIDATION
-        _diag("validate", status="ok", f_lipschitz_y=_fmt(report.f_lipschitz_y),
-              f_lipschitz_z=_fmt(report.f_lipschitz_z))
-
-        if config.method in ("lattice", "both"):
-            results.fields["lattice"] = penalized_sweep(spec, grid, penalties)
-        if config.method in ("pde", "both"):
-            results.fields["pde"] = solve_penalized_pde(
-                spec, PdeSchemeParams(grid=grid, penalty=penalties))
-        if config.method == "both":
-            results.cross_gap = interior_gap(spec, grid, results.fields["lattice"].u,
-                                             results.fields["pde"].u)
-
-        if "n_list" in ladders:
-            results.ladder_report = monotone_ladder(
-                spec, grid, ladders["n_list"],
-                penalty_mode=penalties.penalty_mode, kappa_f=penalties.kappa_f)
-        if "m_list" in ladders:
-            results.m_ladder, results.double_report = _m_ladder(
-                spec, grid, penalties, ladders)
-        for eps in ladders.get("epsilon_list", ()):
-            gap, _ = stability_probe(spec, _perturb_lower(spec, eps), grid, penalties)
-            results.stability_gaps.append(gap)
-
-        if "residual" in config.emit:
-            results.direct_field = solve_double_obstacle_direct(
-                spec, PdeSchemeParams(grid=grid, penalty=penalties))
-            r_grid, results.residual_sup = complementarity_residual(
-                results.direct_field, spec, grid)
-        else:
-            r_grid = None
-    except StabilityError as err:
-        _diag("stability", status="rejected", detail='"%s"' % err)
-        return EXIT_STABILITY
-    except ex.DomainError as err:
-        # an expression undefined at a node validation did not sample, such
-        # as the lattice's ghost cells or a driver value off the sample
-        _diag("validate", status="fail", kind="domain-error", detail='"%s"' % err)
-        return EXIT_VALIDATION
 
     bad = _non_finite_node(results)
     if bad is not None:

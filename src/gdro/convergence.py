@@ -13,8 +13,9 @@ from .gcore import (NODEWISE_IMPLICIT, DEFAULT_KAPPA_F, Coefficients, Grid,
                     obstacle_fields, uncontaminated_mask)
 from .lattice import penalized_sweep, reflected_sweep
 from .pde import PdeSchemeParams, solve_penalized_pde
-# LadderRow, asc_residuals and obstacle_violations are also this module's API
-from .scheme import (LadderRow, SolutionField, asc_residuals, ladder_row,
+# LadderRow, asc_residuals, asc_residuals_global and obstacle_violations are
+# also this module's API
+from .scheme import (LadderRow, asc_residuals, asc_residuals_global, ladder_row,
                      obstacle_violations, ordering_gap)
 
 #: entries at or below this floor are noise and are excluded from rate fits
@@ -31,13 +32,6 @@ class ConvergenceReport:
 def interior_gap(spec: ProblemSpec, grid: Grid, a, b) -> float:
     """Sup |a - b| of two grid fields over the uncontaminated interior."""
     return float(np.max(np.abs(np.where(uncontaminated_mask(spec, grid), a - b, 0.0))))
-
-
-def asc_residuals_global(field: SolutionField, spec: ProblemSpec, grid: Grid):
-    """Whole-grid variant of the pushing residual sums, for transparency."""
-    h, hp = obstacle_fields(spec, grid)
-    return (float(abs(np.sum((field.u - h) * field.a_plus))),
-            float(abs(np.sum((hp - field.u) * field.a_minus))))
 
 
 def _fit_rate_slope(n_values, violations):

@@ -168,6 +168,13 @@ def asc_residuals(field: SolutionField, spec: ProblemSpec, grid: Grid):
     return float(np.max(np.abs(cols_plus))), float(np.max(np.abs(cols_minus)))
 
 
+def asc_residuals_global(field: SolutionField, spec: ProblemSpec, grid: Grid):
+    """Whole-grid variant of the pushing residual sums, for transparency."""
+    h, hp = obstacle_fields(spec, grid)
+    return (float(abs(np.sum((field.u - h) * field.a_plus))),
+            float(abs(np.sum((hp - field.u) * field.a_minus))))
+
+
 def ordering_gap(hi, lo):
     """sup (hi.u - lo.u)^+ between two solves, 0.0 if either is missing."""
     if hi is None or lo is None:

@@ -3,10 +3,14 @@ import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from gdro.cli import (EXIT_ASSERT, EXIT_OK, EXIT_STABILITY, EXIT_VALIDATION,
-                      ConfigError, load_config, main, parse_config)
+                      ConfigError, load_config, main, parse_config, write_field_csv,
+                      write_report_csv, write_residual_csv)
+from gdro.gcore import Grid
+from gdro.scheme import LadderRow, SolutionField
 
 INLINE_HEAT = {
     "horizon": 1.0, "x_min": -3.0, "x_max": 3.0,
@@ -214,6 +218,18 @@ class TestRun:
         assert "t_index=15 x_index=0 t=0.75 x=-3" in err
         assert not (tmp_path / "out").exists()
 
+    def test_non_finite_field_prints_no_warning(self, tmp_path):
+        # the 0*inf that makes the nan would otherwise print a RuntimeWarning
+        cfg = _write(tmp_path, {
+            "problem": dict(UNCERTAIN_SINE, h="-1 + 0*exp(800*(-x - 3.05))"),
+            "grid": {"n_t": 20, "n_x": 41}, "method": "both"})
+        proc = subprocess.run(
+            [sys.executable, "-m", "gdro.cli", "solve", "--config", cfg,
+             "--out", str(tmp_path / "out")], capture_output=True, text=True)
+        assert proc.returncode == EXIT_STABILITY
+        assert "kind=non-finite-field" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
     def test_threads_flag_starts_no_thread(self, tmp_path, monkeypatch):
         started = []
         original = threading.Thread.start
@@ -244,3 +260,51 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "validate status=ok" in proc.stderr
+
+
+#: doubles whose 17-digit text is easy to get wrong
+AWKWARD = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, 0.1, -1.0 / 3.0, 2.0 ** 53 + 2.0]
+
+
+def _per_value_csv(header, rows):
+    """A CSV as the old writers made it: one "%.17g" call per value."""
+    return (",".join(header) + "\n"
+            + "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows)).encode()
+
+
+def test_writers_match_per_value_reference(tmp_path):
+    # t = 0, 0.15, 0.3 and x = -0.1 + 0.1 j are not round in binary
+    grid = Grid(n_t=2, n_x=5, t_max=0.3, x_min=-0.1, x_max=0.3)
+    shape = (3, 5)
+    values = [np.roll(np.resize(AWKWARD, shape[0] * shape[1]), k).reshape(shape)
+              for k in range(5)]
+    fld = SolutionField(grid, *values,
+                        sigma_choice=np.array([[0, 1, 1, 0, 1]] * 3, dtype=np.int8))
+    columns = (fld.u, fld.z, fld.a_plus, fld.a_minus, fld.k_defect, fld.sigma_choice)
+    t, x = grid.t, grid.x
+
+    write_field_csv(tmp_path / "field.csv", fld, grid)
+    assert (tmp_path / "field.csv").read_bytes() == _per_value_csv(
+        ("t", "x", "u", "z", "a_plus", "a_minus", "k_defect", "sigma_choice"),
+        [(t[i], x[j]) + tuple(c[i, j] for c in columns)
+         for i in range(3) for j in range(5)])
+
+    # one slice all nan, one with no nan, one mixed
+    r_grid = np.array([[np.nan] * 5, [0.1, -0.0, 5e-324, 1e308, np.inf],
+                       [np.nan, 0.1, np.nan, -1.0 / 3.0, np.nan]])
+    write_residual_csv(tmp_path / "residual.csv", r_grid, grid)
+    assert (tmp_path / "residual.csv").read_bytes() == _per_value_csv(
+        ("t", "x", "r"), [(t[i], x[j], r_grid[i, j]) for i in range(3)
+                          for j in range(5) if not np.isnan(r_grid[i, j])])
+
+    rows = [LadderRow(n=10.0, m=np.inf, sup_upper_violation=0.1, asc_plus=-0.0,
+                      asc_minus=5e-324, cross_gap=1e308, mono_gap_n=-1.0 / 3.0),
+            LadderRow(n=100.0, m=1e4, error="stability")]
+    header = ("n", "m", "sup_upper_violation", "sup_lower_violation", "mono_violation",
+              "asc_plus", "asc_minus", "cross_gap", "rate_slope")
+    for slope in (None, -0.1):
+        write_report_csv(tmp_path / "report.csv", rows, slope)
+        assert (tmp_path / "report.csv").read_bytes() == _per_value_csv(header, [
+            (r.n, r.m, r.sup_upper_violation, r.sup_lower_violation, r.mono_violation,
+             r.asc_plus, r.asc_minus, r.cross_gap, np.nan if slope is None else slope)
+            for r in rows])
