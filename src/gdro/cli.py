@@ -27,7 +27,7 @@ import numpy as np
 from . import catalog as cat
 from . import expr as ex
 from .convergence import (ConvergenceReport, asc_residuals, asc_residuals_global,
-                          interior_gap, monotone_ladder, stability_probe)
+                          interior_gap, monotone_ladder, probe_output_gap)
 from .gcore import (Grid, PenaltyParams, ProblemSpec, StabilityError,
                     contamination_cone_width, obstacle_fields, validate_problem)
 from .lattice import DoubleLadderReport, double_ladder, penalized_sweep
@@ -294,11 +294,7 @@ def write_residual_csv(path, r_grid, grid):
 
 
 def _perturb_lower(spec, eps):
-    h_shift = ex.BinOp("+", spec.h, ex.Num(eps))
-    return ProblemSpec(horizon=spec.horizon, x_min=spec.x_min, x_max=spec.x_max,
-                       band=spec.band, b=spec.b, l=spec.l, sigma=spec.sigma,
-                       f=spec.f, phi=spec.phi, h=h_shift, h_prime=spec.h_prime,
-                       name=spec.name + "+eps")
+    return replace(spec, h=ex.BinOp("+", spec.h, ex.Num(eps)), name=spec.name + "+eps")
 
 
 def _ladder_rows(results):
@@ -407,9 +403,14 @@ def run(config: RunConfig, assert_mode: bool = False,
             if "m_list" in ladders:
                 results.m_ladder, results.double_report = _m_ladder(
                     spec, grid, penalties, ladders)
+            # each probe perturbs the run's own lattice solve; under --method
+            # pde there is none, so the first probe sweeps it for all of them
+            base = results.fields.get("lattice")
             for eps in ladders.get("epsilon_list", ()):
-                gap, _ = stability_probe(spec, _perturb_lower(spec, eps), grid, penalties)
-                results.stability_gaps.append(gap)
+                if base is None:
+                    base = penalized_sweep(spec, grid, penalties)
+                results.stability_gaps.append(
+                    probe_output_gap(base, _perturb_lower(spec, eps), grid, penalties))
 
             if "residual" in config.emit:
                 results.direct_field = solve_double_obstacle_direct(

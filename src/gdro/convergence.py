@@ -26,7 +26,6 @@ RATE_FIT_FLOOR = 10.0 * np.finfo(float).eps
 class ConvergenceReport:
     rows: list = dc_field(default_factory=list)
     rate_slope: float | None = None
-    rate_exponent_target: float = 1.0
 
 
 def interior_gap(spec: ProblemSpec, grid: Grid, a, b) -> float:
@@ -83,6 +82,13 @@ def monotone_ladder(spec: ProblemSpec, grid: Grid, n_list,
     return report
 
 
+def probe_output_gap(base, spec: ProblemSpec, grid: Grid,
+                     penalties: PenaltyParams) -> float:
+    """Sup |base.u - u| over the grid, u the penalized sweep of ``spec``:
+    how far a data perturbation moves the sweep whose field is ``base``."""
+    return float(np.max(np.abs(base.u - penalized_sweep(spec, grid, penalties).u)))
+
+
 def stability_probe(spec1: ProblemSpec, spec2: ProblemSpec, grid: Grid,
                     penalties: PenaltyParams):
     """Sensitivity of matched sweeps to a data perturbation.
@@ -92,9 +98,8 @@ def stability_probe(spec1: ProblemSpec, spec2: ProblemSpec, grid: Grid,
     (terminal, obstacles, driver).  Used as a trend test; no constant is
     asserted.
     """
-    f1 = penalized_sweep(spec1, grid, penalties)
-    f2 = penalized_sweep(spec2, grid, penalties)
-    output_gap = float(np.max(np.abs(f1.u - f2.u)))
+    output_gap = probe_output_gap(penalized_sweep(spec1, grid, penalties),
+                                  spec2, grid, penalties)
 
     x = grid.x
     phi_gap = float(np.max(np.abs(Coefficients(spec1, x)("phi")

@@ -37,10 +37,6 @@ class VolatilityBand:
             raise ValueError("need 0 < sigma_low <= sigma_high, got (%r, %r)"
                              % (self.sigma_low, self.sigma_high))
 
-    @property
-    def degenerate(self):
-        return self.sigma_low == self.sigma_high
-
 
 def g_eval(a, band: VolatilityBand):
     """Envelope nonlinearity 0.5*(sigma_high^2 * a+  -  sigma_low^2 * a-).
@@ -228,8 +224,9 @@ class Coefficients:
         return np.broadcast_to(a, np.broadcast_shapes(t.shape, self.x.shape)) if column else a
 
     def f(self, t, x, y, z):
-        out = ex.eval_expr(self.spec.f, {"t": t, "x": x, "y": y, "z": z})
-        return out if np.shape(out) == np.shape(y) else np.broadcast_to(out, np.shape(y))
+        """The driver at (t, x, y, z); a driver free of some arguments
+        may come back with a smaller shape that broadcasts against y."""
+        return ex.eval_expr(self.spec.f, {"t": t, "x": x, "y": y, "z": z})
 
 
 def driver_sample(spec, t_max, x, dy=0.0, dz=0.0):
@@ -237,7 +234,8 @@ def driver_sample(spec, t_max, x, dy=0.0, dz=0.0):
     y + dy and z + dz for y, z in {-2, 0, 2}; shape (5, x.size, 3, 3)."""
     t = np.linspace(0.0, t_max, 5)[:, None, None, None]
     y = np.broadcast_to(np.array([-2.0, 0.0, 2.0])[:, None], (5, np.size(x), 3, 3))
-    return Coefficients(spec, x).f(t, np.reshape(x, (-1, 1, 1)), y + dy, y.swapaxes(2, 3) + dz)
+    out = Coefficients(spec, x).f(t, np.reshape(x, (-1, 1, 1)), y + dy, y.swapaxes(2, 3) + dz)
+    return np.broadcast_to(out, y.shape)
 
 
 #: fields whose values on the reporting grid must be finite

@@ -31,8 +31,6 @@ from .gcore import (EXPLICIT, NODEWISE_IMPLICIT, Coefficients, Grid, PenaltyPara
                     uncontaminated_mask)
 from .scheme import CEIL_EPS, SolutionField, ceil_eps, obstacle_update, z_field
 
-CONSTANT_EXTRAPOLATION = "constant-extrapolation"
-
 #: contact-set exclusion margins for the residual sup, as domain fractions
 RESIDUAL_CONTACT_MARGIN_T = 0.03
 RESIDUAL_CONTACT_MARGIN_X = 0.025
@@ -43,12 +41,7 @@ _CONTACT_TOL = 1e-9
 class PdeSchemeParams:
     grid: Grid
     penalty: PenaltyParams = dc_field(default_factory=PenaltyParams)
-    boundary_mode: str = CONSTANT_EXTRAPOLATION
     max_substeps: int = 10_000
-
-    def __post_init__(self):
-        if self.boundary_mode != CONSTANT_EXTRAPOLATION:
-            raise ValueError("only %r boundaries are supported" % CONSTANT_EXTRAPOLATION)
 
 
 def f_operator(d2u, du, u, x, t, spec: ProblemSpec):
@@ -187,26 +180,17 @@ def solve_double_obstacle_direct(spec: ProblemSpec, params: PdeSchemeParams,
 
 
 def _dilate(mask, kt, kx):
-    """Boolean dilation by kt rows and kx columns (separable sliding max)."""
-    out = mask.copy()
+    """Boolean dilation by kt rows and kx columns (separable sliding max),
+    as a new array: a node is set iff a node of ``mask`` within kt rows and
+    kx columns of it is."""
+    out = mask
     for axis, k in ((0, kt), (1, kx)):
-        if k <= 0:
-            continue
-        acc = out.copy()
+        src = np.moveaxis(out, axis, 0)
+        acc = src.copy()
         for s in range(1, k + 1):
-            shifted = np.roll(out, s, axis=axis)
-            if axis == 0:
-                shifted[:s, :] = False
-            else:
-                shifted[:, :s] = False
-            acc |= shifted
-            shifted = np.roll(out, -s, axis=axis)
-            if axis == 0:
-                shifted[-s:, :] = False
-            else:
-                shifted[:, -s:] = False
-            acc |= shifted
-        out = acc
+            acc[s:] |= src[:-s]
+            acc[:-s] |= src[s:]
+        out = np.moveaxis(acc, 0, axis)
     return out
 
 

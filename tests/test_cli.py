@@ -6,9 +6,11 @@ import threading
 import numpy as np
 import pytest
 
+import gdro.lattice
 from gdro.cli import (EXIT_ASSERT, EXIT_OK, EXIT_STABILITY, EXIT_VALIDATION,
-                      ConfigError, load_config, main, parse_config, write_field_csv,
-                      write_report_csv, write_residual_csv)
+                      ConfigError, _perturb_lower, load_config, main, parse_config,
+                      write_field_csv, write_report_csv, write_residual_csv)
+from gdro.convergence import stability_probe
 from gdro.gcore import Grid
 from gdro.scheme import LadderRow, SolutionField
 
@@ -247,6 +249,35 @@ class TestRun:
             "ladders": {"m_list": [100, 10]}})
         assert rc == EXIT_VALIDATION
         assert "/ladders/m_list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["both", "pde"])
+def test_no_sweep_computed_twice(tmp_path, monkeypatch, method):
+    """No two lattice sweeps of one run share (spec, grid, penalties): the
+    stability probes reuse the run's lattice solve, and their gaps are
+    those of stability_probe."""
+    calls = []
+    run_sweep = gdro.lattice._run_sweep
+
+    def recording(spec, grid, penalties):
+        calls.append((spec, grid, penalties))
+        return run_sweep(spec, grid, penalties)
+
+    monkeypatch.setattr(gdro.lattice, "_run_sweep", recording)
+    epsilons = [0.1, 0.01]
+    cfg_path = _write(tmp_path, {
+        "problem": "double-obstacle-sine", "grid": {"n_t": 20, "n_x": 33},
+        "method": method, "emit": ["report"],
+        "ladders": {"n_list": [4, 8], "m_list": [10, 100], "epsilon_list": epsilons}})
+    assert main(["solve", "--config", cfg_path, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert calls and len(set(calls)) == len(calls)
+
+    monkeypatch.undo()
+    cfg = load_config(cfg_path)
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["stability_gaps"] == [
+        stability_probe(cfg.spec, _perturb_lower(cfg.spec, eps), cfg.grid, cfg.penalties)[0]
+        for eps in epsilons]
 
 
 def test_console_entry_point(tmp_path):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from gdro.gcore import (Grid, PenaltyParams, ProblemSpec, StabilityError,
                         VolatilityBand, g_eval, obstacle_fields)
 from gdro.lattice import SolutionField
-from gdro.pde import (PdeSchemeParams, complementarity_residual, f_operator,
+from gdro.pde import (PdeSchemeParams, _dilate, complementarity_residual, f_operator,
                       solve_double_obstacle_direct, solve_penalized_pde)
 
 
@@ -210,3 +212,24 @@ class TestComplementarityResidual:
             _, sup = complementarity_residual(fld, spec, grid)
             sups.append(sup)
         assert sups[1] <= 0.5 * sups[0] + 1e-12
+
+
+_masks = st.tuples(st.integers(1, 8), st.integers(1, 8)).flatmap(
+    lambda shape: st.lists(st.booleans(), min_size=shape[0] * shape[1],
+                           max_size=shape[0] * shape[1]).map(
+        lambda v: np.array(v, dtype=bool).reshape(shape)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask=_masks, kt=st.integers(0, 10), kx=st.integers(0, 10))
+@example(mask=np.eye(4, dtype=bool)[:3], kt=0, kx=0)
+@example(mask=np.eye(4, dtype=bool)[:3], kt=10, kx=9)
+@example(mask=np.zeros((2, 5), dtype=bool), kt=3, kx=1)
+def test_dilate_matches_brute_force(mask, kt, kx):
+    # a node is set iff some node within kt rows and kx columns is set
+    ref = np.array([[mask[max(0, i - kt):i + kt + 1, max(0, j - kx):j + kx + 1].any()
+                     for j in range(mask.shape[1])] for i in range(mask.shape[0])])
+    before = mask.copy()
+    out = _dilate(mask, kt, kx)
+    assert out.dtype == bool and np.array_equal(out, ref)
+    assert np.array_equal(mask, before) and not np.shares_memory(out, mask)
