@@ -30,9 +30,10 @@ from .convergence import (ConvergenceReport, asc_residuals, asc_residuals_global
                           interior_gap, monotone_ladder, probe_output_gap)
 from .gcore import (Grid, PenaltyParams, ProblemSpec, StabilityError,
                     contamination_cone_width, obstacle_fields, validate_problem)
-from .lattice import DoubleLadderReport, double_ladder, penalized_sweep
+from .lattice import DoubleLadderReport, SweepCell, double_ladder, field_or_raise, sweep_cells
 from .pde import (PdeSchemeParams, complementarity_residual,
                   solve_double_obstacle_direct, solve_penalized_pde)
+from .scheme import NonFiniteField, require_finite
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -294,6 +295,8 @@ def write_residual_csv(path, r_grid, grid):
 
 
 def _perturb_lower(spec, eps):
+    """The problem with h + eps: what the probe cell SweepCell(penalties,
+    eps) solves, which shifts h in the sweep instead."""
     return replace(spec, h=ex.BinOp("+", spec.h, ex.Num(eps)), name=spec.name + "+eps")
 
 
@@ -309,13 +312,13 @@ def _ladder_rows(results):
     return rows
 
 
-def _m_ladder(spec, grid, penalties, ladders):
+def _m_ladder(spec, grid, penalties, ladders, swept):
     """Rows of the m-ladder at the configured n_upper, and the double ladder
     over n_list x m_list (None without an n_list) that shares its sweeps."""
     def ladder(n_list):
         return double_ladder(spec, grid, n_list, ladders["m_list"],
                              penalty_mode=penalties.penalty_mode,
-                             kappa_f=penalties.kappa_f)
+                             kappa_f=penalties.kappa_f, swept=swept)
 
     double = ladder(ladders["n_list"]) if "n_list" in ladders else None
     if double is not None and penalties.n_upper in double.n_list:
@@ -347,20 +350,6 @@ def _generic_assertions(results, spec, grid, penalties):
     return out
 
 
-def _non_finite_node(results):
-    """(method, t_index, x_index) of the first non-finite u a solve produced:
-    the latest slice holding one (the solves run backward), at its lowest x."""
-    solved = dict(results.fields, direct=results.direct_field)
-    for method, fld in sorted(solved.items()):
-        if fld is None:
-            continue
-        bad = ~np.isfinite(fld.u)
-        if bad.any():
-            i = int(np.flatnonzero(bad.any(axis=1))[-1])
-            return method, i, int(np.argmax(bad[i]))
-    return None
-
-
 def run(config: RunConfig, assert_mode: bool = False,
         out_dir: str | None = None) -> int:
     """Execute one configured run; returns the process exit code."""
@@ -387,31 +376,23 @@ def run(config: RunConfig, assert_mode: bool = False,
             _diag("validate", status="ok", f_lipschitz_y=_fmt(report.f_lipschitz_y),
                   f_lipschitz_z=_fmt(report.f_lipschitz_z))
 
-            if config.method in ("lattice", "both"):
-                results.fields["lattice"] = penalized_sweep(spec, grid, penalties)
+            # the main lattice solve and the eps-probes, which shift its h,
+            # are one batch; under --method pde it is only the probes' base
+            epsilons = ladders.get("epsilon_list", [])
+            main_cell = SweepCell(penalties)
+            swept, probes = {}, []
+            if config.method in ("lattice", "both") or epsilons:
+                base, *probes = map(field_or_raise, sweep_cells(
+                    spec, grid, [main_cell] + [SweepCell(penalties, eps) for eps in epsilons]))
+                swept[main_cell] = base
+                if config.method != "pde":
+                    results.fields["lattice"] = base
             if config.method in ("pde", "both"):
                 results.fields["pde"] = solve_penalized_pde(
                     spec, PdeSchemeParams(grid=grid, penalty=penalties))
             if config.method == "both":
                 results.cross_gap = interior_gap(spec, grid, results.fields["lattice"].u,
                                                  results.fields["pde"].u)
-
-            if "n_list" in ladders:
-                results.ladder_report = monotone_ladder(
-                    spec, grid, ladders["n_list"],
-                    penalty_mode=penalties.penalty_mode, kappa_f=penalties.kappa_f)
-            if "m_list" in ladders:
-                results.m_ladder, results.double_report = _m_ladder(
-                    spec, grid, penalties, ladders)
-            # each probe perturbs the run's own lattice solve; under --method
-            # pde there is none, so the first probe sweeps it for all of them
-            base = results.fields.get("lattice")
-            for eps in ladders.get("epsilon_list", ()):
-                if base is None:
-                    base = penalized_sweep(spec, grid, penalties)
-                results.stability_gaps.append(
-                    probe_output_gap(base, _perturb_lower(spec, eps), grid, penalties))
-
             if "residual" in config.emit:
                 results.direct_field = solve_double_obstacle_direct(
                     spec, PdeSchemeParams(grid=grid, penalty=penalties))
@@ -419,6 +400,32 @@ def run(config: RunConfig, assert_mode: bool = False,
                     results.direct_field, spec, grid)
             else:
                 r_grid = None
+
+            solved = dict(results.fields, direct=results.direct_field)
+            for method, fld in sorted(solved.items()):
+                if fld is not None:
+                    require_finite(fld, method=method)
+            if probes and "lattice" not in results.fields:
+                require_finite(base, n=penalties.n_upper,
+                               m=np.inf if penalties.project_lower else penalties.m_value)
+            results.stability_gaps = [probe_output_gap(base, require_finite(p, eps=eps))
+                                      for eps, p in zip(epsilons, probes)]
+            del probes  # the ladders run without the probe fields
+
+            if "n_list" in ladders:
+                results.ladder_report = monotone_ladder(
+                    spec, grid, ladders["n_list"], penalty_mode=penalties.penalty_mode,
+                    kappa_f=penalties.kappa_f, swept=swept)
+            if "m_list" in ladders:
+                results.m_ladder, results.double_report = _m_ladder(
+                    spec, grid, penalties, ladders, swept)
+        except NonFiniteField as err:
+            # the first node the backward solve made non-finite
+            i, j = err.t_index, err.x_index
+            label = {k: v if isinstance(v, str) else _fmt(v) for k, v in err.label.items()}
+            _diag("stability", status="rejected", kind="non-finite-field", **label,
+                  t_index=i, x_index=j, t=_fmt(grid.t[i]), x=_fmt(grid.x[j]))
+            return EXIT_STABILITY
         except StabilityError as err:
             _diag("stability", status="rejected", detail='"%s"' % err)
             return EXIT_STABILITY
@@ -427,13 +434,6 @@ def run(config: RunConfig, assert_mode: bool = False,
             # as the lattice's ghost cells or a driver value off the sample
             _diag("validate", status="fail", kind="domain-error", detail='"%s"' % err)
             return EXIT_VALIDATION
-
-    bad = _non_finite_node(results)
-    if bad is not None:
-        method, i, j = bad
-        _diag("stability", status="rejected", kind="non-finite-field", method=method,
-              t_index=i, x_index=j, t=_fmt(grid.t[i]), x=_fmt(grid.x[j]))
-        return EXIT_STABILITY
 
     os.makedirs(out_path, exist_ok=True)
     if "field" in config.emit:

@@ -8,15 +8,15 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .gcore import (NODEWISE_IMPLICIT, DEFAULT_KAPPA_F, Coefficients, Grid,
-                    PenaltyParams, ProblemSpec, StabilityError, driver_sample,
-                    obstacle_fields, uncontaminated_mask)
-from .lattice import penalized_sweep, reflected_sweep
+from .gcore import (NODEWISE_IMPLICIT, DEFAULT_KAPPA_F, PROJECTION, Coefficients,
+                    Grid, PenaltyParams, ProblemSpec, driver_sample, obstacle_fields,
+                    uncontaminated_mask)
+from .lattice import ladder_fields, penalized_sweep
 from .pde import PdeSchemeParams, solve_penalized_pde
 # LadderRow, asc_residuals, asc_residuals_global and obstacle_violations are
 # also this module's API
-from .scheme import (LadderRow, asc_residuals, asc_residuals_global, ladder_row,
-                     obstacle_violations, ordering_gap)
+from .scheme import (LadderRow, SolutionField, asc_residuals, asc_residuals_global,
+                     ladder_row, obstacle_violations, ordering_gap, require_finite)
 
 #: entries at or below this floor are noise and are excluded from rate fits
 RATE_FIT_FLOOR = 10.0 * np.finfo(float).eps
@@ -44,32 +44,33 @@ def _fit_rate_slope(n_values, violations):
 
 def monotone_ladder(spec: ProblemSpec, grid: Grid, n_list,
                     penalty_mode: str = NODEWISE_IMPLICIT,
-                    kappa_f: float = DEFAULT_KAPPA_F) -> ConvergenceReport:
+                    kappa_f: float = DEFAULT_KAPPA_F, swept=None) -> ConvergenceReport:
     """Reflected sweeps along an ascending ladder of upper intensities.
 
     Fills per-rung upper violations (which should decay like 1/n), the
     pointwise monotonicity violation against the previous rung (the ladder
     is non-increasing in n for a monotone scheme), pushing residuals, and a
     least-squares log-log slope of the upper violation over the rungs above
-    the noise floor.
+    the noise floor.  The rungs are one batched sweep; ``swept`` maps cells
+    already swept to their fields.  A non-finite rung raises NonFiniteField.
     """
     n_list = [float(v) for v in n_list]
     if sorted(n_list) != n_list:
         raise ValueError("n_list must be sorted ascending")
     report = ConvergenceReport()
-    fields = []
-    for n in n_list:
-        try:
-            fld = reflected_sweep(spec, grid, n, penalty_mode=penalty_mode,
-                                  kappa_f=kappa_f)
-        except (StabilityError, ValueError) as err:
-            report.rows.append(LadderRow(n=n, m=np.inf, error=str(err)))
-            fields.append(None)
+    fields = ladder_fields(spec, grid, [
+        dict(n_upper=n, m_lower=PROJECTION, penalty_mode=penalty_mode, kappa_f=kappa_f)
+        for n in n_list], swept)
+    prev = None
+    for k, (n, fld) in enumerate(zip(n_list, fields)):
+        if isinstance(fld, Exception):
+            report.rows.append(LadderRow(n=n, m=np.inf, error=str(fld)))
+            fields[k] = prev = None
             continue
-        prev = fields[-1] if fields else None
+        require_finite(fld, n=n, m=np.inf)
         report.rows.append(ladder_row(fld, spec, grid, n, np.inf,
-                                      mono_gap_n=ordering_gap(fld, prev)))
-        fields.append(fld)
+                                      mono_gap_n=ordering_gap(fld.u, prev)))
+        prev = fld.u
     report.rate_slope = _fit_rate_slope(
         [r.n for r in report.rows if r.error is None],
         [r.sup_upper_violation for r in report.rows if r.error is None])
@@ -82,11 +83,10 @@ def monotone_ladder(spec: ProblemSpec, grid: Grid, n_list,
     return report
 
 
-def probe_output_gap(base, spec: ProblemSpec, grid: Grid,
-                     penalties: PenaltyParams) -> float:
-    """Sup |base.u - u| over the grid, u the penalized sweep of ``spec``:
-    how far a data perturbation moves the sweep whose field is ``base``."""
-    return float(np.max(np.abs(base.u - penalized_sweep(spec, grid, penalties).u)))
+def probe_output_gap(base: SolutionField, perturbed: SolutionField) -> float:
+    """Sup |base.u - perturbed.u| over the grid: how far a data perturbation
+    moves the sweep whose field is ``base``."""
+    return float(np.max(np.abs(base.u - perturbed.u)))
 
 
 def stability_probe(spec1: ProblemSpec, spec2: ProblemSpec, grid: Grid,
@@ -99,7 +99,7 @@ def stability_probe(spec1: ProblemSpec, spec2: ProblemSpec, grid: Grid,
     asserted.
     """
     output_gap = probe_output_gap(penalized_sweep(spec1, grid, penalties),
-                                  spec2, grid, penalties)
+                                  penalized_sweep(spec2, grid, penalties))
 
     x = grid.x
     phi_gap = float(np.max(np.abs(Coefficients(spec1, x)("phi")

@@ -12,18 +12,25 @@ scheme monotone; beyond the domain edges probes clamp to the edge value
 Sweeps run on an internally widened x-grid (a few adversarial standard
 deviations of margin) so edge clamping cannot pollute the reported window;
 the returned fields cover the requested grid only.
+
+One sweep advances a batch of cells through one backward time loop.  A cell
+is a set of penalties plus a constant shift of the lower obstacle h; the
+stencil, the coefficient rows and the ghost margin depend only on the
+problem, the grid and t, so the cells share them and differ only in u, the
+penalties and h.  A batched field equals the cell's single sweep bitwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
-from .gcore import (EXPLICIT, NODEWISE_IMPLICIT, DEFAULT_KAPPA_F, Coefficients,
-                    Grid, PenaltyParams, ProblemSpec, StabilityError)
-from .scheme import (LadderRow, SolutionField, central_diff, ceil_eps,
-                     ladder_row, obstacle_update, ordering_gap, z_field)
+from .gcore import (EXPLICIT, NODEWISE_IMPLICIT, DEFAULT_KAPPA_F, PROJECTION,
+                    Coefficients, Grid, PenaltyParams, ProblemSpec, StabilityError)
+from .scheme import (LadderRow, SolutionField, central_diff, ceil_eps, ladder_row,
+                     obstacle_update, ordering_gap, require_finite, z_field)
 
 #: widened-domain margin, in adversarial diffusive standard deviations
 MARGIN_SIGMAS = 6.0
@@ -32,9 +39,10 @@ MAX_DRIFT_WEIGHT = 0.5
 
 
 def _endpoint_expectation(u_next, idx, variance, mu, dx, n_nodes):
-    """One-step expectation under a single control: value array over idx."""
+    """One-step expectation under a single control, over idx of the last
+    axis of u_next (one row, or one row per cell of a batch)."""
     s = np.abs(mu) / dx
-    if np.any(s > MAX_DRIFT_WEIGHT):
+    if (s > MAX_DRIFT_WEIGHT).any():
         raise StabilityError(
             "drift displacement per step exceeds %.2g cells; refine the time grid"
             % MAX_DRIFT_WEIGHT)
@@ -42,11 +50,11 @@ def _endpoint_expectation(u_next, idx, variance, mu, dx, n_nodes):
     k = np.maximum(1, ceil_eps(span).astype(np.int64))
     kdx2 = (k * dx) ** 2
     p = variance / (2.0 * kdx2)
-    up = u_next[np.minimum(idx + k, n_nodes - 1)]
-    dn = u_next[np.maximum(idx - k, 0)]
-    here = u_next[idx]
-    drift_to = np.clip(idx + np.where(mu >= 0, 1, -1), 0, n_nodes - 1)
-    shifted = u_next[drift_to]
+    up = u_next.take(np.minimum(idx + k, n_nodes - 1), axis=-1)
+    dn = u_next.take(np.maximum(idx - k, 0), axis=-1)
+    here = u_next.take(idx, axis=-1)
+    drift_to = np.minimum(np.maximum(idx + np.where(mu >= 0, 1, -1), 0), n_nodes - 1)
+    shifted = u_next.take(drift_to, axis=-1)
     # delta form: constant slices propagate with zero rounding error
     return here + p * ((up - here) + (dn - here)) + s * (shifted - here)
 
@@ -100,9 +108,54 @@ def _extension_cells(spec, grid):
     return int(cells)
 
 
-def _run_sweep(spec, grid, penalties: PenaltyParams):
+@dataclass(frozen=True)
+class SweepCell:
+    """One member of a batched sweep: its penalties, and a constant added to
+    the lower obstacle h (an ε-probe's perturbation)."""
+    penalties: PenaltyParams
+    h_shift: float = 0.0
+
+
+def _run_sweep(spec, grid, cells):
+    """Sweep the tuple ``cells`` through one backward time loop.
+
+    Returns, per cell, its SolutionField or the StabilityError of its own
+    step-size check.  An error of what the cells share (ghost margin, drift
+    weight, coefficients) raises.
+    """
     dt, dx = grid.dt, grid.dx
-    penalties.check_explicit_cfl(dt)
+    results = {}
+    for cell in cells:
+        try:
+            cell.penalties.check_explicit_cfl(dt)
+        except StabilityError as err:
+            results[cell] = err
+    # cells sharing a penalty mode and lower projection take adjacent rows,
+    # so each such group is one obstacle_update on a slice of the batch
+    def mode(cell):
+        return cell.penalties.penalty_mode, cell.penalties.project_lower
+    live = sorted((c for c in dict.fromkeys(cells) if c not in results), key=mode)
+    if not live:
+        return [results[c] for c in cells]
+    # a one-cell sweep keeps 1-D rows and scalar intensities, which stay on
+    # numpy's same-shape fast paths
+    lead = (len(live),) if len(live) > 1 else ()
+
+    def column(values):
+        return np.array(values, dtype=float)[:, None] if lead else values[0]
+
+    groups, lo = [], 0
+    for _, members in groupby(live, key=mode):
+        members = list(members)
+        rows = slice(lo, lo + len(members)) if len(members) < len(live) else Ellipsis
+        lo += len(members)
+        pens = [c.penalties for c in members]
+        # adding -0.0 leaves every h, -0.0 included, bitwise unchanged
+        shift = (column([c.h_shift or -0.0 for c in members])
+                 if any(c.h_shift for c in members) else None)
+        groups.append((rows, pens[0], column([p.n_upper for p in pens]),
+                       column([p.m_value for p in pens]), shift))
+
     mc = _extension_cells(spec, grid)
     nxe = grid.n_x + 2 * mc
     # core coordinates must match grid.x bitwise so clamped nodes satisfy
@@ -112,9 +165,13 @@ def _run_sweep(spec, grid, penalties: PenaltyParams):
     coeffs = Coefficients(spec, xg)
     band = spec.band
 
-    out = SolutionField.empty(grid)
-    u = coeffs("phi")
-    out.u[grid.n_t] = u[core]
+    # each cell's field owns its arrays, so a consumer keeping one field
+    # does not keep the batch; cell b stores the core of row b of the batch
+    outs = [SolutionField.empty(grid) for _ in live]
+    core_rows = [(b, core) for b in range(len(live))] if lead else [core]
+    u = np.broadcast_to(coeffs("phi"), lead + (nxe,)).copy()
+    for out, row in zip(outs, core_rows):
+        out.u[grid.n_t] = u[row]
 
     idx = np.arange(nxe)
     for i in range(grid.n_t - 1, -1, -1):
@@ -124,15 +181,62 @@ def _run_sweep(spec, grid, penalties: PenaltyParams):
         z_tilde = sv * central_diff(u, dx)
         c, choice, defects = _g_expectation_arrays(u, idx, sv, bv, lv, band, dt, dx, nxe)
         base = c + dt * coeffs.f(t, xg, c, z_tilde)
-        u, a_plus, a_minus = obstacle_update(base, c, hv, hpv, dt, penalties)
-        out.u[i] = u[core]
-        out.a_plus[i] = a_plus[core]
-        out.a_minus[i] = a_minus[core]
-        out.k_defect[i] = np.minimum(defects[0], defects[1])[core]
-        out.sigma_choice[i] = choice[core]
+        parts = [obstacle_update(base[rows], c[rows], hv if shift is None else hv + shift,
+                                 hpv, dt, pen, n=n, m=m)
+                 for rows, pen, n, m, shift in groups]
+        u, a_plus, a_minus = (parts[0] if len(parts) == 1 else
+                              [np.concatenate(a) for a in zip(*parts)])
+        k_defect = np.minimum(defects[0], defects[1])
+        for out, row in zip(outs, core_rows):
+            out.u[i] = u[row]
+            out.a_plus[i] = a_plus[row]
+            out.a_minus[i] = a_minus[row]
+            out.k_defect[i] = k_defect[row]
+            out.sigma_choice[i] = choice[row]
 
-    out.z = z_field(spec, grid, out.u)
-    return out
+    for cell, out in zip(live, outs):
+        out.z = z_field(spec, grid, out.u)
+        results[cell] = out
+    return [results[c] for c in cells]
+
+
+def sweep_cells(spec: ProblemSpec, grid: Grid, cells, swept=None) -> list:
+    """Per cell, its SolutionField or the error that stopped its sweep.
+
+    The distinct cells not already in ``swept`` (a mapping of cell to
+    field) go through one batched sweep; an error the whole batch shares is
+    every such cell's error.
+    """
+    known = dict(swept or {})
+    todo = tuple(c for c in dict.fromkeys(cells) if c not in known)
+    if todo:
+        try:
+            known.update(zip(todo, _run_sweep(spec, grid, todo)))
+        except (StabilityError, ValueError) as err:
+            known.update((c, err) for c in todo)
+    return [known[c] for c in cells]
+
+
+def field_or_raise(result) -> SolutionField:
+    """A sweep_cells result as a field; an error is raised."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def ladder_fields(spec: ProblemSpec, grid: Grid, penalty_kwargs, swept=None) -> list:
+    """sweep_cells of the cells ``PenaltyParams(**kw)`` for kw in
+    ``penalty_kwargs``; a cell whose penalties are invalid holds that
+    ValueError and is not swept."""
+    cells = []
+    for kw in penalty_kwargs:
+        try:
+            cells.append(SweepCell(PenaltyParams(**kw)))
+        except ValueError as err:
+            cells.append(err)
+    fields = iter(sweep_cells(spec, grid, [c for c in cells if isinstance(c, SweepCell)],
+                              swept))
+    return [next(fields) if isinstance(c, SweepCell) else c for c in cells]
 
 
 def penalized_sweep(spec: ProblemSpec, grid: Grid, penalties: PenaltyParams,
@@ -146,7 +250,7 @@ def penalized_sweep(spec: ProblemSpec, grid: Grid, penalties: PenaltyParams,
     turns the lower penalty into the exact reflection of reflected_sweep.
     ``threads`` is accepted for compatibility and ignored.
     """
-    return _run_sweep(spec, grid, penalties)
+    return field_or_raise(sweep_cells(spec, grid, [SweepCell(penalties)])[0])
 
 
 def reflected_sweep(spec: ProblemSpec, grid: Grid, n_upper: float,
@@ -158,9 +262,8 @@ def reflected_sweep(spec: ProblemSpec, grid: Grid, n_upper: float,
     pushing increments a_plus are nonzero only at nodes sitting exactly on
     the lower obstacle (the discrete minimality property).
     """
-    penalties = PenaltyParams(n_upper=n_upper, m_lower="projection",
-                              penalty_mode=penalty_mode, kappa_f=kappa_f)
-    return _run_sweep(spec, grid, penalties)
+    return penalized_sweep(spec, grid, PenaltyParams(
+        n_upper=n_upper, m_lower=PROJECTION, penalty_mode=penalty_mode, kappa_f=kappa_f))
 
 
 @dataclass
@@ -172,33 +275,36 @@ class DoubleLadderReport:
 
 def double_ladder(spec: ProblemSpec, grid: Grid, n_list, m_list,
                   penalty_mode: str = NODEWISE_IMPLICIT,
-                  kappa_f: float = DEFAULT_KAPPA_F) -> DoubleLadderReport:
+                  kappa_f: float = DEFAULT_KAPPA_F, swept=None) -> DoubleLadderReport:
     """Penalized sweeps over the (n, m) product, with ordering diagnostics.
 
+    Each m-column is one batched sweep, and only the previous column's
+    value grids are kept.  ``swept`` maps cells already swept to their fields.
     Per-cell sweep failures are recorded in the cell and the ladder carries
-    on.  Lists must be sorted ascending; an empty list gives an empty report.
+    on; a non-finite field raises NonFiniteField.  Lists must be sorted
+    ascending; an empty list gives an empty report.
     """
     n_list = [float(v) for v in n_list]
     m_list = [float(v) for v in m_list]
     if sorted(n_list) != n_list or sorted(m_list) != m_list:
         raise ValueError("n_list and m_list must be sorted ascending")
-    report = DoubleLadderReport(n_list=n_list, m_list=m_list, cells=[])
-    above = [None] * len(m_list)  # the previous n's fields, per m
-    for n in n_list:
-        row, fields = [], []
-        for m, prev_n in zip(m_list, above):
-            try:
-                fld = penalized_sweep(spec, grid, PenaltyParams(
-                    n_upper=n, m_lower=m, penalty_mode=penalty_mode, kappa_f=kappa_f))
-            except (StabilityError, ValueError) as err:
-                row.append(LadderRow(n=n, m=m, error=str(err)))
-                fields.append(None)
+    report = DoubleLadderReport(n_list=n_list, m_list=m_list,
+                                cells=[[None] * len(m_list) for _ in n_list])
+    left = [None] * len(n_list)  # u at the previous m, per n
+    for j, m in enumerate(m_list):
+        column = ladder_fields(spec, grid, [
+            dict(n_upper=n, m_lower=m, penalty_mode=penalty_mode, kappa_f=kappa_f)
+            for n in n_list], swept)
+        above = None  # u at the previous n in this column
+        for i, (n, fld) in enumerate(zip(n_list, column)):
+            if isinstance(fld, Exception):
+                report.cells[i][j] = LadderRow(n=n, m=m, error=str(fld))
+                column[i] = above = None
                 continue
-            prev_m = fields[-1] if fields else None
-            row.append(ladder_row(fld, spec, grid, n, m,
-                                  mono_gap_n=ordering_gap(fld, prev_n),
-                                  mono_gap_m=ordering_gap(prev_m, fld)))
-            fields.append(fld)
-        report.cells.append(row)
-        above = fields
+            require_finite(fld, n=n, m=m)
+            report.cells[i][j] = ladder_row(fld, spec, grid, n, m,
+                                            mono_gap_n=ordering_gap(fld.u, above),
+                                            mono_gap_m=ordering_gap(left[i], fld.u))
+            column[i] = above = fld.u
+        left = column
     return report

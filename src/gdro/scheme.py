@@ -54,6 +54,27 @@ class SolutionField:
                    sigma_choice=np.zeros(shape, dtype=np.int8))
 
 
+class NonFiniteField(ArithmeticError):
+    """A solved field holds a non-finite value.  ``label`` names the solve
+    (a method, a ladder cell's n and m, or a probe's eps) and (t_index,
+    x_index) is the first non-finite node the backward solve produced."""
+
+    def __init__(self, label, t_index, x_index):
+        super().__init__("non-finite value at t_index=%d x_index=%d in %s"
+                         % (t_index, x_index, label))
+        self.label, self.t_index, self.x_index = label, t_index, x_index
+
+
+def require_finite(field, **label):
+    """Return ``field``, or raise NonFiniteField at the latest time slice
+    holding a non-finite u (the solves run backward), at its lowest x."""
+    bad = ~np.isfinite(field.u)
+    if bad.any():
+        i = int(np.flatnonzero(bad.any(axis=1))[-1])
+        raise NonFiniteField(label, i, int(np.argmax(bad[i])))
+    return field
+
+
 def central_diff(u, dx):
     """Central difference along the last axis, one-sided at the edges."""
     d = np.empty_like(u)
@@ -86,7 +107,24 @@ def _solve_upper(base, hp, n, dt):
     return np.where(base > hp, np.maximum(np.minimum(high, base), hp), base)
 
 
-def obstacle_update(base, anchor, h, hp, dt, penalties, direct=False):
+def _unless_zero(k, value, update):
+    """``update()`` where the intensity ``k`` is nonzero, ``value`` where it
+    is 0: the elementwise ``update() if k else value`` for a scalar k or a
+    (B, 1) column with one entry per row.  A column mixing both runs the
+    update on the rows it discards too, where 0*inf may make a nan; numpy's
+    warnings about those rows are silenced."""
+    if not isinstance(k, np.ndarray):
+        return update() if k else value
+    on = k != 0
+    if on.all():
+        return update()
+    if not on.any():
+        return value
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.where(on, update(), value)
+
+
+def obstacle_update(base, anchor, h, hp, dt, penalties, direct=False, n=None, m=None):
     """Constrain one step's unconstrained value ``base``; returns
     (value, a_plus, a_minus).
 
@@ -96,25 +134,28 @@ def obstacle_update(base, anchor, h, hp, dt, penalties, direct=False):
     "projection"`` applies max(h, .) after the upper penalty, so a_plus is
     nonzero only where the value sits on h; numeric intensities apply both
     penalties, solved exactly per node in nodewise-implicit mode.
+
+    ``n`` and ``m``, when given, replace the intensities of ``penalties``,
+    which then sets only the mode: (B, 1) columns update a batch whose row b
+    of ``base`` is one cell with intensities n[b] and m[b].
     """
-    n, m = penalties.n_upper, penalties.m_value
+    if n is None:
+        n, m = penalties.n_upper, penalties.m_value
     implicit = penalties.penalty_mode == NODEWISE_IMPLICIT
     if direct:
         lower = np.maximum(h, base)
         value = np.minimum(hp, lower)
         return value, lower - base, lower - value
     if penalties.project_lower:
-        if not n:
-            pre = base
-        elif implicit:
-            pre = _solve_upper(base, hp, n, dt)
+        if implicit:
+            pre = _unless_zero(n, base, lambda: _solve_upper(base, hp, n, dt))
         else:
-            pre = base - dt * n * np.maximum(anchor - hp, 0.0)
+            pre = _unless_zero(n, base, lambda: base - dt * n * np.maximum(anchor - hp, 0.0))
         value = np.maximum(h, pre)
         return value, value - pre, base - pre
     if implicit:
-        lower = _solve_lower(base, h, m, dt) if m else base
-        value = _solve_upper(lower, hp, n, dt) if n else lower
+        lower = _unless_zero(m, base, lambda: _solve_lower(base, h, m, dt))
+        value = _unless_zero(n, lower, lambda: _solve_upper(lower, hp, n, dt))
         return value, lower - base, lower - value
     a_plus = dt * m * np.maximum(h - anchor, 0.0)
     a_minus = dt * n * np.maximum(anchor - hp, 0.0)
@@ -176,10 +217,11 @@ def asc_residuals_global(field: SolutionField, spec: ProblemSpec, grid: Grid):
 
 
 def ordering_gap(hi, lo):
-    """sup (hi.u - lo.u)^+ between two solves, 0.0 if either is missing."""
+    """sup (hi - lo)^+ between the value grids u of two solves, 0.0 if
+    either is missing."""
     if hi is None or lo is None:
         return 0.0
-    return float(np.max(np.maximum(hi.u - lo.u, 0.0)))
+    return float(np.max(np.maximum(hi - lo, 0.0)))
 
 
 def ladder_row(field, spec, grid, n, m, **gaps) -> LadderRow:

@@ -153,6 +153,16 @@ class TestRun:
         assert rc == EXIT_OK
         assert not (tmp_path / "out" / "field_pde.csv").exists()
 
+    def test_pde_run_sweeps_no_lattice(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(gdro.lattice, "_run_sweep",
+                            lambda *args: pytest.fail("a lattice sweep ran"))
+        rc = _solve(tmp_path, {
+            "problem": dict(INLINE_HEAT), "grid": {"n_t": 10, "n_x": 11},
+            "method": "pde", "emit": ["field", "report"]})
+        assert rc == EXIT_OK
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == \
+            ["field_pde.csv", "summary.json"]
+
     def test_rerun_is_byte_identical(self, tmp_path):
         payload = {"problem": "gheat-convex", "grid": {"n_t": 30, "n_x": 31},
                    "method": "both", "emit": ["field", "report", "residual"]}
@@ -278,6 +288,57 @@ def test_no_sweep_computed_twice(tmp_path, monkeypatch, method):
     assert summary["stability_gaps"] == [
         stability_probe(cfg.spec, _perturb_lower(cfg.spec, eps), cfg.grid, cfg.penalties)[0]
         for eps in epsilons]
+
+
+@pytest.mark.parametrize("penalties, ladders", [
+    ({"n_upper": 64, "m_lower": 10}, {"m_list": [10, 64]}),
+    ({"n_upper": 64, "m_lower": 10},
+     {"n_list": [4, 64], "m_list": [10, 100], "epsilon_list": [0.1, 0.0]}),
+    ({"n_upper": 8, "m_lower": "projection"},
+     {"n_list": [4, 8], "m_list": [10], "epsilon_list": [0.1]}),
+], ids=["m_lower-in-m_list", "main-in-double-ladder", "projection-n_upper-in-n_list"])
+def test_each_cell_swept_once(tmp_path, monkeypatch, penalties, ladders):
+    """The main (n_upper, m_lower) cell is swept once, also when a ladder
+    holds it; an eps of 0 is the main cell too."""
+    cells = []
+    run_sweep = gdro.lattice._run_sweep
+
+    def recording(spec, grid, batch):
+        cells.extend((spec, grid, cell) for cell in batch)
+        return run_sweep(spec, grid, batch)
+
+    monkeypatch.setattr(gdro.lattice, "_run_sweep", recording)
+    rc = _solve(tmp_path, {
+        "problem": "double-obstacle-sine", "grid": {"n_t": 20, "n_x": 33},
+        "method": "lattice", "emit": ["report"], "penalties": penalties,
+        "ladders": ladders})
+    assert rc == EXIT_OK
+    assert cells and len(set(cells)) == len(cells)
+
+
+@pytest.mark.parametrize("h, ladders, record", [
+    ("-1 + 0*exp(800*(-x - 3.05))",
+     {"n_list": [4, 8], "m_list": [10, 100], "epsilon_list": [0.1]},
+     "n=4 m=inf t_index=16 x_index=0 t=0.80000000000000004 x=-3"),
+    ("-0.4 + 0.1*sin(x + t)", {"epsilon_list": [0.1, float("inf")]},
+     "eps=inf t_index=19 x_index=0 t=0.95000000000000007 x=-3"),
+], ids=["reflected-rung", "probe"])
+def test_non_finite_ladder_or_probe_rejected(tmp_path, h, ladders, record):
+    # the reflected rungs project onto an h that is nan in the ghost cells;
+    # the penalized cells and the PDE stay finite
+    cfg = _write(tmp_path, {
+        "problem": {"horizon": 1.0, "x_min": -3.0, "x_max": 3.0, "sigma_low": 0.5,
+                    "sigma_high": 1.0, "f": "2*sin(x) - 0.3*y", "phi": "0.1*sin(x)",
+                    "h": h, "h_prime": "0.4 + 0.1*sin(x - t)"},
+        "grid": {"n_t": 20, "n_x": 33}, "method": "pde",
+        "penalties": {"n_upper": 64, "m_lower": 64, "penalty_mode": "nodewise-implicit"},
+        "ladders": ladders})
+    proc = subprocess.run(
+        [sys.executable, "-m", "gdro.cli", "solve", "--config", cfg,
+         "--out", str(tmp_path / "out")], capture_output=True, text=True)
+    assert proc.returncode == EXIT_STABILITY
+    assert "stability status=rejected kind=non-finite-field " + record in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_console_entry_point(tmp_path):

@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import oracles
+from gdro.expr import BinOp, Num
 from gdro.gcore import Grid, PenaltyParams, ProblemSpec, StabilityError
-from gdro.lattice import (conditional_g_expectation, double_ladder,
+from gdro.lattice import (SweepCell, _run_sweep, conditional_g_expectation, double_ladder,
                           penalized_sweep, reflected_sweep)
+from gdro.scheme import SolutionField
 
 
 def _spec(**kw):
@@ -281,3 +285,54 @@ def test_randomized_monotone_perturbation():
         u_lo = penalized_sweep(lo, grid, PenaltyParams()).u[0]
         u_hi = penalized_sweep(hi, grid, PenaltyParams()).u[0]
         assert np.min(u_hi - u_lo) >= -1e-13
+
+
+#: penalty modes mixed in one batch, in an order that interleaves them
+_BATCH = [
+    PenaltyParams(n_upper=16.0, m_lower=16.0, penalty_mode="nodewise-implicit"),
+    PenaltyParams(n_upper=4.0, m_lower=10.0, penalty_mode="explicit"),
+    PenaltyParams(n_upper=8.0, m_lower="projection", penalty_mode="nodewise-implicit"),
+    PenaltyParams(n_upper=0.0, m_lower=64.0, penalty_mode="nodewise-implicit"),
+    PenaltyParams(n_upper=0.0, m_lower=10.0, penalty_mode="explicit"),
+    PenaltyParams(n_upper=16.0, m_lower=0.0, penalty_mode="nodewise-implicit"),
+    PenaltyParams(n_upper=1000.0, m_lower=10.0, penalty_mode="explicit"),  # fails its CFL
+    PenaltyParams(n_upper=8.0, m_lower="projection", penalty_mode="explicit"),
+    PenaltyParams(n_upper=0.0, m_lower="projection", penalty_mode="nodewise-implicit"),
+]
+_SHIFT = 0.05
+
+
+@pytest.mark.parametrize("data", [
+    {},
+    # the skipped penalty rows of an n = 0 cell compute 0*inf; no
+    # RuntimeWarning may escape (pytest turns it into an error)
+    {"h_prime": "1e400"},
+    # h = -0.0 for x > 0, where the value sits on h: an unshifted cell's h
+    # must keep its sign bit
+    {"h": "-0*x", "phi": "-1 + 0.1*sin(x)"},
+], ids=["sine", "infinite-h-prime", "signed-zero-h"])
+def test_batched_sweep_equals_single_sweeps_bitwise(data):
+    spec = ProblemSpec.from_strings(**{
+        **dict(horizon=1.0, x_min=-3.0, x_max=3.0, sigma_low=0.5, sigma_high=1.0,
+               f="2*sin(x) - 0.3*y + 0.1*z", phi="0.1*sin(x)",
+               h="-0.4 + 0.1*sin(x + t)", h_prime="0.4 + 0.1*sin(x - t)"), **data})
+    shifted = replace(spec, h=BinOp("+", spec.h, Num(_SHIFT)))
+    grid = Grid.for_problem(spec, 20, 33)  # dt = 0.05
+    cells = tuple(SweepCell(p) for p in _BATCH) + (
+        SweepCell(_BATCH[0], h_shift=_SHIFT), SweepCell(_BATCH[1], h_shift=_SHIFT),
+        SweepCell(_BATCH[2], h_shift=_SHIFT))
+    batched = _run_sweep(spec, grid, cells)
+    assert len(batched) == len(cells)
+    for cell, got in zip(cells, batched):
+        problem = shifted if cell.h_shift else spec
+        if cell.penalties.n_upper == 1000.0:
+            assert isinstance(got, StabilityError)
+            with pytest.raises(StabilityError, match="CFL"):
+                penalized_sweep(problem, grid, cell.penalties)
+            continue
+        assert isinstance(got, SolutionField)
+        single = penalized_sweep(problem, grid, cell.penalties)
+        for name in ("u", "z", "a_plus", "a_minus", "k_defect", "sigma_choice"):
+            a, b = getattr(got, name), getattr(single, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, (cell, name)
+            assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), (cell, name)
