@@ -30,7 +30,7 @@ from .convergence import (ConvergenceReport, asc_residuals, asc_residuals_global
                           interior_gap, monotone_ladder, probe_output_gap)
 from .gcore import (Grid, PenaltyParams, ProblemSpec, StabilityError,
                     contamination_cone_width, obstacle_fields, validate_problem)
-from .lattice import DoubleLadderReport, SweepCell, double_ladder, field_or_raise, sweep_cells
+from .lattice import DoubleLadderReport, SweepCell, _field_or_raise, double_ladder, sweep_cells
 from .pde import (PdeSchemeParams, complementarity_residual,
                   solve_double_obstacle_direct, solve_penalized_pde)
 from .scheme import NonFiniteField, require_finite
@@ -382,7 +382,7 @@ def run(config: RunConfig, assert_mode: bool = False,
             main_cell = SweepCell(penalties)
             swept, probes = {}, []
             if config.method in ("lattice", "both") or epsilons:
-                base, *probes = map(field_or_raise, sweep_cells(
+                base, *probes = map(_field_or_raise, sweep_cells(
                     spec, grid, [main_cell] + [SweepCell(penalties, eps) for eps in epsilons]))
                 swept[main_cell] = base
                 if config.method != "pde":

@@ -11,7 +11,7 @@ import numpy as np
 from .gcore import (NODEWISE_IMPLICIT, DEFAULT_KAPPA_F, PROJECTION, Coefficients,
                     Grid, PenaltyParams, ProblemSpec, driver_sample, obstacle_fields,
                     uncontaminated_mask)
-from .lattice import ladder_fields, penalized_sweep
+from .lattice import _ladder_fields, penalized_sweep
 from .pde import PdeSchemeParams, solve_penalized_pde
 # LadderRow, asc_residuals, asc_residuals_global and obstacle_violations are
 # also this module's API
@@ -58,7 +58,7 @@ def monotone_ladder(spec: ProblemSpec, grid: Grid, n_list,
     if sorted(n_list) != n_list:
         raise ValueError("n_list must be sorted ascending")
     report = ConvergenceReport()
-    fields = ladder_fields(spec, grid, [
+    fields = _ladder_fields(spec, grid, [
         dict(n_upper=n, m_lower=PROJECTION, penalty_mode=penalty_mode, kappa_f=kappa_f)
         for n in n_list], swept)
     prev = None

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,12 +117,21 @@ class SweepCell:
     h_shift: float = 0.0
 
 
+class _Intensities(NamedTuple):
+    """The penalties of a group of cells sharing a penalty mode and lower
+    projection, read by obstacle_update: n_upper and m_value are (B, 1)
+    columns, one entry per cell."""
+    penalty_mode: str
+    project_lower: bool
+    n_upper: np.ndarray
+    m_value: np.ndarray
+
+
 def _run_sweep(spec, grid, cells):
     """Sweep the tuple ``cells`` through one backward time loop.
 
     Returns, per cell, its SolutionField or the StabilityError of its own
-    step-size check.  An error of what the cells share (ghost margin, drift
-    weight, coefficients) raises.
+    step-size check.  Any other error raises for the whole batch.
     """
     dt, dx = grid.dt, grid.dx
     results = {}
@@ -134,27 +144,24 @@ def _run_sweep(spec, grid, cells):
     # so each such group is one obstacle_update on a slice of the batch
     def mode(cell):
         return cell.penalties.penalty_mode, cell.penalties.project_lower
-    live = sorted((c for c in dict.fromkeys(cells) if c not in results), key=mode)
+    live = sorted((c for c in cells if c not in results), key=mode)
     if not live:
         return [results[c] for c in cells]
-    # a one-cell sweep keeps 1-D rows and scalar intensities, which stay on
-    # numpy's same-shape fast paths
-    lead = (len(live),) if len(live) > 1 else ()
 
     def column(values):
-        return np.array(values, dtype=float)[:, None] if lead else values[0]
+        return np.array(values, dtype=float)[:, None]
 
     groups, lo = [], 0
-    for _, members in groupby(live, key=mode):
+    for key, members in groupby(live, key=mode):
         members = list(members)
-        rows = slice(lo, lo + len(members)) if len(members) < len(live) else Ellipsis
+        rows = slice(lo, lo + len(members))
         lo += len(members)
-        pens = [c.penalties for c in members]
         # adding -0.0 leaves every h, -0.0 included, bitwise unchanged
         shift = (column([c.h_shift or -0.0 for c in members])
                  if any(c.h_shift for c in members) else None)
-        groups.append((rows, pens[0], column([p.n_upper for p in pens]),
-                       column([p.m_value for p in pens]), shift))
+        groups.append((rows, _Intensities(*key, column([c.penalties.n_upper for c in members]),
+                                          column([c.penalties.m_value for c in members])),
+                       shift))
 
     mc = _extension_cells(spec, grid)
     nxe = grid.n_x + 2 * mc
@@ -168,10 +175,9 @@ def _run_sweep(spec, grid, cells):
     # each cell's field owns its arrays, so a consumer keeping one field
     # does not keep the batch; cell b stores the core of row b of the batch
     outs = [SolutionField.empty(grid) for _ in live]
-    core_rows = [(b, core) for b in range(len(live))] if lead else [core]
-    u = np.broadcast_to(coeffs("phi"), lead + (nxe,)).copy()
-    for out, row in zip(outs, core_rows):
-        out.u[grid.n_t] = u[row]
+    u = np.broadcast_to(coeffs("phi"), (len(live), nxe)).copy()
+    for b, out in enumerate(outs):
+        out.u[grid.n_t] = u[b, core]
 
     idx = np.arange(nxe)
     for i in range(grid.n_t - 1, -1, -1):
@@ -182,17 +188,17 @@ def _run_sweep(spec, grid, cells):
         c, choice, defects = _g_expectation_arrays(u, idx, sv, bv, lv, band, dt, dx, nxe)
         base = c + dt * coeffs.f(t, xg, c, z_tilde)
         parts = [obstacle_update(base[rows], c[rows], hv if shift is None else hv + shift,
-                                 hpv, dt, pen, n=n, m=m)
-                 for rows, pen, n, m, shift in groups]
+                                 hpv, dt, pen)
+                 for rows, pen, shift in groups]
         u, a_plus, a_minus = (parts[0] if len(parts) == 1 else
                               [np.concatenate(a) for a in zip(*parts)])
         k_defect = np.minimum(defects[0], defects[1])
-        for out, row in zip(outs, core_rows):
-            out.u[i] = u[row]
-            out.a_plus[i] = a_plus[row]
-            out.a_minus[i] = a_minus[row]
-            out.k_defect[i] = k_defect[row]
-            out.sigma_choice[i] = choice[row]
+        for b, out in enumerate(outs):
+            out.u[i] = u[b, core]
+            out.a_plus[i] = a_plus[b, core]
+            out.a_minus[i] = a_minus[b, core]
+            out.k_defect[i] = k_defect[b, core]
+            out.sigma_choice[i] = choice[b, core]
 
     for cell, out in zip(live, outs):
         out.z = z_field(spec, grid, out.u)
@@ -204,8 +210,9 @@ def sweep_cells(spec: ProblemSpec, grid: Grid, cells, swept=None) -> list:
     """Per cell, its SolutionField or the error that stopped its sweep.
 
     The distinct cells not already in ``swept`` (a mapping of cell to
-    field) go through one batched sweep; an error the whole batch shares is
-    every such cell's error.
+    field) go through one batched sweep.  If that sweep fails, each cell is
+    swept on its own, so an error only some cells' values raise (a driver
+    outside its domain at one cell's y) stays with those cells.
     """
     known = dict(swept or {})
     todo = tuple(c for c in dict.fromkeys(cells) if c not in known)
@@ -213,18 +220,21 @@ def sweep_cells(spec: ProblemSpec, grid: Grid, cells, swept=None) -> list:
         try:
             known.update(zip(todo, _run_sweep(spec, grid, todo)))
         except (StabilityError, ValueError) as err:
-            known.update((c, err) for c in todo)
+            if len(todo) == 1:
+                known[todo[0]] = err
+            else:
+                known.update((c, sweep_cells(spec, grid, [c])[0]) for c in todo)
     return [known[c] for c in cells]
 
 
-def field_or_raise(result) -> SolutionField:
+def _field_or_raise(result) -> SolutionField:
     """A sweep_cells result as a field; an error is raised."""
     if isinstance(result, Exception):
         raise result
     return result
 
 
-def ladder_fields(spec: ProblemSpec, grid: Grid, penalty_kwargs, swept=None) -> list:
+def _ladder_fields(spec: ProblemSpec, grid: Grid, penalty_kwargs, swept=None) -> list:
     """sweep_cells of the cells ``PenaltyParams(**kw)`` for kw in
     ``penalty_kwargs``; a cell whose penalties are invalid holds that
     ValueError and is not swept."""
@@ -250,7 +260,7 @@ def penalized_sweep(spec: ProblemSpec, grid: Grid, penalties: PenaltyParams,
     turns the lower penalty into the exact reflection of reflected_sweep.
     ``threads`` is accepted for compatibility and ignored.
     """
-    return field_or_raise(sweep_cells(spec, grid, [SweepCell(penalties)])[0])
+    return _field_or_raise(sweep_cells(spec, grid, [SweepCell(penalties)])[0])
 
 
 def reflected_sweep(spec: ProblemSpec, grid: Grid, n_upper: float,
@@ -292,7 +302,7 @@ def double_ladder(spec: ProblemSpec, grid: Grid, n_list, m_list,
                                 cells=[[None] * len(m_list) for _ in n_list])
     left = [None] * len(n_list)  # u at the previous m, per n
     for j, m in enumerate(m_list):
-        column = ladder_fields(spec, grid, [
+        column = _ladder_fields(spec, grid, [
             dict(n_upper=n, m_lower=m, penalty_mode=penalty_mode, kappa_f=kappa_f)
             for n in n_list], swept)
         above = None  # u at the previous n in this column

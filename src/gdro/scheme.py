@@ -115,16 +115,15 @@ def _unless_zero(k, value, update):
     warnings about those rows are silenced."""
     if not isinstance(k, np.ndarray):
         return update() if k else value
-    on = k != 0
-    if on.all():
+    if k.all():
         return update()
-    if not on.any():
+    if not k.any():
         return value
     with np.errstate(invalid="ignore", over="ignore"):
-        return np.where(on, update(), value)
+        return np.where(k != 0, update(), value)
 
 
-def obstacle_update(base, anchor, h, hp, dt, penalties, direct=False, n=None, m=None):
+def obstacle_update(base, anchor, h, hp, dt, penalties, direct=False):
     """Constrain one step's unconstrained value ``base``; returns
     (value, a_plus, a_minus).
 
@@ -135,12 +134,11 @@ def obstacle_update(base, anchor, h, hp, dt, penalties, direct=False, n=None, m=
     nonzero only where the value sits on h; numeric intensities apply both
     penalties, solved exactly per node in nodewise-implicit mode.
 
-    ``n`` and ``m``, when given, replace the intensities of ``penalties``,
-    which then sets only the mode: (B, 1) columns update a batch whose row b
-    of ``base`` is one cell with intensities n[b] and m[b].
+    The intensities ``penalties.n_upper`` and ``penalties.m_value`` are
+    numbers, or (B, 1) columns for a batch whose row b of ``base`` is one
+    cell with intensities n[b] and m[b].
     """
-    if n is None:
-        n, m = penalties.n_upper, penalties.m_value
+    n, m = penalties.n_upper, penalties.m_value
     implicit = penalties.penalty_mode == NODEWISE_IMPLICIT
     if direct:
         lower = np.maximum(h, base)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import oracles
-from gdro.expr import BinOp, Num
+from gdro.convergence import monotone_ladder
+from gdro.expr import BinOp, DomainError, Num
 from gdro.gcore import Grid, PenaltyParams, ProblemSpec, StabilityError
 from gdro.lattice import (SweepCell, _run_sweep, conditional_g_expectation, double_ladder,
-                          penalized_sweep, reflected_sweep)
+                          penalized_sweep, reflected_sweep, sweep_cells)
 from gdro.scheme import SolutionField
 
 
@@ -336,3 +337,24 @@ def test_batched_sweep_equals_single_sweeps_bitwise(data):
             a, b = getattr(got, name), getattr(single, name)
             assert a.dtype == b.dtype and a.shape == b.shape, (cell, name)
             assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), (cell, name)
+
+
+def test_driver_domain_error_stays_with_its_cell():
+    # the driver is 2 where defined and undefined above y = 1.05; h' = 1, so
+    # the n = 10 rung overshoots h' by about 2/n and leaves the domain, while
+    # the n = 1000 rung of the same batch stays inside it
+    spec = ProblemSpec.from_strings(
+        horizon=1.0, x_min=-3.0, x_max=3.0, sigma_low=0.5, sigma_high=1.0,
+        f="2 + 0*sqrt(1.05 - y)", phi="0.5", h="-10", h_prime="1")
+    grid = Grid.for_problem(spec, 20, 33)
+    low, high = (PenaltyParams(n_upper=n, m_lower="projection",
+                               penalty_mode="nodewise-implicit") for n in (10.0, 1000.0))
+    failed, swept = sweep_cells(spec, grid, [SweepCell(low), SweepCell(high)])
+    assert isinstance(failed, DomainError)
+    single = penalized_sweep(spec, grid, high)
+    assert np.array_equal(swept.u.view(np.uint8), single.u.view(np.uint8))
+
+    rows = monotone_ladder(spec, grid, [10.0, 1000.0]).rows
+    assert "sqrt" in rows[0].error
+    assert rows[1].error is None
+    assert np.isfinite(rows[1].sup_upper_violation)
