@@ -23,6 +23,10 @@ NODEWISE_IMPLICIT = "nodewise-implicit"
 DEFAULT_KAPPA_F = 5.0
 
 
+#: nodes per field in one block of coefficient tables (Coefficients.blocks)
+_BLOCK_NODES = 4096
+
+
 class StabilityError(RuntimeError):
     """Raised when a scheme's monotonicity/step-size requirement fails at entry."""
 
@@ -200,7 +204,8 @@ class Coefficients:
     array column ``t[:, None]`` (a table, one row per time).  A scalar t is
     bound as an array, so a row is computed by the same numpy kernels as
     the matching table row and the two agree bitwise.  Fields free of t are
-    evaluated once and come back as zero-copy broadcast views.
+    evaluated once and come back as zero-copy broadcast views.  ``blocks``
+    gives the tables of a long time column a block of rows at a time.
     """
 
     def __init__(self, spec, x):
@@ -223,10 +228,41 @@ class Coefficients:
             a = ex.eval_expr(getattr(self.spec, name), bind)
         return np.broadcast_to(a, np.broadcast_shapes(t.shape, self.x.shape)) if column else a
 
+    def blocks(self, names, n_rows, time_of):
+        """Yield (rows, times, tables) over consecutive slices ``rows`` of
+        range(n_rows), where times = time_of(row indices) is the 1-D array
+        of the rows' times and tables[k] = self(names[k], times[:, None]).
+
+        A block holds about _BLOCK_NODES nodes per field, and at least one
+        row; only one block's times and tables exist at a time.  A block in
+        which a field is undefined is cut to its first row, so the error
+        raises only after the rows before it were yielded, as it would in a
+        row-by-row evaluation.
+        """
+        step = max(1, _BLOCK_NODES // self.x.size)
+        lo = 0
+        while lo < n_rows:
+            rows = slice(lo, min(lo + step, n_rows))
+            times = time_of(np.arange(rows.start, rows.stop))
+            try:
+                tables = [self(name, times[:, None]) for name in names]
+            except ValueError:
+                rows, times = slice(lo, lo + 1), times[:1]
+                tables = [self(name, times[:, None]) for name in names]
+            yield rows, times, tables
+            lo = rows.stop
+
     def f(self, t, x, y, z):
         """The driver at (t, x, y, z); a driver free of some arguments
         may come back with a smaller shape that broadcasts against y."""
         return ex.eval_expr(self.spec.f, {"t": t, "x": x, "y": y, "z": z})
+
+
+def first_true(mask):
+    """(row, column) of the first True of a 2-D mask in row-major order, or
+    None."""
+    k = int(np.argmax(mask))
+    return divmod(k, mask.shape[1]) if mask.flat[k] else None
 
 
 def driver_sample(spec, t_max, x, dy=0.0, dz=0.0):
@@ -260,10 +296,10 @@ def validate_problem(spec: ProblemSpec, grid: Grid,
 
     def first_bad(kind, mask, detail_fmt, *vals, i0=0):
         """Violation at the first True of a (rows, n_x) mask, rows from t_index i0."""
-        k = int(np.argmax(mask))
-        if not mask.flat[k]:
+        node = first_true(mask)
+        if node is None:
             return []
-        r, j = divmod(k, mask.shape[1])
+        r, j = node
         return [Violation(kind, i0 + r, j, float(grid.t[i0 + r]), float(x[j]),
                           detail_fmt % tuple(v[r, j] for v in vals))]
 

@@ -15,9 +15,15 @@ the returned fields cover the requested grid only.
 
 One sweep advances a batch of cells through one backward time loop.  A cell
 is a set of penalties plus a constant shift of the lower obstacle h; the
-stencil, the coefficient rows and the ghost margin depend only on the
-problem, the grid and t, so the cells share them and differ only in u, the
-penalties and h.  A batched field equals the cell's single sweep bitwise.
+kernel, the coefficients and the ghost margin depend only on the problem,
+the grid and t, so the cells share them and differ only in u, the penalties
+and h.  A batched field equals the cell's single sweep bitwise.
+
+The coefficients sigma, b, l, h and h' come from tables evaluated once per
+block of time rows (``Coefficients.blocks``), and each endpoint's kernel
+(drift weight, diffusion weight and gather indices) is built once per block
+from them.  A step then only gathers and combines.  The driver f depends on u
+and is evaluated per step.
 """
 
 from __future__ import annotations
@@ -29,7 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .gcore import (EXPLICIT, NODEWISE_IMPLICIT, DEFAULT_KAPPA_F, PROJECTION,
-                    Coefficients, Grid, PenaltyParams, ProblemSpec, StabilityError)
+                    Coefficients, Grid, PenaltyParams, ProblemSpec, StabilityError,
+                    first_true)
 from .scheme import (LadderRow, SolutionField, central_diff, ceil_eps, ladder_row,
                      obstacle_update, ordering_gap, require_finite, z_field)
 
@@ -37,37 +44,81 @@ from .scheme import (LadderRow, SolutionField, central_diff, ceil_eps, ladder_ro
 MARGIN_SIGMAS = 6.0
 #: largest allowed one-cell upwind drift weight |mu|/dx per step
 MAX_DRIFT_WEIGHT = 0.5
+#: the coefficient fields the one-step kernel depends on
+_KERNEL_FIELDS = ("sigma", "b", "l")
 
 
-def _endpoint_expectation(u_next, idx, variance, mu, dx, n_nodes):
-    """One-step expectation under a single control, over idx of the last
-    axis of u_next (one row, or one row per cell of a batch)."""
-    s = np.abs(mu) / dx
-    if (s > MAX_DRIFT_WEIGHT).any():
-        raise StabilityError(
-            "drift displacement per step exceeds %.2g cells; refine the time grid"
-            % MAX_DRIFT_WEIGHT)
-    span = np.sqrt(variance / (1.0 - s)) / dx
-    k = np.maximum(1, ceil_eps(span).astype(np.int64))
-    kdx2 = (k * dx) ** 2
-    p = variance / (2.0 * kdx2)
-    up = u_next.take(np.minimum(idx + k, n_nodes - 1), axis=-1)
-    dn = u_next.take(np.maximum(idx - k, 0), axis=-1)
-    here = u_next.take(idx, axis=-1)
-    drift_to = np.minimum(np.maximum(idx + np.where(mu >= 0, 1, -1), 0), n_nodes - 1)
-    shifted = u_next.take(drift_to, axis=-1)
+class _Kernel(NamedTuple):
+    """One band endpoint's one-step kernel at a set of nodes, one row per
+    time: the drift weight s = |mu|/dx, the diffusion weight p, and the
+    nodes the mass moves to (up and dn at the stencil span, drift_to one
+    cell in the direction of mu), clamped to the lattice."""
+    s: np.ndarray
+    p: np.ndarray
+    up: np.ndarray
+    dn: np.ndarray
+    drift_to: np.ndarray
+
+    def row(self, r):
+        return _Kernel._make(a[r] for a in self)
+
+
+def _kernels(sv, bv, lv, idx, band, dt, dx, n_nodes, t, x):
+    """The kernels of the low and high band endpoint from coefficient tables
+    whose rows are at the times ``t`` and whose columns are at the nodes
+    ``idx``, with coordinates ``x``.
+
+    Returns (kernels, error).  The kernels cover the rows before the first
+    row where a drift weight exceeds MAX_DRIFT_WEIGHT, and ``error`` is the
+    StabilityError naming that row's first such node (None if no row has
+    one).  Rows from that one on are not built.  Tables that are broadcast
+    views of one row (fields free of t, see Coefficients) give a kernel
+    built from that row and broadcast back to every row.
+    """
+    n_rows = len(t)
+    if not any(a.strides[0] for a in (sv, bv, lv)):
+        sv, bv, lv = sv[:1], bv[:1], lv[:1]
+    endpoints = (band.sigma_low, band.sigma_high)
+    mus = [(bv + lv * sig ** 2) * dt for sig in endpoints]
+    weights = [np.abs(mu) / dx for mu in mus]
+    worst = np.fmax(*weights)
+    node = first_true(worst > MAX_DRIFT_WEIGHT)
+    error = None
+    if node is not None:
+        r, j = node
+        error = StabilityError(
+            "drift displacement per step exceeds %.2g cells at t=%.9g x=%.9g: "
+            "|mu|/dx = %.6g > %.2g; refine the time grid"
+            % (MAX_DRIFT_WEIGHT, t[r], x[j], worst[r, j], MAX_DRIFT_WEIGHT))
+        n_rows = r
+        sv, mus, weights = sv[:r], [mu[:r] for mu in mus], [s[:r] for s in weights]
+    kernels = []
+    for sig, mu, s in zip(endpoints, mus, weights):
+        variance = (sig * sv) ** 2 * dt
+        span = np.sqrt(variance / (1.0 - s)) / dx
+        k = np.maximum(1, ceil_eps(span).astype(np.int64))
+        kernels.append(_Kernel._make(np.broadcast_to(a, (n_rows, idx.size)) for a in (
+            s, variance / (2.0 * (k * dx) ** 2),
+            np.minimum(idx + k, n_nodes - 1), np.maximum(idx - k, 0),
+            np.minimum(np.maximum(idx + np.where(mu >= 0, 1, -1), 0), n_nodes - 1))))
+    return kernels, error
+
+
+def _endpoint_expectation(u_next, here, kernel):
+    """One-step expectation of u_next under one endpoint's kernel row, where
+    ``here`` is u_next at the kernel's nodes (one row, or one row per cell
+    of a batch)."""
+    up = u_next.take(kernel.up, axis=-1)
+    dn = u_next.take(kernel.dn, axis=-1)
+    shifted = u_next.take(kernel.drift_to, axis=-1)
     # delta form: constant slices propagate with zero rounding error
-    return here + p * ((up - here) + (dn - here)) + s * (shifted - here)
+    return here + kernel.p * ((up - here) + (dn - here)) + kernel.s * (shifted - here)
 
 
-def _g_expectation_arrays(u_next, idx, sspec, bv, lv, band, dt, dx, n_nodes):
-    """Adversarial max over the band endpoints; returns (value, choice, defects)."""
-    cands = []
-    for sig in (band.sigma_low, band.sigma_high):
-        variance = (sig * sspec) ** 2 * dt
-        mu = (bv + lv * sig ** 2) * dt
-        cands.append(_endpoint_expectation(u_next, idx, variance, mu, dx, n_nodes))
-    e_low, e_high = cands
+def _g_expectation_arrays(u_next, here, kernels):
+    """Adversarial max over the band endpoints' kernel rows; returns
+    (value, choice, defects)."""
+    e_low, e_high = (_endpoint_expectation(u_next, here, k) for k in kernels)
     value = np.maximum(e_low, e_high)
     choice = (e_high > e_low).astype(np.int8)  # ties resolve to the low endpoint
     defects = np.stack([e_low - value, e_high - value])
@@ -88,9 +139,12 @@ def conditional_g_expectation(next_slice, t, x, spec: ProblemSpec, grid: Grid):
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     idx = np.clip(np.rint((xv - grid.x_min) / grid.dx).astype(np.int64), 0, grid.n_x - 1)
     coeffs = Coefficients(spec, grid.x)
-    value, choice, defects = _g_expectation_arrays(
-        u_next, idx, coeffs("sigma", t)[idx], coeffs("b", t)[idx], coeffs("l", t)[idx],
-        spec.band, grid.dt, grid.dx, grid.n_x)
+    kernels, error = _kernels(*(coeffs(name, t)[None, idx] for name in _KERNEL_FIELDS), idx,
+                              spec.band, grid.dt, grid.dx, grid.n_x, [t], grid.x[idx])
+    if error is not None:
+        raise error
+    value, choice, defects = _g_expectation_arrays(u_next, u_next.take(idx),
+                                                   [k.row(0) for k in kernels])
     if scalar:
         return float(value[0]), int(choice[0]), (float(defects[0, 0]), float(defects[1, 0]))
     return value, choice, defects
@@ -179,27 +233,37 @@ def _run_sweep(spec, grid, cells):
     for b, out in enumerate(outs):
         out.u[grid.n_t] = u[b, core]
 
+    # the coefficients and kernels come in blocks of time rows
+    # k = n_t-1-i, in loop order
     idx = np.arange(nxe)
-    for i in range(grid.n_t - 1, -1, -1):
-        t = i * dt
-        sv, bv, lv, hv, hpv = (coeffs(name, t) for name in
-                               ("sigma", "b", "l", "h", "h_prime"))
-        z_tilde = sv * central_diff(u, dx)
-        c, choice, defects = _g_expectation_arrays(u, idx, sv, bv, lv, band, dt, dx, nxe)
-        base = c + dt * coeffs.f(t, xg, c, z_tilde)
-        parts = [obstacle_update(base[rows], c[rows], hv if shift is None else hv + shift,
-                                 hpv, dt, pen)
-                 for rows, pen, shift in groups]
-        u, a_plus, a_minus = (parts[0] if len(parts) == 1 else
-                              [np.concatenate(a) for a in zip(*parts)])
-        k_defect = np.minimum(defects[0], defects[1])
-        for b, out in enumerate(outs):
-            out.u[i] = u[b, core]
-            out.a_plus[i] = a_plus[b, core]
-            out.a_minus[i] = a_minus[b, core]
-            out.k_defect[i] = k_defect[b, core]
-            out.sigma_choice[i] = choice[b, core]
+    i = grid.n_t
+    for block, times, (sv, bv, lv, hv, hpv) in coeffs.blocks(
+            _KERNEL_FIELDS + ("h", "h_prime"), grid.n_t, lambda k: dt * (grid.n_t - 1 - k)):
+        kernels, error = _kernels(sv, bv, lv, idx, band, dt, dx, nxe, times, xg)
+        for r in range(block.stop - block.start):
+            i -= 1
+            if r == len(kernels[0].s):
+                raise error
+            t = i * dt
+            z_tilde = sv[r] * central_diff(u, dx)
+            c, choice, defects = _g_expectation_arrays(u, u, [k.row(r) for k in kernels])
+            base = c + dt * coeffs.f(t, xg, c, z_tilde)
+            parts = [obstacle_update(base[rows], c[rows],
+                                     hv[r] if shift is None else hv[r] + shift,
+                                     hpv[r], dt, pen)
+                     for rows, pen, shift in groups]
+            u, a_plus, a_minus = (parts[0] if len(parts) == 1 else
+                                  [np.concatenate(a) for a in zip(*parts)])
+            k_defect = np.minimum(defects[0], defects[1])
+            for b, out in enumerate(outs):
+                out.u[i] = u[b, core]
+                out.a_plus[i] = a_plus[b, core]
+                out.a_minus[i] = a_minus[b, core]
+                out.k_defect[i] = k_defect[b, core]
+                out.sigma_choice[i] = choice[b, core]
 
+    # the last block's tables and kernels are not kept while z is computed
+    del sv, bv, lv, hv, hpv, kernels
     for cell, out in zip(live, outs):
         out.z = z_field(spec, grid, out.u)
         results[cell] = out

@@ -8,10 +8,13 @@ satisfying
     dt_sub * (sigma_high^2 max sigma^2 / dx^2 + |2 l sigma_high^2 + b|_max / dx
               + kappa_f + n_upper + m_lower) <= 1,
 
-at the reported times, and only the requested slices are stored.  Every
-substep checks the bound again, node by node, on its own coefficient rows,
-so a coefficient peaking between reported times raises StabilityError
-instead of blowing the field up.
+at the reported times, and only the requested slices are stored.  The
+coefficients sigma, b, l, h and h' come from tables evaluated once per block
+of substep rows (``Coefficients.blocks``); the driver f depends on u and is
+evaluated per substep.  Each block's tables are checked against the bound
+node by node, so a coefficient peaking between reported times raises
+StabilityError, once the backward loop reaches the failing substep, instead
+of blowing the field up.
 
 Boundary columns use one-sided first differences with the curvature copied
 from the adjacent interior column (quadratic ghost nodes), which is exact
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .gcore import (EXPLICIT, NODEWISE_IMPLICIT, Coefficients, Grid, PenaltyParams,
-                    ProblemSpec, StabilityError, g_eval, obstacle_fields,
+                    ProblemSpec, StabilityError, first_true, g_eval, obstacle_fields,
                     uncontaminated_mask)
 from .scheme import CEIL_EPS, SolutionField, ceil_eps, obstacle_update, z_field
 
@@ -82,15 +85,19 @@ def _stability_substeps(spec, grid, penalties, direct, max_substeps):
     return max(1, int(nsub))
 
 
-def _check_substep(spec, penalties, direct, grid, dts, ts, sv, bv, lv):
-    """Raise unless the explicit bound holds at every node of the substep at ts."""
+def _substep_failure(spec, penalties, direct, grid, dts, ts, sv, bv, lv):
+    """(r, error): the explicit bound holds at every node of the first r
+    rows of the substep tables (rows at the times ``ts``), and ``error`` is
+    the StabilityError naming the first failing node of row r, or None when
+    every row holds."""
     rate = _explicit_rate(spec, penalties, direct, grid.dx, sv, bv, lv, per_node=True)
-    bad = np.flatnonzero(~(dts * rate <= 1.0 + CEIL_EPS))
-    if bad.size:
-        j = int(bad[0])
-        raise StabilityError(
-            "explicit stability bound fails between reported times at t=%.9g x=%.9g: "
-            "dt_sub*rate = %.6g > 1" % (ts, grid.x[j], dts * rate[j]))
+    node = first_true(~(dts * rate <= 1.0 + CEIL_EPS))
+    if node is None:
+        return len(ts), None
+    r, j = node
+    return r, StabilityError(
+        "explicit stability bound fails between reported times at t=%.9g x=%.9g: "
+        "dt_sub*rate = %.6g > 1" % (ts[r], grid.x[j], dts * rate[r, j]))
 
 
 def _ghost_row(u):
@@ -120,34 +127,45 @@ def _run_pde(spec, grid, penalties, direct, max_substeps):
     u = coeffs("phi")
     out.u[grid.n_t] = u
 
-    for i in range(grid.n_t - 1, -1, -1):
-        a_plus_acc = np.zeros(n_x)
-        a_minus_acc = np.zeros(n_x)
-        kdef_acc = np.zeros(n_x)
-        for s in range(nsub):
-            # anchored at i*dt so the final substep's clamp uses exactly
-            # the reported slice time (keeps the sandwich bitwise exact)
-            ts = i * dt + (nsub - 1 - s) * dts
-            sv, bv, lv, hv, hpv = (coeffs(name, ts) for name in
-                                   ("sigma", "b", "l", "h", "h_prime"))
-            if recheck:
-                _check_substep(spec, penalties, direct, grid, dts, ts, sv, bv, lv)
+    # substep s of the step ending at t_i runs at i*dt + (nsub-1-s)*dts,
+    # anchored at i*dt so the final substep's clamp uses exactly the
+    # reported slice time (keeps the sandwich bitwise exact); the tables
+    # come in blocks of substep rows k = (n_t-1-i)*nsub + s, in loop order
+    def substep_times(k):
+        return (grid.n_t - 1 - k // nsub) * dt + (nsub - 1 - k % nsub) * dts
+
+    for block, times, (sv, bv, lv, hv, hpv) in coeffs.blocks(
+            ("sigma", "b", "l", "h", "h_prime"), grid.n_t * nsub, substep_times):
+        n_ok, error = (_substep_failure(spec, penalties, direct, grid, dts, times,
+                                        sv, bv, lv) if recheck else (None, None))
+        for r, k in enumerate(range(block.start, block.stop)):
+            if r == n_ok:
+                raise error
+            i, s = grid.n_t - 1 - k // nsub, k % nsub
+            if s == 0:
+                a_plus_acc = np.zeros(n_x)
+                a_minus_acc = np.zeros(n_x)
+                kdef_acc = np.zeros(n_x)
+            ts = float(times[r])
             g = _ghost_row(u)
             d2 = (g[2:] - 2.0 * u + g[:-2]) / dx ** 2
             d1 = (g[2:] - g[:-2]) / (2.0 * dx)
-            harg = sv ** 2 * d2 + 2.0 * lv * d1
-            F = g_eval(harg, band) + bv * d1 + coeffs.f(ts, x, u, sv * d1)
+            harg = sv[r] ** 2 * d2 + 2.0 * lv[r] * d1
+            F = g_eval(harg, band) + bv[r] * d1 + coeffs.f(ts, x, u, sv[r] * d1)
             kdef_acc += -0.5 * (hi2 - lo2) * np.abs(harg) * dts
             choice = (harg > 0.0).astype(np.int8)
-            u, ap, am = obstacle_update(u + dts * F, u, hv, hpv, dts, penalties, direct)
+            u, ap, am = obstacle_update(u + dts * F, u, hv[r], hpv[r], dts, penalties, direct)
             a_plus_acc += ap
             a_minus_acc += am
-        out.u[i] = u
-        out.a_plus[i] = a_plus_acc
-        out.a_minus[i] = a_minus_acc
-        out.k_defect[i] = kdef_acc
-        out.sigma_choice[i] = choice
+            if s == nsub - 1:
+                out.u[i] = u
+                out.a_plus[i] = a_plus_acc
+                out.a_minus[i] = a_minus_acc
+                out.k_defect[i] = kdef_acc
+                out.sigma_choice[i] = choice
 
+    # the last block's tables are not kept while z is computed
+    del sv, bv, lv, hv, hpv
     out.z = z_field(spec, grid, out.u)
     return out
 

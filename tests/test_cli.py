@@ -188,6 +188,23 @@ class TestRun:
         assert rc == EXIT_STABILITY
         err = capsys.readouterr().err
         assert "stability status=rejected" in err and "between reported times" in err
+        assert "at t=0.947619048 x=-3: dt_sub*rate = 2.00636 > 1" in err
+
+    def test_drift_weight_rejection_names_its_node(self, tmp_path):
+        # b grows like t^2, so the upwind drift weight |mu|/dx passes 0.5 at
+        # the first step; the first such node is the widened lattice's edge
+        cfg = _write(tmp_path, {
+            "problem": dict(UNCERTAIN_SINE, b="40*t*t*(1 + 0.1*x)"),
+            "grid": {"n_t": 20, "n_x": 61}, "method": "lattice"})
+        proc = subprocess.run(
+            [sys.executable, "-m", "gdro.cli", "solve", "--config", cfg,
+             "--out", str(tmp_path / "out")], capture_output=True, text=True)
+        assert proc.returncode == EXIT_STABILITY
+        assert ('stability status=rejected detail="drift displacement per step exceeds '
+                '0.5 cells at t=0.95 x=-61: |mu|/dx = 92.055 > 0.5; refine the time grid"'
+                in proc.stderr)
+        assert "RuntimeWarning" not in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name", ["sigma", "b"])
     def test_non_finite_coefficient_exit(self, tmp_path, capsys, name):

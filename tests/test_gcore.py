@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gdro.gcore import (Grid, PenaltyParams, ProblemSpec, StabilityError,
+from gdro import gcore
+from gdro.expr import DomainError
+from gdro.gcore import (Coefficients, Grid, PenaltyParams, ProblemSpec, StabilityError,
                         VolatilityBand, g_eval, obstacle_fields,
                         uncontaminated_mask, validate_problem)
 
@@ -146,3 +148,21 @@ def test_obstacle_fields_and_mask():
     # cone closes toward t = T: more nodes kept on later slices
     assert mask[-1].sum() >= mask[0].sum()
     assert mask.dtype == bool
+
+
+def test_coefficient_blocks_stop_at_an_undefined_row(monkeypatch):
+    # h is undefined above t = 0.5; with four rows per block, the second
+    # block holds the first undefined row (t = 0.6) and is cut before it
+    spec = ProblemSpec.from_strings(horizon=1.0, x_min=-1.0, x_max=1.0, sigma_low=1.0,
+                                    sigma_high=1.0, h="sqrt(0.5 - t) + x*t")
+    coeffs = Coefficients(spec, np.linspace(-1.0, 1.0, 5))
+    monkeypatch.setattr(gcore, "_BLOCK_NODES", 20)
+    seen = []
+    with pytest.raises(DomainError):
+        for rows, times, (h, sigma) in coeffs.blocks(("h", "sigma"), 11, lambda k: 0.1 * k):
+            seen.append(rows)
+            assert np.array_equal(times, 0.1 * np.arange(rows.start, rows.stop))
+            for t, h_row, sigma_row in zip(times, h, sigma):
+                assert np.array_equal(h_row.view(np.uint8), coeffs("h", t).view(np.uint8))
+                assert np.array_equal(sigma_row, np.ones(5))
+    assert seen == [slice(0, 4), slice(4, 5), slice(5, 6)]

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 import oracles
+from gdro import gcore
 from gdro.convergence import monotone_ladder
 from gdro.expr import BinOp, DomainError, Num
 from gdro.gcore import Grid, PenaltyParams, ProblemSpec, StabilityError
 from gdro.lattice import (SweepCell, _run_sweep, conditional_g_expectation, double_ladder,
                           penalized_sweep, reflected_sweep, sweep_cells)
+from gdro.pde import PdeSchemeParams, solve_penalized_pde
 from gdro.scheme import SolutionField
 
 
@@ -358,3 +360,46 @@ def test_driver_domain_error_stays_with_its_cell():
     assert "sqrt" in rows[0].error
     assert rows[1].error is None
     assert np.isfinite(rows[1].sup_upper_violation)
+
+
+#: every coefficient varies in t and x, so every block of tables differs
+_VARCOEF = dict(horizon=1.0, x_min=-3.0, x_max=3.0, sigma_low=0.5, sigma_high=1.0,
+                b="0.1*sin(x + t + 0.5)", l="0.04*cos(x - 2*t + 1)",
+                sigma="1 + 0.2*sin(0.5*x + t + 2)",
+                f="sin(x + 3)*cos(t + 0.3) - 0.3*y + 0.1*z*cos(x + t)",
+                phi="0.08*sin(x + 1.5)", h="-0.4 + 0.08*sin(x + t + 2.5)",
+                h_prime="0.4 + 0.08*sin(x - t + 4)")
+
+
+def test_fields_independent_of_table_block_size(monkeypatch):
+    # one-row blocks, blocks that end inside a reported step of the PDE
+    # (10 rows, 3 substeps per step), and one block holding every row
+    spec = ProblemSpec.from_strings(**_VARCOEF)
+    grid = Grid.for_problem(spec, 20, 33)
+    params = PdeSchemeParams(grid=grid, penalty=_BATCH[0])
+    runs = []
+    for budget in (1, 10 * grid.n_x, 10 ** 9):
+        monkeypatch.setattr(gcore, "_BLOCK_NODES", budget)
+        runs.append([penalized_sweep(spec, grid, _BATCH[1]),
+                     *_run_sweep(spec, grid, tuple(SweepCell(p) for p in _BATCH[:6])),
+                     solve_penalized_pde(spec, params)])
+    for fields in zip(*runs):
+        for name in ("u", "z", "a_plus", "a_minus", "k_defect", "sigma_choice"):
+            first, *others = (getattr(f, name).view(np.uint8) for f in fields)
+            for other in others:
+                assert np.array_equal(first, other), name
+
+
+def test_t_free_kernel_equals_its_per_row_build():
+    # a kernel from t-free sigma, b and l is built from one row; adding 0*t
+    # makes the same values t-dependent, so every row is built
+    t_free = dict(_VARCOEF, b="0.1*sin(x + 0.5)", l="0.04*cos(x + 1)",
+                  sigma="1 + 0.2*sin(0.5*x + 2)")
+    per_row = dict(t_free, **{name: t_free[name] + " + 0*t" for name in ("sigma", "b", "l")})
+    cells = tuple(SweepCell(p) for p in _BATCH[:3])
+    grid = Grid.for_problem(ProblemSpec.from_strings(**t_free), 20, 33)
+    one, every = (_run_sweep(ProblemSpec.from_strings(**d), grid, cells) for d in (t_free, per_row))
+    for a, b in zip(one, every):
+        for name in ("u", "z", "a_plus", "a_minus", "k_defect", "sigma_choice"):
+            assert np.array_equal(getattr(a, name).view(np.uint8),
+                                  getattr(b, name).view(np.uint8)), name

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from gdro.expr import DomainError
 from gdro.gcore import (Grid, PenaltyParams, ProblemSpec, StabilityError,
                         VolatilityBand, g_eval, obstacle_fields)
 from gdro.lattice import SolutionField
@@ -125,6 +126,17 @@ class TestPenalizedPde:
             g[-1] = 3 * u[-1] - 3 * u[-2] + u[-3]
             u = u + dts * a * (g[2:] - 2 * u + g[:-2]) / grid.dx ** 2
         np.testing.assert_allclose(fld.u[0], u, atol=1e-11)
+
+    def test_earlier_driver_domain_error_wins_over_stability(self):
+        # sigma breaks the explicit bound at t = 0.947619048 (see
+        # test_cli), but the backward loop first reaches the substeps above
+        # t = 0.99, where the driver is undefined
+        spec = _spec(sigma_low=0.5, sigma_high=1.0,
+                     sigma="1 + 3*pos(sin(62.83185307179586*t))",
+                     phi="0.1*sin(3*x)", f="0*sqrt(0.99 - t)")
+        params = PdeSchemeParams(grid=Grid.for_problem(spec, 20, 121))
+        with pytest.raises(DomainError, match="sqrt"):
+            solve_penalized_pde(spec, params)
 
 
 class TestDirectSolve:

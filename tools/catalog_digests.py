@@ -3,11 +3,12 @@
     python3 tools/catalog_digests.py [--root DIR] [--work DIR]
 
 Runs ``gdro solve --assert --method both`` on each catalog entry at its
-default grid, emitting field, report and residual files, with the package
-imported from ``DIR/src`` (default: this checkout).  Prints one line per
-output file, ``<entry> <file> <sha256>``, plus each run's exit code.  Two
-checkouts whose printouts match produce byte-identical outputs, which is
-the contract a behaviour-preserving refactor must keep:
+default grid and on one inline problem (``INLINE``), emitting field, report
+and residual files, with the package imported from ``DIR/src`` (default:
+this checkout).  Prints one line per output file, ``<entry> <file>
+<sha256>``, plus each run's exit code.  Two checkouts whose printouts match
+produce byte-identical outputs, which is the contract a
+behaviour-preserving refactor must keep:
 
     python3 tools/catalog_digests.py --root ../old > old.txt
     python3 tools/catalog_digests.py > new.txt
@@ -30,6 +31,24 @@ _LIST_ENTRIES = ("import json; from gdro.catalog import CATALOG; "
                  "print(json.dumps({k: list(e.grid) for k, e in sorted(CATALOG.items())}))")
 
 
+#: an inline problem whose every coefficient varies in t and x, with both
+#: ladders and the stability probes: no catalog entry has a t-dependent
+#: sigma, b or l, so only this run changes the solvers' coefficient tables
+#: and lattice kernels from one time row to the next
+INLINE = {"varcoef-inline": {
+    "problem": {"horizon": 1.0, "x_min": -3.0, "x_max": 3.0,
+                "sigma_low": 0.5, "sigma_high": 1.0,
+                "b": "0.1*sin(x + t + 0.5)", "l": "0.04*cos(x - 2*t + 1)",
+                "sigma": "1 + 0.2*sin(0.5*x + t + 2)",
+                "f": "sin(x + 3)*cos(t + 0.3) - 0.3*y + 0.1*z*cos(x + t)",
+                "phi": "0.08*sin(x + 1.5)", "h": "-0.4 + 0.08*sin(x + t + 2.5)",
+                "h_prime": "0.4 + 0.08*sin(x - t + 4)"},
+    "grid": {"n_t": 120, "n_x": 61},
+    "penalties": {"n_upper": 64.0, "m_lower": 64.0, "penalty_mode": "nodewise-implicit"},
+    "ladders": {"n_list": [4.0, 16.0, 64.0, 256.0], "m_list": [10.0, 100.0],
+                "epsilon_list": [0.1, 0.01]}}}
+
+
 def _env(root):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(root, "src")
@@ -49,12 +68,13 @@ def catalog_digests(root, work):
     env = _env(root)
     listing = subprocess.run([sys.executable, "-c", _LIST_ENTRIES], env=env,
                              check=True, capture_output=True, text=True)
-    for name, (n_t, n_x) in json.loads(listing.stdout).items():
+    configs = {name: {"problem": name, "grid": {"n_t": n_t, "n_x": n_x}}
+               for name, (n_t, n_x) in json.loads(listing.stdout).items()}
+    for name, run in {**configs, **INLINE}.items():
         out_dir = os.path.join(work, name)
         config = os.path.join(work, name + ".json")
         with open(config, "w", encoding="utf-8") as fh:
-            json.dump({"problem": name, "grid": {"n_t": n_t, "n_x": n_x},
-                       "method": "both", "emit": ["field", "report", "residual"]}, fh)
+            json.dump({**run, "method": "both", "emit": ["field", "report", "residual"]}, fh)
         proc = subprocess.run([sys.executable, "-m", "gdro.cli", "solve", "--config", config,
                                "--out", out_dir, "--assert"],
                               env=env, capture_output=True, text=True)
