@@ -11,12 +11,12 @@ import numpy as np
 from .gcore import (NODEWISE_IMPLICIT, DEFAULT_KAPPA_F, PROJECTION, Coefficients,
                     Grid, PenaltyParams, ProblemSpec, driver_sample, obstacle_fields,
                     uncontaminated_mask)
-from .lattice import _ladder_fields, penalized_sweep
+from .lattice import ladder_column, penalized_sweep
 from .pde import PdeSchemeParams, solve_penalized_pde
 # LadderRow, asc_residuals, asc_residuals_global and obstacle_violations are
 # also this module's API
 from .scheme import (LadderRow, SolutionField, asc_residuals, asc_residuals_global,
-                     ladder_row, obstacle_violations, ordering_gap, require_finite)
+                     obstacle_violations)
 
 #: entries at or below this floor are noise and are excluded from rate fits
 RATE_FIT_FLOOR = 10.0 * np.finfo(float).eps
@@ -57,20 +57,8 @@ def monotone_ladder(spec: ProblemSpec, grid: Grid, n_list,
     n_list = [float(v) for v in n_list]
     if sorted(n_list) != n_list:
         raise ValueError("n_list must be sorted ascending")
-    report = ConvergenceReport()
-    fields = _ladder_fields(spec, grid, [
-        dict(n_upper=n, m_lower=PROJECTION, penalty_mode=penalty_mode, kappa_f=kappa_f)
-        for n in n_list], swept)
-    prev = None
-    for k, (n, fld) in enumerate(zip(n_list, fields)):
-        if isinstance(fld, Exception):
-            report.rows.append(LadderRow(n=n, m=np.inf, error=str(fld)))
-            fields[k] = prev = None
-            continue
-        require_finite(fld, n=n, m=np.inf)
-        report.rows.append(ladder_row(fld, spec, grid, n, np.inf,
-                                      mono_gap_n=ordering_gap(fld.u, prev)))
-        prev = fld.u
+    rows, fields = ladder_column(spec, grid, n_list, PROJECTION, penalty_mode, kappa_f, swept)
+    report = ConvergenceReport(rows)
     report.rate_slope = _fit_rate_slope(
         [r.n for r in report.rows if r.error is None],
         [r.sup_upper_violation for r in report.rows if r.error is None])

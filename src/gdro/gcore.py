@@ -258,6 +258,11 @@ class Coefficients:
         return ex.eval_expr(self.spec.f, {"t": t, "x": x, "y": y, "z": z})
 
 
+def t_free_rows(*tables):
+    """``tables``, cut to one row if all are broadcast rows (t-free, see Coefficients)."""
+    return tables if any(a.strides[0] for a in tables) else tuple(a[:1] for a in tables)
+
+
 def first_true(mask):
     """(row, column) of the first True of a 2-D mask in row-major order, or
     None."""

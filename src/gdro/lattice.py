@@ -9,9 +9,9 @@ propagate without error.  All weights are non-negative, which keeps the
 scheme monotone; beyond the domain edges probes clamp to the edge value
 (constant extrapolation).
 
-Sweeps run on an internally widened x-grid (a few adversarial standard
-deviations of margin) so edge clamping cannot pollute the reported window;
-the returned fields cover the requested grid only.
+Sweeps run on an internally widened x-grid (both band endpoints' drift
+reach plus a few adversarial standard deviations) so edge clamping cannot
+pollute the reported window; the returned fields cover the requested grid.
 
 One sweep advances a batch of cells through one backward time loop.  A cell
 is a set of penalties plus a constant shift of the lower obstacle h; the
@@ -36,7 +36,7 @@ import numpy as np
 
 from .gcore import (EXPLICIT, NODEWISE_IMPLICIT, DEFAULT_KAPPA_F, PROJECTION,
                     Coefficients, Grid, PenaltyParams, ProblemSpec, StabilityError,
-                    first_true)
+                    first_true, t_free_rows)
 from .scheme import (LadderRow, SolutionField, central_diff, ceil_eps, ladder_row,
                      obstacle_update, ordering_gap, require_finite, z_field)
 
@@ -76,8 +76,7 @@ def _kernels(sv, bv, lv, idx, band, dt, dx, n_nodes, t, x):
     built from that row and broadcast back to every row.
     """
     n_rows = len(t)
-    if not any(a.strides[0] for a in (sv, bv, lv)):
-        sv, bv, lv = sv[:1], bv[:1], lv[:1]
+    sv, bv, lv = t_free_rows(sv, bv, lv)
     endpoints = (band.sigma_low, band.sigma_high)
     mus = [(bv + lv * sig ** 2) * dt for sig in endpoints]
     weights = [np.abs(mu) / dx for mu in mus]
@@ -151,11 +150,12 @@ def conditional_g_expectation(next_slice, t, x, spec: ProblemSpec, grid: Grid):
 
 
 def _extension_cells(spec, grid):
-    """Ghost-margin width: drift reach plus MARGIN_SIGMAS diffusive deviations."""
+    """Ghost-margin width: either endpoint's drift reach plus MARGIN_SIGMAS deviations."""
     coeffs = Coefficients(spec, grid.x)
     sv, bv, lv = (coeffs(name, grid.t[:, None]) for name in ("sigma", "b", "l"))
     smax = float(np.max(np.abs(sv)))
-    bmax = float(np.max(np.abs(bv + lv * spec.band.sigma_high ** 2)))
+    bmax = max(float(np.max(np.abs(bv + lv * sig ** 2)))
+               for sig in (spec.band.sigma_low, spec.band.sigma_high))
     reach = bmax * grid.t_max + MARGIN_SIGMAS * spec.band.sigma_high * smax * np.sqrt(grid.t_max)
     cells = ceil_eps(reach / grid.dx)
     if not cells <= 200_000:
@@ -298,21 +298,6 @@ def _field_or_raise(result) -> SolutionField:
     return result
 
 
-def _ladder_fields(spec: ProblemSpec, grid: Grid, penalty_kwargs, swept=None) -> list:
-    """sweep_cells of the cells ``PenaltyParams(**kw)`` for kw in
-    ``penalty_kwargs``; a cell whose penalties are invalid holds that
-    ValueError and is not swept."""
-    cells = []
-    for kw in penalty_kwargs:
-        try:
-            cells.append(SweepCell(PenaltyParams(**kw)))
-        except ValueError as err:
-            cells.append(err)
-    fields = iter(sweep_cells(spec, grid, [c for c in cells if isinstance(c, SweepCell)],
-                              swept))
-    return [next(fields) if isinstance(c, SweepCell) else c for c in cells]
-
-
 def penalized_sweep(spec: ProblemSpec, grid: Grid, penalties: PenaltyParams,
                     threads: int = 1) -> SolutionField:
     """Backward sweep with both constraints enforced by penalty terms.
@@ -338,6 +323,42 @@ def reflected_sweep(spec: ProblemSpec, grid: Grid, n_upper: float,
     """
     return penalized_sweep(spec, grid, PenaltyParams(
         n_upper=n_upper, m_lower=PROJECTION, penalty_mode=penalty_mode, kappa_f=kappa_f))
+
+
+def ladder_column(spec: ProblemSpec, grid: Grid, n_list, m_lower, penalty_mode, kappa_f,
+                  swept=None, left=None):
+    """(rows, fields) of the cells (n, m_lower), n in ``n_list``, swept as one
+    batch; ``swept`` maps cells already swept to their fields.
+
+    A cell with invalid penalties or a failed sweep gets a row holding the
+    error and the field None; a non-finite field raises NonFiniteField.
+    mono_gap_n is taken against the previous n, and mono_gap_m against
+    ``left`` (u per n at the previous m, None where missing) if given.  A
+    projection column is labelled m = inf."""
+    m = np.inf if m_lower == PROJECTION else m_lower
+
+    def cell_of(n):
+        try:
+            return SweepCell(PenaltyParams(n, m_lower, penalty_mode, kappa_f))
+        except ValueError as err:
+            return err
+    cells = [cell_of(n) for n in n_list]
+    swept_fields = iter(sweep_cells(spec, grid, [c for c in cells if isinstance(c, SweepCell)],
+                                    swept))
+    rows, fields, above = [], [], None  # above: u at the previous n
+    for k, (n, cell) in enumerate(zip(n_list, cells)):
+        fld = next(swept_fields) if isinstance(cell, SweepCell) else cell
+        if isinstance(fld, Exception):
+            rows.append(LadderRow(n=n, m=m, error=str(fld)))
+            fld = None
+        else:
+            require_finite(fld, n=n, m=m)
+            rows.append(ladder_row(
+                fld, spec, grid, n, m, mono_gap_n=ordering_gap(fld.u, above),
+                mono_gap_m=np.nan if left is None else ordering_gap(left[k], fld.u)))
+        fields.append(fld)
+        above = None if fld is None else fld.u
+    return rows, fields
 
 
 @dataclass
@@ -366,19 +387,9 @@ def double_ladder(spec: ProblemSpec, grid: Grid, n_list, m_list,
                                 cells=[[None] * len(m_list) for _ in n_list])
     left = [None] * len(n_list)  # u at the previous m, per n
     for j, m in enumerate(m_list):
-        column = _ladder_fields(spec, grid, [
-            dict(n_upper=n, m_lower=m, penalty_mode=penalty_mode, kappa_f=kappa_f)
-            for n in n_list], swept)
-        above = None  # u at the previous n in this column
-        for i, (n, fld) in enumerate(zip(n_list, column)):
-            if isinstance(fld, Exception):
-                report.cells[i][j] = LadderRow(n=n, m=m, error=str(fld))
-                column[i] = above = None
-                continue
-            require_finite(fld, n=n, m=m)
-            report.cells[i][j] = ladder_row(fld, spec, grid, n, m,
-                                            mono_gap_n=ordering_gap(fld.u, above),
-                                            mono_gap_m=ordering_gap(left[i], fld.u))
-            column[i] = above = fld.u
-        left = column
+        rows, fields = ladder_column(spec, grid, n_list, m, penalty_mode, kappa_f, swept, left)
+        left = [None if fld is None else fld.u for fld in fields]
+        del fields  # the next column sweeps with only this one's u alive
+        for cells, row in zip(report.cells, rows):
+            cells[j] = row
     return report

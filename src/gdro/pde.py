@@ -31,7 +31,7 @@ import numpy as np
 
 from .gcore import (EXPLICIT, NODEWISE_IMPLICIT, Coefficients, Grid, PenaltyParams,
                     ProblemSpec, StabilityError, first_true, g_eval, obstacle_fields,
-                    uncontaminated_mask)
+                    t_free_rows, uncontaminated_mask)
 from .scheme import CEIL_EPS, SolutionField, ceil_eps, obstacle_update, z_field
 
 #: contact-set exclusion margins for the residual sup, as domain fractions
@@ -89,7 +89,8 @@ def _substep_failure(spec, penalties, direct, grid, dts, ts, sv, bv, lv):
     """(r, error): the explicit bound holds at every node of the first r
     rows of the substep tables (rows at the times ``ts``), and ``error`` is
     the StabilityError naming the first failing node of row r, or None when
-    every row holds."""
+    every row holds.  Tables cut to one row (``t_free_rows``) stand for
+    every row of ``ts``."""
     rate = _explicit_rate(spec, penalties, direct, grid.dx, sv, bv, lv, per_node=True)
     node = first_true(~(dts * rate <= 1.0 + CEIL_EPS))
     if node is None:
@@ -111,8 +112,8 @@ def _ghost_row(u):
 
 def _run_pde(spec, grid, penalties, direct, max_substeps):
     dt, dx = grid.dt, grid.dx
-    if penalties.penalty_mode == NODEWISE_IMPLICIT and dt * penalties.kappa_f >= 1.0:
-        raise StabilityError("implicit mode requires dt*kappa_f < 1")
+    if penalties.penalty_mode == NODEWISE_IMPLICIT:
+        penalties.check_explicit_cfl(dt)
     nsub = _stability_substeps(spec, grid, penalties, direct, max_substeps)
     dts = dt / nsub
     x = grid.x
@@ -120,8 +121,6 @@ def _run_pde(spec, grid, penalties, direct, max_substeps):
     coeffs = Coefficients(spec, x)
     band = spec.band
     lo2, hi2 = band.sigma_low ** 2, band.sigma_high ** 2
-    # t-free rows are the rows _stability_substeps sized the substeps on
-    recheck = any(name not in coeffs.static for name in ("sigma", "b", "l"))
 
     out = SolutionField.empty(grid)
     u = coeffs("phi")
@@ -136,8 +135,8 @@ def _run_pde(spec, grid, penalties, direct, max_substeps):
 
     for block, times, (sv, bv, lv, hv, hpv) in coeffs.blocks(
             ("sigma", "b", "l", "h", "h_prime"), grid.n_t * nsub, substep_times):
-        n_ok, error = (_substep_failure(spec, penalties, direct, grid, dts, times,
-                                        sv, bv, lv) if recheck else (None, None))
+        n_ok, error = _substep_failure(spec, penalties, direct, grid, dts, times,
+                                       *t_free_rows(sv, bv, lv))
         for r, k in enumerate(range(block.start, block.stop)):
             if r == n_ok:
                 raise error
@@ -225,14 +224,10 @@ def complementarity_residual(field: SolutionField, spec: ProblemSpec, grid: Grid
     u = field.u
     dt, dx = grid.dt, grid.dx
     h, hp = obstacle_fields(spec, grid)
-    coeffs = Coefficients(spec, grid.x)
-    tcol = grid.t[:-1, None]
-    sv, bv, lv = (coeffs(name, tcol)[:, 1:-1] for name in ("sigma", "b", "l"))
     ui, inner = u[:-1], u[:-1, 1:-1]
     d2 = (ui[:, 2:] - 2.0 * inner + ui[:, :-2]) / dx ** 2
     d1 = (ui[:, 2:] - ui[:, :-2]) / (2.0 * dx)
-    F = (g_eval(sv ** 2 * d2 + 2.0 * lv * d1, spec.band) + bv * d1
-         + coeffs.f(tcol, grid.x[1:-1], inner, sv * d1))
+    F = f_operator(d2, d1, inner, grid.x[1:-1], grid.t[:-1, None], spec)
     ddt = (u[1:, 1:-1] - inner) / dt
     r = np.full((grid.n_t + 1, grid.n_x), np.nan)
     r[:-1, 1:-1] = np.maximum(inner - hp[:-1, 1:-1],

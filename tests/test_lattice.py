@@ -63,6 +63,13 @@ class TestConditionalGExpectation:
         assert value == pytest.approx(oracles.STEP_MINSQ_VALUE, abs=1e-12)
         assert choice == 0
 
+    def test_drift_weight_rejection(self):
+        # |b|*dt/dx = 2*0.5/0.05 = 20 cells per step
+        spec = _spec(b="2")
+        grid = Grid.for_problem(spec, 2, 121)
+        with pytest.raises(StabilityError, match="drift displacement per step"):
+            conditional_g_expectation(grid.x, 0.0, 0.0, spec, grid)
+
     def test_vectorized_matches_scalar(self):
         spec = _spec(horizon=0.5)
         grid = Grid.for_problem(spec, 2, 101)
@@ -121,6 +128,17 @@ class TestPenalizedSweep:
         grid = Grid.for_problem(spec, 200, 121)
         fld = penalized_sweep(spec, grid, PenaltyParams())
         assert fld.u[0, _mid(grid)] == pytest.approx(1.0, abs=1e-10)
+
+    def test_ghost_margin_covers_both_endpoint_drifts(self):
+        # b and l of opposite signs: the low endpoint drifts at
+        # b + l*0.1^2 = 0.99, the high one at 0.  The margin must cover the
+        # larger reach, or the clamped edge shows in the reported window;
+        # the window [-1, 1] is columns 60:101 of the solve on [-4, 4]
+        def solve(x_lim, n_x):
+            spec = _spec(x_min=-x_lim, x_max=x_lim, sigma_low=0.1, sigma_high=1.0,
+                         sigma="0.2", b="1", l="-1", phi="x")
+            return penalized_sweep(spec, Grid.for_problem(spec, 50, n_x), PenaltyParams()).u
+        np.testing.assert_allclose(solve(1.0, 41), solve(4.0, 161)[:, 60:101], rtol=0, atol=1e-9)
 
     def test_quadratic_variation_drift(self):
         # l realizes as l*sigma^2 under the chosen control; linear payoff

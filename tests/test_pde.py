@@ -100,6 +100,13 @@ class TestPenalizedPde:
             solve_penalized_pde(spec, PdeSchemeParams(
                 grid=grid, penalty=PenaltyParams(n_upper=1e9), max_substeps=100))
 
+    def test_implicit_kappa_rejection(self):
+        spec = _spec()
+        grid = Grid.for_problem(spec, 2, 61)  # dt = 0.5, kappa_f = 5
+        with pytest.raises(StabilityError, match=r"dt\*kappa_f < 1, got 2.5"):
+            solve_penalized_pde(spec, PdeSchemeParams(
+                grid=grid, penalty=PenaltyParams(penalty_mode="nodewise-implicit")))
+
     def test_comparison_interior(self):
         lo = _spec(f="0.3*y", phi="min(x*x, 2)")
         hi = _spec(f="0.3*y", phi="min(x*x, 2) + 0.1")

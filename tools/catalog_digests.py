@@ -3,7 +3,7 @@
     python3 tools/catalog_digests.py [--root DIR] [--work DIR]
 
 Runs ``gdro solve --assert --method both`` on each catalog entry at its
-default grid and on one inline problem (``INLINE``), emitting field, report
+default grid and on the inline problems of ``INLINE``, emitting field, report
 and residual files, with the package imported from ``DIR/src`` (default:
 this checkout).  Prints one line per output file, ``<entry> <file>
 <sha256>``, plus each run's exit code.  Two checkouts whose printouts match
@@ -31,22 +31,36 @@ _LIST_ENTRIES = ("import json; from gdro.catalog import CATALOG; "
                  "print(json.dumps({k: list(e.grid) for k, e in sorted(CATALOG.items())}))")
 
 
-#: an inline problem whose every coefficient varies in t and x, with both
-#: ladders and the stability probes: no catalog entry has a t-dependent
-#: sigma, b or l, so only this run changes the solvers' coefficient tables
-#: and lattice kernels from one time row to the next
-INLINE = {"varcoef-inline": {
-    "problem": {"horizon": 1.0, "x_min": -3.0, "x_max": 3.0,
-                "sigma_low": 0.5, "sigma_high": 1.0,
-                "b": "0.1*sin(x + t + 0.5)", "l": "0.04*cos(x - 2*t + 1)",
-                "sigma": "1 + 0.2*sin(0.5*x + t + 2)",
-                "f": "sin(x + 3)*cos(t + 0.3) - 0.3*y + 0.1*z*cos(x + t)",
-                "phi": "0.08*sin(x + 1.5)", "h": "-0.4 + 0.08*sin(x + t + 2.5)",
-                "h_prime": "0.4 + 0.08*sin(x - t + 4)"},
-    "grid": {"n_t": 120, "n_x": 61},
-    "penalties": {"n_upper": 64.0, "m_lower": 64.0, "penalty_mode": "nodewise-implicit"},
-    "ladders": {"n_list": [4.0, 16.0, 64.0, 256.0], "m_list": [10.0, 100.0],
-                "epsilon_list": [0.1, 0.01]}}}
+#: a problem whose every coefficient varies in t and x
+_VARCOEF = {"horizon": 1.0, "x_min": -3.0, "x_max": 3.0,
+            "sigma_low": 0.5, "sigma_high": 1.0,
+            "b": "0.1*sin(x + t + 0.5)", "l": "0.04*cos(x - 2*t + 1)",
+            "sigma": "1 + 0.2*sin(0.5*x + t + 2)",
+            "f": "sin(x + 3)*cos(t + 0.3) - 0.3*y + 0.1*z*cos(x + t)",
+            "phi": "0.08*sin(x + 1.5)", "h": "-0.4 + 0.08*sin(x + t + 2.5)",
+            "h_prime": "0.4 + 0.08*sin(x - t + 4)"}
+
+#: inline runs.  varcoef-inline has both ladders and the stability probes: no
+#: catalog entry has a t-dependent sigma, b or l, so only these runs change
+#: the solvers' coefficient tables and lattice kernels from one time row to
+#: the next.  varcoef-ladder-errors runs the ladder rows that hold an error,
+#: which no catalog entry has: an invalid rung (n = -1), rungs failing the
+#: explicit CFL check (n = 64, and (16, 20) of the double ladder), and an
+#: n_upper outside n_list, so the m-ladder is a column of its own.
+INLINE = {
+    "varcoef-inline": {
+        "problem": _VARCOEF,
+        "grid": {"n_t": 120, "n_x": 61},
+        "penalties": {"n_upper": 64.0, "m_lower": 64.0, "penalty_mode": "nodewise-implicit"},
+        "ladders": {"n_list": [4.0, 16.0, 64.0, 256.0], "m_list": [10.0, 100.0],
+                    "epsilon_list": [0.1, 0.01]}},
+    "varcoef-ladder-errors": {
+        "problem": _VARCOEF,
+        "grid": {"n_t": 40, "n_x": 41},
+        "penalties": {"n_upper": 8.0, "m_lower": 10.0, "penalty_mode": "explicit"},
+        "ladders": {"n_list": [-1.0, 4.0, 16.0, 64.0], "m_list": [2.0, 10.0, 20.0],
+                    "epsilon_list": [0.1]}},
+}
 
 
 def _env(root):
