@@ -34,7 +34,7 @@ def interior_gap(spec: ProblemSpec, grid: Grid, a, b) -> float:
 
 
 def _fit_rate_slope(n_values, violations):
-    pts = [(n, v) for n, v in zip(n_values, violations) if v > RATE_FIT_FLOOR]
+    pts = [(n, v) for n, v in zip(n_values, violations) if n > 0 and v > RATE_FIT_FLOOR]
     if len(pts) < 2:
         return None
     ln = np.log([p[0] for p in pts])
@@ -50,9 +50,10 @@ def monotone_ladder(spec: ProblemSpec, grid: Grid, n_list,
     Fills per-rung upper violations (which should decay like 1/n), the
     pointwise monotonicity violation against the previous rung (the ladder
     is non-increasing in n for a monotone scheme), pushing residuals, and a
-    least-squares log-log slope of the upper violation over the rungs above
-    the noise floor.  The rungs are one batched sweep; ``swept`` maps cells
-    already swept to their fields.  A non-finite rung raises NonFiniteField.
+    least-squares log-log slope of the upper violation over the rungs with
+    n > 0 above the noise floor.  The rungs are one batched sweep; ``swept``
+    maps cells already swept to their fields.  A non-finite rung raises
+    NonFiniteField.
     """
     n_list = [float(v) for v in n_list]
     if sorted(n_list) != n_list:

@@ -111,13 +111,16 @@ def _ghost_row(u):
 
 
 def _run_pde(spec, grid, penalties, direct, max_substeps):
+    """The backward loop of both PDE solves.  Each substep adds its a_plus,
+    a_minus and defect into row i of the zeroed field; u and sigma_choice
+    are stored at the step's last substep.  A block runs its substeps up to
+    the first failing the explicit bound and raises that one's error after."""
     dt, dx = grid.dt, grid.dx
     if penalties.penalty_mode == NODEWISE_IMPLICIT:
         penalties.check_explicit_cfl(dt)
     nsub = _stability_substeps(spec, grid, penalties, direct, max_substeps)
     dts = dt / nsub
     x = grid.x
-    n_x = grid.n_x
     coeffs = Coefficients(spec, x)
     band = spec.band
     lo2, hi2 = band.sigma_low ** 2, band.sigma_high ** 2
@@ -133,35 +136,30 @@ def _run_pde(spec, grid, penalties, direct, max_substeps):
     def substep_times(k):
         return (grid.n_t - 1 - k // nsub) * dt + (nsub - 1 - k % nsub) * dts
 
-    for block, times, (sv, bv, lv, hv, hpv) in coeffs.blocks(
-            ("sigma", "b", "l", "h", "h_prime"), grid.n_t * nsub, substep_times):
-        n_ok, error = _substep_failure(spec, penalties, direct, grid, dts, times,
-                                       *t_free_rows(sv, bv, lv))
-        for r, k in enumerate(range(block.start, block.stop)):
-            if r == n_ok:
+    # a zero intensity against an infinite h or h' makes a 0*inf that
+    # obstacle_update discards or that require_finite reports
+    with np.errstate(invalid="ignore"):
+        for block, times, (sv, bv, lv, hv, hpv) in coeffs.blocks(
+                ("sigma", "b", "l", "h", "h_prime"), grid.n_t * nsub, substep_times):
+            n_ok, error = _substep_failure(spec, penalties, direct, grid, dts, times,
+                                           *t_free_rows(sv, bv, lv))
+            for r, k in enumerate(range(block.start, block.start + n_ok)):
+                i, s = grid.n_t - 1 - k // nsub, k % nsub
+                ts = float(times[r])
+                g = _ghost_row(u)
+                d2 = (g[2:] - 2.0 * u + g[:-2]) / dx ** 2
+                d1 = (g[2:] - g[:-2]) / (2.0 * dx)
+                harg = sv[r] ** 2 * d2 + 2.0 * lv[r] * d1
+                F = g_eval(harg, band) + bv[r] * d1 + coeffs.f(ts, x, u, sv[r] * d1)
+                out.k_defect[i] += -0.5 * (hi2 - lo2) * np.abs(harg) * dts
+                u, ap, am = obstacle_update(u + dts * F, u, hv[r], hpv[r], dts, penalties, direct)
+                out.a_plus[i] += ap
+                out.a_minus[i] += am
+                if s == nsub - 1:
+                    out.u[i] = u
+                    out.sigma_choice[i] = harg > 0.0
+            if error is not None:
                 raise error
-            i, s = grid.n_t - 1 - k // nsub, k % nsub
-            if s == 0:
-                a_plus_acc = np.zeros(n_x)
-                a_minus_acc = np.zeros(n_x)
-                kdef_acc = np.zeros(n_x)
-            ts = float(times[r])
-            g = _ghost_row(u)
-            d2 = (g[2:] - 2.0 * u + g[:-2]) / dx ** 2
-            d1 = (g[2:] - g[:-2]) / (2.0 * dx)
-            harg = sv[r] ** 2 * d2 + 2.0 * lv[r] * d1
-            F = g_eval(harg, band) + bv[r] * d1 + coeffs.f(ts, x, u, sv[r] * d1)
-            kdef_acc += -0.5 * (hi2 - lo2) * np.abs(harg) * dts
-            choice = (harg > 0.0).astype(np.int8)
-            u, ap, am = obstacle_update(u + dts * F, u, hv[r], hpv[r], dts, penalties, direct)
-            a_plus_acc += ap
-            a_minus_acc += am
-            if s == nsub - 1:
-                out.u[i] = u
-                out.a_plus[i] = a_plus_acc
-                out.a_minus[i] = a_minus_acc
-                out.k_defect[i] = kdef_acc
-                out.sigma_choice[i] = choice
 
     # the last block's tables are not kept while z is computed
     del sv, bv, lv, hv, hpv

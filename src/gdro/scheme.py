@@ -107,22 +107,6 @@ def _solve_upper(base, hp, n, dt):
     return np.where(base > hp, np.maximum(np.minimum(high, base), hp), base)
 
 
-def _unless_zero(k, value, update):
-    """``update()`` where the intensity ``k`` is nonzero, ``value`` where it
-    is 0: the elementwise ``update() if k else value`` for a scalar k or a
-    (B, 1) column with one entry per row.  A column mixing both runs the
-    update on the rows it discards too, where 0*inf may make a nan; numpy's
-    warnings about those rows are silenced."""
-    if not isinstance(k, np.ndarray):
-        return update() if k else value
-    if k.all():
-        return update()
-    if not k.any():
-        return value
-    with np.errstate(invalid="ignore", over="ignore"):
-        return np.where(k != 0, update(), value)
-
-
 def obstacle_update(base, anchor, h, hp, dt, penalties, direct=False):
     """Constrain one step's unconstrained value ``base``; returns
     (value, a_plus, a_minus).
@@ -136,7 +120,11 @@ def obstacle_update(base, anchor, h, hp, dt, penalties, direct=False):
 
     The intensities ``penalties.n_upper`` and ``penalties.m_value`` are
     numbers, or (B, 1) columns for a batch whose row b of ``base`` is one
-    cell with intensities n[b] and m[b].
+    cell with intensities n[b] and m[b].  A zero intensity takes the same
+    path and returns the unpenalized value bitwise for finite obstacles;
+    against an infinite obstacle it makes 0*inf, a nan that np.where drops
+    unless the obstacle is infinite on the wrong side (the solvers' loops
+    run under ``np.errstate(invalid="ignore")``).
     """
     n, m = penalties.n_upper, penalties.m_value
     implicit = penalties.penalty_mode == NODEWISE_IMPLICIT
@@ -146,14 +134,14 @@ def obstacle_update(base, anchor, h, hp, dt, penalties, direct=False):
         return value, lower - base, lower - value
     if penalties.project_lower:
         if implicit:
-            pre = _unless_zero(n, base, lambda: _solve_upper(base, hp, n, dt))
+            pre = _solve_upper(base, hp, n, dt)
         else:
-            pre = _unless_zero(n, base, lambda: base - dt * n * np.maximum(anchor - hp, 0.0))
+            pre = base - dt * n * np.maximum(anchor - hp, 0.0)
         value = np.maximum(h, pre)
         return value, value - pre, base - pre
     if implicit:
-        lower = _unless_zero(m, base, lambda: _solve_lower(base, h, m, dt))
-        value = _unless_zero(n, lower, lambda: _solve_upper(lower, hp, n, dt))
+        lower = _solve_lower(base, h, m, dt)
+        value = _solve_upper(lower, hp, n, dt)
         return value, lower - base, lower - value
     a_plus = dt * m * np.maximum(h - anchor, 0.0)
     a_minus = dt * n * np.maximum(anchor - hp, 0.0)

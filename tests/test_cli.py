@@ -81,15 +81,49 @@ class TestLoadConfig:
     def test_penalties_and_ladders(self, tmp_path):
         cfg = parse_config({
             "problem": "double-obstacle-sine", "grid": {"n_t": 10, "n_x": 21},
-            "penalties": {"n_upper": 8, "m_lower": "projection"},
+            "penalties": {"n_upper": 8, "m_lower": "projection", "kappa_f": 2},
             "ladders": {"n_list": [2, 4]}, "emit": ["field"]})
         assert cfg.penalties.project_lower and cfg.penalties.n_upper == 8.0
+        assert cfg.penalties.kappa_f == 2.0
         assert cfg.ladders == {"n_list": [2.0, 4.0]}
         assert cfg.emit == ("field",)
 
     def test_not_an_object(self):
         with pytest.raises(ConfigError):
             parse_config([1, 2, 3])
+
+    @pytest.mark.parametrize("change, pointer, message", [
+        ({"problem": dict(INLINE_HEAT, horizon="1")}, "/problem/horizon", "expected a number"),
+        ({"grid": {"n_t": 4.5, "n_x": 5}}, "/grid/n_t", "expected an integer"),
+        ({"problem": 7}, "/problem", "expected a catalog name or an object"),
+        ({"problem": dict(INLINE_HEAT, kappa=1)}, "/problem/kappa", "unknown problem key"),
+        ({"problem": dict(INLINE_HEAT, phi=1)}, "/problem/phi", "expected an expression string"),
+        ({"problem": dict(INLINE_HEAT, sigma_low=2.0)}, "/problem",
+         "need 0 < sigma_low <= sigma_high, got (2.0, 1.0)"),
+        ({"grid": [4, 5]}, "/grid", "expected an object"),
+        ({"grid": {"n_t": 0, "n_x": 5}}, "/grid", "need n_t >= 1 and n_x >= 3"),
+        ({"penalties": 8}, "/penalties", "expected an object"),
+        ({"penalties": {"n_lower": 8}}, "/penalties/n_lower", "unknown penalties key"),
+        ({"penalties": {"n_upper": -1}}, "/penalties", "n_upper must be >= 0"),
+        ({"ladders": [4, 8]}, "/ladders", "expected an object"),
+        ({"ladders": {"k_list": [4]}}, "/ladders/k_list", "unknown ladders key"),
+        ({"ladders": {"n_list": 4}}, "/ladders/n_list", "expected an array"),
+        ({"emit": ["plot"]}, "/emit", "expected a subset of {field, report, residual}"),
+        ({"output_dir": 5}, "/output_dir", "expected a string"),
+    ])
+    def test_rejection_pointer_and_message(self, change, pointer, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config({"problem": dict(INLINE_HEAT), "grid": {"n_t": 4, "n_x": 5},
+                          **change})
+        assert err.value.pointer == pointer
+        assert str(err.value) == "%s at %s" % (message, pointer)
+
+    def test_invalid_json(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text('{"problem": ')
+        with pytest.raises(ConfigError, match="^invalid JSON: .* at /$") as err:
+            load_config(str(path))
+        assert err.value.pointer == ""
 
 
 class TestRun:
@@ -123,6 +157,14 @@ class TestRun:
         assert rc == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "obstacle-crossing" in err and "x_index=0" in err
+
+    def test_driver_lipschitz_warning(self, tmp_path, capsys):
+        rc = _solve(tmp_path, {
+            "problem": dict(INLINE_HEAT, f="10*y"), "grid": {"n_t": 10, "n_x": 11},
+            "method": "pde", "emit": []})
+        assert rc == EXIT_OK
+        assert ('warn msg="sampled driver Lipschitz constant 10 exceeds configured '
+                'kappa_f 5"\n' in capsys.readouterr().err)
 
     def test_stability_exit(self, tmp_path, capsys):
         rc = _solve(tmp_path, {
@@ -247,6 +289,18 @@ class TestRun:
         assert "t_index=15 x_index=0 t=0.75 x=-3" in err
         assert not (tmp_path / "out").exists()
 
+    def test_zero_intensity_against_wrong_side_infinite_obstacle(self, tmp_path, capsys):
+        # h' = -inf in the lattice's ghost cells beyond x = -3.05; at n = 0
+        # the upper solve computes 0*inf = nan there, which reaches the window
+        rc = _solve(tmp_path, {
+            "problem": dict(UNCERTAIN_SINE, h_prime="1 - exp(800*(-x - 3.05))"),
+            "grid": {"n_t": 20, "n_x": 41}, "method": "lattice",
+            "penalties": {"n_upper": 0, "m_lower": "projection",
+                          "penalty_mode": "nodewise-implicit"}})
+        assert rc == EXIT_STABILITY
+        assert ("stability status=rejected kind=non-finite-field method=lattice "
+                "t_index=15 x_index=0" in capsys.readouterr().err)
+
     def test_non_finite_field_prints_no_warning(self, tmp_path):
         # the 0*inf that makes the nan would otherwise print a RuntimeWarning
         cfg = _write(tmp_path, {
@@ -356,6 +410,56 @@ def test_non_finite_ladder_or_probe_rejected(tmp_path, h, ladders, record):
     assert proc.returncode == EXIT_STABILITY
     assert "stability status=rejected kind=non-finite-field " + record in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+#: the varcoef problem of tools/catalog_digests.py: every coefficient varies in t and x
+VARCOEF = {"horizon": 1.0, "x_min": -3.0, "x_max": 3.0, "sigma_low": 0.5, "sigma_high": 1.0,
+           "b": "0.1*sin(x + t + 0.5)", "l": "0.04*cos(x - 2*t + 1)",
+           "sigma": "1 + 0.2*sin(0.5*x + t + 2)",
+           "f": "sin(x + 3)*cos(t + 0.3) - 0.3*y + 0.1*z*cos(x + t)",
+           "phi": "0.08*sin(x + 1.5)", "h": "-0.4 + 0.08*sin(x + t + 2.5)",
+           "h_prime": "0.4 + 0.08*sin(x - t + 4)"}
+
+
+def test_zero_rung_left_out_of_rate_fit(tmp_path):
+    # log 0 has no place in the log-log fit; the n = 0 rung stays in the report
+    cfg = _write(tmp_path, {
+        "problem": VARCOEF, "grid": {"n_t": 40, "n_x": 41}, "method": "both",
+        "penalties": {"n_upper": 0, "m_lower": 0, "penalty_mode": "nodewise-implicit"},
+        "ladders": {"n_list": [0, 4, 16], "m_list": [0, 10], "epsilon_list": [0.1]}})
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "gdro.cli", "solve", "--config", cfg, "--out", str(out),
+         "--assert"], capture_output=True, text=True)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    report = np.genfromtxt(out / "report.csv", delimiter=",", names=True)
+    rungs = report[np.isinf(report["m"])]
+    assert list(rungs["n"]) == [0.0, 4.0, 16.0]
+    fit = np.polyfit(np.log(rungs["n"][1:]), np.log(rungs["sup_upper_violation"][1:]), 1)[0]
+    assert json.loads((out / "summary.json").read_text())["rate_slope"] == float(fit)
+
+
+def test_m_ladder_outside_n_list_is_one_batch(tmp_path, monkeypatch):
+    # n_upper = 8 is not in n_list: its m-ladder row, less the main cell
+    # (8, 10), is one batch after the probe batch, the n-ladder and the
+    # double ladder's three columns
+    sizes = []
+    run_sweep = gdro.lattice._run_sweep
+
+    def recording(spec, grid, batch):
+        sizes.append(len(batch))
+        return run_sweep(spec, grid, batch)
+
+    monkeypatch.setattr(gdro.lattice, "_run_sweep", recording)
+    rc = _solve(tmp_path, {
+        "problem": VARCOEF, "grid": {"n_t": 40, "n_x": 41}, "method": "both",
+        "emit": ["report"],
+        "penalties": {"n_upper": 8, "m_lower": 10, "penalty_mode": "explicit"},
+        "ladders": {"n_list": [-1, 4, 16, 64], "m_list": [2, 10, 20],
+                    "epsilon_list": [0.1]}}, "--assert")
+    assert rc == EXIT_OK
+    assert sizes == [2, 3, 3, 3, 3, 2]
 
 
 def test_console_entry_point(tmp_path):

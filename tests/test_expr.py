@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +35,19 @@ def test_unknown_identifier():
         parse_expr("cosh(x)")
 
 
+@pytest.mark.parametrize("source, message, position", [
+    ("(x + 1", "expected ')'", 6),
+    ("sin(x", "expected ')'", 5),
+    ("x + .", "malformed number", 4),
+    ("max(x)", "max takes 2 argument(s), got 1", 0),
+    ("sin(x, 1)", "sin takes 1 argument(s), got 2", 0),
+])
+def test_parse_error_messages_and_offsets(source, message, position):
+    with pytest.raises(ParseError, match=re.escape(message)) as err:
+        parse_expr(source)
+    assert err.value.position == position
+
+
 def test_empty_and_trailing():
     with pytest.raises(ParseError):
         parse_expr("   ")
@@ -63,6 +77,7 @@ def test_eval_examples():
     assert eval_expr(parse_expr("max(1-x,0)"), {"x": 0.25}) == 0.75
     assert eval_expr(parse_expr("pos(y - 1)"), {"y": 0.4}) == 0.0
     assert eval_expr(parse_expr("neg(y - 1)"), {"y": 0.4}) == pytest.approx(0.6)
+    assert eval_expr(parse_expr("abs(x - 1)"), {"x": -1.5}) == 2.5
 
 
 def test_whitespace_insensitivity():

@@ -46,7 +46,10 @@ _VARCOEF = {"horizon": 1.0, "x_min": -3.0, "x_max": 3.0,
 #: the next.  varcoef-ladder-errors runs the ladder rows that hold an error,
 #: which no catalog entry has: an invalid rung (n = -1), rungs failing the
 #: explicit CFL check (n = 64, and (16, 20) of the double ladder), and an
-#: n_upper outside n_list, so the m-ladder is a column of its own.
+#: n_upper outside n_list, so the m-ladder is a row of its own.
+#: zero-intensity runs nodewise-implicit penalties at intensity 0: n = 0 in
+#: the main cell, the probe and the m-ladder, and m = 0 in a double-ladder
+#: column.  Its n_list holds no 0, which has no log for the rate fit.
 INLINE = {
     "varcoef-inline": {
         "problem": _VARCOEF,
@@ -60,6 +63,12 @@ INLINE = {
         "penalties": {"n_upper": 8.0, "m_lower": 10.0, "penalty_mode": "explicit"},
         "ladders": {"n_list": [-1.0, 4.0, 16.0, 64.0], "m_list": [2.0, 10.0, 20.0],
                     "epsilon_list": [0.1]}},
+    "zero-intensity": {
+        "problem": _VARCOEF,
+        "grid": {"n_t": 40, "n_x": 41},
+        "penalties": {"n_upper": 0.0, "m_lower": "projection",
+                      "penalty_mode": "nodewise-implicit"},
+        "ladders": {"n_list": [4.0, 16.0], "m_list": [0.0, 10.0], "epsilon_list": [0.1]}},
 }
 
 
