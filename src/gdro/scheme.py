@@ -136,7 +136,8 @@ def obstacle_update(base, anchor, h, hp, dt, penalties, direct=False):
         if implicit:
             pre = _solve_upper(base, hp, n, dt)
         else:
-            pre = base - dt * n * np.maximum(anchor - hp, 0.0)
+            # abs: at n = -0.0 the term would be -0.0 and make a -0.0 base +0.0
+            pre = base - dt * abs(n) * np.maximum(anchor - hp, 0.0)
         value = np.maximum(h, pre)
         return value, value - pre, base - pre
     if implicit:

@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gdro import catalog
@@ -84,6 +86,24 @@ def test_direct_sandwich_is_exact(u):
 def test_projection_pushes_only_on_the_lower_obstacle(u):
     value, a_plus, _ = _run(u, u["base"])
     assert np.all(value[a_plus > 0.0] == u["h"][a_plus > 0.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(updates([PROJECTION, PENALTIES]), st.sampled_from([0.0, -0.0]))
+def test_zero_intensity_is_the_unpenalized_update(u, zero):
+    # n = m = 0 is the penalized family's unpenalized member: the nodewise
+    # solves and the explicit upper penalty return base, or max(h, base)
+    # under lower projection, bit for bit, also for the signed zeros of the
+    # last three nodes (the explicit two-sided sum base + 0 - 0 makes -0.0
+    # into +0.0)
+    assume(u["penalties"].project_lower or u["penalties"].penalty_mode == NODEWISE_IMPLICIT)
+    pen = replace(u["penalties"], n_upper=zero,
+                  m_lower="projection" if u["penalties"].project_lower else zero)
+    base, h, hp = (np.append(u[k], tail) for k, tail in (
+        ("base", [-0.0, 0.0, -0.0]), ("h", [-1.0, -1.0, -0.0]), ("hp", [1.0, 1.0, 1.0])))
+    value, _, _ = obstacle_update(base, np.append(u["anchor"], [0.0] * 3), h, hp, u["dt"], pen)
+    expected = np.maximum(h, base) if pen.project_lower else base
+    assert np.array_equal(value.view(np.uint8), expected.view(np.uint8))
 
 
 def _catalog_specs():
