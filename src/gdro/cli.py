@@ -315,25 +315,16 @@ def _ladder_rows(results):
 def _m_ladder(spec, grid, penalties, ladders, swept):
     """Rows of the m-ladder at the configured n_upper, and the double ladder
     over n_list x m_list (None without an n_list) that shares its sweeps."""
-    def ladder(n_list, swept):
+    def ladder(n_list):
         return double_ladder(spec, grid, n_list, ladders["m_list"],
                              penalty_mode=penalties.penalty_mode,
                              kappa_f=penalties.kappa_f, swept=swept)
 
-    double = ladder(ladders["n_list"], swept) if "n_list" in ladders else None
+    double = ladder(ladders["n_list"]) if "n_list" in ladders else None
     if double is not None and penalties.n_upper in double.n_list:
         cells = double.cells[double.n_list.index(penalties.n_upper)]
     else:
-        # the row n = n_upper is one batch, not one batch per m; a cell with
-        # an invalid m_lower is left to the ladder, which records its error
-        row = []
-        for m in ladders["m_list"]:
-            try:
-                row.append(SweepCell(replace(penalties, m_lower=m)))
-            except ValueError:
-                pass
-        swept = dict(zip(row, sweep_cells(spec, grid, row, swept)))
-        cells = ladder([penalties.n_upper], swept).cells[0]
+        cells = ladder([penalties.n_upper]).cells[0]
     # the report lists m-ladder rows without ordering gaps
     return [replace(c, mono_gap_n=np.nan, mono_gap_m=np.nan) for c in cells], double
 

@@ -236,31 +236,31 @@ def _run_sweep(spec, grid, cells):
     # its first failing one, whose error is raised once they are swept
     idx = np.arange(nxe)
     i = grid.n_t
-    # a zero intensity against an infinite h or h' makes a 0*inf that
-    # obstacle_update discards or that require_finite reports
-    with np.errstate(invalid="ignore"):
-        for _, times, (sv, bv, lv, hv, hpv) in coeffs.blocks(
-                _KERNEL_FIELDS + ("h", "h_prime"), grid.n_t, lambda k: dt * (grid.n_t - 1 - k)):
-            kernels, error = _kernels(sv, bv, lv, idx, band, dt, dx, nxe, times, xg)
-            for r in range(len(kernels[0].s)):
-                i -= 1
-                t = i * dt
-                z_tilde = sv[r] * central_diff(u, dx)
-                c, choice, defects = _g_expectation_arrays(u, u, [k.row(r) for k in kernels])
-                base = c + dt * coeffs.f(t, xg, c, z_tilde)
+    for _, times, (sv, bv, lv, hv, hpv) in coeffs.blocks(
+            _KERNEL_FIELDS + ("h", "h_prime"), grid.n_t, lambda k: dt * (grid.n_t - 1 - k)):
+        kernels, error = _kernels(sv, bv, lv, idx, band, dt, dx, nxe, times, xg)
+        for r in range(len(kernels[0].s)):
+            i -= 1
+            t = i * dt
+            z_tilde = sv[r] * central_diff(u, dx)
+            c, choice, defects = _g_expectation_arrays(u, u, [k.row(r) for k in kernels])
+            base = c + dt * coeffs.f(t, xg, c, z_tilde)
+            # a zero intensity against an infinite h or h' makes a 0*inf
+            # that obstacle_update discards or that require_finite reports
+            with np.errstate(invalid="ignore"):
                 parts = [obstacle_update(base[rows], c[rows], hv[r] + shift, hpv[r], dt, pen)
                          for rows, pen, shift in groups]
-                u, a_plus, a_minus = (parts[0] if len(parts) == 1 else
-                                      [np.concatenate(a) for a in zip(*parts)])
-                k_defect = np.minimum(defects[0], defects[1])
-                for b, out in enumerate(outs):
-                    out.u[i] = u[b, core]
-                    out.a_plus[i] = a_plus[b, core]
-                    out.a_minus[i] = a_minus[b, core]
-                    out.k_defect[i] = k_defect[b, core]
-                    out.sigma_choice[i] = choice[b, core]
-            if error is not None:
-                raise error
+            u, a_plus, a_minus = (parts[0] if len(parts) == 1 else
+                                  [np.concatenate(a) for a in zip(*parts)])
+            k_defect = np.minimum(defects[0], defects[1])
+            for b, out in enumerate(outs):
+                out.u[i] = u[b, core]
+                out.a_plus[i] = a_plus[b, core]
+                out.a_minus[i] = a_minus[b, core]
+                out.k_defect[i] = k_defect[b, core]
+                out.sigma_choice[i] = choice[b, core]
+        if error is not None:
+            raise error
 
     # the last block's tables and kernels are not kept while z is computed
     del sv, bv, lv, hv, hpv, kernels
@@ -273,8 +273,8 @@ def _run_sweep(spec, grid, cells):
 def sweep_cells(spec: ProblemSpec, grid: Grid, cells, swept=None) -> list:
     """Per cell, its SolutionField or the error that stopped its sweep.
 
-    The distinct cells not already in ``swept`` (a mapping of cell to its
-    field or error) go through one batched sweep.  If that sweep fails, each cell is
+    The distinct cells not already in ``swept`` (a mapping of cell to
+    field) go through one batched sweep.  If that sweep fails, each cell is
     swept on its own, so an error only some cells' values raise (a driver
     outside its domain at one cell's y) stays with those cells.
     """

@@ -136,30 +136,31 @@ def _run_pde(spec, grid, penalties, direct, max_substeps):
     def substep_times(k):
         return (grid.n_t - 1 - k // nsub) * dt + (nsub - 1 - k % nsub) * dts
 
-    # a zero intensity against an infinite h or h' makes a 0*inf that
-    # obstacle_update discards or that require_finite reports
-    with np.errstate(invalid="ignore"):
-        for block, times, (sv, bv, lv, hv, hpv) in coeffs.blocks(
-                ("sigma", "b", "l", "h", "h_prime"), grid.n_t * nsub, substep_times):
-            n_ok, error = _substep_failure(spec, penalties, direct, grid, dts, times,
-                                           *t_free_rows(sv, bv, lv))
-            for r, k in enumerate(range(block.start, block.start + n_ok)):
-                i, s = grid.n_t - 1 - k // nsub, k % nsub
-                ts = float(times[r])
-                g = _ghost_row(u)
-                d2 = (g[2:] - 2.0 * u + g[:-2]) / dx ** 2
-                d1 = (g[2:] - g[:-2]) / (2.0 * dx)
-                harg = sv[r] ** 2 * d2 + 2.0 * lv[r] * d1
-                F = g_eval(harg, band) + bv[r] * d1 + coeffs.f(ts, x, u, sv[r] * d1)
-                out.k_defect[i] += -0.5 * (hi2 - lo2) * np.abs(harg) * dts
-                u, ap, am = obstacle_update(u + dts * F, u, hv[r], hpv[r], dts, penalties, direct)
-                out.a_plus[i] += ap
-                out.a_minus[i] += am
-                if s == nsub - 1:
-                    out.u[i] = u
-                    out.sigma_choice[i] = harg > 0.0
-            if error is not None:
-                raise error
+    for block, times, (sv, bv, lv, hv, hpv) in coeffs.blocks(
+            ("sigma", "b", "l", "h", "h_prime"), grid.n_t * nsub, substep_times):
+        n_ok, error = _substep_failure(spec, penalties, direct, grid, dts, times,
+                                       *t_free_rows(sv, bv, lv))
+        for r, k in enumerate(range(block.start, block.start + n_ok)):
+            i, s = grid.n_t - 1 - k // nsub, k % nsub
+            ts = float(times[r])
+            g = _ghost_row(u)
+            d2 = (g[2:] - 2.0 * u + g[:-2]) / dx ** 2
+            d1 = (g[2:] - g[:-2]) / (2.0 * dx)
+            harg = sv[r] ** 2 * d2 + 2.0 * lv[r] * d1
+            F = g_eval(harg, band) + bv[r] * d1 + coeffs.f(ts, x, u, sv[r] * d1)
+            out.k_defect[i] += -0.5 * (hi2 - lo2) * np.abs(harg) * dts
+            base = u + dts * F
+            # a zero intensity against an infinite h or h' makes a 0*inf
+            # that obstacle_update discards or that require_finite reports
+            with np.errstate(invalid="ignore"):
+                u, ap, am = obstacle_update(base, u, hv[r], hpv[r], dts, penalties, direct)
+            out.a_plus[i] += ap
+            out.a_minus[i] += am
+            if s == nsub - 1:
+                out.u[i] = u
+                out.sigma_choice[i] = harg > 0.0
+        if error is not None:
+            raise error
 
     # the last block's tables are not kept while z is computed
     del sv, bv, lv, hv, hpv

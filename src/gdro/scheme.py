@@ -123,8 +123,8 @@ def obstacle_update(base, anchor, h, hp, dt, penalties, direct=False):
     cell with intensities n[b] and m[b].  A zero intensity takes the same
     path and returns the unpenalized value bitwise for finite obstacles;
     against an infinite obstacle it makes 0*inf, a nan that np.where drops
-    unless the obstacle is infinite on the wrong side (the solvers' loops
-    run under ``np.errstate(invalid="ignore")``).
+    unless the obstacle is infinite on the wrong side (both solvers call
+    it under ``np.errstate(invalid="ignore")``, and only it).
     """
     n, m = penalties.n_upper, penalties.m_value
     implicit = penalties.penalty_mode == NODEWISE_IMPLICIT

@@ -440,28 +440,6 @@ def test_zero_rung_left_out_of_rate_fit(tmp_path):
     assert json.loads((out / "summary.json").read_text())["rate_slope"] == float(fit)
 
 
-def test_m_ladder_outside_n_list_is_one_batch(tmp_path, monkeypatch):
-    # n_upper = 8 is not in n_list: its m-ladder row, less the main cell
-    # (8, 10), is one batch after the probe batch, the n-ladder and the
-    # double ladder's three columns
-    sizes = []
-    run_sweep = gdro.lattice._run_sweep
-
-    def recording(spec, grid, batch):
-        sizes.append(len(batch))
-        return run_sweep(spec, grid, batch)
-
-    monkeypatch.setattr(gdro.lattice, "_run_sweep", recording)
-    rc = _solve(tmp_path, {
-        "problem": VARCOEF, "grid": {"n_t": 40, "n_x": 41}, "method": "both",
-        "emit": ["report"],
-        "penalties": {"n_upper": 8, "m_lower": 10, "penalty_mode": "explicit"},
-        "ladders": {"n_list": [-1, 4, 16, 64], "m_list": [2, 10, 20],
-                    "epsilon_list": [0.1]}}, "--assert")
-    assert rc == EXIT_OK
-    assert sizes == [2, 3, 3, 3, 3, 2]
-
-
 def test_console_entry_point(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"problem": dict(INLINE_HEAT),

@@ -359,6 +359,19 @@ def test_batched_sweep_equals_single_sweeps_bitwise(data):
             assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), (cell, name)
 
 
+@pytest.mark.parametrize("solver", ["lattice", "pde"])
+def test_driver_invalid_value_still_warns(solver):
+    # only obstacle_update runs under errstate(invalid="ignore"): the 0*inf
+    # a driver makes still gives numpy's RuntimeWarning in a library solve
+    spec = _spec(f="0*exp(1000 + y)")
+    grid = Grid.for_problem(spec, 8, 21)
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        if solver == "lattice":
+            penalized_sweep(spec, grid, PenaltyParams())
+        else:
+            solve_penalized_pde(spec, PdeSchemeParams(grid=grid))
+
+
 def test_driver_domain_error_stays_with_its_cell():
     # the driver is 2 where defined and undefined above y = 1.05; h' = 1, so
     # the n = 10 rung overshoots h' by about 2/n and leaves the domain, while
