@@ -10,14 +10,20 @@ a non-finite solved field, 4 assertion-suite failure under --assert.
 Diagnostics go to stderr as key=value lines; numeric output files are
 written with 17 significant digits so doubles round-trip exactly and reruns
 are byte-identical.  ``--threads`` is accepted for compatibility and has no
-effect: the solvers are single-threaded.
+effect: each solver is single-threaded.  On a large enough grid, with two
+usable CPUs and ``os.fork``, a run sweeps the lattice's main batch in a
+forked child while the parent solves the PDE; outputs, exit codes and
+diagnostics are those of the in-process run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import pickle
+import signal
 import sys
 from dataclasses import dataclass, field as dc_field, replace
 from itertools import compress
@@ -33,7 +39,7 @@ from .gcore import (Grid, PenaltyParams, ProblemSpec, StabilityError,
 from .lattice import DoubleLadderReport, SweepCell, _field_or_raise, double_ladder, sweep_cells
 from .pde import (PdeSchemeParams, complementarity_residual,
                   solve_double_obstacle_direct, solve_penalized_pde)
-from .scheme import NonFiniteField, require_finite
+from .scheme import NonFiniteField, require_finite, strictly_ascending
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -98,6 +104,13 @@ def _as_number(value, pointer):
     return float(value)
 
 
+def _as_finite(value, pointer):
+    number = _as_number(value, pointer)
+    if not math.isfinite(number):
+        raise ConfigError("expected a finite number", pointer)
+    return number
+
+
 def _as_int(value, pointer):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError("expected an integer", pointer)
@@ -147,16 +160,16 @@ def _parse_penalties(value, entry):
             raise ConfigError("unknown penalties key", "/penalties/%s" % key)
     merged = dict(defaults)
     if "n_upper" in value:
-        merged["n_upper"] = _as_number(value["n_upper"], "/penalties/n_upper")
+        merged["n_upper"] = _as_finite(value["n_upper"], "/penalties/n_upper")
     if "m_lower" in value:
         m = value["m_lower"]
         if m != "projection":
-            m = _as_number(m, "/penalties/m_lower")
+            m = _as_finite(m, "/penalties/m_lower")
         merged["m_lower"] = m
     if "penalty_mode" in value:
         merged["penalty_mode"] = value["penalty_mode"]
     if "kappa_f" in value:
-        merged["kappa_f"] = _as_number(value["kappa_f"], "/penalties/kappa_f")
+        merged["kappa_f"] = _as_finite(value["kappa_f"], "/penalties/kappa_f")
     try:
         return PenaltyParams(**merged)
     except ValueError as err:
@@ -177,8 +190,8 @@ def _parse_ladders(value):
             raise ConfigError("expected an array", "/ladders/%s" % key)
         out[key] = [_as_number(v, "/ladders/%s/%d" % (key, i))
                     for i, v in enumerate(seq)]
-        if key != "epsilon_list" and out[key] != sorted(out[key]):
-            raise ConfigError("expected an ascending list", "/ladders/%s" % key)
+        if key != "epsilon_list" and not strictly_ascending(out[key]):
+            raise ConfigError("expected a strictly ascending list", "/ladders/%s" % key)
     return out
 
 
@@ -350,6 +363,68 @@ def _generic_assertions(results, spec, grid, penalties):
     return out
 
 
+#: reporting-grid nodes, (n_t+1)*n_x, from which a run's lattice batch is
+#: swept in a forked child.  The fork costs CPU time (copied pages, two busy
+#: cores) and pays in wall time only once both solves are long; the gate sits
+#: above every catalog default grid (at most 80,601 nodes), so those runs
+#: stay in-process
+_FORK_NODES = 90_000
+
+
+def _fork_pays(grid):
+    """Whether a run on ``grid`` sweeps its lattice batch in a forked child."""
+    if not hasattr(os, "fork") or (grid.n_t + 1) * grid.n_x < _FORK_NODES:
+        return False
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return cpus >= 2
+
+
+def _beside_child(child_work, work):
+    """``(child_work(), work())``, with child_work run in a forked child.
+
+    The child sends its result, or the Exception that stopped it, through a
+    pipe as a pickle.  Errors surface as if child_work had run first: the
+    child's before this process's own.  On any other exception here the
+    child is killed; it is always reaped.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                result = child_work()
+            except Exception as err:  # sent to the parent, which raises it
+                result = err
+            with os.fdopen(write_fd, "wb") as fh:
+                pickle.dump(result, fh, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as fh:
+            try:
+                mine = work()
+            except Exception as err:  # raised after any error of the child's
+                mine = err
+            try:
+                theirs = pickle.load(fh)
+            except (EOFError, pickle.UnpicklingError) as err:
+                raise RuntimeError("the lattice child exited without a result") from err
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.waitpid(pid, 0)
+    for result in (theirs, mine):
+        if isinstance(result, Exception):
+            raise result
+    return theirs, mine
+
+
 def run(config: RunConfig, assert_mode: bool = False,
         out_dir: str | None = None) -> int:
     """Execute one configured run; returns the process exit code."""
@@ -380,26 +455,45 @@ def run(config: RunConfig, assert_mode: bool = False,
             # are one batch; under --method pde it is only the probes' base
             epsilons = ladders.get("epsilon_list", [])
             main_cell = SweepCell(penalties)
+            cells = ([main_cell] + [SweepCell(penalties, eps) for eps in epsilons]
+                     if config.method != "pde" or epsilons else [])
+            params = PdeSchemeParams(grid=grid, penalty=penalties)
+
+            def lattice_batch():
+                return [_field_or_raise(r) for r in sweep_cells(spec, grid, cells)]
+
+            def pde_solves():
+                pde = direct = None
+                if config.method != "lattice":
+                    pde = solve_penalized_pde(spec, params)
+                if "residual" in config.emit:
+                    direct = solve_double_obstacle_direct(spec, params)
+                return pde, direct
+
+            # the two sides share nothing until the cross gap, so a large
+            # enough run sweeps its batch in a child while the PDE solves here
+            if (cells and (config.method != "lattice" or "residual" in config.emit)
+                    and _fork_pays(grid)):
+                batch, (pde_field, results.direct_field) = _beside_child(
+                    lattice_batch, pde_solves)
+            else:
+                batch = lattice_batch()
+                pde_field, results.direct_field = pde_solves()
             swept, probes = {}, []
-            if config.method in ("lattice", "both") or epsilons:
-                base, *probes = map(_field_or_raise, sweep_cells(
-                    spec, grid, [main_cell] + [SweepCell(penalties, eps) for eps in epsilons]))
+            if batch:
+                base, *probes = batch
                 swept[main_cell] = base
                 if config.method != "pde":
                     results.fields["lattice"] = base
-            if config.method in ("pde", "both"):
-                results.fields["pde"] = solve_penalized_pde(
-                    spec, PdeSchemeParams(grid=grid, penalty=penalties))
+            del batch  # so that del probes below frees the probe fields
+            if pde_field is not None:
+                results.fields["pde"] = pde_field
             if config.method == "both":
-                results.cross_gap = interior_gap(spec, grid, results.fields["lattice"].u,
-                                                 results.fields["pde"].u)
-            if "residual" in config.emit:
-                results.direct_field = solve_double_obstacle_direct(
-                    spec, PdeSchemeParams(grid=grid, penalty=penalties))
+                results.cross_gap = interior_gap(spec, grid, base.u, pde_field.u)
+            r_grid = None
+            if results.direct_field is not None:
                 r_grid, results.residual_sup = complementarity_residual(
                     results.direct_field, spec, grid)
-            else:
-                r_grid = None
 
             solved = dict(results.fields, direct=results.direct_field)
             for method, fld in sorted(solved.items()):

@@ -16,7 +16,7 @@ from .pde import PdeSchemeParams, solve_penalized_pde
 # LadderRow, asc_residuals, asc_residuals_global and obstacle_violations are
 # also this module's API
 from .scheme import (LadderRow, SolutionField, asc_residuals, asc_residuals_global,
-                     obstacle_violations)
+                     obstacle_violations, strictly_ascending)
 
 #: entries at or below this floor are noise and are excluded from rate fits
 RATE_FIT_FLOOR = 10.0 * np.finfo(float).eps
@@ -56,8 +56,8 @@ def monotone_ladder(spec: ProblemSpec, grid: Grid, n_list,
     NonFiniteField.
     """
     n_list = [float(v) for v in n_list]
-    if sorted(n_list) != n_list:
-        raise ValueError("n_list must be sorted ascending")
+    if not strictly_ascending(n_list):
+        raise ValueError("n_list must be strictly ascending")
     rows, fields = ladder_column(spec, grid, n_list, PROJECTION, penalty_mode, kappa_f, swept)
     report = ConvergenceReport(rows)
     report.rate_slope = _fit_rate_slope(

@@ -46,7 +46,11 @@ class DomainError(ExprError):
 
     def __init__(self, message, node):
         super().__init__("%s in %r" % (message, format_expr(node)))
-        self.node = node
+        self.message, self.node = message, node
+
+    def __reduce__(self):
+        # unpickling calls __init__, which takes the message before formatting
+        return type(self), (self.message, self.node)
 
 
 @dataclass(frozen=True)

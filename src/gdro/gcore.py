@@ -142,13 +142,14 @@ class PenaltyParams:
     kappa_f: float = DEFAULT_KAPPA_F
 
     def __post_init__(self):
-        if self.n_upper < 0:
+        # "not x >= 0" also rejects nan
+        if not self.n_upper >= 0:
             raise ValueError("n_upper must be >= 0")
-        if self.m_lower != PROJECTION and float(self.m_lower) < 0:
+        if self.m_lower != PROJECTION and not float(self.m_lower) >= 0:
             raise ValueError("m_lower must be >= 0 or 'projection'")
         if self.penalty_mode not in (EXPLICIT, NODEWISE_IMPLICIT):
             raise ValueError("penalty_mode must be %r or %r" % (EXPLICIT, NODEWISE_IMPLICIT))
-        if self.kappa_f < 0:
+        if not self.kappa_f >= 0:
             raise ValueError("kappa_f must be >= 0")
 
     @property

@@ -38,7 +38,8 @@ from .gcore import (EXPLICIT, NODEWISE_IMPLICIT, DEFAULT_KAPPA_F, PROJECTION,
                     Coefficients, Grid, PenaltyParams, ProblemSpec, StabilityError,
                     first_true, t_free_rows)
 from .scheme import (LadderRow, SolutionField, central_diff, ceil_eps, ladder_row,
-                     obstacle_update, ordering_gap, require_finite, z_field)
+                     obstacle_update, ordering_gap, require_finite, strictly_ascending,
+                     z_field)
 
 #: widened-domain margin, in adversarial diffusive standard deviations
 MARGIN_SIGMAS = 6.0
@@ -376,13 +377,13 @@ def double_ladder(spec: ProblemSpec, grid: Grid, n_list, m_list,
     Each m-column is one batched sweep, and only the previous column's
     value grids are kept.  ``swept`` maps cells already swept to their fields.
     Per-cell sweep failures are recorded in the cell and the ladder carries
-    on; a non-finite field raises NonFiniteField.  Lists must be sorted
+    on; a non-finite field raises NonFiniteField.  Lists must be strictly
     ascending; an empty list gives an empty report.
     """
     n_list = [float(v) for v in n_list]
     m_list = [float(v) for v in m_list]
-    if sorted(n_list) != n_list or sorted(m_list) != m_list:
-        raise ValueError("n_list and m_list must be sorted ascending")
+    if not (strictly_ascending(n_list) and strictly_ascending(m_list)):
+        raise ValueError("n_list and m_list must be strictly ascending")
     report = DoubleLadderReport(n_list=n_list, m_list=m_list,
                                 cells=[[None] * len(m_list) for _ in n_list])
     left = [None] * len(n_list)  # u at the previous m, per n

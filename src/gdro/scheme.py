@@ -211,6 +211,11 @@ def ordering_gap(hi, lo):
     return float(np.max(np.maximum(hi - lo, 0.0)))
 
 
+def strictly_ascending(values) -> bool:
+    """Whether each of ``values`` is below the next: a ladder's rungs."""
+    return all(a < b for a, b in zip(values, values[1:]))
+
+
 def ladder_row(field, spec, grid, n, m, **gaps) -> LadderRow:
     """The ladder row of one solve; ``gaps`` sets mono_gap_n and mono_gap_m."""
     row = LadderRow(n=n, m=m, **gaps)

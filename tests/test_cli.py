@@ -499,3 +499,28 @@ def test_writers_match_per_value_reference(tmp_path):
             (r.n, r.m, r.sup_upper_violation, r.sup_lower_violation, r.mono_violation,
              r.asc_plus, r.asc_minus, r.cross_gap, np.nan if slope is None else slope)
             for r in rows])
+
+
+@pytest.mark.parametrize("key, values", [("n_list", [4, 4]), ("m_list", [10, 10])])
+def test_repeated_ladder_value_rejected(tmp_path, capsys, key, values):
+    # a repeated rung would be swept and reported twice and fitted as one n
+    rc = _solve(tmp_path, {
+        "problem": "double-obstacle-sine", "grid": {"n_t": 20, "n_x": 33},
+        "ladders": dict({"n_list": [4, 8], "m_list": [10, 100]}, **{key: values})})
+    assert rc == EXIT_VALIDATION
+    assert ("expected a strictly ascending list at /ladders/%s" % key
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_upper", float("nan")), ("m_lower", float("nan")), ("kappa_f", float("nan")),
+    ("n_upper", float("inf")), ("kappa_f", float("-inf"))])
+def test_non_finite_penalty_rejected(tmp_path, capsys, key, value):
+    # json reads NaN and Infinity literals; no solve may run on them
+    rc = _solve(tmp_path, {
+        "problem": "double-obstacle-sine", "grid": {"n_t": 20, "n_x": 33},
+        "penalties": {key: value}})
+    assert rc == EXIT_VALIDATION
+    assert "expected a finite number at /penalties/%s" % key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

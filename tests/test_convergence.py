@@ -50,6 +50,12 @@ class TestMonotoneLadder:
         with pytest.raises(ValueError):
             monotone_ladder(spec, grid, [4.0, 2.0])
 
+    def test_repeated_rung_rejected(self):
+        spec = _sine_spec()
+        grid = Grid.for_problem(spec, 10, 31)
+        with pytest.raises(ValueError, match="n_list must be strictly ascending"):
+            monotone_ladder(spec, grid, [4.0, 4.0])
+
 
 class TestAscResiduals:
     def test_reflected_is_exactly_zero(self):

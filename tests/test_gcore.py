@@ -87,6 +87,12 @@ def test_penalty_params_invariants():
     assert p.project_lower and p.m_value == 0.0
 
 
+@pytest.mark.parametrize("key", ["n_upper", "m_lower", "kappa_f"])
+def test_penalty_params_reject_nan(key):
+    with pytest.raises(ValueError, match="%s must be >= 0" % key):
+        PenaltyParams(**{key: float("nan")})
+
+
 def test_explicit_cfl_check():
     p = PenaltyParams(n_upper=50.0, m_lower=60.0, kappa_f=5.0)
     with pytest.raises(StabilityError):

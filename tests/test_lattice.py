@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import oracles
 from gdro import gcore
 from gdro.convergence import monotone_ladder
-from gdro.expr import BinOp, DomainError, Num
+from gdro.expr import BinOp, DomainError, Num, UnboundVariableError, parse_expr
 from gdro.gcore import Grid, PenaltyParams, ProblemSpec, StabilityError
 from gdro.lattice import (SweepCell, _run_sweep, conditional_g_expectation, double_ladder,
                           penalized_sweep, reflected_sweep, sweep_cells)
@@ -264,6 +265,13 @@ class TestOrderings:
         report = double_ladder(spec, grid, [1.0, 2.0], [])
         assert report.cells == [[], []]
 
+    @pytest.mark.parametrize("n_list, m_list", [([4.0, 4.0], [10.0]), ([4.0], [10.0, 10.0])])
+    def test_double_ladder_rejects_repeated_rungs(self, n_list, m_list):
+        spec = _sine_spec()
+        grid = Grid.for_problem(spec, 10, 31)
+        with pytest.raises(ValueError, match="n_list and m_list must be strictly ascending"):
+            double_ladder(spec, grid, n_list, m_list)
+
     def test_double_ladder_records_cell_errors(self):
         spec = _sine_spec()
         grid = Grid.for_problem(spec, 20, 31)  # dt = 0.05
@@ -434,3 +442,31 @@ def test_t_free_kernel_equals_its_per_row_build():
         for name in ("u", "z", "a_plus", "a_minus", "k_defect", "sigma_choice"):
             assert np.array_equal(getattr(a, name).view(np.uint8),
                                   getattr(b, name).view(np.uint8)), name
+
+
+def _sweep_error(kind):
+    """An error of the given kind, as sweep_cells returns it."""
+    spec = _sine_spec()
+    penalties = PenaltyParams(n_upper=64.0, m_lower=64.0, penalty_mode="nodewise-implicit")
+    if kind == "stability":
+        penalties = PenaltyParams(n_upper=1000.0, penalty_mode="explicit")
+    elif kind == "domain":  # undefined only in the ghost cells
+        spec = replace(spec, sigma=parse_expr("sqrt(x + 3.2)"))
+    elif kind == "unbound":
+        spec = replace(spec, sigma=parse_expr("1 + 0*y"))
+    else:
+        return ValueError("n_list must be strictly ascending")
+    return sweep_cells(spec, Grid.for_problem(spec, 20, 33), [SweepCell(penalties)])[0]
+
+
+@pytest.mark.parametrize("kind, cls", [
+    ("stability", StabilityError), ("domain", DomainError),
+    ("unbound", UnboundVariableError), ("value", ValueError)])
+def test_sweep_errors_survive_pickling(kind, cls):
+    # a forked run sends its lattice batch's results, errors included, as a pickle
+    err = _sweep_error(kind)
+    assert type(err) is cls
+    back = pickle.loads(pickle.dumps(err, pickle.HIGHEST_PROTOCOL))
+    assert type(back) is cls
+    assert str(back) == str(err) and back.args == err.args
+    assert vars(back) == vars(err)

@@ -50,6 +50,9 @@ _VARCOEF = {"horizon": 1.0, "x_min": -3.0, "x_max": 3.0,
 #: zero-intensity runs nodewise-implicit penalties at intensity 0: n = 0 in
 #: the main cell, the probe and the m-ladder, and m = 0 in a double-ladder
 #: column.  Its n_list holds no 0, which has no log for the rate fit.
+#: varcoef-forked has the grid of the varcoef-pde benchmark workload, above
+#: cli._FORK_NODES where no catalog default grid is, so its lattice batch,
+#: main cell and probe, is swept in a forked child beside the PDE solves.
 INLINE = {
     "varcoef-inline": {
         "problem": _VARCOEF,
@@ -69,6 +72,11 @@ INLINE = {
         "penalties": {"n_upper": 0.0, "m_lower": "projection",
                       "penalty_mode": "nodewise-implicit"},
         "ladders": {"n_list": [4.0, 16.0], "m_list": [0.0, 10.0], "epsilon_list": [0.1]}},
+    "varcoef-forked": {
+        "problem": _VARCOEF,
+        "grid": {"n_t": 500, "n_x": 201},
+        "penalties": {"n_upper": 64.0, "m_lower": 64.0, "penalty_mode": "nodewise-implicit"},
+        "ladders": {"epsilon_list": [0.1]}},
 }
 
 
