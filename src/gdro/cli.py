@@ -25,6 +25,7 @@ import os
 import pickle
 import signal
 import sys
+import tempfile
 from dataclasses import dataclass, field as dc_field, replace
 from itertools import compress
 
@@ -58,7 +59,11 @@ class ConfigError(ValueError):
 
     def __init__(self, message, pointer):
         super().__init__("%s at %s" % (message, pointer or "/"))
-        self.pointer = pointer
+        self.message, self.pointer = message, pointer
+
+    def __reduce__(self):
+        # unpickling calls __init__, which takes the message before formatting
+        return type(self), (self.message, self.pointer)
 
 
 def _diag(record, **fields):
@@ -383,42 +388,42 @@ def _fork_pays(grid):
 def _beside_child(child_work, work):
     """``(child_work(), work())``, with child_work run in a forked child.
 
-    The child sends its result, or the Exception that stopped it, through a
-    pipe as a pickle.  Errors surface as if child_work had run first: the
+    The child pickles its result, or the Exception that stopped it, into an
+    unlinked temporary file opened before the fork, and exits; this process
+    reads the file once it has reaped the child, so the child never waits
+    for a reader.  Errors surface as if child_work had run first: the
     child's before this process's own.  On any other exception here the
     child is killed; it is always reaped.
     """
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
+    with tempfile.TemporaryFile() as fh:
+        pid = os.fork()
+        if pid == 0:
+            code = 1
             try:
-                result = child_work()
-            except Exception as err:  # sent to the parent, which raises it
-                result = err
-            with os.fdopen(write_fd, "wb") as fh:
+                try:
+                    result = child_work()
+                except Exception as err:  # sent to the parent, which raises it
+                    result = err
                 pickle.dump(result, fh, pickle.HIGHEST_PROTOCOL)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    try:
-        with os.fdopen(read_fd, "rb") as fh:
+                fh.flush()
+                code = 0
+            finally:
+                os._exit(code)
+        try:
             try:
                 mine = work()
             except Exception as err:  # raised after any error of the child's
                 mine = err
-            try:
-                theirs = pickle.load(fh)
-            except (EOFError, pickle.UnpicklingError) as err:
-                raise RuntimeError("the lattice child exited without a result") from err
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        os.waitpid(pid, 0)
+            os.waitpid(pid, 0)
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+        fh.seek(0)
+        try:
+            theirs = pickle.load(fh)
+        except (EOFError, pickle.UnpicklingError) as err:
+            raise RuntimeError("the lattice child exited without a result") from err
     for result in (theirs, mine):
         if isinstance(result, Exception):
             raise result
@@ -581,9 +586,10 @@ def _write_summary(path, config, results):
                        if results.ladder_report is not None else None),
         "stability_gaps": results.stability_gaps,
     }
+    obstacles = obstacle_fields(config.spec, grid)
     for method, fld in sorted(results.fields.items()):
-        ap, am = asc_residuals(fld, config.spec, grid)
-        gp, gm = asc_residuals_global(fld, config.spec, grid)
+        ap, am = asc_residuals(fld, config.spec, grid, obstacles)
+        gp, gm = asc_residuals_global(fld, config.spec, grid, obstacles)
         summary["asc_%s" % method] = {"plus": ap, "minus": am,
                                       "plus_global": gp, "minus_global": gm}
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -34,7 +34,11 @@ class ExprError(ValueError):
 class ParseError(ExprError):
     def __init__(self, message, position):
         super().__init__("%s (offset %d)" % (message, position))
-        self.position = position
+        self.message, self.position = message, position
+
+    def __reduce__(self):
+        # unpickling calls __init__, which takes the message before formatting
+        return type(self), (self.message, self.position)
 
 
 class UnboundVariableError(ExprError):
@@ -249,6 +253,44 @@ def variables(expr: Expression) -> frozenset:
             out |= variables(a)
         return out
     return frozenset()
+
+
+def _with_children(expr, fn):
+    """``expr`` with ``fn`` applied to each of its child nodes."""
+    if isinstance(expr, Neg):
+        return Neg(fn(expr.operand))
+    if isinstance(expr, BinOp):
+        return BinOp(expr.op, fn(expr.left), fn(expr.right))
+    if isinstance(expr, Call):
+        return Call(expr.func, tuple(fn(a) for a in expr.args))
+    return expr
+
+
+def split(expr: Expression, free) -> tuple:
+    """(residual, subtrees): ``expr`` with each maximal subtree that
+    references a variable but none of the names ``free`` replaced by
+    ``Var("_k<i>")``, and those subtrees, ``subtrees[i]`` for ``_k<i>`` in
+    left-to-right order.  Subtrees free of every variable, ``Num`` leaves
+    among them, stay in place.  The residual with each ``_k<i>`` bound to
+    the value of ``subtrees[i]`` evaluates to the value of ``expr``.
+    """
+    subtrees = []
+
+    def cut(e):
+        names = variables(e)
+        if names and not names.intersection(free):
+            subtrees.append(e)
+            return Var("_k%d" % (len(subtrees) - 1))
+        return _with_children(e, cut)
+    return cut(expr), subtrees
+
+
+def join(residual: Expression, subtrees) -> Expression:
+    """The inverse of ``split``: ``residual`` with each ``Var("_k<i>")``
+    replaced by ``subtrees[i]``."""
+    if isinstance(residual, Var) and residual.name.startswith("_k"):
+        return subtrees[int(residual.name[2:])]
+    return _with_children(residual, lambda e: join(e, subtrees))
 
 
 def _check_domain(ok, message, node):

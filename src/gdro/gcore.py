@@ -23,6 +23,10 @@ NODEWISE_IMPLICIT = "nodewise-implicit"
 DEFAULT_KAPPA_F = 5.0
 
 
+#: the coefficient fields besides the driver; their values on the reporting
+#: grid must be finite
+_FINITE_FIELDS = ("b", "l", "sigma", "h", "h_prime", "phi")
+
 #: nodes per field in one block of coefficient tables (Coefficients.blocks)
 _BLOCK_NODES = 4096
 
@@ -207,14 +211,29 @@ class Coefficients:
     the matching table row and the two agree bitwise.  Fields free of t are
     evaluated once and come back as zero-copy broadcast views.  ``blocks``
     gives the tables of a long time column a block of rows at a time.
+
+    The driver is split (``expr.split``) into a residual tree in y and z and
+    its maximal subtrees free of both, which are fields like the others,
+    named by ``driver_fields``; ``f`` evaluates the residual on their values
+    at one time.  A driver subtree binds t as given, a scalar as a scalar,
+    as the whole driver did (numpy's array exp and ** can differ from
+    Python's scalar ones in the last bit), so its row at a scalar t may have
+    a shape that only broadcasts against x.  The rows ``blocks`` gives are
+    those rows, bitwise.
     """
 
     def __init__(self, spec, x):
-        self.spec = spec
         self.x = np.asarray(x, dtype=float)
+        self.driver, self.subtrees = ex.split(spec.f, ("y", "z"))
+        self.driver_fields = tuple("_k%d" % i for i in range(len(self.subtrees)))
+        self.exprs = {name: getattr(spec, name) for name in _FINITE_FIELDS}
+        self.exprs.update(zip(self.driver_fields, self.subtrees))
+        # a driver subtree holding t, as its residual in x and its parts free of x
+        self.scalar_t = {name: ex.split(e, ("x",)) for name, e in zip(self.driver_fields,
+                                                                      self.subtrees)
+                         if "t" in ex.variables(e)}
         self.static = {}  # name -> row of a t-free field
-        for name in ("b", "l", "sigma", "h", "h_prime", "phi"):
-            e = getattr(spec, name)
+        for name, e in self.exprs.items():
             if "t" not in ex.variables(e):
                 self.static[name] = np.broadcast_to(ex.eval_expr(e, {"x": self.x}),
                                                     self.x.shape)
@@ -225,14 +244,29 @@ class Coefficients:
         if a is None:
             bind = {"x": self.x}
             if t is not None:
-                bind["t"] = t if column else np.full(self.x.shape, t)
-            a = ex.eval_expr(getattr(self.spec, name), bind)
+                scalar = not column and name not in self.scalar_t
+                bind["t"] = np.full(self.x.shape, t) if scalar else t
+            a = ex.eval_expr(self.exprs[name], bind)
         return np.broadcast_to(a, np.broadcast_shapes(t.shape, self.x.shape)) if column else a
+
+    def _rows(self, name, times):
+        """The table of ``name`` whose row r is self(name, times[r]): a
+        driver subtree's parts free of x are evaluated at each time as a
+        scalar, and the rest at once."""
+        if name not in self.scalar_t:
+            return self(name, times[:, None])
+        e, parts = self.scalar_t[name]
+        bind = {"_k%d" % i: np.array([ex.eval_expr(p, {"t": t}) for t in times.tolist()])[:, None]
+                for i, p in enumerate(parts)}
+        bind["x"] = self.x
+        return np.broadcast_to(ex.eval_expr(e, bind), (times.size, self.x.size))
 
     def blocks(self, names, n_rows, time_of):
         """Yield (rows, times, tables) over consecutive slices ``rows`` of
         range(n_rows), where times = time_of(row indices) is the 1-D array
-        of the rows' times and tables[k] = self(names[k], times[:, None]).
+        of the rows' times and row r of tables[k] is self(names[k], times[r])
+        bitwise; but for the driver's subtrees, tables[k] is self(names[k],
+        times[:, None]).
 
         A block holds about _BLOCK_NODES nodes per field, and at least one
         row; only one block's times and tables exist at a time.  A block in
@@ -246,17 +280,25 @@ class Coefficients:
             rows = slice(lo, min(lo + step, n_rows))
             times = time_of(np.arange(rows.start, rows.stop))
             try:
-                tables = [self(name, times[:, None]) for name in names]
+                tables = [self._rows(name, times) for name in names]
             except ValueError:
                 rows, times = slice(lo, lo + 1), times[:1]
-                tables = [self(name, times[:, None]) for name in names]
+                tables = [self._rows(name, times) for name in names]
             yield rows, times, tables
             lo = rows.stop
 
-    def f(self, t, x, y, z):
-        """The driver at (t, x, y, z); a driver free of some arguments
-        may come back with a smaller shape that broadcasts against y."""
-        return ex.eval_expr(self.spec.f, {"t": t, "x": x, "y": y, "z": z})
+    def f(self, ks, y, z):
+        """The driver at y and z, where ``ks`` holds the values of the
+        ``driver_fields`` at one time (a row of each table, say); a driver
+        free of some arguments may come back with a smaller shape that
+        broadcasts against y."""
+        bind = {"y": y, "z": z}
+        bind.update(zip(self.driver_fields, ks))
+        try:
+            return ex.eval_expr(self.driver, bind)
+        except ex.DomainError as err:
+            # name the node as spec.f reads it
+            raise ex.DomainError(err.message, ex.join(err.node, self.subtrees)) from None
 
 
 def t_free_rows(*tables):
@@ -274,14 +316,11 @@ def first_true(mask):
 def driver_sample(spec, t_max, x, dy=0.0, dz=0.0):
     """f at a deterministic sample: t in linspace(0, t_max, 5), the given x,
     y + dy and z + dz for y, z in {-2, 0, 2}; shape (5, x.size, 3, 3)."""
-    t = np.linspace(0.0, t_max, 5)[:, None, None, None]
+    coeffs = Coefficients(spec, x)
+    t = np.linspace(0.0, t_max, 5)[:, None]
+    ks = [coeffs(name, t)[:, :, None, None] for name in coeffs.driver_fields]
     y = np.broadcast_to(np.array([-2.0, 0.0, 2.0])[:, None], (5, np.size(x), 3, 3))
-    out = Coefficients(spec, x).f(t, np.reshape(x, (-1, 1, 1)), y + dy, y.swapaxes(2, 3) + dz)
-    return np.broadcast_to(out, y.shape)
-
-
-#: fields whose values on the reporting grid must be finite
-_FINITE_FIELDS = ("b", "l", "sigma", "h", "h_prime", "phi")
+    return np.broadcast_to(coeffs.f(ks, y + dy, y.swapaxes(2, 3) + dz), y.shape)
 
 
 def validate_problem(spec: ProblemSpec, grid: Grid,

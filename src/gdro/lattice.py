@@ -19,11 +19,12 @@ kernel, the coefficients and the ghost margin depend only on the problem,
 the grid and t, so the cells share them and differ only in u, the penalties
 and h.  A batched field equals the cell's single sweep bitwise.
 
-The coefficients sigma, b, l, h and h' come from tables evaluated once per
-block of time rows (``Coefficients.blocks``), and each endpoint's kernel
-(drift weight, diffusion weight and gather indices) is built once per block
-from them.  A step then only gathers and combines.  The driver f depends on u
-and is evaluated per step.
+The coefficients sigma, b, l, h and h', and the driver's subtrees free of y
+and z, come from tables evaluated once per block of time rows
+(``Coefficients.blocks``), and each endpoint's kernel (drift weight,
+diffusion weight and gather indices) is built once per block from them.  A
+step then only gathers and combines, and evaluates the rest of the driver on
+a row of those tables.
 """
 
 from __future__ import annotations
@@ -237,15 +238,15 @@ def _run_sweep(spec, grid, cells):
     # its first failing one, whose error is raised once they are swept
     idx = np.arange(nxe)
     i = grid.n_t
-    for _, times, (sv, bv, lv, hv, hpv) in coeffs.blocks(
-            _KERNEL_FIELDS + ("h", "h_prime"), grid.n_t, lambda k: dt * (grid.n_t - 1 - k)):
+    for _, times, (sv, bv, lv, hv, hpv, *ks) in coeffs.blocks(
+            _KERNEL_FIELDS + ("h", "h_prime") + coeffs.driver_fields, grid.n_t,
+            lambda k: dt * (grid.n_t - 1 - k)):
         kernels, error = _kernels(sv, bv, lv, idx, band, dt, dx, nxe, times, xg)
         for r in range(len(kernels[0].s)):
             i -= 1
-            t = i * dt
             z_tilde = sv[r] * central_diff(u, dx)
             c, choice, defects = _g_expectation_arrays(u, u, [k.row(r) for k in kernels])
-            base = c + dt * coeffs.f(t, xg, c, z_tilde)
+            base = c + dt * coeffs.f([a[r] for a in ks], c, z_tilde)
             # a zero intensity against an infinite h or h' makes a 0*inf
             # that obstacle_update discards or that require_finite reports
             with np.errstate(invalid="ignore"):
@@ -264,7 +265,7 @@ def _run_sweep(spec, grid, cells):
             raise error
 
     # the last block's tables and kernels are not kept while z is computed
-    del sv, bv, lv, hv, hpv, kernels
+    del sv, bv, lv, hv, hpv, ks, kernels
     for cell, out in zip(live, outs):
         out.z = z_field(spec, grid, out.u)
         results[cell] = out

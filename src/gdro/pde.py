@@ -9,9 +9,10 @@ satisfying
               + kappa_f + n_upper + m_lower) <= 1,
 
 at the reported times, and only the requested slices are stored.  The
-coefficients sigma, b, l, h and h' come from tables evaluated once per block
-of substep rows (``Coefficients.blocks``); the driver f depends on u and is
-evaluated per substep.  Each block's tables are checked against the bound
+coefficients sigma, b, l, h and h', and the driver's subtrees free of u and
+of its derivative, come from tables evaluated once per block of substep rows
+(``Coefficients.blocks``); a substep evaluates only the rest of the driver,
+on a row of those tables.  Each block's tables are checked against the bound
 node by node, so a coefficient peaking between reported times raises
 StabilityError, once the backward loop reaches the failing substep, instead
 of blowing the field up.
@@ -50,9 +51,9 @@ class PdeSchemeParams:
 def f_operator(d2u, du, u, x, t, spec: ProblemSpec):
     """Full spatial operator G(sigma^2 d2u + 2 l du) + b du + f(t,x,u,sigma du)."""
     coeffs = Coefficients(spec, x)
-    sv, bv, lv = (coeffs(name, t) for name in ("sigma", "b", "l"))
+    sv, bv, lv, *ks = (coeffs(name, t) for name in ("sigma", "b", "l") + coeffs.driver_fields)
     out = (g_eval(sv ** 2 * d2u + 2.0 * lv * du, spec.band) + bv * du
-           + coeffs.f(t, x, u, sv * du))
+           + coeffs.f(ks, u, sv * du))
     return out if np.ndim(out) else float(out)
 
 
@@ -120,8 +121,7 @@ def _run_pde(spec, grid, penalties, direct, max_substeps):
         penalties.check_explicit_cfl(dt)
     nsub = _stability_substeps(spec, grid, penalties, direct, max_substeps)
     dts = dt / nsub
-    x = grid.x
-    coeffs = Coefficients(spec, x)
+    coeffs = Coefficients(spec, grid.x)
     band = spec.band
     lo2, hi2 = band.sigma_low ** 2, band.sigma_high ** 2
 
@@ -136,18 +136,18 @@ def _run_pde(spec, grid, penalties, direct, max_substeps):
     def substep_times(k):
         return (grid.n_t - 1 - k // nsub) * dt + (nsub - 1 - k % nsub) * dts
 
-    for block, times, (sv, bv, lv, hv, hpv) in coeffs.blocks(
-            ("sigma", "b", "l", "h", "h_prime"), grid.n_t * nsub, substep_times):
+    for block, times, (sv, bv, lv, hv, hpv, *ks) in coeffs.blocks(
+            ("sigma", "b", "l", "h", "h_prime") + coeffs.driver_fields, grid.n_t * nsub,
+            substep_times):
         n_ok, error = _substep_failure(spec, penalties, direct, grid, dts, times,
                                        *t_free_rows(sv, bv, lv))
         for r, k in enumerate(range(block.start, block.start + n_ok)):
             i, s = grid.n_t - 1 - k // nsub, k % nsub
-            ts = float(times[r])
             g = _ghost_row(u)
             d2 = (g[2:] - 2.0 * u + g[:-2]) / dx ** 2
             d1 = (g[2:] - g[:-2]) / (2.0 * dx)
             harg = sv[r] ** 2 * d2 + 2.0 * lv[r] * d1
-            F = g_eval(harg, band) + bv[r] * d1 + coeffs.f(ts, x, u, sv[r] * d1)
+            F = g_eval(harg, band) + bv[r] * d1 + coeffs.f([a[r] for a in ks], u, sv[r] * d1)
             out.k_defect[i] += -0.5 * (hi2 - lo2) * np.abs(harg) * dts
             base = u + dts * F
             # a zero intensity against an infinite h or h' makes a 0*inf
@@ -163,7 +163,7 @@ def _run_pde(spec, grid, penalties, direct, max_substeps):
             raise error
 
     # the last block's tables are not kept while z is computed
-    del sv, bv, lv, hv, hpv
+    del sv, bv, lv, hv, hpv, ks
     out.z = z_field(spec, grid, out.u)
     return out
 

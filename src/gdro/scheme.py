@@ -64,6 +64,10 @@ class NonFiniteField(ArithmeticError):
                          % (t_index, x_index, label))
         self.label, self.t_index, self.x_index = label, t_index, x_index
 
+    def __reduce__(self):
+        # unpickling calls __init__, which takes the parts before formatting
+        return type(self), (self.label, self.t_index, self.x_index)
+
 
 def require_finite(field, **label):
     """Return ``field``, or raise NonFiniteField at the latest time slice
@@ -174,31 +178,36 @@ class LadderRow:
         return float(np.fmax(self.mono_gap_n, self.mono_gap_m))
 
 
-def obstacle_violations(field: SolutionField, spec: ProblemSpec, grid: Grid):
-    """(sup (u-h)^-, sup (u-h')^+) over all nodes."""
-    h, hp = obstacle_fields(spec, grid)
+def obstacle_violations(field: SolutionField, spec: ProblemSpec, grid: Grid,
+                        obstacles=None):
+    """(sup (u-h)^-, sup (u-h')^+) over all nodes.  ``obstacles`` is the
+    pair obstacle_fields(spec, grid), if the caller has it."""
+    h, hp = obstacles or obstacle_fields(spec, grid)
     low = float(np.max(np.maximum(h - field.u, 0.0)))
     up = float(np.max(np.maximum(field.u - hp, 0.0)))
     return low, up
 
 
-def asc_residuals(field: SolutionField, spec: ProblemSpec, grid: Grid):
+def asc_residuals(field: SolutionField, spec: ProblemSpec, grid: Grid, obstacles=None):
     """Pushing-consistency residuals (asc_plus, asc_minus).
 
     Per spatial column, sums (u - h) * da_plus over time and takes the
     magnitude; asc_plus is the sup of those column magnitudes (asc_minus
     analogous with (h' - u) * da_minus).  Exact lower reflection gives
     asc_plus = 0 because increments occur only where u sits on h.
+    ``obstacles`` is as in obstacle_violations.
     """
-    h, hp = obstacle_fields(spec, grid)
+    h, hp = obstacles or obstacle_fields(spec, grid)
     cols_plus = np.sum((field.u - h) * field.a_plus, axis=0)
     cols_minus = np.sum((hp - field.u) * field.a_minus, axis=0)
     return float(np.max(np.abs(cols_plus))), float(np.max(np.abs(cols_minus)))
 
 
-def asc_residuals_global(field: SolutionField, spec: ProblemSpec, grid: Grid):
-    """Whole-grid variant of the pushing residual sums, for transparency."""
-    h, hp = obstacle_fields(spec, grid)
+def asc_residuals_global(field: SolutionField, spec: ProblemSpec, grid: Grid,
+                         obstacles=None):
+    """Whole-grid variant of the pushing residual sums, for transparency;
+    ``obstacles`` is as in obstacle_violations."""
+    h, hp = obstacles or obstacle_fields(spec, grid)
     return (float(abs(np.sum((field.u - h) * field.a_plus))),
             float(abs(np.sum((hp - field.u) * field.a_minus))))
 
@@ -219,6 +228,8 @@ def strictly_ascending(values) -> bool:
 def ladder_row(field, spec, grid, n, m, **gaps) -> LadderRow:
     """The ladder row of one solve; ``gaps`` sets mono_gap_n and mono_gap_m."""
     row = LadderRow(n=n, m=m, **gaps)
-    row.sup_lower_violation, row.sup_upper_violation = obstacle_violations(field, spec, grid)
-    row.asc_plus, row.asc_minus = asc_residuals(field, spec, grid)
+    obstacles = obstacle_fields(spec, grid)
+    row.sup_lower_violation, row.sup_upper_violation = obstacle_violations(
+        field, spec, grid, obstacles)
+    row.asc_plus, row.asc_minus = asc_residuals(field, spec, grid, obstacles)
     return row

@@ -7,14 +7,17 @@ compare each forked run with the same run in-process.
 
 import json
 import os
+import pickle
 import signal
 import time
 
 import pytest
 
 import gdro.cli
-from gdro.cli import EXIT_OK, EXIT_STABILITY, EXIT_VALIDATION, main
+from gdro.cli import EXIT_OK, EXIT_STABILITY, EXIT_VALIDATION, ConfigError, main
+from gdro.expr import ParseError, parse_expr
 from gdro.gcore import Grid, StabilityError
+from gdro.scheme import NonFiniteField
 
 UNCERTAIN_SINE = {
     "horizon": 1.0, "x_min": -3.0, "x_max": 3.0,
@@ -102,7 +105,14 @@ def _slow_sweeps(monkeypatch):
       "penalties": {"n_upper": 64, "m_lower": 64, "penalty_mode": "nodewise-implicit"},
       "ladders": {"epsilon_list": [0.1, float("inf")]}},
      EXIT_STABILITY, "stability status=rejected kind=non-finite-field eps=inf t_index=19"),
-], ids=["ghost-cell-domain-error", "lattice-and-pde-stability", "non-finite-probe"])
+    # a subtree of the driver free of y and z, undefined between the
+    # validation's sample times; both solvers raise once they reach t = 0.6
+    ({"problem": dict(UNCERTAIN_SINE, f="0.1*sqrt(abs(t - 0.6) - 0.04)*sin(x) - 0.3*y"),
+      "grid": {"n_t": 20, "n_x": 33}, "method": "both", "emit": ["residual"]},
+     EXIT_VALIDATION, 'validate status=fail kind=domain-error detail="sqrt of negative value '
+                      "in 'sqrt((abs((t - 0.6)) - 0.04))'\""),
+], ids=["ghost-cell-domain-error", "lattice-and-pde-stability", "non-finite-probe",
+        "driver-subtree-domain-error"])
 def test_forked_failure_matches_in_process(tmp_path, monkeypatch, capsys, forks,
                                            payload, code, record):
     _slow_sweeps(monkeypatch)
@@ -148,3 +158,25 @@ def test_parent_interrupt_kills_child(tmp_path, monkeypatch, forks):
     assert time.monotonic() - start < 30
     assert killed == [signal.SIGKILL]
     _no_child_left()
+
+
+def _parse_error():
+    with pytest.raises(ParseError) as caught:
+        parse_expr("x +* 2")
+    return caught.value
+
+
+@pytest.mark.parametrize("make, attrs", [
+    (_parse_error, ("position",)),
+    (lambda: ConfigError("expected a number", "/grid/n_t"), ("pointer",)),
+    (lambda: NonFiniteField({"n": 4.0, "m": float("inf")}, 12, 3),
+     ("label", "t_index", "x_index")),
+], ids=["ParseError", "ConfigError", "NonFiniteField"])
+def test_errors_survive_pickling(make, attrs):
+    # the child's result, an error included, reaches the parent as a pickle
+    err = make()
+    back = pickle.loads(pickle.dumps(err, pickle.HIGHEST_PROTOCOL))
+    assert type(back) is type(err)
+    assert str(back) == str(err)
+    for name in attrs:
+        assert getattr(back, name) == getattr(err, name)

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdro.expr import (BinOp, Call, DomainError, Neg, Num, ParseError,
-                       UnboundVariableError, Var, eval_expr, format_expr,
-                       parse_expr, variables)
+                       UnboundVariableError, Var, eval_expr, format_expr, join,
+                       parse_expr, split, variables)
 
 B = {"t": 0.0, "x": 0.0, "y": 0.0, "z": 0.0}
 
@@ -170,3 +170,38 @@ def test_literal_arithmetic_exact(a, b, op):
     got = eval_expr(parse_expr("(%s) %s (%s)" % (repr(a), op, repr(b))), B)
     want = {"+": a + b, "-": a - b, "*": a * b, "/": a / b if b else None}[op]
     assert got == want  # 0 ulp
+
+
+def test_split_keeps_variable_free_subtrees():
+    # sin(2) and the Num leaves reference no variable, so none is cut
+    residual, subtrees = split(parse_expr("sin(2)*y + 3*z - 1"), ("y", "z"))
+    assert residual == parse_expr("sin(2)*y + 3*z - 1")
+    assert subtrees == []
+
+
+def test_split_cuts_maximal_subtrees_left_to_right():
+    f = parse_expr("sin(x + 3)*cos(t + 0.3) - 0.3*y + 0.1*z*cos(x + t)")
+    residual, subtrees = split(f, ("y", "z"))
+    assert subtrees == [parse_expr("sin(x + 3)*cos(t + 0.3)"), parse_expr("cos(x + t)")]
+    # the Num leaves 0.3 and 0.1 stay in place
+    assert residual == BinOp("+", BinOp("-", Var("_k0"), BinOp("*", Num(0.3), Var("y"))),
+                             BinOp("*", BinOp("*", Num(0.1), Var("z")), Var("_k1")))
+    assert join(residual, subtrees) == f
+
+
+def test_split_of_a_tree_free_of_y_and_z_is_one_subtree():
+    f = parse_expr("exp(-t)*x^2 + 1")
+    assert split(f, ("y", "z")) == (Var("_k0"), [f])
+
+
+def test_split_of_a_y_z_only_driver_is_unchanged():
+    f = parse_expr("max(y, -2) - 0.5*abs(z)/(1 + y^2)")
+    assert split(f, ("y", "z")) == (f, [])
+
+
+def test_split_residual_evaluates_to_the_tree():
+    f = parse_expr("min(y, exp(t)*sin(x)) + pos(z - t^2) + neg(y - x)")
+    residual, subtrees = split(f, ("y", "z"))
+    b = {"t": 0.3, "x": np.linspace(-1.0, 1.0, 7), "y": np.linspace(2.0, -2.0, 7), "z": 0.25}
+    ks = {"_k%d" % i: eval_expr(e, b) for i, e in enumerate(subtrees)}
+    assert np.array_equal(eval_expr(residual, dict(b, **ks)), eval_expr(f, b))

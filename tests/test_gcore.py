@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gdro import gcore
-from gdro.expr import DomainError
+from gdro import gcore, lattice, pde
+from gdro.expr import DomainError, eval_expr
 from gdro.gcore import (Coefficients, Grid, PenaltyParams, ProblemSpec, StabilityError,
                         VolatilityBand, g_eval, obstacle_fields,
                         uncontaminated_mask, validate_problem)
@@ -172,3 +172,93 @@ def test_coefficient_blocks_stop_at_an_undefined_row(monkeypatch):
                 assert np.array_equal(h_row.view(np.uint8), coeffs("h", t).view(np.uint8))
                 assert np.array_equal(sigma_row, np.ones(5))
     assert seen == [slice(0, 4), slice(4, 5), slice(5, 6)]
+
+
+def _bits(a, shape):
+    return np.ascontiguousarray(np.broadcast_to(a, shape)).view(np.uint8)
+
+
+DRIVERS = [
+    "cos(t + 0.3)*y - 0.2*z",                     # a subtree of t alone
+    "sin(x)*z - y + x^2",                         # subtrees of x alone
+    "sin(x + 3)*cos(t + 0.3) - 0.3*y + 0.1*z*cos(x + t)",
+    "exp(-t)*y + t^3*z - neg(t - 0.5)*x",         # scalar exp, ** and neg of t
+    "min(y, sin(x)) + max(z, cos(t + 0.3)) + pos(y - x*t) + neg(z + exp(t))"
+    " + abs(y*z - x)",
+    "0.5", "y*z",
+]
+
+
+@pytest.mark.parametrize("f", DRIVERS)
+def test_tabled_driver_matches_the_whole_tree_bitwise(f, monkeypatch):
+    # both solvers bind t as a Python float at each step or substep
+    spec = ProblemSpec.from_strings(horizon=1.0, x_min=-2.0, x_max=2.0, sigma_low=0.5,
+                                    sigma_high=1.0, f=f)
+    x = np.linspace(-2.0, 2.0, 9)
+    rng = np.random.default_rng(3)
+    y, z = rng.normal(size=(2, 2, x.size))
+    coeffs = Coefficients(spec, x)
+    monkeypatch.setattr(gcore, "_BLOCK_NODES", 40)
+    rows = 0
+    for _, times, tables in coeffs.blocks(coeffs.driver_fields, 401, lambda k: 1.0 - k / 400):
+        for r, t in enumerate(times.tolist()):
+            whole = eval_expr(spec.f, {"t": t, "x": x, "y": y, "z": z})
+            tabled = coeffs.f([k[r] for k in tables], y, z)
+            assert np.array_equal(_bits(whole, y.shape), _bits(tabled, y.shape))
+            rows += 1
+    assert rows == 401
+
+
+@pytest.mark.parametrize("f", DRIVERS)
+def test_driver_sample_matches_the_whole_tree_bitwise(f):
+    # a column of times binds t as an array, as the whole driver did
+    spec = ProblemSpec.from_strings(horizon=1.0, x_min=-2.0, x_max=2.0, sigma_low=0.5,
+                                    sigma_high=1.0, f=f)
+    x = np.linspace(-2.0, 2.0, 9)
+    y = np.broadcast_to(np.array([-2.0, 0.0, 2.0])[:, None], (5, x.size, 3, 3))
+    whole = eval_expr(spec.f, {"t": np.linspace(0.0, 1.0, 5)[:, None, None, None],
+                               "x": x[:, None, None], "y": y + 0.5, "z": y.swapaxes(2, 3)})
+    assert np.array_equal(_bits(gcore.driver_sample(spec, 1.0, x, dy=0.5), y.shape),
+                          _bits(whole, y.shape))
+
+
+def test_driver_domain_error_names_the_node_of_f():
+    spec = ProblemSpec.from_strings(horizon=1.0, x_min=-1.0, x_max=1.0, sigma_low=1.0,
+                                    sigma_high=1.0, f="log(y + 2 + sin(x))")
+    coeffs = Coefficients(spec, np.linspace(-1.0, 1.0, 5))
+    with pytest.raises(DomainError) as caught:
+        coeffs.f([coeffs(name, 0.0) for name in coeffs.driver_fields], -3.0, 0.0)
+    assert str(caught.value) == "log of non-positive value in 'log(((y + 2.0) + sin(x)))'"
+
+
+#: a driver whose subtree free of y and z is undefined for |t - 0.6| < 0.04,
+#: which the validation's sample times 0, 0.25, ..., 1 miss
+MIDWAY_UNDEFINED = "0.1*sqrt(abs(t - 0.6) - 0.04)*sin(x) - 0.3*y"
+
+
+@pytest.mark.parametrize("solver", ["lattice", "pde"])
+def test_undefined_driver_subtree_raises_at_its_row(solver, monkeypatch):
+    spec = ProblemSpec.from_strings(horizon=1.0, x_min=-3.0, x_max=3.0, sigma_low=0.5,
+                                    sigma_high=1.0, phi="0.1*sin(x)", f=MIDWAY_UNDEFINED)
+    grid = Grid.for_problem(spec, 20, 33)
+    penalties = PenaltyParams()
+    if solver == "lattice":
+        times = [grid.dt * (grid.n_t - 1 - k) for k in range(grid.n_t)]
+    else:
+        nsub = pde._stability_substeps(spec, grid, penalties, False, 10_000)
+        dts = grid.dt / nsub
+        times = [(grid.n_t - 1 - k // nsub) * grid.dt + (nsub - 1 - k % nsub) * dts
+                 for k in range(grid.n_t * nsub)]
+    first_undefined = next(k for k, t in enumerate(times) if abs(t - 0.6) - 0.04 < 0)
+    module = lattice if solver == "lattice" else pde
+    steps = []
+    update = module.obstacle_update
+    monkeypatch.setattr(module, "obstacle_update",
+                        lambda *args, **kw: steps.append(1) or update(*args, **kw))
+    with pytest.raises(DomainError, match=r"sqrt\(\(abs\(\(t - 0\.6\)\) - 0\.04\)\)"):
+        if solver == "lattice":
+            lattice.penalized_sweep(spec, grid, penalties)
+        else:
+            pde.solve_penalized_pde(spec, pde.PdeSchemeParams(grid=grid, penalty=penalties))
+    # every row before the undefined one was stepped, and none after it
+    assert 0 < first_undefined == len(steps)

@@ -53,6 +53,10 @@ _VARCOEF = {"horizon": 1.0, "x_min": -3.0, "x_max": 3.0,
 #: varcoef-forked has the grid of the varcoef-pde benchmark workload, above
 #: cli._FORK_NODES where no catalog default grid is, so its lattice batch,
 #: main cell and probe, is swept in a forked child beside the PDE solves.
+#: driver-split has a driver whose subtrees free of y and z, which both
+#: solvers and the residual evaluate as tables, include one of t alone
+#: (exp(-0.5*t), where scalar and array exp may differ in the last bit), a
+#: sqrt and a log defined on the whole grid, and y and z inside max and abs.
 INLINE = {
     "varcoef-inline": {
         "problem": _VARCOEF,
@@ -77,6 +81,15 @@ INLINE = {
         "grid": {"n_t": 500, "n_x": 201},
         "penalties": {"n_upper": 64.0, "m_lower": 64.0, "penalty_mode": "nodewise-implicit"},
         "ladders": {"epsilon_list": [0.1]}},
+    "driver-split": {
+        "problem": dict(_VARCOEF, f="exp(-0.5*t)*(0.3 - 0.3*max(y, -0.2))"
+                                    " + 0.1*sqrt(2 + sin(x + t))*abs(z)"
+                                    " + 0.5*cos(t + 0.3)*log(1.5 + sin(x))"),
+        "grid": {"n_t": 60, "n_x": 41},
+        "penalties": {"n_upper": 64.0, "m_lower": "projection",
+                      "penalty_mode": "nodewise-implicit"},
+        "ladders": {"n_list": [4.0, 16.0, 64.0], "m_list": [10.0, 100.0],
+                    "epsilon_list": [0.1]}},
 }
 
 
