@@ -116,6 +116,13 @@ def _as_finite(value, pointer):
     return number
 
 
+def _as_not_nan(value, pointer):
+    number = _as_number(value, pointer)
+    if math.isnan(number):
+        raise ConfigError("expected a number, not NaN", pointer)
+    return number
+
+
 def _as_int(value, pointer):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError("expected an integer", pointer)
@@ -193,7 +200,7 @@ def _parse_ladders(value):
         seq = value[key]
         if not isinstance(seq, list):
             raise ConfigError("expected an array", "/ladders/%s" % key)
-        out[key] = [_as_number(v, "/ladders/%s/%d" % (key, i))
+        out[key] = [_as_not_nan(v, "/ladders/%s/%d" % (key, i))
                     for i, v in enumerate(seq)]
         if key != "epsilon_list" and not strictly_ascending(out[key]):
             raise ConfigError("expected a strictly ascending list", "/ladders/%s" % key)

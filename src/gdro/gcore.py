@@ -215,11 +215,7 @@ class Coefficients:
     The driver is split (``expr.split``) into a residual tree in y and z and
     its maximal subtrees free of both, which are fields like the others,
     named by ``driver_fields``; ``f`` evaluates the residual on their values
-    at one time.  A driver subtree binds t as given, a scalar as a scalar,
-    as the whole driver did (numpy's array exp and ** can differ from
-    Python's scalar ones in the last bit), so its row at a scalar t may have
-    a shape that only broadcasts against x.  The rows ``blocks`` gives are
-    those rows, bitwise.
+    at one time.
     """
 
     def __init__(self, spec, x):
@@ -228,10 +224,6 @@ class Coefficients:
         self.driver_fields = tuple("_k%d" % i for i in range(len(self.subtrees)))
         self.exprs = {name: getattr(spec, name) for name in _FINITE_FIELDS}
         self.exprs.update(zip(self.driver_fields, self.subtrees))
-        # a driver subtree holding t, as its residual in x and its parts free of x
-        self.scalar_t = {name: ex.split(e, ("x",)) for name, e in zip(self.driver_fields,
-                                                                      self.subtrees)
-                         if "t" in ex.variables(e)}
         self.static = {}  # name -> row of a t-free field
         for name, e in self.exprs.items():
             if "t" not in ex.variables(e):
@@ -244,29 +236,15 @@ class Coefficients:
         if a is None:
             bind = {"x": self.x}
             if t is not None:
-                scalar = not column and name not in self.scalar_t
-                bind["t"] = np.full(self.x.shape, t) if scalar else t
+                bind["t"] = t if column else np.full(self.x.shape, t)
             a = ex.eval_expr(self.exprs[name], bind)
         return np.broadcast_to(a, np.broadcast_shapes(t.shape, self.x.shape)) if column else a
-
-    def _rows(self, name, times):
-        """The table of ``name`` whose row r is self(name, times[r]): a
-        driver subtree's parts free of x are evaluated at each time as a
-        scalar, and the rest at once."""
-        if name not in self.scalar_t:
-            return self(name, times[:, None])
-        e, parts = self.scalar_t[name]
-        bind = {"_k%d" % i: np.array([ex.eval_expr(p, {"t": t}) for t in times.tolist()])[:, None]
-                for i, p in enumerate(parts)}
-        bind["x"] = self.x
-        return np.broadcast_to(ex.eval_expr(e, bind), (times.size, self.x.size))
 
     def blocks(self, names, n_rows, time_of):
         """Yield (rows, times, tables) over consecutive slices ``rows`` of
         range(n_rows), where times = time_of(row indices) is the 1-D array
-        of the rows' times and row r of tables[k] is self(names[k], times[r])
-        bitwise; but for the driver's subtrees, tables[k] is self(names[k],
-        times[:, None]).
+        of the rows' times and tables[k] is self(names[k], times[:, None]),
+        whose row r is self(names[k], times[r]) bitwise.
 
         A block holds about _BLOCK_NODES nodes per field, and at least one
         row; only one block's times and tables exist at a time.  A block in
@@ -280,10 +258,10 @@ class Coefficients:
             rows = slice(lo, min(lo + step, n_rows))
             times = time_of(np.arange(rows.start, rows.stop))
             try:
-                tables = [self._rows(name, times) for name in names]
+                tables = [self(name, times[:, None]) for name in names]
             except ValueError:
                 rows, times = slice(lo, lo + 1), times[:1]
-                tables = [self._rows(name, times) for name in names]
+                tables = [self(name, times[:, None]) for name in names]
             yield rows, times, tables
             lo = rows.stop
 

@@ -524,3 +524,19 @@ def test_non_finite_penalty_rejected(tmp_path, capsys, key, value):
     assert rc == EXIT_VALIDATION
     assert "expected a finite number at /penalties/%s" % key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, values, index", [
+    ("n_list", [4, float("nan")], 1), ("m_list", [float("nan"), 100], 0),
+    ("epsilon_list", [float("nan")], 0)])
+def test_nan_ladder_entry_rejected(tmp_path, capsys, key, values, index):
+    # a NaN probe would make h NaN everywhere, which the obstacle step reads
+    # as no lower obstacle; +-inf passes the schema, and a non-finite field
+    # it makes exits 3
+    rc = _solve(tmp_path, {
+        "problem": "double-obstacle-sine", "grid": {"n_t": 40, "n_x": 33},
+        "ladders": dict({"n_list": [4, 8], "m_list": [10, 100]}, **{key: values})})
+    assert rc == EXIT_VALIDATION
+    assert ("expected a number, not NaN at /ladders/%s/%d" % (key, index)
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()

@@ -182,7 +182,7 @@ DRIVERS = [
     "cos(t + 0.3)*y - 0.2*z",                     # a subtree of t alone
     "sin(x)*z - y + x^2",                         # subtrees of x alone
     "sin(x + 3)*cos(t + 0.3) - 0.3*y + 0.1*z*cos(x + t)",
-    "exp(-t)*y + t^3*z - neg(t - 0.5)*x",         # scalar exp, ** and neg of t
+    "exp(-t)*y + t^3*z - neg(t - 0.5)*x",         # exp, ** and neg of t alone
     "min(y, sin(x)) + max(z, cos(t + 0.3)) + pos(y - x*t) + neg(z + exp(t))"
     " + abs(y*z - x)",
     "0.5", "y*z",
@@ -191,7 +191,7 @@ DRIVERS = [
 
 @pytest.mark.parametrize("f", DRIVERS)
 def test_tabled_driver_matches_the_whole_tree_bitwise(f, monkeypatch):
-    # both solvers bind t as a Python float at each step or substep
+    # Coefficients binds a scalar t as an array shaped like x; so does the reference
     spec = ProblemSpec.from_strings(horizon=1.0, x_min=-2.0, x_max=2.0, sigma_low=0.5,
                                     sigma_high=1.0, f=f)
     x = np.linspace(-2.0, 2.0, 9)
@@ -202,7 +202,7 @@ def test_tabled_driver_matches_the_whole_tree_bitwise(f, monkeypatch):
     rows = 0
     for _, times, tables in coeffs.blocks(coeffs.driver_fields, 401, lambda k: 1.0 - k / 400):
         for r, t in enumerate(times.tolist()):
-            whole = eval_expr(spec.f, {"t": t, "x": x, "y": y, "z": z})
+            whole = eval_expr(spec.f, {"t": np.full(x.shape, t), "x": x, "y": y, "z": z})
             tabled = coeffs.f([k[r] for k in tables], y, z)
             assert np.array_equal(_bits(whole, y.shape), _bits(tabled, y.shape))
             rows += 1

@@ -1,4 +1,5 @@
-"""Penalty-ladder orderings on generated smooth problems.
+"""Penalty-ladder orderings and the other monotone-scheme properties of
+both solvers on generated smooth problems.
 
 The problems have the shape of the benchmark's varcoef problem (every
 coefficient varies in t and x).  Its validity argument holds for any phase
@@ -8,14 +9,19 @@ driver's Lipschitz constants stay near 0.3 in y and 0.1 in z, and sigma =
 1 + 0.2 sin(...) keeps the stencil spans fixed.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdro.catalog import MONO_TOL
 from gdro.convergence import monotone_ladder
-from gdro.gcore import NODEWISE_IMPLICIT, PROJECTION, Grid, PenaltyParams, ProblemSpec
-from gdro.lattice import SweepCell, double_ladder, sweep_cells
+from gdro.expr import BinOp, Num
+from gdro.gcore import (NODEWISE_IMPLICIT, PROJECTION, Grid, PenaltyParams, ProblemSpec,
+                        obstacle_fields)
+from gdro.lattice import SweepCell, double_ladder, penalized_sweep, sweep_cells
+from gdro.pde import PdeSchemeParams, solve_double_obstacle_direct, solve_penalized_pde
 
 N_LIST = [4.0, 16.0, 64.0]
 M_LIST = [4.0, 16.0, 64.0]
@@ -45,6 +51,10 @@ def _grid(spec):
     return Grid.for_problem(spec, 20, 33)
 
 
+def _implicit(n, m):
+    return PenaltyParams(n_upper=n, m_lower=m, penalty_mode=NODEWISE_IMPLICIT)
+
+
 @settings(max_examples=50, deadline=None)
 @given(problems())
 def test_reflected_ladder_non_increasing_in_n(spec):
@@ -67,7 +77,7 @@ def test_double_ladder_ordered_in_n_and_m(spec):
 @given(problems())
 def test_penalized_below_reflected_at_equal_n(spec):
     def cell(n, m):
-        return SweepCell(PenaltyParams(n_upper=n, m_lower=m, penalty_mode=NODEWISE_IMPLICIT))
+        return SweepCell(_implicit(n, m))
 
     cells = [cell(n, m) for n in N_LIST for m in M_LIST + [PROJECTION]]
     fields = dict(zip(cells, sweep_cells(spec, _grid(spec), cells)))
@@ -75,3 +85,42 @@ def test_penalized_below_reflected_at_equal_n(spec):
         reflected = fields[cell(n, PROJECTION)].u
         for m in M_LIST:
             assert np.max(fields[cell(n, m)].u - reflected) <= MONO_TOL
+
+
+@settings(max_examples=50, deadline=None)
+@given(problems())
+def test_pde_ladder_ordered_in_n_and_m(spec):
+    # the lattice's three orderings, for the PDE's nodewise-implicit solves
+    grid = _grid(spec)
+    u = {(n, m): solve_penalized_pde(spec, PdeSchemeParams(grid, _implicit(n, m))).u
+         for n in N_LIST for m in M_LIST + [PROJECTION]}
+    for n, n_next in zip(N_LIST, N_LIST[1:]):
+        for m in M_LIST + [PROJECTION]:
+            assert np.max(u[n_next, m] - u[n, m]) <= MONO_TOL
+    for n in N_LIST:
+        for m, m_next in zip(M_LIST, M_LIST[1:]):
+            assert np.max(u[n, m] - u[n, m_next]) <= MONO_TOL
+        for m in M_LIST:
+            assert np.max(u[n, m] - u[n, PROJECTION]) <= MONO_TOL
+
+
+@settings(max_examples=50, deadline=None)
+@given(problems())
+def test_pde_direct_solve_between_the_obstacles(spec):
+    grid = _grid(spec)
+    u = solve_double_obstacle_direct(spec, PdeSchemeParams(grid)).u
+    h, hp = obstacle_fields(spec, grid)
+    assert np.all(h <= u) and np.all(u <= hp)
+
+
+@settings(max_examples=50, deadline=None)
+@given(problems(), st.tuples(*[st.floats(0.0, 0.05)] * 3))
+def test_raised_data_raise_both_solutions(spec, raise_by):
+    # comparison principle: phi, h and h' raised by constants (keeping the
+    # problem valid) raise the solution of either solver
+    raised = replace(spec, **{name: BinOp("+", getattr(spec, name), Num(c))
+                              for name, c in zip(("phi", "h", "h_prime"), raise_by)})
+    grid, pen = _grid(spec), _implicit(64.0, 64.0)
+    for solve in (lambda s: penalized_sweep(s, grid, pen),
+                  lambda s: solve_penalized_pde(s, PdeSchemeParams(grid, pen))):
+        assert np.max(solve(spec).u - solve(raised).u) <= MONO_TOL

@@ -114,7 +114,8 @@ INLINE = ProblemSpec.from_strings(
     horizon=1.0, x_min=-3.0, x_max=3.0, sigma_low=0.5, sigma_high=1.5,
     sigma="sqrt(1 + 0.5*sin(x*t)^2)", b="0.1*exp(-t)*x - 0.01*t^3",
     l="0.05*log(2 + cos(x + t))", h="-1 + 0.1*exp(t - x^2)",
-    h_prime="1 + sqrt(t + 0.1*x^2)", phi="0.1*sin(x)", name="inline")
+    h_prime="1 + sqrt(t + 0.1*x^2)", phi="0.1*sin(x)",
+    f="exp(-0.5*t)*y + t^3*z - neg(t - 0.5)*sin(x)", name="inline")
 
 
 @pytest.mark.parametrize("spec", _catalog_specs() + [INLINE], ids=lambda s: s.name)
@@ -122,7 +123,7 @@ def test_table_equals_rows_bitwise(spec):
     n_t, n_x = 200, 161
     grid = Grid.for_problem(spec, n_t, n_x)
     coeffs = Coefficients(spec, grid.x)
-    for name in ("b", "l", "sigma", "h", "h_prime"):
+    for name in ("b", "l", "sigma", "h", "h_prime") + coeffs.driver_fields:
         table = coeffs(name, grid.t[:, None])
         assert table.shape == (n_t + 1, n_x)
         for i in range(n_t + 1):

@@ -54,9 +54,10 @@ _VARCOEF = {"horizon": 1.0, "x_min": -3.0, "x_max": 3.0,
 #: cli._FORK_NODES where no catalog default grid is, so its lattice batch,
 #: main cell and probe, is swept in a forked child beside the PDE solves.
 #: driver-split has a driver whose subtrees free of y and z, which both
-#: solvers and the residual evaluate as tables, include one of t alone
-#: (exp(-0.5*t), where scalar and array exp may differ in the last bit), a
-#: sqrt and a log defined on the whole grid, and y and z inside max and abs.
+#: solvers and the residual evaluate as tables with t bound as an array,
+#: include one of t alone (exp(-0.5*t), where a Python float's exp may
+#: differ from the array's in the last bit), a sqrt and a log defined on the
+#: whole grid, and y and z inside max and abs.
 INLINE = {
     "varcoef-inline": {
         "problem": _VARCOEF,
