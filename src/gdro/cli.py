@@ -144,7 +144,7 @@ def _parse_problem(value):
             raise ConfigError("unknown problem key", "/problem/%s" % key)
     kwargs = {}
     for key in _PROBLEM_REQUIRED:
-        kwargs[key] = _as_number(_require(value, key, "/problem/%s" % key),
+        kwargs[key] = _as_finite(_require(value, key, "/problem/%s" % key),
                                  "/problem/%s" % key)
     for key in _PROBLEM_EXPRS:
         if key in value:
@@ -261,35 +261,61 @@ def _fmt(v):
     return "%.17g" % v
 
 
-def _write_csv(path, header, slices):
-    """Write a CSV: ``header``, then each slice ``(lead, keys, values)``.
+#: grid nodes per CSV block, each filled as one template (set by measurement)
+_BLOCK_NODES = 1024
 
-    Row r of a slice is ``lead + keys[r]`` followed by row r of the 2-D array
-    ``values``, each entry as "%.17g": 17 significant digits, so every double
-    round-trips exactly.  A slice's rows form one template, filled by a
-    single ``%``.
+
+def _cells(column):
+    """The conversion and ``%`` arguments of a block's float ``column``:
+    "%s" and texts where at most half of its bit patterns are distinct, each
+    formatted once by "%.17g"; else "%.17g" and the column itself."""
+    bits = column.view(np.int64)
+    ordered = np.sort(bits)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    if 2 * len(distinct) > len(bits):
+        return "%.17g", column
+    texts = "\n".join(["%.17g"] * len(distinct)) % tuple(distinct.view(np.float64).tolist())
+    return "%s", np.array(texts.split("\n"), dtype=object)[np.searchsorted(distinct, bits)]
+
+
+def _write_csv(path, header, blocks):
+    """Write a CSV: ``header``, then each block ``(heads, values)``.
+
+    ``heads`` lists the block's slices as ``(lead, keys)``: row r of a slice
+    is ``lead + keys[r]`` and the slice's next row of the 2-D array
+    ``values``, each entry as "%.17g" (17 significant digits, so every double
+    round-trips exactly), all filled into one template per block.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for lead, keys, values in slices:
-            if keys:
-                row = ",".join(["%.17g"] * values.shape[1]) + "\n"
-                fh.write((lead + (row + lead).join(keys) + row)
-                         % tuple(values.ravel().tolist()))
+        for heads, values in blocks:
+            if not len(values):
+                continue
+            cells = np.empty(values.shape, dtype=object)
+            conversions = []
+            for k, column in enumerate(values.T):
+                conversion, cells[:, k] = _cells(column)
+                conversions.append(conversion)
+            row = ",".join(conversions) + "\n"
+            fh.write("".join(lead + (row + lead).join(keys) + row for lead, keys in heads if keys)
+                     % tuple(cells.ravel().tolist()))
 
 
 def _grid_slices(grid, columns, keep):
-    """The ``_write_csv`` slices of the (n_t+1, n_x) arrays ``columns``, one
-    per time index i, led by "t_i," and keyed by "x_j," at the nodes the mask
-    ``keep`` marks.  t is formatted once per slice and x once per call; the
-    values are gathered one slice at a time."""
+    """The ``_write_csv`` blocks of the (n_t+1, n_x) arrays ``columns``: as
+    many whole time slices as fit in ``_BLOCK_NODES`` nodes, at least one,
+    each slice i led by "t_i," and keyed by "x_j," at the nodes the mask
+    ``keep`` marks.  x is formatted once per call and t once per slice; the
+    values are gathered one block at a time."""
     x_keys = ["%.17g," % v for v in grid.x.tolist()]
-    values = np.empty((grid.n_x, len(columns)))
-    for i, t in enumerate(grid.t.tolist()):
-        for k, c in enumerate(columns):
-            values[:, k] = c[i]
-        nodes = keep[i]
-        yield "%.17g," % t, list(compress(x_keys, nodes.tolist())), values[nodes]
+    times = grid.t.tolist()
+    step = max(1, _BLOCK_NODES // grid.n_x)
+    for i0 in range(0, grid.n_t + 1, step):
+        rows = slice(i0, i0 + step)
+        values = np.stack([c[rows] for c in columns], axis=-1, dtype=float)
+        heads = [("%.17g," % t, list(compress(x_keys, nodes)))
+                 for t, nodes in zip(times[rows], keep[rows].tolist())]
+        yield heads, values[keep[rows]]
 
 
 def write_field_csv(path, fld, grid):
@@ -311,18 +337,12 @@ def write_report_csv(path, ladder_rows, rate_slope):
     _write_csv(path, ("n", "m", "sup_upper_violation", "sup_lower_violation",
                       "mono_violation", "asc_plus", "asc_minus", "cross_gap",
                       "rate_slope"),
-               [("", [""] * len(values), values)])
+               [([("", [""] * len(values))], values)])
 
 
 def write_residual_csv(path, r_grid, grid):
     """Write ``t,x,r`` at the nodes where the residual ``r_grid`` is not nan."""
     _write_csv(path, ("t", "x", "r"), _grid_slices(grid, (r_grid,), ~np.isnan(r_grid)))
-
-
-def _perturb_lower(spec, eps):
-    """The problem with h + eps: what the probe cell SweepCell(penalties,
-    eps) solves, which shifts h in the sweep instead."""
-    return replace(spec, h=ex.BinOp("+", spec.h, ex.Num(eps)), name=spec.name + "+eps")
 
 
 def _ladder_rows(results):

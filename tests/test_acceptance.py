@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
+from helpers import perturb_lower
 from gdro import catalog
 from gdro.cli import main
 from gdro.convergence import asc_residuals, cross_validate, monotone_ladder
@@ -221,13 +222,12 @@ def test_criterion_9_binomial_oracle():
 
 
 def test_criterion_10_stability_probe(sine_setup):
-    from gdro.cli import _perturb_lower
     from gdro.convergence import stability_probe
     entry, spec, grid = sine_setup
     pen = PenaltyParams(**entry.penalties)
     gaps = []
     for eps in entry.ladders["epsilon_list"]:
-        gap, _ = stability_probe(spec, _perturb_lower(spec, eps), grid, pen)
+        gap, _ = stability_probe(spec, perturb_lower(spec, eps), grid, pen)
         gaps.append(gap)
     decreasing = all(b < a for a, b in zip(gaps[:-1], gaps[1:]))
     ok = decreasing and gaps[-1] <= 0.1 * gaps[0]

@@ -5,14 +5,17 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gdro.lattice
 from gdro.cli import (EXIT_ASSERT, EXIT_OK, EXIT_STABILITY, EXIT_VALIDATION,
-                      ConfigError, _perturb_lower, load_config, main, parse_config,
+                      ConfigError, load_config, main, parse_config,
                       write_field_csv, write_report_csv, write_residual_csv)
 from gdro.convergence import stability_probe
 from gdro.gcore import Grid
 from gdro.scheme import LadderRow, SolutionField
+from helpers import perturb_lower
 
 INLINE_HEAT = {
     "horizon": 1.0, "x_min": -3.0, "x_max": 3.0,
@@ -357,7 +360,7 @@ def test_no_sweep_computed_twice(tmp_path, monkeypatch, method):
     cfg = load_config(cfg_path)
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["stability_gaps"] == [
-        stability_probe(cfg.spec, _perturb_lower(cfg.spec, eps), cfg.grid, cfg.penalties)[0]
+        stability_probe(cfg.spec, perturb_lower(cfg.spec, eps), cfg.grid, cfg.penalties)[0]
         for eps in epsilons]
 
 
@@ -501,6 +504,84 @@ def test_writers_match_per_value_reference(tmp_path):
             for r in rows])
 
 
+#: NaNs of different payloads and sign bits, each printed "nan"
+NANS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                 0xFFF00000DEADBEEF], dtype=np.uint64).view(np.float64)
+SPECIAL = np.concatenate([AWKWARD, [0.0, -0.0], NANS])
+
+
+def _pooled(rng, kind, shape):
+    """Values of ``shape`` from a pool of at most four values ("small"), of
+    nearly all distinct values ("large"), or small in the leading rows and
+    large in the rest ("both")."""
+    if kind == "both":
+        cut = rng.integers(0, shape[0] + 1)
+        return np.concatenate([_pooled(rng, "small", (cut,) + shape[1:]),
+                               _pooled(rng, "large", (shape[0] - cut,) + shape[1:])])
+    if kind == "small":
+        pool = rng.choice(np.concatenate([SPECIAL, rng.standard_normal(4)]),
+                          rng.integers(1, 5), replace=False)
+        return pool[rng.integers(0, len(pool), shape)]
+    values = rng.standard_normal(shape)
+    if values.size:
+        values.flat[rng.integers(0, values.size, 8)] = rng.choice(SPECIAL, 8)
+    return values
+
+
+KINDS = st.sampled_from(["small", "large", "both"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_t=st.integers(1, 12),
+       n_x=st.one_of(st.integers(3, 512), st.integers(513, 1024), st.integers(1025, 1500)),
+       kinds=st.lists(KINDS, min_size=6, max_size=6),
+       residual_slices=st.lists(st.sampled_from(["nan", "mixed", "finite"]),
+                                min_size=13, max_size=13),
+       n_rows=st.one_of(st.sampled_from([0, 1]), st.integers(2, 40)),
+       slope=st.one_of(st.none(), st.floats()), seed=st.integers(0, 2 ** 32 - 1))
+def test_writers_match_per_value_reference_on_blocks(tmp_path_factory, n_t, n_x, kinds,
+                                                     residual_slices, n_rows, slope, seed):
+    # with 1,024-node blocks, a block holds several slices, exactly one, or
+    # one wider than the budget; one file and one block mix columns of few
+    # and of many distinct values
+    rng = np.random.default_rng(seed)
+    out = tmp_path_factory.mktemp("writers")
+    grid = Grid(n_t=n_t, n_x=n_x, t_max=0.3, x_min=-0.1, x_max=0.3)
+    shape = (n_t + 1, n_x)
+    t, x = grid.t, grid.x
+
+    fld = SolutionField(grid, *(_pooled(rng, kind, shape) for kind in kinds[:5]),
+                        sigma_choice=rng.integers(0, 2, shape).astype(np.int8))
+    columns = (fld.u, fld.z, fld.a_plus, fld.a_minus, fld.k_defect, fld.sigma_choice)
+    write_field_csv(out / "field.csv", fld, grid)
+    assert (out / "field.csv").read_bytes() == _per_value_csv(
+        ("t", "x", "u", "z", "a_plus", "a_minus", "k_defect", "sigma_choice"),
+        [(t[i], x[j]) + tuple(c[i, j] for c in columns)
+         for i in range(n_t + 1) for j in range(n_x)])
+
+    r_grid = _pooled(rng, kinds[5], shape)
+    for i, how in enumerate(residual_slices[:n_t + 1]):
+        if how == "nan":
+            r_grid[i] = rng.choice(NANS, n_x)
+        elif how == "mixed":
+            r_grid[i, rng.random(n_x) < 0.5] = np.nan
+    write_residual_csv(out / "residual.csv", r_grid, grid)
+    assert (out / "residual.csv").read_bytes() == _per_value_csv(
+        ("t", "x", "r"), [(t[i], x[j], r_grid[i, j]) for i in range(n_t + 1)
+                          for j in range(n_x) if not np.isnan(r_grid[i, j])])
+
+    entries = _pooled(rng, kinds[0], (n_rows, 9))
+    rows = [LadderRow(*r[:4], mono_gap_n=r[4], mono_gap_m=r[5], asc_plus=r[6],
+                      asc_minus=r[7], cross_gap=r[8]) for r in entries]
+    write_report_csv(out / "report.csv", rows, slope)
+    assert (out / "report.csv").read_bytes() == _per_value_csv(
+        ("n", "m", "sup_upper_violation", "sup_lower_violation", "mono_violation",
+         "asc_plus", "asc_minus", "cross_gap", "rate_slope"),
+        [(r.n, r.m, r.sup_upper_violation, r.sup_lower_violation, r.mono_violation,
+          r.asc_plus, r.asc_minus, r.cross_gap, np.nan if slope is None else slope)
+         for r in rows])
+
+
 @pytest.mark.parametrize("key, values", [("n_list", [4, 4]), ("m_list", [10, 10])])
 def test_repeated_ladder_value_rejected(tmp_path, capsys, key, values):
     # a repeated rung would be swept and reported twice and fitted as one n
@@ -523,6 +604,18 @@ def test_non_finite_penalty_rejected(tmp_path, capsys, key, value):
         "penalties": {key: value}})
     assert rc == EXIT_VALIDATION
     assert "expected a finite number at /penalties/%s" % key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("key", ["horizon", "x_min", "x_max", "sigma_low", "sigma_high"])
+def test_non_finite_problem_number_rejected(tmp_path, capsys, key, value):
+    # an infinite x_max made an x column of nan and inf under exit 0
+    rc = _solve(tmp_path, {
+        "problem": dict(UNCERTAIN_SINE, **{key: value}), "grid": {"n_t": 10, "n_x": 11},
+        "method": "both", "emit": ["field"]})
+    assert rc == EXIT_VALIDATION
+    assert "expected a finite number at /problem/%s" % key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

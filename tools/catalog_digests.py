@@ -58,6 +58,11 @@ _VARCOEF = {"horizon": 1.0, "x_min": -3.0, "x_max": 3.0,
 #: include one of t alone (exp(-0.5*t), where a Python float's exp may
 #: differ from the array's in the last bit), a sqrt and a log defined on the
 #: whole grid, and y and z inside max and abs.
+#: wide-slices has time slices of 1,201 nodes, wider than the CSV writers'
+#: block of cli._BLOCK_NODES = 1,024 grid nodes, where no catalog default
+#: grid is, so each slice is a block of its own; its last residual slice is
+#: all nan, so one block writes no row.  b = l = 0 and sigma = 0.1 keep the
+#: PDE's substeps and the lattice margin small.
 INLINE = {
     "varcoef-inline": {
         "problem": _VARCOEF,
@@ -91,6 +96,11 @@ INLINE = {
                       "penalty_mode": "nodewise-implicit"},
         "ladders": {"n_list": [4.0, 16.0, 64.0], "m_list": [10.0, 100.0],
                     "epsilon_list": [0.1]}},
+    "wide-slices": {
+        "problem": dict(_VARCOEF, b="0", l="0", sigma="0.1"),
+        "grid": {"n_t": 20, "n_x": 1201},
+        "penalties": {"n_upper": 64.0, "m_lower": 64.0, "penalty_mode": "nodewise-implicit"},
+        "ladders": {"n_list": [4.0, 16.0, 64.0]}},
 }
 
 
