@@ -52,6 +52,9 @@ EMITS = ("field", "report", "residual")
 
 _PROBLEM_REQUIRED = ("horizon", "x_min", "x_max", "sigma_low", "sigma_high")
 _PROBLEM_EXPRS = ("b", "l", "sigma", "f", "phi", "h", "h_prime")
+#: the variables each coefficient may take (ProblemSpec)
+_EXPR_VARIABLES = {"b": "tx", "l": "tx", "sigma": "tx", "f": "txyz", "phi": "x",
+                   "h": "tx", "h_prime": "tx"}
 
 
 class ConfigError(ValueError):
@@ -153,11 +156,18 @@ def _parse_problem(value):
             kwargs[key] = value[key]
     kwargs["name"] = value.get("name", "inline")
     try:
-        return ProblemSpec.from_strings(**kwargs), None
+        spec = ProblemSpec.from_strings(**kwargs)
     except ex.ParseError as err:
         raise ConfigError("bad expression: %s" % err, "/problem") from None
     except ValueError as err:
         raise ConfigError(str(err), "/problem") from None
+    for key in _PROBLEM_EXPRS:
+        extra = sorted(ex.variables(getattr(spec, key)) - set(_EXPR_VARIABLES[key]))
+        if extra:
+            raise ConfigError("%s may only use %s, not %s" % (
+                key, ", ".join(_EXPR_VARIABLES[key]), ", ".join(extra)),
+                "/problem/%s" % key)
+    return spec, None
 
 
 def _parse_penalties(value, entry):

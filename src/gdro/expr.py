@@ -13,6 +13,12 @@ abs, exp, log, sin, cos, sqrt, pos, neg (unary), where pos(a) = max(a, 0)
 and neg(a) = max(-a, 0).  Numbers are decimal literals with an optional
 exponent part.  Evaluation follows IEEE double semantics and accepts
 numpy arrays as bindings, broadcasting elementwise.
+
+``compile_expr`` turns a tree into nested closures, once; calling the
+result on a bindings dict makes only the node's numpy and math calls,
+with no dispatch on node types.  The solvers evaluate every coefficient
+and the driver that way, once per block of rows or once per step.
+``eval_expr`` compiles and evaluates in one call.
 """
 
 from __future__ import annotations
@@ -298,59 +304,85 @@ def _check_domain(ok, message, node):
         raise DomainError(message, node)
 
 
-def _eval(expr, bindings):
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Var):
-        try:
-            return bindings[expr.name]
-        except KeyError:
-            raise UnboundVariableError("unbound variable %r" % expr.name) from None
-    if isinstance(expr, Neg):
-        return -_eval(expr.operand, bindings)
-    if isinstance(expr, BinOp):
-        a = _eval(expr.left, bindings)
-        b = _eval(expr.right, bindings)
-        if expr.op == "+":
-            return a + b
-        if expr.op == "-":
-            return a - b
-        if expr.op == "*":
-            return a * b
-        if expr.op == "/":
-            _check_domain(np.asarray(b) != 0, "division by zero", expr)
-            return a / b
-        # integer-literal exponent, checked at parse time
-        return a ** int(expr.right.value)
-    a = _eval(expr.args[0], bindings)
-    fn = expr.func
-    if fn == "min" or fn == "max":
-        b = _eval(expr.args[1], bindings)
-        return np.minimum(a, b) if fn == "min" else np.maximum(a, b)
-    if fn == "abs":
-        return np.abs(a)
-    if fn == "exp":
-        # IEEE semantics: overflow saturates to inf instead of raising
-        if isinstance(a, np.ndarray):
-            with np.errstate(over="ignore"):
-                return np.exp(a)
-        try:
-            return math.exp(a)
-        except OverflowError:
-            return math.inf
-    if fn == "log":
-        _check_domain(np.asarray(a) > 0, "log of non-positive value", expr)
-        return np.log(a)
-    if fn == "sin":
-        return np.sin(a)
-    if fn == "cos":
-        return np.cos(a)
-    if fn == "sqrt":
-        _check_domain(np.asarray(a) >= 0, "sqrt of negative value", expr)
-        return np.sqrt(a)
-    if fn == "pos":
-        return np.maximum(a, 0.0)
+def _exp(a):
+    # IEEE semantics: overflow saturates to inf instead of raising
+    if isinstance(a, np.ndarray):
+        with np.errstate(over="ignore"):
+            return np.exp(a)
+    try:
+        return math.exp(a)
+    except OverflowError:
+        return math.inf
+
+
+def _neg_part(a):
     return np.maximum(-np.asarray(a), 0.0) if isinstance(a, np.ndarray) else max(-a, 0.0)
+
+
+_BINARY = {"min": np.minimum, "max": np.maximum}
+_UNARY = {"abs": np.abs, "exp": _exp, "sin": np.sin, "cos": np.cos,
+          "pos": lambda a: np.maximum(a, 0.0), "neg": _neg_part}
+#: function -> (ufunc, message, where it is defined)
+_CHECKED = {"log": (np.log, "log of non-positive value", lambda a: np.asarray(a) > 0),
+            "sqrt": (np.sqrt, "sqrt of negative value", lambda a: np.asarray(a) >= 0)}
+
+
+def compile_expr(expr: Expression):
+    """``expr`` as a function of a bindings dict: nested closures, one per
+    node, that make the same numpy and math calls in the same order as a
+    walk of the tree would, so the value is the tree's bit for bit.  A
+    closure checks its node's domain (``DomainError`` naming the node) and
+    a missing binding (``UnboundVariableError``) when it runs."""
+    if isinstance(expr, Num):
+        value = expr.value
+        return lambda b: value
+    if isinstance(expr, Var):
+        name = expr.name
+
+        def var(b):
+            try:
+                return b[name]
+            except KeyError:
+                raise UnboundVariableError("unbound variable %r" % name) from None
+        return var
+    if isinstance(expr, Neg):
+        operand = compile_expr(expr.operand)
+        return lambda b: -operand(b)
+    if isinstance(expr, BinOp):
+        left = compile_expr(expr.left)
+        op = expr.op
+        if op == "^":
+            # integer-literal exponent, checked at parse time
+            power = int(expr.right.value)
+            return lambda b: left(b) ** power
+        right = compile_expr(expr.right)
+        if op == "+":
+            return lambda b: left(b) + right(b)
+        if op == "-":
+            return lambda b: left(b) - right(b)
+        if op == "*":
+            return lambda b: left(b) * right(b)
+
+        def divide(b):
+            a, d = left(b), right(b)
+            _check_domain(np.asarray(d) != 0, "division by zero", expr)
+            return a / d
+        return divide
+    fn = expr.func
+    arg = compile_expr(expr.args[0])
+    if fn in _BINARY:
+        second, ufunc = compile_expr(expr.args[1]), _BINARY[fn]
+        return lambda b: ufunc(arg(b), second(b))
+    if fn in _UNARY:
+        call = _UNARY[fn]
+        return lambda b: call(arg(b))
+    ufunc, message, defined = _CHECKED[fn]
+
+    def checked(b):
+        a = arg(b)
+        _check_domain(defined(a), message, expr)
+        return ufunc(a)
+    return checked
 
 
 def eval_expr(expr: Expression, bindings: dict):
@@ -358,8 +390,10 @@ def eval_expr(expr: Expression, bindings: dict):
 
     Bindings may be floats or numpy arrays (broadcast elementwise).  Scalar
     inputs give a float back.  Raises UnboundVariableError or DomainError.
+    Compiles ``expr`` on every call; a caller evaluating one expression
+    often keeps ``compile_expr(expr)`` instead.
     """
-    out = _eval(expr, bindings)
+    out = compile_expr(expr)(bindings)
     if isinstance(out, np.ndarray):
         return out
     return float(out)

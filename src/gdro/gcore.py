@@ -224,6 +224,9 @@ class Coefficients:
         self.driver_fields = tuple("_k%d" % i for i in range(len(self.subtrees)))
         self.exprs = {name: getattr(spec, name) for name in _FINITE_FIELDS}
         self.exprs.update(zip(self.driver_fields, self.subtrees))
+        self.fields = {}  # name -> compiled field in t, compiled at its first use
+        self._driver = ex.compile_expr(self.driver)
+        self._bind = {}  # the driver's bindings, rebound by every call of f
         self.static = {}  # name -> row of a t-free field
         for name, e in self.exprs.items():
             if "t" not in ex.variables(e):
@@ -237,8 +240,15 @@ class Coefficients:
             bind = {"x": self.x}
             if t is not None:
                 bind["t"] = t if column else np.full(self.x.shape, t)
-            a = ex.eval_expr(self.exprs[name], bind)
+            if name not in self.fields:
+                self.fields[name] = ex.compile_expr(self.exprs[name])
+            a = self.fields[name](bind)
         return np.broadcast_to(a, np.broadcast_shapes(t.shape, self.x.shape)) if column else a
+
+    @property
+    def block_rows(self):
+        """Rows in a full block of ``blocks``."""
+        return max(1, _BLOCK_NODES // self.x.size)
 
     def blocks(self, names, n_rows, time_of):
         """Yield (rows, times, tables) over consecutive slices ``rows`` of
@@ -252,7 +262,7 @@ class Coefficients:
         raises only after the rows before it were yielded, as it would in a
         row-by-row evaluation.
         """
-        step = max(1, _BLOCK_NODES // self.x.size)
+        step = self.block_rows
         lo = 0
         while lo < n_rows:
             rows = slice(lo, min(lo + step, n_rows))
@@ -269,11 +279,12 @@ class Coefficients:
         """The driver at y and z, where ``ks`` holds the values of the
         ``driver_fields`` at one time (a row of each table, say); a driver
         free of some arguments may come back with a smaller shape that
-        broadcasts against y."""
-        bind = {"y": y, "z": z}
+        broadcasts against y, or as a scalar."""
+        bind = self._bind
+        bind["y"], bind["z"] = y, z
         bind.update(zip(self.driver_fields, ks))
         try:
-            return ex.eval_expr(self.driver, bind)
+            return self._driver(bind)
         except ex.DomainError as err:
             # name the node as spec.f reads it
             raise ex.DomainError(err.message, ex.join(err.node, self.subtrees)) from None

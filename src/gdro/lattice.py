@@ -23,8 +23,10 @@ The coefficients sigma, b, l, h and h', and the driver's subtrees free of y
 and z, come from tables evaluated once per block of time rows
 (``Coefficients.blocks``), and each endpoint's kernel (drift weight,
 diffusion weight and gather indices) is built once per block from them.  A
-step then only gathers and combines, and evaluates the rest of the driver on
-a row of those tables.
+step then only gathers and combines, reading row r of each kernel table,
+and evaluates the rest of the driver on a row of those tables.  It writes
+each output of the whole batch with one assignment into per-block buffers,
+which are copied into each cell's own arrays once per block.
 """
 
 from __future__ import annotations
@@ -37,10 +39,10 @@ import numpy as np
 
 from .gcore import (EXPLICIT, NODEWISE_IMPLICIT, DEFAULT_KAPPA_F, PROJECTION,
                     Coefficients, Grid, PenaltyParams, ProblemSpec, StabilityError,
-                    first_true, t_free_rows)
-from .scheme import (LadderRow, SolutionField, central_diff, ceil_eps, ladder_row,
-                     obstacle_update, ordering_gap, require_finite, strictly_ascending,
-                     z_field)
+                    first_true, obstacle_fields, t_free_rows)
+from .scheme import (LadderRow, ObstacleStep, SolutionField, central_diff, ceil_eps,
+                     ladder_row, obstacle_update, ordering_gap, require_finite,
+                     strictly_ascending, z_field)
 
 #: widened-domain margin, in adversarial diffusive standard deviations
 MARGIN_SIGMAS = 6.0
@@ -60,9 +62,6 @@ class _Kernel(NamedTuple):
     up: np.ndarray
     dn: np.ndarray
     drift_to: np.ndarray
-
-    def row(self, r):
-        return _Kernel._make(a[r] for a in self)
 
 
 def _kernels(sv, bv, lv, idx, band, dt, dx, n_nodes, t, x):
@@ -105,25 +104,15 @@ def _kernels(sv, bv, lv, idx, band, dt, dx, n_nodes, t, x):
     return kernels, error
 
 
-def _endpoint_expectation(u_next, here, kernel):
-    """One-step expectation of u_next under one endpoint's kernel row, where
-    ``here`` is u_next at the kernel's nodes (one row, or one row per cell
-    of a batch)."""
-    up = u_next.take(kernel.up, axis=-1)
-    dn = u_next.take(kernel.dn, axis=-1)
-    shifted = u_next.take(kernel.drift_to, axis=-1)
+def _endpoint_expectation(u_next, here, kernel, r):
+    """One-step expectation of u_next under row r of one endpoint's kernel,
+    where ``here`` is u_next at the kernel's nodes (one row, or one row per
+    cell of a batch)."""
+    up = u_next.take(kernel.up[r], axis=-1)
+    dn = u_next.take(kernel.dn[r], axis=-1)
+    shifted = u_next.take(kernel.drift_to[r], axis=-1)
     # delta form: constant slices propagate with zero rounding error
-    return here + kernel.p * ((up - here) + (dn - here)) + kernel.s * (shifted - here)
-
-
-def _g_expectation_arrays(u_next, here, kernels):
-    """Adversarial max over the band endpoints' kernel rows; returns
-    (value, choice, defects)."""
-    e_low, e_high = (_endpoint_expectation(u_next, here, k) for k in kernels)
-    value = np.maximum(e_low, e_high)
-    choice = (e_high > e_low).astype(np.int8)  # ties resolve to the low endpoint
-    defects = np.stack([e_low - value, e_high - value])
-    return value, choice, defects
+    return here + kernel.p[r] * ((up - here) + (dn - here)) + kernel.s[r] * (shifted - here)
 
 
 def conditional_g_expectation(next_slice, t, x, spec: ProblemSpec, grid: Grid):
@@ -144,8 +133,11 @@ def conditional_g_expectation(next_slice, t, x, spec: ProblemSpec, grid: Grid):
                               spec.band, grid.dt, grid.dx, grid.n_x, [t], grid.x[idx])
     if error is not None:
         raise error
-    value, choice, defects = _g_expectation_arrays(u_next, u_next.take(idx),
-                                                   [k.row(0) for k in kernels])
+    here = u_next.take(idx)
+    e_low, e_high = (_endpoint_expectation(u_next, here, k, 0) for k in kernels)
+    value = np.maximum(e_low, e_high)
+    choice = (e_high > e_low).astype(np.int8)  # ties resolve to the low endpoint
+    defects = np.stack([e_low - value, e_high - value])
     if scalar:
         return float(value[0]), int(choice[0]), (float(defects[0, 0]), float(defects[1, 0]))
     return value, choice, defects
@@ -213,8 +205,9 @@ def _run_sweep(spec, grid, cells):
         rows = slice(lo, lo + len(members))
         lo += len(members)
         # adding -0.0 leaves every h, -0.0 included, bitwise unchanged
-        groups.append((rows, _Intensities(*key, column([c.penalties.n_upper for c in members]),
-                                          column([c.penalties.m_value for c in members])),
+        groups.append((rows, ObstacleStep(dt, _Intensities(
+                           *key, column([c.penalties.n_upper for c in members]),
+                           column([c.penalties.m_value for c in members]))),
                        column([c.h_shift or -0.0 for c in members])))
 
     mc = _extension_cells(spec, grid)
@@ -235,39 +228,58 @@ def _run_sweep(spec, grid, cells):
 
     # the coefficients and kernels come in blocks of time rows
     # k = n_t-1-i, in loop order; a block's kernels cover the rows before
-    # its first failing one, whose error is raised once they are swept
+    # its first failing one, whose error is raised once they are swept.  A
+    # step writes the batch's core into the buffers, row r of a block for
+    # slice i0-1-r, which are copied into each cell's field once per block.
+    # The obstacle rows of a group are made per step: as block tables, with
+    # a cell axis, they would hold several times a coefficient table
     idx = np.arange(nxe)
-    i = grid.n_t
+    names = ("u", "a_plus", "a_minus", "k_defect", "sigma_choice")
+    shape = (min(grid.n_t, coeffs.block_rows), len(live), grid.n_x)
+    bufs = [np.empty(shape, dtype=np.int8 if name == "sigma_choice" else float)
+            for name in names]
+    u_buf, plus_buf, minus_buf, defect_buf, choice_buf = bufs
+    i0 = grid.n_t
     for _, times, (sv, bv, lv, hv, hpv, *ks) in coeffs.blocks(
             _KERNEL_FIELDS + ("h", "h_prime") + coeffs.driver_fields, grid.n_t,
             lambda k: dt * (grid.n_t - 1 - k)):
         kernels, error = _kernels(sv, bv, lv, idx, band, dt, dx, nxe, times, xg)
-        for r in range(len(kernels[0].s)):
-            i -= 1
+        n_rows = len(kernels[0].s)
+        for r in range(n_rows):
             z_tilde = sv[r] * central_diff(u, dx)
-            c, choice, defects = _g_expectation_arrays(u, u, [k.row(r) for k in kernels])
+            e_low, e_high = (_endpoint_expectation(u, u, k, r) for k in kernels)
+            c = np.maximum(e_low, e_high)
             base = c + dt * coeffs.f([a[r] for a in ks], c, z_tilde)
+            hp = hpv[r]
             # a zero intensity against an infinite h or h' makes a 0*inf
             # that obstacle_update discards or that require_finite reports
             with np.errstate(invalid="ignore"):
-                parts = [obstacle_update(base[rows], c[rows], hv[r] + shift, hpv[r], dt, pen)
-                         for rows, pen, shift in groups]
+                parts = []
+                for rows, step, shift in groups:
+                    h = hv[r] + shift
+                    parts.append(obstacle_update(base[rows], c[rows], h, hp, dt, step,
+                                                 products=step.products(h, hp)))
             u, a_plus, a_minus = (parts[0] if len(parts) == 1 else
                                   [np.concatenate(a) for a in zip(*parts)])
-            k_defect = np.minimum(defects[0], defects[1])
-            for b, out in enumerate(outs):
-                out.u[i] = u[b, core]
-                out.a_plus[i] = a_plus[b, core]
-                out.a_minus[i] = a_minus[b, core]
-                out.k_defect[i] = k_defect[b, core]
-                out.sigma_choice[i] = choice[b, core]
+            u_buf[r] = u[:, core]
+            plus_buf[r] = a_plus[:, core]
+            minus_buf[r] = a_minus[:, core]
+            defect_buf[r] = np.minimum(e_low - c, e_high - c)[:, core]
+            choice_buf[r] = (e_high > e_low)[:, core]  # ties resolve to the low endpoint
+        for b, out in enumerate(outs):
+            for name, buf in zip(names, bufs):
+                getattr(out, name)[i0 - n_rows:i0] = buf[:n_rows][::-1, b]
+        i0 -= n_rows
         if error is not None:
             raise error
 
-    # the last block's tables and kernels are not kept while z is computed
-    del sv, bv, lv, hv, hpv, ks, kernels
+    # the last block's tables and kernels and the buffers are not kept
+    # while z is computed
+    del sv, bv, lv, hv, hpv, ks, kernels, bufs
+    del u_buf, plus_buf, minus_buf, defect_buf, choice_buf
+    sigma = Coefficients(spec, grid.x)("sigma", grid.t[:, None])
     for cell, out in zip(live, outs):
-        out.z = z_field(spec, grid, out.u)
+        out.z = z_field(sigma, grid, out.u)
         results[cell] = out
     return [results[c] for c in cells]
 
@@ -348,6 +360,7 @@ def ladder_column(spec: ProblemSpec, grid: Grid, n_list, m_lower, penalty_mode, 
     swept_fields = iter(sweep_cells(spec, grid, [c for c in cells if isinstance(c, SweepCell)],
                                     swept))
     rows, fields, above = [], [], None  # above: u at the previous n
+    obstacles = obstacle_fields(spec, grid)
     for k, (n, cell) in enumerate(zip(n_list, cells)):
         fld = next(swept_fields) if isinstance(cell, SweepCell) else cell
         if isinstance(fld, Exception):
@@ -356,7 +369,7 @@ def ladder_column(spec: ProblemSpec, grid: Grid, n_list, m_lower, penalty_mode, 
         else:
             require_finite(fld, n=n, m=m)
             rows.append(ladder_row(
-                fld, spec, grid, n, m, mono_gap_n=ordering_gap(fld.u, above),
+                fld, spec, grid, n, m, obstacles, mono_gap_n=ordering_gap(fld.u, above),
                 mono_gap_m=np.nan if left is None else ordering_gap(left[k], fld.u)))
         fields.append(fld)
         above = None if fld is None else fld.u

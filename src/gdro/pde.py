@@ -11,11 +11,14 @@ satisfying
 at the reported times, and only the requested slices are stored.  The
 coefficients sigma, b, l, h and h', and the driver's subtrees free of u and
 of its derivative, come from tables evaluated once per block of substep rows
-(``Coefficients.blocks``); a substep evaluates only the rest of the driver,
-on a row of those tables.  Each block's tables are checked against the bound
-node by node, so a coefficient peaking between reported times raises
-StabilityError, once the backward loop reaches the failing substep, instead
-of blowing the field up.
+(``Coefficients.blocks``), and so do sigma^2, 2*l and the products
+dt*m*h and dt*n*h' that the nodewise-implicit obstacle update reads; the
+update's scalars and the buffer of ghost values are prepared once per
+solve.  A substep makes only its array operations and evaluates only the
+rest of the driver, on a row of those tables.  Each block's tables are
+checked against the bound node by node, so a coefficient peaking between
+reported times raises StabilityError, once the backward loop reaches the
+failing substep, instead of blowing the field up.
 
 Boundary columns use one-sided first differences with the curvature copied
 from the adjacent interior column (quadratic ghost nodes), which is exact
@@ -33,7 +36,8 @@ import numpy as np
 from .gcore import (EXPLICIT, NODEWISE_IMPLICIT, Coefficients, Grid, PenaltyParams,
                     ProblemSpec, StabilityError, first_true, g_eval, obstacle_fields,
                     t_free_rows, uncontaminated_mask)
-from .scheme import CEIL_EPS, SolutionField, ceil_eps, obstacle_update, z_field
+from .scheme import (CEIL_EPS, ObstacleStep, SolutionField, ceil_eps, obstacle_update,
+                     z_field)
 
 #: contact-set exclusion margins for the residual sup, as domain fractions
 RESIDUAL_CONTACT_MARGIN_T = 0.03
@@ -102,20 +106,14 @@ def _substep_failure(spec, penalties, direct, grid, dts, ts, sv, bv, lv):
         "dt_sub*rate = %.6g > 1" % (ts[r], grid.x[j], dts * rate[r, j]))
 
 
-def _ghost_row(u):
-    """Quadratic ghost values: one-sided first difference, copied curvature."""
-    g = np.empty(u.size + 2)
-    g[1:-1] = u
-    g[0] = 3.0 * u[0] - 3.0 * u[1] + u[2]
-    g[-1] = 3.0 * u[-1] - 3.0 * u[-2] + u[-3]
-    return g
-
-
 def _run_pde(spec, grid, penalties, direct, max_substeps):
     """The backward loop of both PDE solves.  Each substep adds its a_plus,
     a_minus and defect into row i of the zeroed field; u and sigma_choice
     are stored at the step's last substep.  A block runs its substeps up to
-    the first failing the explicit bound and raises that one's error after."""
+    the first failing the explicit bound and raises that one's error after.
+    What is the same for every row of a block (sigma^2, 2*l and the
+    obstacle products of ``scheme.ObstacleStep``) is tabled once per block,
+    and what is the same for the solve once."""
     dt, dx = grid.dt, grid.dx
     if penalties.penalty_mode == NODEWISE_IMPLICIT:
         penalties.check_explicit_cfl(dt)
@@ -124,10 +122,17 @@ def _run_pde(spec, grid, penalties, direct, max_substeps):
     coeffs = Coefficients(spec, grid.x)
     band = spec.band
     lo2, hi2 = band.sigma_low ** 2, band.sigma_high ** 2
+    defect = -0.5 * (hi2 - lo2)
+    dx2, two_dx = dx ** 2, 2.0 * dx
+    step = ObstacleStep(dts, penalties, direct)
 
     out = SolutionField.empty(grid)
     u = coeffs("phi")
     out.u[grid.n_t] = u
+    # u with its quadratic ghost values: one-sided first difference, copied
+    # curvature; g_up[j] and g_dn[j] are the values right and left of node j
+    g = np.empty(grid.n_x + 2)
+    g_up, g_dn = g[2:], g[:-2]
 
     # substep s of the step ending at t_i runs at i*dt + (nsub-1-s)*dts,
     # anchored at i*dt so the final substep's clamp uses exactly the
@@ -141,19 +146,25 @@ def _run_pde(spec, grid, penalties, direct, max_substeps):
             substep_times):
         n_ok, error = _substep_failure(spec, penalties, direct, grid, dts, times,
                                        *t_free_rows(sv, bv, lv))
+        s2, l2 = sv ** 2, 2.0 * lv
+        with np.errstate(invalid="ignore"):
+            products = step.products(hv, hpv)
         for r, k in enumerate(range(block.start, block.start + n_ok)):
             i, s = grid.n_t - 1 - k // nsub, k % nsub
-            g = _ghost_row(u)
-            d2 = (g[2:] - 2.0 * u + g[:-2]) / dx ** 2
-            d1 = (g[2:] - g[:-2]) / (2.0 * dx)
-            harg = sv[r] ** 2 * d2 + 2.0 * lv[r] * d1
+            g[1:-1] = u
+            g[0] = 3.0 * u[0] - 3.0 * u[1] + u[2]
+            g[-1] = 3.0 * u[-1] - 3.0 * u[-2] + u[-3]
+            d2 = (g_up - 2.0 * u + g_dn) / dx2
+            d1 = (g_up - g_dn) / two_dx
+            harg = s2[r] * d2 + l2[r] * d1
             F = g_eval(harg, band) + bv[r] * d1 + coeffs.f([a[r] for a in ks], u, sv[r] * d1)
-            out.k_defect[i] += -0.5 * (hi2 - lo2) * np.abs(harg) * dts
+            out.k_defect[i] += defect * np.abs(harg) * dts
             base = u + dts * F
             # a zero intensity against an infinite h or h' makes a 0*inf
             # that obstacle_update discards or that require_finite reports
             with np.errstate(invalid="ignore"):
-                u, ap, am = obstacle_update(base, u, hv[r], hpv[r], dts, penalties, direct)
+                u, ap, am = obstacle_update(base, u, hv[r], hpv[r], dts, step,
+                                            products=[a[r] for a in products])
             out.a_plus[i] += ap
             out.a_minus[i] += am
             if s == nsub - 1:
@@ -163,8 +174,8 @@ def _run_pde(spec, grid, penalties, direct, max_substeps):
             raise error
 
     # the last block's tables are not kept while z is computed
-    del sv, bv, lv, hv, hpv, ks
-    out.z = z_field(spec, grid, out.u)
+    del sv, bv, lv, hv, hpv, ks, s2, l2, products
+    out.z = z_field(coeffs("sigma", grid.t[:, None]), grid, out.u)
     return out
 
 

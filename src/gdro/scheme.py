@@ -7,7 +7,9 @@ unconstrained step ``base`` it returns the constrained value and the
 pushing increments, in one of four modes (direct double projection, lower
 projection after an upper penalty, or both penalties, explicit or solved
 nodewise-implicitly).  The lattice and the PDE scheme call the same code, so
-they cannot drift apart.
+they cannot drift apart.  A solver prepares it once per solve and penalty
+group (``ObstacleStep``: the mode and its scalars such as dt*m and 1 + dt*m),
+so a step makes only the update's array operations.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gcore import NODEWISE_IMPLICIT, Coefficients, Grid, ProblemSpec, obstacle_fields
+from .gcore import NODEWISE_IMPLICIT, Grid, ProblemSpec, obstacle_fields
 
 #: guard against floating-point noise when rounding step counts and spans up
 CEIL_EPS = 1e-9
@@ -88,30 +90,61 @@ def central_diff(u, dx):
     return d
 
 
-def z_field(spec, grid, u):
-    return Coefficients(spec, grid.x)("sigma", grid.t[:, None]) * central_diff(u, grid.dx)
+def z_field(sigma, grid, u):
+    """sigma * the x-derivative of ``u``, where ``sigma`` is the table of
+    sigma on ``grid`` (Coefficients(...)("sigma", grid.t[:, None]))."""
+    return sigma * central_diff(u, grid.dx)
 
 
-def _solve_lower(base, h, m, dt):
+def _solve_lower(base, h, dtm_h, one_dtm):
     """Exact nodewise solve of y = base + dt*m*(y-h)^-; linear below h.
+    ``dtm_h`` is dt*m*h and ``one_dtm`` is 1 + dt*m.
 
     The root lies in [base, h]; clipping it there keeps the rounded solve
     monotone in base with y >= base, also for base within an ulp of h.
     """
-    low = (base + dt * m * h) / (1.0 + dt * m)
+    low = (base + dtm_h) / one_dtm
     return np.where(base < h, np.minimum(np.maximum(low, base), h), base)
 
 
-def _solve_upper(base, hp, n, dt):
+def _solve_upper(base, hp, dtn_hp, one_dtn):
     """Exact nodewise solve of y = base - dt*n*(y-h')^+; linear above h'.
+    ``dtn_hp`` is dt*n*h' and ``one_dtn`` is 1 + dt*n.
 
     The root lies in [h', base], clipped there as in _solve_lower.
     """
-    high = (base + dt * n * hp) / (1.0 + dt * n)
+    high = (base + dtn_hp) / one_dtn
     return np.where(base > hp, np.maximum(np.minimum(high, base), hp), base)
 
 
-def obstacle_update(base, anchor, h, hp, dt, penalties, direct=False):
+class ObstacleStep:
+    """``obstacle_update`` prepared for one solve and penalty group: its mode,
+    and the scalars dt*m, 1 + dt*m, dt*n, 1 + dt*n and dt*|n| computed once.
+
+    ``products(h, hp)`` gives the products of obstacle rows or tables that
+    the mode reads: (dt*m*h, dt*n*h') nodewise-implicit, (dt*n*h',) with
+    lower projection and () otherwise.  A solver tables them once per
+    block and passes each step their rows.  Against an infinite obstacle a
+    zero intensity makes a 0*inf there, so a solver calls products under
+    ``np.errstate(invalid="ignore")``, as it calls the step.
+    """
+
+    def __init__(self, dt, penalties, direct=False):
+        n, m = penalties.n_upper, penalties.m_value
+        self.direct, self.project_lower = direct, penalties.project_lower
+        self.implicit = penalties.penalty_mode == NODEWISE_IMPLICIT
+        self.dtm, self.dtn = dt * m, dt * n
+        self.one_dtm, self.one_dtn = 1.0 + self.dtm, 1.0 + self.dtn
+        # abs: at n = -0.0 the term would be -0.0 and make a -0.0 base +0.0
+        self.dt_abs_n = dt * abs(n)
+
+    def products(self, h, hp):
+        if self.direct or not self.implicit:
+            return ()
+        return (self.dtn * hp,) if self.project_lower else (self.dtm * h, self.dtn * hp)
+
+
+def obstacle_update(base, anchor, h, hp, dt, penalties, direct=False, products=()):
     """Constrain one step's unconstrained value ``base``; returns
     (value, a_plus, a_minus).
 
@@ -122,34 +155,39 @@ def obstacle_update(base, anchor, h, hp, dt, penalties, direct=False):
     nonzero only where the value sits on h; numeric intensities apply both
     penalties, solved exactly per node in nodewise-implicit mode.
 
-    The intensities ``penalties.n_upper`` and ``penalties.m_value`` are
-    numbers, or (B, 1) columns for a batch whose row b of ``base`` is one
-    cell with intensities n[b] and m[b].  A zero intensity takes the same
+    ``penalties`` is a PenaltyParams, or the ObstacleStep a solver prepared
+    from it (with its dt and direct, which the call's then do not change),
+    and ``products`` is then the rows of its ``products`` tables at this
+    step.  The intensities ``n_upper`` and ``m_value`` are numbers, or
+    (B, 1) columns for a batch whose row b of ``base`` is one cell with
+    intensities n[b] and m[b].  A zero intensity takes the same
     path and returns the unpenalized value bitwise for finite obstacles;
     against an infinite obstacle it makes 0*inf, a nan that np.where drops
     unless the obstacle is infinite on the wrong side (both solvers call
     it under ``np.errstate(invalid="ignore")``, and only it).
     """
-    n, m = penalties.n_upper, penalties.m_value
-    implicit = penalties.penalty_mode == NODEWISE_IMPLICIT
-    if direct:
+    step = penalties
+    if not isinstance(step, ObstacleStep):
+        step = ObstacleStep(dt, penalties, direct)
+        products = step.products(h, hp)
+    if step.direct:
         lower = np.maximum(h, base)
         value = np.minimum(hp, lower)
         return value, lower - base, lower - value
-    if penalties.project_lower:
-        if implicit:
-            pre = _solve_upper(base, hp, n, dt)
+    if step.project_lower:
+        if step.implicit:
+            pre = _solve_upper(base, hp, *products, step.one_dtn)
         else:
-            # abs: at n = -0.0 the term would be -0.0 and make a -0.0 base +0.0
-            pre = base - dt * abs(n) * np.maximum(anchor - hp, 0.0)
+            pre = base - step.dt_abs_n * np.maximum(anchor - hp, 0.0)
         value = np.maximum(h, pre)
         return value, value - pre, base - pre
-    if implicit:
-        lower = _solve_lower(base, h, m, dt)
-        value = _solve_upper(lower, hp, n, dt)
+    if step.implicit:
+        dtm_h, dtn_hp = products
+        lower = _solve_lower(base, h, dtm_h, step.one_dtm)
+        value = _solve_upper(lower, hp, dtn_hp, step.one_dtn)
         return value, lower - base, lower - value
-    a_plus = dt * m * np.maximum(h - anchor, 0.0)
-    a_minus = dt * n * np.maximum(anchor - hp, 0.0)
+    a_plus = step.dtm * np.maximum(h - anchor, 0.0)
+    a_minus = step.dtn * np.maximum(anchor - hp, 0.0)
     return base + a_plus - a_minus, a_plus, a_minus
 
 
@@ -225,10 +263,11 @@ def strictly_ascending(values) -> bool:
     return all(a < b for a, b in zip(values, values[1:]))
 
 
-def ladder_row(field, spec, grid, n, m, **gaps) -> LadderRow:
-    """The ladder row of one solve; ``gaps`` sets mono_gap_n and mono_gap_m."""
+def ladder_row(field, spec, grid, n, m, obstacles=None, **gaps) -> LadderRow:
+    """The ladder row of one solve; ``gaps`` sets mono_gap_n and mono_gap_m,
+    and ``obstacles`` is as in obstacle_violations."""
     row = LadderRow(n=n, m=m, **gaps)
-    obstacles = obstacle_fields(spec, grid)
+    obstacles = obstacles or obstacle_fields(spec, grid)
     row.sup_lower_violation, row.sup_upper_violation = obstacle_violations(
         field, spec, grid, obstacles)
     row.asc_plus, row.asc_minus = asc_residuals(field, spec, grid, obstacles)

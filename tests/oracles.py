@@ -1,13 +1,16 @@
 """Independent oracles and frozen expected values, built before the solvers.
 
 Nothing here may import the solver modules: the point is that these values
-come from a different code path (hand enumeration, closed forms, or a plain
-recombining tree) and were frozen before the sweeps existed.
+come from a different code path (hand enumeration, closed forms, a plain
+recombining tree, or a walk of an expression tree) and were frozen before
+the sweeps existed.
 """
 
 import math
 
 import numpy as np
+
+from gdro.expr import BinOp, DomainError, Neg, Num, UnboundVariableError, Var
 
 # Bermudan put on an additive coin-flip tree: steps +-vol*sqrt(dt), p = 1/2,
 # exercise at every grid time.  Value at x0=1 for vol=0.16, T=1, 200 steps,
@@ -65,3 +68,66 @@ def gheat_concave_value(t, x, horizon):
 def z_drift_value(t, x, horizon):
     tau = horizon - t
     return (x + 0.5 * tau) ** 2 + tau
+
+
+def _check_domain(ok, message, node):
+    if not np.all(ok):
+        raise DomainError(message, node)
+
+
+def reference_eval(expr, bindings):
+    """Value of a parsed expression by a walk of its tree, the evaluator
+    ``expr.compile_expr`` replaced: the reference its closures must match
+    bit for bit, with the same errors."""
+    if isinstance(expr, Num):
+        return expr.value
+    if isinstance(expr, Var):
+        try:
+            return bindings[expr.name]
+        except KeyError:
+            raise UnboundVariableError("unbound variable %r" % expr.name) from None
+    if isinstance(expr, Neg):
+        return -reference_eval(expr.operand, bindings)
+    if isinstance(expr, BinOp):
+        a = reference_eval(expr.left, bindings)
+        b = reference_eval(expr.right, bindings)
+        if expr.op == "+":
+            return a + b
+        if expr.op == "-":
+            return a - b
+        if expr.op == "*":
+            return a * b
+        if expr.op == "/":
+            _check_domain(np.asarray(b) != 0, "division by zero", expr)
+            return a / b
+        # integer-literal exponent, checked at parse time
+        return a ** int(expr.right.value)
+    a = reference_eval(expr.args[0], bindings)
+    fn = expr.func
+    if fn == "min" or fn == "max":
+        b = reference_eval(expr.args[1], bindings)
+        return np.minimum(a, b) if fn == "min" else np.maximum(a, b)
+    if fn == "abs":
+        return np.abs(a)
+    if fn == "exp":
+        # IEEE semantics: overflow saturates to inf instead of raising
+        if isinstance(a, np.ndarray):
+            with np.errstate(over="ignore"):
+                return np.exp(a)
+        try:
+            return math.exp(a)
+        except OverflowError:
+            return math.inf
+    if fn == "log":
+        _check_domain(np.asarray(a) > 0, "log of non-positive value", expr)
+        return np.log(a)
+    if fn == "sin":
+        return np.sin(a)
+    if fn == "cos":
+        return np.cos(a)
+    if fn == "sqrt":
+        _check_domain(np.asarray(a) >= 0, "sqrt of negative value", expr)
+        return np.sqrt(a)
+    if fn == "pos":
+        return np.maximum(a, 0.0)
+    return np.maximum(-np.asarray(a), 0.0) if isinstance(a, np.ndarray) else max(-a, 0.0)

@@ -619,6 +619,21 @@ def test_non_finite_problem_number_rejected(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, source, message", [
+    ("phi", "t", "phi may only use x, not t"),
+    ("b", "y", "b may only use t, x, not y"),
+    ("h_prime", "2 + z*t", "h_prime may only use t, x, not z"),
+    ("sigma", "1 + 0*y*z", "sigma may only use t, x, not y, z")])
+def test_coefficient_variable_rejected(tmp_path, capsys, key, source, message):
+    # such a coefficient ended the run in an uncaught UnboundVariableError
+    rc = _solve(tmp_path, {
+        "problem": dict(UNCERTAIN_SINE, **{key: source}), "grid": {"n_t": 10, "n_x": 11}})
+    assert rc == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "config status=error" in err and "%s at /problem/%s" % (message, key) in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key, values, index", [
     ("n_list", [4, float("nan")], 1), ("m_list", [float("nan"), 100], 0),
     ("epsilon_list", [float("nan")], 0)])

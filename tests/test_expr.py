@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdro.expr import (BinOp, Call, DomainError, Neg, Num, ParseError,
-                       UnboundVariableError, Var, eval_expr, format_expr, join,
-                       parse_expr, split, variables)
+from gdro.expr import (BinOp, Call, DomainError, ExprError, Neg, Num, ParseError,
+                       UnboundVariableError, Var, compile_expr, eval_expr, format_expr,
+                       join, parse_expr, split, variables)
+from oracles import reference_eval
 
 B = {"t": 0.0, "x": 0.0, "y": 0.0, "z": 0.0}
 
@@ -170,6 +171,40 @@ def test_literal_arithmetic_exact(a, b, op):
     got = eval_expr(parse_expr("(%s) %s (%s)" % (repr(a), op, repr(b))), B)
     want = {"+": a + b, "-": a - b, "*": a * b, "/": a / b if b else None}[op]
     assert got == want  # 0 ulp
+
+
+_value = st.floats(width=64)
+_binding = st.one_of(_value, st.lists(_value, min_size=3, max_size=3).map(np.array))
+_bindings = st.one_of(
+    st.fixed_dictionaries({v: _binding for v in ("t", "x", "y", "z")}),
+    # a variable may be left unbound
+    st.fixed_dictionaries({}, optional={v: _binding for v in ("t", "x", "y", "z")}))
+
+
+def _outcome(evaluate, bindings):
+    """What evaluate(bindings) returns, or the error it raises (a Python
+    float power can overflow)."""
+    try:
+        with np.errstate(all="ignore"):
+            return evaluate(bindings)
+    except (ExprError, OverflowError) as err:
+        return err
+
+
+@given(ast_strategy, _bindings)
+@settings(max_examples=500, deadline=None)
+def test_compiled_matches_tree_walk(expr, bindings):
+    got = _outcome(compile_expr(expr), bindings)
+    want = _outcome(lambda b: reference_eval(expr, b), bindings)
+    assert type(got) is type(want)
+    if isinstance(want, Exception):
+        # a DomainError's args name its node; an UnboundVariableError's the name
+        assert got.args == want.args
+        assert getattr(got, "node", None) == getattr(want, "node", None)
+    else:
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_split_keeps_variable_free_subtrees():

@@ -9,8 +9,8 @@ from gdro import gcore
 from gdro.convergence import monotone_ladder
 from gdro.expr import BinOp, DomainError, Num, UnboundVariableError, parse_expr
 from gdro.gcore import Grid, PenaltyParams, ProblemSpec, StabilityError
-from gdro.lattice import (SweepCell, _run_sweep, conditional_g_expectation, double_ladder,
-                          penalized_sweep, reflected_sweep, sweep_cells)
+from gdro.lattice import (SweepCell, _extension_cells, _run_sweep, conditional_g_expectation,
+                          double_ladder, penalized_sweep, reflected_sweep, sweep_cells)
 from gdro.pde import PdeSchemeParams, solve_penalized_pde
 from gdro.scheme import SolutionField
 
@@ -427,6 +427,27 @@ def test_fields_independent_of_table_block_size(monkeypatch):
             first, *others = (getattr(f, name).view(np.uint8) for f in fields)
             for other in others:
                 assert np.array_equal(first, other), name
+
+
+def test_batch_fields_own_their_memory_and_match_single_sweeps():
+    # a step writes the batch into per-block buffers that are copied into
+    # each cell's arrays; n_t = 80 leaves a last block shorter than the rest
+    spec = ProblemSpec.from_strings(**_VARCOEF)
+    grid = Grid.for_problem(spec, 80, 33)
+    block_rows = gcore._BLOCK_NODES // (grid.n_x + 2 * _extension_cells(spec, grid))
+    assert 1 < block_rows < grid.n_t and grid.n_t % block_rows
+    cells = [SweepCell(p) for p in _BATCH] + [SweepCell(_BATCH[0], _SHIFT)]
+    fields = [f for f in sweep_cells(spec, grid, cells) if isinstance(f, SolutionField)]
+    assert len(fields) == len(cells) - 1  # one cell fails its CFL check
+    names = ("u", "a_plus", "a_minus", "k_defect", "sigma_choice")
+    arrays = [getattr(f, name) for f in fields for name in names]
+    for k, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[k + 1:])
+    for cell, fld in zip((c for c in cells if c.penalties != _BATCH[6]), fields):
+        single = sweep_cells(spec, grid, [cell])[0]
+        for name in names:
+            assert np.array_equal(getattr(fld, name).view(np.uint8),
+                                  getattr(single, name).view(np.uint8)), (cell, name)
 
 
 def test_t_free_kernel_equals_its_per_row_build():

@@ -58,6 +58,10 @@ _VARCOEF = {"horizon": 1.0, "x_min": -3.0, "x_max": 3.0,
 #: include one of t alone (exp(-0.5*t), where a Python float's exp may
 #: differ from the array's in the last bit), a sqrt and a log defined on the
 #: whole grid, and y and z inside max and abs.
+#: operators has coefficients and a driver built from "/", "^", unary minus,
+#: min, pos and neg, which no other run uses, so each of those node types
+#: is evaluated on every solver path: the coefficient tables, the driver's
+#: subtrees free of y and z and its residual in y and z.
 #: wide-slices has time slices of 1,201 nodes, wider than the CSV writers'
 #: block of cli._BLOCK_NODES = 1,024 grid nodes, where no catalog default
 #: grid is, so each slice is a block of its own; its last residual slice is
@@ -94,6 +98,17 @@ INLINE = {
         "grid": {"n_t": 60, "n_x": 41},
         "penalties": {"n_upper": 64.0, "m_lower": "projection",
                       "penalty_mode": "nodewise-implicit"},
+        "ladders": {"n_list": [4.0, 16.0, 64.0], "m_list": [10.0, 100.0],
+                    "epsilon_list": [0.1]}},
+    "operators": {
+        "problem": dict(_VARCOEF, b="-0.1*x/(1 + x^2)", l="0.05*min(1, pos(x - t))",
+                        sigma="1 + 0.1*x^2/(4 + x^2)",
+                        f="-0.2*y + 0.5*neg(y - 0.1) - 0.2*pos(z)/(1 + t^2)"
+                          " + min(0.3, x^2/(1 + t))",
+                        phi="0.1*min(x^2, 1) - 0.05", h="-0.4 - 0.05*neg(sin(x + t))",
+                        h_prime="0.4 + 0.05*pos(x)/(1 + t^2)"),
+        "grid": {"n_t": 60, "n_x": 41},
+        "penalties": {"n_upper": 64.0, "m_lower": 64.0, "penalty_mode": "nodewise-implicit"},
         "ladders": {"n_list": [4.0, 16.0, 64.0], "m_list": [10.0, 100.0],
                     "epsilon_list": [0.1]}},
     "wide-slices": {
