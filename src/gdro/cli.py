@@ -109,7 +109,11 @@ def _require(obj, key, pointer):
 def _as_number(value, pointer):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError("expected a number", pointer)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the doubles
+        raise ConfigError("expected a number within the range of a double",
+                          pointer) from None
 
 
 def _as_finite(value, pointer):

@@ -30,7 +30,11 @@ class ConvergenceReport:
 
 def interior_gap(spec: ProblemSpec, grid: Grid, a, b) -> float:
     """Sup |a - b| of two grid fields over the uncontaminated interior."""
-    return float(np.max(np.abs(np.where(uncontaminated_mask(spec, grid), a - b, 0.0))))
+    return _masked_gap(uncontaminated_mask(spec, grid), a, b)
+
+
+def _masked_gap(mask, a, b):
+    return float(np.max(np.abs(np.where(mask, a - b, 0.0))))
 
 
 def _fit_rate_slope(n_values, violations):
@@ -66,9 +70,11 @@ def monotone_ladder(spec: ProblemSpec, grid: Grid, n_list,
 
     # decay of the derivative field toward the finest rung, interior only
     finest = next((f for f in reversed(fields) if f is not None), None)
-    for row, fld in zip(report.rows, fields):
-        if fld is not None:
-            row.z_gap = interior_gap(spec, grid, fld.z, finest.z)
+    if finest is not None:
+        interior = uncontaminated_mask(spec, grid)
+        for row, fld in zip(report.rows, fields):
+            if fld is not None:
+                row.z_gap = _masked_gap(interior, fld.z, finest.z)
     return report
 
 

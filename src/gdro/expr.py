@@ -11,7 +11,8 @@ Grammar (whitespace-insensitive):
 Variables are restricted to t, x, y, z.  Functions: min, max (binary);
 abs, exp, log, sin, cos, sqrt, pos, neg (unary), where pos(a) = max(a, 0)
 and neg(a) = max(-a, 0).  Numbers are decimal literals with an optional
-exponent part.  Evaluation follows IEEE double semantics and accepts
+exponent part, in ASCII digits.  Evaluation follows IEEE double semantics
+(a float power that overflows saturates to +-inf, as exp does) and accepts
 numpy arrays as bindings, broadcasting elementwise.
 
 ``compile_expr`` turns a tree into nested closures, once; calling the
@@ -96,6 +97,11 @@ class Call(Expression):
     args: tuple
 
 
+def _is_digit(ch):
+    # str.isdigit also takes digits of other scripts and superscripts
+    return "0" <= ch <= "9"
+
+
 class _Tokenizer:
     def __init__(self, source):
         self.source = source
@@ -121,11 +127,11 @@ class _Tokenizer:
         s = self.source
         n = len(s)
         i = start
-        while i < n and s[i].isdigit():
+        while i < n and _is_digit(s[i]):
             i += 1
         if i < n and s[i] == ".":
             i += 1
-            while i < n and s[i].isdigit():
+            while i < n and _is_digit(s[i]):
                 i += 1
         if i == start or (i == start + 1 and s[start] == "."):
             return None
@@ -133,8 +139,8 @@ class _Tokenizer:
             j = i + 1
             if j < n and s[j] in "+-":
                 j += 1
-            if j < n and s[j].isdigit():
-                while j < n and s[j].isdigit():
+            if j < n and _is_digit(s[j]):
+                while j < n and _is_digit(s[j]):
                     j += 1
                 i = j
         self.pos = i
@@ -192,7 +198,8 @@ class _Parser:
         while self.tok.match("**") or self.tok.match("^"):
             at = self.tok.pos
             exponent = self.atom()
-            if not isinstance(exponent, Num) or exponent.value < 0 or exponent.value != int(exponent.value):
+            if (not isinstance(exponent, Num) or not 0 <= exponent.value < math.inf
+                    or exponent.value != int(exponent.value)):
                 raise ParseError("exponent must be a non-negative integer literal", at)
             node = BinOp("^", node, exponent)
         return node
@@ -207,7 +214,7 @@ class _Parser:
             if not self.tok.match(")"):
                 raise ParseError("expected ')'", self.tok.pos)
             return node
-        if ch.isdigit() or ch == ".":
+        if _is_digit(ch) or ch == ".":
             value = self.tok.number()
             if value is None:
                 raise ParseError("malformed number", at)
@@ -354,7 +361,14 @@ def compile_expr(expr: Expression):
         if op == "^":
             # integer-literal exponent, checked at parse time
             power = int(expr.right.value)
-            return lambda b: left(b) ** power
+
+            def raise_to(b):
+                a = left(b)
+                try:
+                    return a ** power
+                except OverflowError:  # a float's power saturates, as in IEEE
+                    return math.copysign(math.inf, a) if power % 2 else math.inf
+            return raise_to
         right = compile_expr(expr.right)
         if op == "+":
             return lambda b: left(b) + right(b)

@@ -250,15 +250,11 @@ def _run_sweep(spec, grid, cells):
             e_low, e_high = (_endpoint_expectation(u, u, k, r) for k in kernels)
             c = np.maximum(e_low, e_high)
             base = c + dt * coeffs.f([a[r] for a in ks], c, z_tilde)
-            hp = hpv[r]
             # a zero intensity against an infinite h or h' makes a 0*inf
             # that obstacle_update discards or that require_finite reports
             with np.errstate(invalid="ignore"):
-                parts = []
-                for rows, step, shift in groups:
-                    h = hv[r] + shift
-                    parts.append(obstacle_update(base[rows], c[rows], h, hp, dt, step,
-                                                 products=step.products(h, hp)))
+                parts = [obstacle_update(base[rows], c[rows], hv[r] + shift, hpv[r], dt, step)
+                         for rows, step, shift in groups]
             u, a_plus, a_minus = (parts[0] if len(parts) == 1 else
                                   [np.concatenate(a) for a in zip(*parts)])
             u_buf[r] = u[:, core]

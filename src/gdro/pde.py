@@ -11,8 +11,7 @@ satisfying
 at the reported times, and only the requested slices are stored.  The
 coefficients sigma, b, l, h and h', and the driver's subtrees free of u and
 of its derivative, come from tables evaluated once per block of substep rows
-(``Coefficients.blocks``), and so do sigma^2, 2*l and the products
-dt*m*h and dt*n*h' that the nodewise-implicit obstacle update reads; the
+(``Coefficients.blocks``), and so do sigma^2 and 2*l; the obstacle
 update's scalars and the buffer of ghost values are prepared once per
 solve.  A substep makes only its array operations and evaluates only the
 rest of the driver, on a row of those tables.  Each block's tables are
@@ -111,9 +110,8 @@ def _run_pde(spec, grid, penalties, direct, max_substeps):
     a_minus and defect into row i of the zeroed field; u and sigma_choice
     are stored at the step's last substep.  A block runs its substeps up to
     the first failing the explicit bound and raises that one's error after.
-    What is the same for every row of a block (sigma^2, 2*l and the
-    obstacle products of ``scheme.ObstacleStep``) is tabled once per block,
-    and what is the same for the solve once."""
+    What is the same for every row of a block (sigma^2 and 2*l) is tabled
+    once per block, and what is the same for the solve once."""
     dt, dx = grid.dt, grid.dx
     if penalties.penalty_mode == NODEWISE_IMPLICIT:
         penalties.check_explicit_cfl(dt)
@@ -147,8 +145,6 @@ def _run_pde(spec, grid, penalties, direct, max_substeps):
         n_ok, error = _substep_failure(spec, penalties, direct, grid, dts, times,
                                        *t_free_rows(sv, bv, lv))
         s2, l2 = sv ** 2, 2.0 * lv
-        with np.errstate(invalid="ignore"):
-            products = step.products(hv, hpv)
         for r, k in enumerate(range(block.start, block.start + n_ok)):
             i, s = grid.n_t - 1 - k // nsub, k % nsub
             g[1:-1] = u
@@ -163,8 +159,7 @@ def _run_pde(spec, grid, penalties, direct, max_substeps):
             # a zero intensity against an infinite h or h' makes a 0*inf
             # that obstacle_update discards or that require_finite reports
             with np.errstate(invalid="ignore"):
-                u, ap, am = obstacle_update(base, u, hv[r], hpv[r], dts, step,
-                                            products=[a[r] for a in products])
+                u, ap, am = obstacle_update(base, u, hv[r], hpv[r], dts, step)
             out.a_plus[i] += ap
             out.a_minus[i] += am
             if s == nsub - 1:
@@ -174,7 +169,7 @@ def _run_pde(spec, grid, penalties, direct, max_substeps):
             raise error
 
     # the last block's tables are not kept while z is computed
-    del sv, bv, lv, hv, hpv, ks, s2, l2, products
+    del sv, bv, lv, hv, hpv, ks, s2, l2
     out.z = z_field(coeffs("sigma", grid.t[:, None]), grid, out.u)
     return out
 

@@ -96,38 +96,30 @@ def z_field(sigma, grid, u):
     return sigma * central_diff(u, grid.dx)
 
 
-def _solve_lower(base, h, dtm_h, one_dtm):
+def _solve_lower(base, h, dtm, one_dtm):
     """Exact nodewise solve of y = base + dt*m*(y-h)^-; linear below h.
-    ``dtm_h`` is dt*m*h and ``one_dtm`` is 1 + dt*m.
+    ``dtm`` is dt*m and ``one_dtm`` is 1 + dt*m.
 
     The root lies in [base, h]; clipping it there keeps the rounded solve
     monotone in base with y >= base, also for base within an ulp of h.
     """
-    low = (base + dtm_h) / one_dtm
+    low = (base + dtm * h) / one_dtm
     return np.where(base < h, np.minimum(np.maximum(low, base), h), base)
 
 
-def _solve_upper(base, hp, dtn_hp, one_dtn):
+def _solve_upper(base, hp, dtn, one_dtn):
     """Exact nodewise solve of y = base - dt*n*(y-h')^+; linear above h'.
-    ``dtn_hp`` is dt*n*h' and ``one_dtn`` is 1 + dt*n.
+    ``dtn`` is dt*n and ``one_dtn`` is 1 + dt*n.
 
     The root lies in [h', base], clipped there as in _solve_lower.
     """
-    high = (base + dtn_hp) / one_dtn
+    high = (base + dtn * hp) / one_dtn
     return np.where(base > hp, np.maximum(np.minimum(high, base), hp), base)
 
 
 class ObstacleStep:
     """``obstacle_update`` prepared for one solve and penalty group: its mode,
-    and the scalars dt*m, 1 + dt*m, dt*n, 1 + dt*n and dt*|n| computed once.
-
-    ``products(h, hp)`` gives the products of obstacle rows or tables that
-    the mode reads: (dt*m*h, dt*n*h') nodewise-implicit, (dt*n*h',) with
-    lower projection and () otherwise.  A solver tables them once per
-    block and passes each step their rows.  Against an infinite obstacle a
-    zero intensity makes a 0*inf there, so a solver calls products under
-    ``np.errstate(invalid="ignore")``, as it calls the step.
-    """
+    and the scalars dt*m, 1 + dt*m, dt*n, 1 + dt*n and dt*|n| computed once."""
 
     def __init__(self, dt, penalties, direct=False):
         n, m = penalties.n_upper, penalties.m_value
@@ -138,13 +130,8 @@ class ObstacleStep:
         # abs: at n = -0.0 the term would be -0.0 and make a -0.0 base +0.0
         self.dt_abs_n = dt * abs(n)
 
-    def products(self, h, hp):
-        if self.direct or not self.implicit:
-            return ()
-        return (self.dtn * hp,) if self.project_lower else (self.dtm * h, self.dtn * hp)
 
-
-def obstacle_update(base, anchor, h, hp, dt, penalties, direct=False, products=()):
+def obstacle_update(base, anchor, h, hp, dt, penalties, direct=False):
     """Constrain one step's unconstrained value ``base``; returns
     (value, a_plus, a_minus).
 
@@ -156,9 +143,8 @@ def obstacle_update(base, anchor, h, hp, dt, penalties, direct=False, products=(
     penalties, solved exactly per node in nodewise-implicit mode.
 
     ``penalties`` is a PenaltyParams, or the ObstacleStep a solver prepared
-    from it (with its dt and direct, which the call's then do not change),
-    and ``products`` is then the rows of its ``products`` tables at this
-    step.  The intensities ``n_upper`` and ``m_value`` are numbers, or
+    from it (with its dt and direct, which the call's then do not change).
+    The intensities ``n_upper`` and ``m_value`` are numbers, or
     (B, 1) columns for a batch whose row b of ``base`` is one cell with
     intensities n[b] and m[b].  A zero intensity takes the same
     path and returns the unpenalized value bitwise for finite obstacles;
@@ -169,22 +155,20 @@ def obstacle_update(base, anchor, h, hp, dt, penalties, direct=False, products=(
     step = penalties
     if not isinstance(step, ObstacleStep):
         step = ObstacleStep(dt, penalties, direct)
-        products = step.products(h, hp)
     if step.direct:
         lower = np.maximum(h, base)
         value = np.minimum(hp, lower)
         return value, lower - base, lower - value
     if step.project_lower:
         if step.implicit:
-            pre = _solve_upper(base, hp, *products, step.one_dtn)
+            pre = _solve_upper(base, hp, step.dtn, step.one_dtn)
         else:
             pre = base - step.dt_abs_n * np.maximum(anchor - hp, 0.0)
         value = np.maximum(h, pre)
         return value, value - pre, base - pre
     if step.implicit:
-        dtm_h, dtn_hp = products
-        lower = _solve_lower(base, h, dtm_h, step.one_dtm)
-        value = _solve_upper(lower, hp, dtn_hp, step.one_dtn)
+        lower = _solve_lower(base, h, step.dtm, step.one_dtm)
+        value = _solve_upper(lower, hp, step.dtn, step.one_dtn)
         return value, lower - base, lower - value
     a_plus = step.dtm * np.maximum(h - anchor, 0.0)
     a_minus = step.dtn * np.maximum(anchor - hp, 0.0)

@@ -101,7 +101,11 @@ def reference_eval(expr, bindings):
             _check_domain(np.asarray(b) != 0, "division by zero", expr)
             return a / b
         # integer-literal exponent, checked at parse time
-        return a ** int(expr.right.value)
+        power = int(expr.right.value)
+        try:
+            return a ** power
+        except OverflowError:  # IEEE semantics: overflow saturates to +-inf
+            return math.copysign(math.inf, a) if power % 2 else math.inf
     a = reference_eval(expr.args[0], bindings)
     fn = expr.func
     if fn == "min" or fn == "max":

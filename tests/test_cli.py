@@ -648,3 +648,48 @@ def test_nan_ladder_entry_rejected(tmp_path, capsys, key, values, index):
     assert ("expected a number, not NaN at /ladders/%s/%d" % (key, index)
             in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where, pointer", [
+    ("problem", "/problem/horizon"), ("penalties", "/penalties/n_upper"),
+    ("ladders", "/ladders/n_list/1")])
+def test_number_beyond_double_rejected(tmp_path, capsys, where, pointer):
+    # float() of such a JSON integer raised OverflowError: exit 1
+    big = 10 ** 400
+    payload = {"problem": UNCERTAIN_SINE, "grid": {"n_t": 10, "n_x": 11}}
+    if where == "problem":
+        payload["problem"] = dict(UNCERTAIN_SINE, horizon=big)
+    elif where == "penalties":
+        payload["penalties"] = {"n_upper": big}
+    else:
+        payload["ladders"] = {"n_list": [4, big]}
+    rc = _solve(tmp_path, payload)
+    assert rc == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "config status=error" in err
+    assert "expected a number within the range of a double at %s" % pointer in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, source, code, record", [
+    ("phi", "1e200^2", EXIT_VALIDATION, "kind=non-finite-coefficient"),
+    ("b", "0*1e200^2", EXIT_VALIDATION, "kind=non-finite-coefficient"),
+    ("f", "0*(1e200^2)*y", EXIT_STABILITY, "kind=non-finite-field")])
+def test_overflowing_power_rejected(tmp_path, capsys, key, source, code, record):
+    # a Python float power raised OverflowError: exit 1; it saturates to
+    # inf now, and validation or the solve rejects what that makes
+    rc = _solve(tmp_path, {
+        "problem": dict(UNCERTAIN_SINE, **{key: source}), "grid": {"n_t": 10, "n_x": 11}})
+    assert rc == code
+    assert record in capsys.readouterr().err
+
+
+def test_non_ascii_digit_is_bad_expression(tmp_path, capsys):
+    # float('²') raised a ValueError, reported without "bad expression"
+    rc = _solve(tmp_path, {
+        "problem": dict(UNCERTAIN_SINE, phi="²"), "grid": {"n_t": 10, "n_x": 11}})
+    assert rc == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "config status=error" in err
+    assert "bad expression: expected an operand (offset 0) at /problem" in err
+    assert not (tmp_path / "out").exists()

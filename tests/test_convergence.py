@@ -1,8 +1,10 @@
 import pytest
 
-from gdro.convergence import (asc_residuals, asc_residuals_global,
-                              cross_validate, monotone_ladder, stability_probe)
-from gdro.gcore import Grid, PenaltyParams, ProblemSpec
+import gdro.convergence
+from gdro.convergence import (asc_residuals, asc_residuals_global, cross_validate,
+                              interior_gap, monotone_ladder, stability_probe)
+from gdro.gcore import (NODEWISE_IMPLICIT, Grid, PenaltyParams, ProblemSpec,
+                        uncontaminated_mask)
 from gdro.lattice import penalized_sweep, reflected_sweep
 
 
@@ -43,6 +45,23 @@ class TestMonotoneLadder:
         # derivative field converges toward the finest rung
         assert report.rows[0].z_gap >= report.rows[-1].z_gap
         assert report.rows[-1].z_gap == 0.0
+
+    def test_one_boundary_mask_per_ladder(self, monkeypatch):
+        # each rung's z_gap rebuilt the mask, and with it a sigma table
+        spec = _sine_spec()
+        grid = Grid.for_problem(spec, 20, 41)
+        n_list = [4.0, 16.0, 64.0]
+        fields = [reflected_sweep(spec, grid, n, NODEWISE_IMPLICIT) for n in n_list]
+        want = [interior_gap(spec, grid, f.z, fields[-1].z) for f in fields]
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return uncontaminated_mask(*args)
+        monkeypatch.setattr(gdro.convergence, "uncontaminated_mask", counted)
+        report = monotone_ladder(spec, grid, n_list)
+        assert len(calls) == 1
+        assert [r.z_gap for r in report.rows] == want  # bitwise; no NaN here
 
     def test_unsorted_rejected(self):
         spec = _sine_spec()

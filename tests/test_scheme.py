@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from gdro import catalog
 from gdro.gcore import (EXPLICIT, NODEWISE_IMPLICIT, Coefficients, Grid, PenaltyParams,
                         ProblemSpec)
-from gdro.scheme import obstacle_update
+from gdro.lattice import _Intensities
+from gdro.scheme import ObstacleStep, obstacle_update
 
 VALUES = st.floats(-100.0, 100.0, allow_nan=False)
 INTENSITY = st.sampled_from([0.0, 1.0, 64.0]) | st.floats(0.0, 1e4)
@@ -104,6 +105,45 @@ def test_zero_intensity_is_the_unpenalized_update(u, zero):
     value, _, _ = obstacle_update(base, np.append(u["anchor"], [0.0] * 3), h, hp, u["dt"], pen)
     expected = np.maximum(h, base) if pen.project_lower else base
     assert np.array_equal(value.view(np.uint8), expected.view(np.uint8))
+
+
+def _bits(arrays):
+    return [np.ascontiguousarray(a).tobytes() for a in arrays]
+
+
+@settings(max_examples=200, deadline=None)
+@given(updates())
+def test_prepared_step_is_the_penalty_params_call(u):
+    # the solvers pass an ObstacleStep; the same update from the PenaltyParams
+    step = ObstacleStep(u["dt"], u["penalties"], u["direct"])
+    prepared = obstacle_update(u["base"], u["anchor"], u["h"], u["hp"], u["dt"], step)
+    assert _bits(prepared) == _bits(_run(u, u["base"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_batched_cells_match_their_own_calls(data):
+    # a lattice penalty group: up to 4 cells of one mode and one dt, with
+    # their intensities as (B, 1) columns; each row is its cell's own call
+    first = data.draw(updates())
+    mode = [(first["direct"], "projection" if first["penalties"].project_lower else None)]
+    cells = [first] + data.draw(st.lists(updates(mode), max_size=3))
+    width = min(len(c["base"]) for c in cells)
+    mode_of = first["penalties"].penalty_mode
+    penalties = [replace(c["penalties"], penalty_mode=mode_of) for c in cells]
+
+    def stack(key):
+        return np.stack([c[key][:width] for c in cells])
+
+    step = ObstacleStep(first["dt"], _Intensities(
+        mode_of, first["penalties"].project_lower, np.array([[p.n_upper] for p in penalties]),
+        np.array([[p.m_value] for p in penalties])), first["direct"])
+    batch = obstacle_update(stack("base"), stack("anchor"), stack("h"), stack("hp"),
+                            first["dt"], step)
+    for b, (c, pen) in enumerate(zip(cells, penalties)):
+        own = obstacle_update(c["base"][:width], c["anchor"][:width], c["h"][:width],
+                              c["hp"][:width], first["dt"], pen, direct=first["direct"])
+        assert _bits(a[b] for a in batch) == _bits(own), b
 
 
 def _catalog_specs():
