@@ -61,12 +61,11 @@ class ConfigError(ValueError):
     """Schema violation; ``pointer`` is the JSON pointer to the bad value."""
 
     def __init__(self, message, pointer):
-        super().__init__("%s at %s" % (message, pointer or "/"))
+        super().__init__(message, pointer)
         self.message, self.pointer = message, pointer
 
-    def __reduce__(self):
-        # unpickling calls __init__, which takes the message before formatting
-        return type(self), (self.message, self.pointer)
+    def __str__(self):
+        return "%s at %s" % (self.message, self.pointer or "/")
 
 
 def _diag(record, **fields):
@@ -83,7 +82,6 @@ class RunConfig:
     ladders: dict
     output_dir: str
     emit: tuple
-    problem_name: str | None = None
     entry: object = None  # CatalogEntry when resolved from the catalog
 
 
@@ -98,6 +96,18 @@ class RunResults:
     double_report: DoubleLadderReport | None = None
     m_ladder: list | None = None
     stability_gaps: list = dc_field(default_factory=list)
+
+
+def _object(value, pointer, known, unknown, expected="expected an object"):
+    """``value`` if it is a config object whose keys are all in ``known``;
+    else ConfigError ``expected`` at ``pointer``, or ``unknown`` at the
+    first unknown key's own pointer."""
+    if not isinstance(value, dict):
+        raise ConfigError(expected, pointer)
+    for key in value:
+        if key not in known:
+            raise ConfigError(unknown, "%s/%s" % (pointer, key))
+    return value
 
 
 def _require(obj, key, pointer):
@@ -143,12 +153,8 @@ def _parse_problem(value):
         except KeyError as err:
             raise ConfigError(str(err), "/problem") from None
         return cat.build_spec(entry), entry
-    if not isinstance(value, dict):
-        raise ConfigError("expected a catalog name or an object", "/problem")
-    known = set(_PROBLEM_REQUIRED) | set(_PROBLEM_EXPRS) | {"name"}
-    for key in value:
-        if key not in known:
-            raise ConfigError("unknown problem key", "/problem/%s" % key)
+    _object(value, "/problem", _PROBLEM_REQUIRED + _PROBLEM_EXPRS + ("name",),
+            "unknown problem key", "expected a catalog name or an object")
     kwargs = {}
     for key in _PROBLEM_REQUIRED:
         kwargs[key] = _as_finite(_require(value, key, "/problem/%s" % key),
@@ -159,6 +165,8 @@ def _parse_problem(value):
                 raise ConfigError("expected an expression string", "/problem/%s" % key)
             kwargs[key] = value[key]
     kwargs["name"] = value.get("name", "inline")
+    if not isinstance(kwargs["name"], str):
+        raise ConfigError("expected a string", "/problem/name")
     try:
         spec = ProblemSpec.from_strings(**kwargs)
     except ex.ParseError as err:
@@ -178,12 +186,8 @@ def _parse_penalties(value, entry):
     defaults = dict(entry.penalties) if entry is not None else {}
     if value is None:
         return PenaltyParams(**defaults)
-    if not isinstance(value, dict):
-        raise ConfigError("expected an object", "/penalties")
-    known = {"n_upper", "m_lower", "penalty_mode", "kappa_f"}
-    for key in value:
-        if key not in known:
-            raise ConfigError("unknown penalties key", "/penalties/%s" % key)
+    _object(value, "/penalties", ("n_upper", "m_lower", "penalty_mode", "kappa_f"),
+            "unknown penalties key")
     merged = dict(defaults)
     if "n_upper" in value:
         merged["n_upper"] = _as_finite(value["n_upper"], "/penalties/n_upper")
@@ -205,13 +209,9 @@ def _parse_penalties(value, entry):
 def _parse_ladders(value):
     if value is None:
         return {}
-    if not isinstance(value, dict):
-        raise ConfigError("expected an object", "/ladders")
     out = {}
-    for key in value:
-        if key not in ("n_list", "m_list", "epsilon_list"):
-            raise ConfigError("unknown ladders key", "/ladders/%s" % key)
-        seq = value[key]
+    for key, seq in _object(value, "/ladders", ("n_list", "m_list", "epsilon_list"),
+                            "unknown ladders key").items():
         if not isinstance(seq, list):
             raise ConfigError("expected an array", "/ladders/%s" % key)
         out[key] = [_as_not_nan(v, "/ladders/%s/%d" % (key, i))
@@ -222,17 +222,11 @@ def _parse_ladders(value):
 
 
 def parse_config(data) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a single JSON object", "")
-    known = {"problem", "grid", "method", "penalties", "ladders", "output_dir", "emit"}
-    for key in data:
-        if key not in known:
-            raise ConfigError("unknown key", "/%s" % key)
+    _object(data, "", ("problem", "grid", "method", "penalties", "ladders", "output_dir", "emit"),
+            "unknown key", "config must be a single JSON object")
 
     spec, entry = _parse_problem(_require(data, "problem", "/problem"))
-    gobj = _require(data, "grid", "/grid")
-    if not isinstance(gobj, dict):
-        raise ConfigError("expected an object", "/grid")
+    gobj = _object(_require(data, "grid", "/grid"), "/grid", ("n_t", "n_x"), "unknown grid key")
     n_t = _as_int(_require(gobj, "n_t", "/grid/n_t"), "/grid/n_t")
     n_x = _as_int(_require(gobj, "n_x", "/grid/n_x"), "/grid/n_x")
     try:
@@ -256,9 +250,7 @@ def parse_config(data) -> RunConfig:
         raise ConfigError("expected a string", "/output_dir")
 
     return RunConfig(spec=spec, grid=grid, method=method, penalties=penalties,
-                     ladders=ladders, output_dir=output_dir, emit=tuple(emit),
-                     problem_name=entry.name if entry is not None else None,
-                     entry=entry)
+                     ladders=ladders, output_dir=output_dir, emit=tuple(emit), entry=entry)
 
 
 def load_config(path) -> RunConfig:
@@ -610,7 +602,7 @@ def _write_summary(path, config, results):
         0.5 * (grid.x_min + grid.x_max)
     j = int(np.argmin(np.abs(grid.x - anchor_x)))
     summary = {
-        "problem": config.problem_name or config.spec.name,
+        "problem": config.spec.name,
         "method": config.method,
         "contamination_cone_t0": float(contamination_cone_width(config.spec, grid)[0]),
         "grid": {"n_t": grid.n_t, "n_x": grid.n_x, "dt": grid.dt, "dx": grid.dx},

@@ -40,12 +40,11 @@ class ExprError(ValueError):
 
 class ParseError(ExprError):
     def __init__(self, message, position):
-        super().__init__("%s (offset %d)" % (message, position))
+        super().__init__(message, position)
         self.message, self.position = message, position
 
-    def __reduce__(self):
-        # unpickling calls __init__, which takes the message before formatting
-        return type(self), (self.message, self.position)
+    def __str__(self):
+        return "%s (offset %d)" % (self.message, self.position)
 
 
 class UnboundVariableError(ExprError):
@@ -56,12 +55,11 @@ class DomainError(ExprError):
     """Division by zero, log of a non-positive value, or sqrt of a negative."""
 
     def __init__(self, message, node):
-        super().__init__("%s in %r" % (message, format_expr(node)))
+        super().__init__(message, node)
         self.message, self.node = message, node
 
-    def __reduce__(self):
-        # unpickling calls __init__, which takes the message before formatting
-        return type(self), (self.message, self.node)
+    def __str__(self):
+        return "%s in %r" % (self.message, format_expr(self.node))
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,9 @@ class VolatilityBand:
         if not (0.0 < self.sigma_low <= self.sigma_high):
             raise ValueError("need 0 < sigma_low <= sigma_high, got (%r, %r)"
                              % (self.sigma_low, self.sigma_high))
+        # a float product saturates to inf where ** would raise OverflowError
+        if not np.isfinite(self.sigma_high * self.sigma_high):
+            raise ValueError("need a finite sigma_high**2, got sigma_high=%r" % self.sigma_high)
 
 
 def g_eval(a, band: VolatilityBand):
@@ -79,10 +82,12 @@ class ProblemSpec:
     name: str = ""
 
     def __post_init__(self):
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.horizon < np.inf:
+            raise ValueError("horizon must be positive and finite")
         if not self.x_min < self.x_max:
             raise ValueError("need x_min < x_max")
+        if not np.isfinite(self.x_max - self.x_min):
+            raise ValueError("need a finite x_max - x_min")
 
     @classmethod
     def from_strings(cls, *, horizon, x_min, x_max, sigma_low, sigma_high,
@@ -109,6 +114,11 @@ class Grid:
     def __post_init__(self):
         if self.n_t < 1 or self.n_x < 3:
             raise ValueError("need n_t >= 1 and n_x >= 3")
+        if not self.dt > 0:
+            raise ValueError("need dt = t_max/n_t > 0, got %r" % self.dt)
+        x = self.x
+        if not (np.isfinite(x).all() and (np.diff(x) > 0).all()):
+            raise ValueError("need finite, strictly increasing x nodes")
 
     @classmethod
     def for_problem(cls, spec: ProblemSpec, n_t: int, n_x: int):

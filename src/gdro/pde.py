@@ -42,13 +42,14 @@ from .scheme import (CEIL_EPS, ObstacleStep, SolutionField, ceil_eps, obstacle_u
 RESIDUAL_CONTACT_MARGIN_T = 0.03
 RESIDUAL_CONTACT_MARGIN_X = 0.025
 _CONTACT_TOL = 1e-9
+#: the most substeps per reported step; a bound that needs more raises StabilityError
+MAX_SUBSTEPS = 10_000
 
 
 @dataclass(frozen=True)
 class PdeSchemeParams:
     grid: Grid
     penalty: PenaltyParams = dc_field(default_factory=PenaltyParams)
-    max_substeps: int = 10_000
 
 
 def f_operator(d2u, du, u, x, t, spec: ProblemSpec):
@@ -75,17 +76,17 @@ def _explicit_rate(spec, penalties, direct, dx, sv, bv, lv, per_node=False):
     return rate
 
 
-def _stability_substeps(spec, grid, penalties, direct, max_substeps):
+def _stability_substeps(spec, grid, penalties, direct):
     """Substeps per reported step so the explicit bound holds for dt_sub at
     the reported times; _run_pde checks it again at every substep."""
     coeffs = Coefficients(spec, grid.x)
     rate = _explicit_rate(spec, penalties, direct, grid.dx,
                           *(coeffs(name, grid.t[:, None]) for name in ("sigma", "b", "l")))
     nsub = ceil_eps(grid.dt * rate)
-    if not nsub <= max_substeps:
+    if not nsub <= MAX_SUBSTEPS:
         raise StabilityError(
             "explicit stability needs %.0f substeps per step (cap %d); "
-            "bound dt*rate = %.6g" % (nsub, max_substeps, grid.dt * rate))
+            "bound dt*rate = %.6g" % (nsub, MAX_SUBSTEPS, grid.dt * rate))
     return max(1, int(nsub))
 
 
@@ -105,7 +106,7 @@ def _substep_failure(spec, penalties, direct, grid, dts, ts, sv, bv, lv):
         "dt_sub*rate = %.6g > 1" % (ts[r], grid.x[j], dts * rate[r, j]))
 
 
-def _run_pde(spec, grid, penalties, direct, max_substeps):
+def _run_pde(spec, grid, penalties, direct):
     """The backward loop of both PDE solves.  Each substep adds its a_plus,
     a_minus and defect into row i of the zeroed field; u and sigma_choice
     are stored at the step's last substep.  A block runs its substeps up to
@@ -115,7 +116,7 @@ def _run_pde(spec, grid, penalties, direct, max_substeps):
     dt, dx = grid.dt, grid.dx
     if penalties.penalty_mode == NODEWISE_IMPLICIT:
         penalties.check_explicit_cfl(dt)
-    nsub = _stability_substeps(spec, grid, penalties, direct, max_substeps)
+    nsub = _stability_substeps(spec, grid, penalties, direct)
     dts = dt / nsub
     coeffs = Coefficients(spec, grid.x)
     band = spec.band
@@ -185,8 +186,7 @@ def solve_penalized_pde(spec: ProblemSpec, params: PdeSchemeParams,
     reflection, mirroring the lattice's reflected sweep.  ``threads`` is
     accepted for compatibility and ignored.
     """
-    return _run_pde(spec, params.grid, params.penalty, direct=False,
-                    max_substeps=params.max_substeps)
+    return _run_pde(spec, params.grid, params.penalty, direct=False)
 
 
 def solve_double_obstacle_direct(spec: ProblemSpec, params: PdeSchemeParams,
@@ -197,8 +197,7 @@ def solve_double_obstacle_direct(spec: ProblemSpec, params: PdeSchemeParams,
     the output satisfies h <= u <= h' exactly at every node.  ``threads`` is
     accepted for compatibility and ignored.
     """
-    return _run_pde(spec, params.grid, params.penalty, direct=True,
-                    max_substeps=params.max_substeps)
+    return _run_pde(spec, params.grid, params.penalty, direct=True)
 
 
 def _dilate(mask, kt, kx):

@@ -62,13 +62,12 @@ class NonFiniteField(ArithmeticError):
     x_index) is the first non-finite node the backward solve produced."""
 
     def __init__(self, label, t_index, x_index):
-        super().__init__("non-finite value at t_index=%d x_index=%d in %s"
-                         % (t_index, x_index, label))
+        super().__init__(label, t_index, x_index)
         self.label, self.t_index, self.x_index = label, t_index, x_index
 
-    def __reduce__(self):
-        # unpickling calls __init__, which takes the parts before formatting
-        return type(self), (self.label, self.t_index, self.x_index)
+    def __str__(self):
+        return "non-finite value at t_index=%d x_index=%d in %s" % (
+            self.t_index, self.x_index, self.label)
 
 
 def require_finite(field, **label):

@@ -43,14 +43,14 @@ class TestLoadConfig:
     def test_catalog_name(self, tmp_path):
         cfg = load_config(_write(tmp_path, {
             "problem": "gheat-convex", "grid": {"n_t": 10, "n_x": 21}}))
-        assert cfg.problem_name == "gheat-convex"
+        assert cfg.spec.name == "gheat-convex"
         assert cfg.grid.n_t == 10 and cfg.method == "both"
 
     def test_inline_problem(self, tmp_path):
         cfg = load_config(_write(tmp_path, {
             "problem": dict(INLINE_HEAT, f="0.5*z"),
             "grid": {"n_t": 10, "n_x": 21}, "method": "lattice"}))
-        assert cfg.problem_name is None and cfg.method == "lattice"
+        assert cfg.spec.name == "inline" and cfg.entry is None and cfg.method == "lattice"
 
     def test_missing_grid_pointer(self, tmp_path):
         with pytest.raises(ConfigError) as err:
@@ -113,6 +113,16 @@ class TestLoadConfig:
         ({"ladders": {"n_list": 4}}, "/ladders/n_list", "expected an array"),
         ({"emit": ["plot"]}, "/emit", "expected a subset of {field, report, residual}"),
         ({"output_dir": 5}, "/output_dir", "expected a string"),
+        ({"grid": {"n_t": 4, "n_x": 5, "nx": 9}}, "/grid/nx", "unknown grid key"),
+        ({"problem": dict(INLINE_HEAT, horizon=5e-324)}, "/grid",
+         "need dt = t_max/n_t > 0, got 0.0"),
+        ({"problem": dict(INLINE_HEAT, x_min=1e16, x_max=1.0000000000000004e16),
+          "grid": {"n_t": 40, "n_x": 11}}, "/grid", "need finite, strictly increasing x nodes"),
+        ({"problem": dict(INLINE_HEAT, sigma_low=1e-300, sigma_high=1e300)}, "/problem",
+         "need a finite sigma_high**2, got sigma_high=1e+300"),
+        ({"problem": dict(INLINE_HEAT, x_min=-1e308, x_max=1e308)}, "/problem",
+         "need a finite x_max - x_min"),
+        ({"problem": dict(INLINE_HEAT, name=["a", 1])}, "/problem/name", "expected a string"),
     ])
     def test_rejection_pointer_and_message(self, change, pointer, message):
         with pytest.raises(ConfigError) as err:

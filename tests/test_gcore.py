@@ -55,6 +55,8 @@ def test_band_invariants():
         VolatilityBand(0.0, 1.0)
     with pytest.raises(ValueError):
         VolatilityBand(2.0, 1.0)
+    with pytest.raises(ValueError, match="finite sigma_high"):
+        VolatilityBand(1e-300, 1e300)  # its square overflows
 
 
 def _spec(**kw):
@@ -74,6 +76,12 @@ def test_grid_properties():
         Grid.for_problem(spec, 0, 5)
     with pytest.raises(ValueError):
         Grid.for_problem(spec, 10, 2)
+    with pytest.raises(ValueError, match="finite x_max - x_min"):
+        _spec(x_min=-1e308, x_max=1e308)
+    with pytest.raises(ValueError, match="strictly increasing x nodes"):
+        Grid.for_problem(_spec(x_min=1e16, x_max=1.0000000000000004e16), 40, 11)
+    with pytest.raises(ValueError, match="dt = t_max/n_t > 0"):
+        Grid.for_problem(_spec(horizon=5e-324), 4, 5)
 
 
 def test_penalty_params_invariants():
@@ -245,7 +253,7 @@ def test_undefined_driver_subtree_raises_at_its_row(solver, monkeypatch):
     if solver == "lattice":
         times = [grid.dt * (grid.n_t - 1 - k) for k in range(grid.n_t)]
     else:
-        nsub = pde._stability_substeps(spec, grid, penalties, False, 10_000)
+        nsub = pde._stability_substeps(spec, grid, penalties, False)
         dts = grid.dt / nsub
         times = [(grid.n_t - 1 - k // nsub) * grid.dt + (nsub - 1 - k % nsub) * dts
                  for k in range(grid.n_t * nsub)]

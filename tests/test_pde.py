@@ -98,7 +98,7 @@ class TestPenalizedPde:
         grid = Grid.for_problem(spec, 10, 201)
         with pytest.raises(StabilityError):
             solve_penalized_pde(spec, PdeSchemeParams(
-                grid=grid, penalty=PenaltyParams(n_upper=1e9), max_substeps=100))
+                grid=grid, penalty=PenaltyParams(n_upper=1e9)))
 
     def test_implicit_kappa_rejection(self):
         spec = _spec()
