@@ -35,9 +35,10 @@ from . import catalog as cat
 from . import expr as ex
 from .convergence import (ConvergenceReport, asc_residuals, asc_residuals_global,
                           interior_gap, monotone_ladder, probe_output_gap)
-from .gcore import (Grid, PenaltyParams, ProblemSpec, StabilityError,
+from .gcore import (PROJECTION, Grid, PenaltyParams, ProblemSpec, StabilityError,
                     contamination_cone_width, obstacle_fields, validate_problem)
-from .lattice import DoubleLadderReport, SweepCell, _field_or_raise, double_ladder, sweep_cells
+from .lattice import (DoubleLadderReport, SweepCell, _field_or_raise, double_ladder,
+                      ladder_cells, sweep_cells)
 from .pde import (PdeSchemeParams, complementarity_residual,
                   solve_double_obstacle_direct, solve_penalized_pde)
 from .scheme import NonFiniteField, require_finite, strictly_ascending
@@ -380,6 +381,19 @@ def _m_ladder(spec, grid, penalties, ladders, swept):
     return [replace(c, mono_gap_n=np.nan, mono_gap_m=np.nan) for c in cells], double
 
 
+def _ladder_cells(penalties, ladders):
+    """The valid cells the run's ladders sweep: the reflected n-ladder's
+    rungs, the double ladder's n x m cells and the m-ladder row at an
+    n_upper outside n_list."""
+    mode, kappa = penalties.penalty_mode, penalties.kappa_f
+    n_list = ladders.get("n_list", [])
+    rows = n_list + ([] if penalties.n_upper in n_list else [penalties.n_upper])
+    cells = ladder_cells(n_list, PROJECTION, mode, kappa)
+    for m in ladders.get("m_list", []):
+        cells += ladder_cells(rows, m, mode, kappa)
+    return [c for c in cells if isinstance(c, SweepCell)]
+
+
 def _generic_assertions(results, spec, grid, penalties):
     out = []
     for method, fld in sorted(results.fields.items()):
@@ -400,6 +414,13 @@ def _generic_assertions(results, spec, grid, penalties):
         out.append(cat.AssertionResult("direct-sandwich", sandwich <= 0.0, sandwich, 0.0))
     return out
 
+
+#: field nodes, cells*(n_t+1)*n_x, up to which the ladders' cells join the
+#: run's lattice batch.  One batch pays each step's numpy call overhead once
+#: for every cell, but holds every ladder field at once; the cap is about
+#: the nodes one 8-cell double-ladder column holds at the catalog's 200x161
+#: default grid (258,888), so a run's largest batch stays that size
+_RUN_BATCH_NODES = 2 ** 18
 
 #: reporting-grid nodes, (n_t+1)*n_x, from which a run's lattice batch is
 #: swept in a forked child.  The fork costs CPU time (copied pages, two busy
@@ -490,15 +511,22 @@ def run(config: RunConfig, assert_mode: bool = False,
                   f_lipschitz_z=_fmt(report.f_lipschitz_z))
 
             # the main lattice solve and the eps-probes, which shift its h,
-            # are one batch; under --method pde it is only the probes' base
+            # are one batch; under --method pde it is only the probes' base.
+            # The ladders' cells join it while all its distinct fields fit
+            # the budget, and reach the ladders through swept
             epsilons = ladders.get("epsilon_list", [])
             main_cell = SweepCell(penalties)
             cells = ([main_cell] + [SweepCell(penalties, eps) for eps in epsilons]
                      if config.method != "pde" or epsilons else [])
+            rungs = _ladder_cells(penalties, ladders)
+            if len(set(cells + rungs)) * (grid.n_t + 1) * grid.n_x > _RUN_BATCH_NODES:
+                rungs = []
             params = PdeSchemeParams(grid=grid, penalty=penalties)
 
             def lattice_batch():
-                return [_field_or_raise(r) for r in sweep_cells(spec, grid, cells)]
+                batch = sweep_cells(spec, grid, cells + rungs)
+                return ([_field_or_raise(r) for r in batch[:len(cells)]],
+                        dict(zip(rungs, batch[len(cells):])))
 
             def pde_solves():
                 pde = direct = None
@@ -512,12 +540,12 @@ def run(config: RunConfig, assert_mode: bool = False,
             # enough run sweeps its batch in a child while the PDE solves here
             if (cells and (config.method != "lattice" or "residual" in config.emit)
                     and _fork_pays(grid)):
-                batch, (pde_field, results.direct_field) = _beside_child(
+                (batch, swept), (pde_field, results.direct_field) = _beside_child(
                     lattice_batch, pde_solves)
             else:
-                batch = lattice_batch()
+                batch, swept = lattice_batch()
                 pde_field, results.direct_field = pde_solves()
-            swept, probes = {}, []
+            probes = []
             if batch:
                 base, *probes = batch
                 swept[main_cell] = base

@@ -55,9 +55,9 @@ def monotone_ladder(spec: ProblemSpec, grid: Grid, n_list,
     pointwise monotonicity violation against the previous rung (the ladder
     is non-increasing in n for a monotone scheme), pushing residuals, and a
     least-squares log-log slope of the upper violation over the rungs with
-    n > 0 above the noise floor.  The rungs are one batched sweep; ``swept``
-    maps cells already swept to their fields.  A non-finite rung raises
-    NonFiniteField.
+    n > 0 above the noise floor.  The rungs not in ``swept``, a mapping of
+    cells already swept to their fields or errors, are one batched sweep.
+    A non-finite rung raises NonFiniteField.
     """
     n_list = [float(v) for v in n_list]
     if not strictly_ascending(n_list):

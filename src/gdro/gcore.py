@@ -30,6 +30,12 @@ _FINITE_FIELDS = ("b", "l", "sigma", "h", "h_prime", "phi")
 #: nodes per field in one block of coefficient tables (Coefficients.blocks)
 _BLOCK_NODES = 4096
 
+#: the most reporting-grid nodes, (n_t+1)*n_x, a Grid may have.  A
+#: ``--method both`` run emitting every output was measured to peak at about
+#: 200 bytes per node (570 with the catalog's double-obstacle-sine ladders),
+#: so a run at the cap needs about 1.6 GiB (4.5 GiB)
+MAX_GRID_NODES = 2 ** 23
+
 
 class StabilityError(RuntimeError):
     """Raised when a scheme's monotonicity/step-size requirement fails at entry."""
@@ -114,6 +120,10 @@ class Grid:
     def __post_init__(self):
         if self.n_t < 1 or self.n_x < 3:
             raise ValueError("need n_t >= 1 and n_x >= 3")
+        # before any array is built, so n_x is capped too
+        if (self.n_t + 1) * self.n_x > MAX_GRID_NODES:
+            raise ValueError("need (n_t + 1)*n_x <= %d nodes, got %d"
+                             % (MAX_GRID_NODES, (self.n_t + 1) * self.n_x))
         if not self.dt > 0:
             raise ValueError("need dt = t_max/n_t > 0, got %r" % self.dt)
         x = self.x

@@ -178,23 +178,36 @@ class _Intensities(NamedTuple):
 def _run_sweep(spec, grid, cells):
     """Sweep the tuple ``cells`` through one backward time loop.
 
-    Returns, per cell, its SolutionField or the StabilityError of its own
-    step-size check.  Any other error raises for the whole batch.
+    Returns, per cell, its SolutionField or a StabilityError: that of its
+    own step-size check, else that of the ghost margin or the drift weight,
+    which depend on (spec, grid) alone and so fail every cell alike.  Any
+    other error raises for the whole batch.
     """
-    dt, dx = grid.dt, grid.dx
     results = {}
     for cell in cells:
         try:
-            cell.penalties.check_explicit_cfl(dt)
+            cell.penalties.check_explicit_cfl(grid.dt)
         except StabilityError as err:
             results[cell] = err
+    live = [c for c in cells if c not in results]
+    if live:
+        try:
+            results.update(_sweep_live(spec, grid, live))
+        except StabilityError as err:
+            results.update(dict.fromkeys(live, err))
+    return [results[c] for c in cells]
+
+
+def _sweep_live(spec, grid, cells):
+    """(cell, SolutionField) pairs of ``cells``, which pass their step-size
+    checks, swept through one backward time loop."""
+    dt, dx = grid.dt, grid.dx
+
     # cells sharing a penalty mode and lower projection take adjacent rows,
     # so each such group is one obstacle_update on a slice of the batch
     def mode(cell):
         return cell.penalties.penalty_mode, cell.penalties.project_lower
-    live = sorted((c for c in cells if c not in results), key=mode)
-    if not live:
-        return [results[c] for c in cells]
+    live = sorted(cells, key=mode)
 
     def column(values):
         return np.array(values, dtype=float)[:, None]
@@ -274,26 +287,27 @@ def _run_sweep(spec, grid, cells):
     del sv, bv, lv, hv, hpv, ks, kernels, bufs
     del u_buf, plus_buf, minus_buf, defect_buf, choice_buf
     sigma = Coefficients(spec, grid.x)("sigma", grid.t[:, None])
-    for cell, out in zip(live, outs):
+    for out in outs:
         out.z = z_field(sigma, grid, out.u)
-        results[cell] = out
-    return [results[c] for c in cells]
+    return zip(live, outs)
 
 
 def sweep_cells(spec: ProblemSpec, grid: Grid, cells, swept=None) -> list:
     """Per cell, its SolutionField or the error that stopped its sweep.
 
     The distinct cells not already in ``swept`` (a mapping of cell to
-    field) go through one batched sweep.  If that sweep fails, each cell is
-    swept on its own, so an error only some cells' values raise (a driver
-    outside its domain at one cell's y) stays with those cells.
+    field or error) go through one batched sweep.  A StabilityError of the
+    whole batch is every cell's own.  If the sweep raises a ValueError,
+    each cell is swept on its own, so an error only some cells' values
+    raise (a driver outside its domain at one cell's y) stays with those
+    cells.
     """
     known = dict(swept or {})
     todo = tuple(c for c in dict.fromkeys(cells) if c not in known)
     if todo:
         try:
             known.update(zip(todo, _run_sweep(spec, grid, todo)))
-        except (StabilityError, ValueError) as err:
+        except ValueError as err:
             if len(todo) == 1:
                 known[todo[0]] = err
             else:
@@ -335,10 +349,22 @@ def reflected_sweep(spec: ProblemSpec, grid: Grid, n_upper: float,
         n_upper=n_upper, m_lower=PROJECTION, penalty_mode=penalty_mode, kappa_f=kappa_f))
 
 
+def ladder_cells(n_list, m_lower, penalty_mode, kappa_f) -> list:
+    """Per n in ``n_list``, the ladder cell (n, m_lower), or the ValueError
+    of its invalid penalties."""
+    cells = []
+    for n in n_list:
+        try:
+            cells.append(SweepCell(PenaltyParams(n, m_lower, penalty_mode, kappa_f)))
+        except ValueError as err:
+            cells.append(err)
+    return cells
+
+
 def ladder_column(spec: ProblemSpec, grid: Grid, n_list, m_lower, penalty_mode, kappa_f,
                   swept=None, left=None):
     """(rows, fields) of the cells (n, m_lower), n in ``n_list``, swept as one
-    batch; ``swept`` maps cells already swept to their fields.
+    batch; ``swept`` maps cells already swept to their fields or errors.
 
     A cell with invalid penalties or a failed sweep gets a row holding the
     error and the field None; a non-finite field raises NonFiniteField.
@@ -346,13 +372,7 @@ def ladder_column(spec: ProblemSpec, grid: Grid, n_list, m_lower, penalty_mode, 
     ``left`` (u per n at the previous m, None where missing) if given.  A
     projection column is labelled m = inf."""
     m = np.inf if m_lower == PROJECTION else m_lower
-
-    def cell_of(n):
-        try:
-            return SweepCell(PenaltyParams(n, m_lower, penalty_mode, kappa_f))
-        except ValueError as err:
-            return err
-    cells = [cell_of(n) for n in n_list]
+    cells = ladder_cells(n_list, m_lower, penalty_mode, kappa_f)
     swept_fields = iter(sweep_cells(spec, grid, [c for c in cells if isinstance(c, SweepCell)],
                                     swept))
     rows, fields, above = [], [], None  # above: u at the previous n
@@ -384,8 +404,9 @@ def double_ladder(spec: ProblemSpec, grid: Grid, n_list, m_list,
                   kappa_f: float = DEFAULT_KAPPA_F, swept=None) -> DoubleLadderReport:
     """Penalized sweeps over the (n, m) product, with ordering diagnostics.
 
-    Each m-column is one batched sweep, and only the previous column's
-    value grids are kept.  ``swept`` maps cells already swept to their fields.
+    Each m-column's cells not in ``swept``, a mapping of cells already
+    swept to their fields or errors, are one batched sweep, and only the
+    previous column's value grids are kept.
     Per-cell sweep failures are recorded in the cell and the ladder carries
     on; a non-finite field raises NonFiniteField.  Lists must be strictly
     ascending; an empty list gives an empty report.

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gdro.cli
 import gdro.lattice
 from gdro.cli import (EXIT_ASSERT, EXIT_OK, EXIT_STABILITY, EXIT_VALIDATION,
                       ConfigError, load_config, main, parse_config,
@@ -123,6 +124,10 @@ class TestLoadConfig:
         ({"problem": dict(INLINE_HEAT, x_min=-1e308, x_max=1e308)}, "/problem",
          "need a finite x_max - x_min"),
         ({"problem": dict(INLINE_HEAT, name=["a", 1])}, "/problem/name", "expected a string"),
+        ({"grid": {"n_t": 10 ** 30, "n_x": 11}}, "/grid",
+         "need (n_t + 1)*n_x <= 8388608 nodes, got 11000000000000000000000000000011"),
+        ({"problem": "gheat-convex", "grid": {"n_t": 10, "n_x": 10 ** 11}}, "/grid",
+         "need (n_t + 1)*n_x <= 8388608 nodes, got 1100000000000"),
     ])
     def test_rejection_pointer_and_message(self, change, pointer, message):
         with pytest.raises(ConfigError) as err:
@@ -398,6 +403,36 @@ def test_each_cell_swept_once(tmp_path, monkeypatch, penalties, ladders):
         "ladders": ladders})
     assert rc == EXIT_OK
     assert cells and len(set(cells)) == len(cells)
+
+
+def test_ladders_join_the_run_batch_within_the_budget(tmp_path, monkeypatch):
+    """Within gdro.cli._RUN_BATCH_NODES the main cell, the probes and every
+    ladder cell are one sweep; with no budget each ladder sweeps its own
+    batches, and the outputs are the same bytes."""
+    batches = []
+    run_sweep = gdro.lattice._run_sweep
+
+    def recording(spec, grid, cells):
+        batches.append(cells)
+        return run_sweep(spec, grid, cells)
+
+    monkeypatch.setattr(gdro.lattice, "_run_sweep", recording)
+    # n_upper = 32 is outside n_list, so the m-ladder is a row of its own
+    cfg = _write(tmp_path, {
+        "problem": "double-obstacle-sine", "grid": {"n_t": 20, "n_x": 33},
+        "method": "both", "emit": ["report"], "penalties": {"n_upper": 32},
+        "ladders": {"n_list": [4, 8, 16], "m_list": [10, 100], "epsilon_list": [0.1, 0.01]}})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "one")]) == EXIT_OK
+    (one,) = batches
+    batches.clear()
+    monkeypatch.setattr(gdro.cli, "_RUN_BATCH_NODES", 0)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "per-ladder")]) == EXIT_OK
+    # main and probes, the reflected rungs, two m-columns, the m-row one m at a time
+    assert [len(b) for b in batches] == [3, 3, 3, 3, 1, 1]
+    assert sorted(map(repr, one)) == sorted(repr(c) for b in batches for c in b)
+    for name in ("report.csv", "summary.json"):
+        assert (tmp_path / "one" / name).read_bytes() == \
+            (tmp_path / "per-ladder" / name).read_bytes()
 
 
 @pytest.mark.parametrize("h, ladders, record", [

@@ -14,6 +14,7 @@ import time
 import pytest
 
 import gdro.cli
+import gdro.lattice
 from gdro.cli import EXIT_OK, EXIT_STABILITY, EXIT_VALIDATION, ConfigError, main
 from gdro.expr import ParseError, parse_expr
 from gdro.gcore import Grid, StabilityError
@@ -64,11 +65,19 @@ def _in_process_then_forked(tmp_path, monkeypatch, capsys, payload, forks):
 @pytest.mark.parametrize("method, emit", [
     ("both", ["field", "report", "residual"]), ("pde", ["field", "report"])])
 def test_forked_run_is_byte_identical(tmp_path, monkeypatch, capsys, forks, method, emit):
+    # the ladders' cells fit gdro.cli._RUN_BATCH_NODES, so the forked run
+    # sweeps every cell in the child and none here
+    batches = []
+    run_sweep = gdro.lattice._run_sweep
+    monkeypatch.setattr(gdro.lattice, "_run_sweep",
+                        lambda *args: batches.append(args[2]) or run_sweep(*args))
     payload = {"problem": "double-obstacle-sine", "grid": {"n_t": 20, "n_x": 33},
                "method": method, "emit": emit,
                "ladders": {"n_list": [4, 8], "m_list": [10, 100], "epsilon_list": [0.1, 0.01]}}
     seq, fork = _in_process_then_forked(tmp_path, monkeypatch, capsys, payload, forks)
     assert seq == fork and seq[0] == EXIT_OK
+    # main cell, probes, reflected rungs, double ladder, m-row at n_upper = 64
+    assert [len(b) for b in batches] == [1 + 2 + 2 + 2 * 2 + 2]
     names = sorted(p.name for p in (tmp_path / "seq").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "fork").iterdir())
     assert "summary.json" in names and "report.csv" in names
@@ -92,11 +101,13 @@ def _slow_sweeps(monkeypatch):
     ({"problem": dict(UNCERTAIN_SINE, sigma="sqrt(x + 3.2)"),
       "grid": {"n_t": 20, "n_x": 41}, "method": "both", "emit": ["residual"]},
      EXIT_VALIDATION, 'validate status=fail kind=domain-error detail="sqrt of negative value'),
-    # the lattice's drift weight fails at its first step, and the PDE's
-    # explicit bound between reported times fails too: the lattice is reported
+    # the lattice's drift weight fails at its first step, for the main cell
+    # and the n-ladder's rungs of its batch alike, and the PDE's explicit
+    # bound between reported times fails too: the lattice is reported
     ({"problem": dict(UNCERTAIN_SINE, phi="0.1*sin(3*x)", b="40*t*t*(1 + 0.1*x)",
                       sigma="1 + 3*pos(sin(62.83185307179586*t))"),
-      "grid": {"n_t": 20, "n_x": 121}, "method": "both", "emit": []},
+      "grid": {"n_t": 20, "n_x": 121}, "method": "both", "emit": [],
+      "ladders": {"n_list": [4, 8]}},
      EXIT_STABILITY, 'stability status=rejected detail="drift displacement per step'),
     # a non-finite probe, found after both sides return
     ({"problem": dict(UNCERTAIN_SINE, f="2*sin(x) - 0.3*y", h="-0.4 + 0.1*sin(x + t)",

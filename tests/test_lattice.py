@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import gdro.lattice
 import oracles
 from gdro import gcore
 from gdro.convergence import monotone_ladder
@@ -399,6 +400,24 @@ def test_driver_domain_error_stays_with_its_cell():
     assert "sqrt" in rows[0].error
     assert rows[1].error is None
     assert np.isfinite(rows[1].sup_upper_violation)
+
+
+def test_batch_stability_error_is_every_cells_own(monkeypatch):
+    # the drift weight fails for the whole problem, so the batch is swept
+    # once; the n = 1000 rung keeps its own explicit step-size error
+    spec = _spec(b="2")
+    grid = Grid.for_problem(spec, 20, 33)
+    cells = [SweepCell(PenaltyParams(n_upper=n, m_lower="projection")) for n in (4, 8, 1000)]
+    singles = [str(sweep_cells(spec, grid, [cell])[0]) for cell in cells]
+    calls = []
+    run_sweep = gdro.lattice._run_sweep
+    monkeypatch.setattr(gdro.lattice, "_run_sweep",
+                        lambda *args: calls.append(1) or run_sweep(*args))
+    errors = sweep_cells(spec, grid, cells)
+    assert calls == [1]
+    assert all(isinstance(err, StabilityError) for err in errors)
+    assert [str(err) for err in errors] == singles
+    assert "drift displacement per step" in singles[0] and "CFL" in singles[2]
 
 
 #: every coefficient varies in t and x, so every block of tables differs
