@@ -5,8 +5,9 @@ Usage:
                [--out DIR] [--threads N]
 
 Exit codes: 0 success, 2 input validation failure (including an expression
-undefined at a node it is evaluated on), 3 step-size/stability rejection or
-a non-finite solved field, 4 assertion-suite failure under --assert.
+undefined at a node it is evaluated on) or an output directory that cannot
+be made or written, 3 step-size/stability rejection or a non-finite solved
+field, 4 assertion-suite failure under --assert.
 Diagnostics go to stderr as key=value lines; numeric output files are
 written with 17 significant digits so doubles round-trip exactly and reruns
 are byte-identical.  ``--threads`` is accepted for compatibility and has no
@@ -595,18 +596,22 @@ def run(config: RunConfig, assert_mode: bool = False,
             _diag("validate", status="fail", kind="domain-error", detail='"%s"' % err)
             return EXIT_VALIDATION
 
-    os.makedirs(out_path, exist_ok=True)
-    if "field" in config.emit:
-        for method, fld in sorted(results.fields.items()):
-            write_field_csv(os.path.join(out_path, "field_%s.csv" % method), fld, grid)
-    ladder_rows = _ladder_rows(results)
-    if "report" in config.emit and ladder_rows:
-        slope = (results.ladder_report.rate_slope
-                 if results.ladder_report is not None else None)
-        write_report_csv(os.path.join(out_path, "report.csv"), ladder_rows, slope)
-    if r_grid is not None:
-        write_residual_csv(os.path.join(out_path, "residual.csv"), r_grid, grid)
-    _write_summary(os.path.join(out_path, "summary.json"), config, results)
+    try:
+        os.makedirs(out_path, exist_ok=True)
+        if "field" in config.emit:
+            for method, fld in sorted(results.fields.items()):
+                write_field_csv(os.path.join(out_path, "field_%s.csv" % method), fld, grid)
+        ladder_rows = _ladder_rows(results)
+        if "report" in config.emit and ladder_rows:
+            slope = (results.ladder_report.rate_slope
+                     if results.ladder_report is not None else None)
+            write_report_csv(os.path.join(out_path, "report.csv"), ladder_rows, slope)
+        if r_grid is not None:
+            write_residual_csv(os.path.join(out_path, "residual.csv"), r_grid, grid)
+        _write_summary(os.path.join(out_path, "summary.json"), config, results)
+    except OSError as err:
+        _diag("output", status="error", detail='"%s"' % err)
+        return EXIT_VALIDATION
 
     if assert_mode:
         checks = _generic_assertions(results, spec, grid, penalties)

@@ -8,6 +8,9 @@ Grammar (whitespace-insensitive):
     power    ::= atom (('^' | '**') atom)*        # exponent: non-negative integer literal
     atom     ::= NUMBER | NAME | NAME '(' expr (',' expr)* ')' | '(' expr ')'
 
+An expression nests at most MAX_DEPTH levels; a deeper one is a ParseError
+at the offset where it crosses the cap.
+
 Variables are restricted to t, x, y, z.  Functions: min, max (binary);
 abs, exp, log, sin, cos, sqrt, pos, neg (unary), where pos(a) = max(a, 0)
 and neg(a) = max(-a, 0).  Numbers are decimal literals with an optional
@@ -32,6 +35,11 @@ import numpy as np
 VARIABLES = ("t", "x", "y", "z")
 UNARY_FUNCTIONS = ("abs", "exp", "log", "sin", "cos", "sqrt", "pos", "neg")
 BINARY_FUNCTIONS = ("min", "max")
+#: the most levels an expression may nest, where each operator, function
+#: call, unary minus and pair of parentheses is one.  Parsing recurses up to
+#: five frames per level; under Python's default recursion limit of 1000,
+#: `gdro solve` without the cap failed from 198 levels (191 under pytest)
+MAX_DEPTH = 100
 
 
 class ExprError(ValueError):
@@ -155,52 +163,76 @@ class _Tokenizer:
 class _Parser:
     def __init__(self, source):
         self.tok = _Tokenizer(source)
+        self.open = 0  # the groups, calls and unary minuses around the parse
+
+    def level(self, height, at):
+        """``height`` + 1, the height of a node at ``at`` over its operands."""
+        if self.open + height + 1 > MAX_DEPTH:
+            raise ParseError("expression nests deeper than %d levels" % MAX_DEPTH, at)
+        return height + 1
+
+    def enter(self, at):
+        """Open a group, call or unary minus at ``at``; ``self.open -= 1`` closes it."""
+        self.open += 1
+        self.level(0, at)
 
     def parse(self):
-        node = self.expr()
+        node, _ = self.expr()
         self.tok.skip_ws()
         if self.tok.pos != len(self.tok.source):
             raise ParseError("unexpected trailing input", self.tok.pos)
         return node
 
     def expr(self):
-        node = self.term()
-        while True:
-            if self.tok.match("+"):
-                node = BinOp("+", node, self.term())
-            elif self.tok.match("-"):
-                node = BinOp("-", node, self.term())
-            else:
-                return node
-
-    def term(self):
-        node = self.unary()
+        node, height = self.term()
         while True:
             self.tok.skip_ws()
+            at = self.tok.pos
+            op = "+" if self.tok.match("+") else "-" if self.tok.match("-") else None
+            if op is None:
+                return node, height
+            right, h = self.term()
+            node, height = BinOp(op, node, right), self.level(max(height, h), at)
+
+    def term(self):
+        node, height = self.unary()
+        while True:
+            self.tok.skip_ws()
+            at = self.tok.pos
             # '**' is pow, so only a lone '*' is multiplication
-            if self.tok.peek() == "*" and not self.tok.source.startswith("**", self.tok.pos):
+            if self.tok.peek() == "*" and not self.tok.source.startswith("**", at):
                 self.tok.match("*")
-                node = BinOp("*", node, self.unary())
+                op = "*"
             elif self.tok.match("/"):
-                node = BinOp("/", node, self.unary())
+                op = "/"
             else:
-                return node
+                return node, height
+            right, h = self.unary()
+            node, height = BinOp(op, node, right), self.level(max(height, h), at)
 
     def unary(self):
-        if self.tok.match("-"):
-            return Neg(self.unary())
-        return self.power()
+        self.tok.skip_ws()
+        at = self.tok.pos
+        if not self.tok.match("-"):
+            return self.power()
+        self.enter(at)
+        operand, height = self.unary()
+        self.open -= 1
+        return Neg(operand), height + 1
 
     def power(self):
-        node = self.atom()
-        while self.tok.match("**") or self.tok.match("^"):
+        node, height = self.atom()
+        while True:
+            self.tok.skip_ws()
+            op_at = self.tok.pos
+            if not (self.tok.match("**") or self.tok.match("^")):
+                return node, height
             at = self.tok.pos
-            exponent = self.atom()
+            exponent, h = self.atom()
             if (not isinstance(exponent, Num) or not 0 <= exponent.value < math.inf
                     or exponent.value != int(exponent.value)):
                 raise ParseError("exponent must be a non-negative integer literal", at)
-            node = BinOp("^", node, exponent)
-        return node
+            node, height = BinOp("^", node, exponent), self.level(max(height, h), op_at)
 
     def atom(self):
         self.tok.skip_ws()
@@ -208,21 +240,25 @@ class _Parser:
         ch = self.tok.peek()
         if ch == "(":
             self.tok.match("(")
-            node = self.expr()
+            self.enter(at)
+            node, height = self.expr()
+            self.open -= 1
             if not self.tok.match(")"):
                 raise ParseError("expected ')'", self.tok.pos)
-            return node
+            return node, height + 1
         if _is_digit(ch) or ch == ".":
             value = self.tok.number()
             if value is None:
                 raise ParseError("malformed number", at)
-            return Num(value)
+            return Num(value), 1
         if ch.isalpha():
             name = self.tok.name()
             if self.tok.match("("):
+                self.enter(at)
                 args = [self.expr()]
                 while self.tok.match(","):
                     args.append(self.expr())
+                self.open -= 1
                 if not self.tok.match(")"):
                     raise ParseError("expected ')'", self.tok.pos)
                 if name in UNARY_FUNCTIONS:
@@ -233,9 +269,9 @@ class _Parser:
                     raise ParseError("unknown function %r" % name, at)
                 if len(args) != arity:
                     raise ParseError("%s takes %d argument(s), got %d" % (name, arity, len(args)), at)
-                return Call(name, tuple(args))
+                return Call(name, tuple(a for a, _ in args)), 1 + max(h for _, h in args)
             if name in VARIABLES:
-                return Var(name)
+                return Var(name), 1
             raise ParseError("unknown identifier %r" % name, at)
         raise ParseError("expected an operand", at)
 

@@ -165,16 +165,6 @@ class SweepCell:
     h_shift: float = 0.0
 
 
-class _Intensities(NamedTuple):
-    """The penalties of a group of cells sharing a penalty mode and lower
-    projection, read by obstacle_update: n_upper and m_value are (B, 1)
-    columns, one entry per cell."""
-    penalty_mode: str
-    project_lower: bool
-    n_upper: np.ndarray
-    m_value: np.ndarray
-
-
 def _run_sweep(spec, grid, cells):
     """Sweep the tuple ``cells`` through one backward time loop.
 
@@ -218,9 +208,8 @@ def _sweep_live(spec, grid, cells):
         rows = slice(lo, lo + len(members))
         lo += len(members)
         # adding -0.0 leaves every h, -0.0 included, bitwise unchanged
-        groups.append((rows, ObstacleStep(dt, _Intensities(
-                           *key, column([c.penalties.n_upper for c in members]),
-                           column([c.penalties.m_value for c in members]))),
+        groups.append((rows, ObstacleStep(dt, column([c.penalties.n_upper for c in members]),
+                                          column([c.penalties.m_value for c in members]), *key),
                        column([c.h_shift or -0.0 for c in members])))
 
     mc = _extension_cells(spec, grid)
@@ -263,11 +252,8 @@ def _sweep_live(spec, grid, cells):
             e_low, e_high = (_endpoint_expectation(u, u, k, r) for k in kernels)
             c = np.maximum(e_low, e_high)
             base = c + dt * coeffs.f([a[r] for a in ks], c, z_tilde)
-            # a zero intensity against an infinite h or h' makes a 0*inf
-            # that obstacle_update discards or that require_finite reports
-            with np.errstate(invalid="ignore"):
-                parts = [obstacle_update(base[rows], c[rows], hv[r] + shift, hpv[r], dt, step)
-                         for rows, step, shift in groups]
+            parts = [obstacle_update(base[rows], c[rows], hv[r] + shift, hpv[r], step)
+                     for rows, step, shift in groups]
             u, a_plus, a_minus = (parts[0] if len(parts) == 1 else
                                   [np.concatenate(a) for a in zip(*parts)])
             u_buf[r] = u[:, core]

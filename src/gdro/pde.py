@@ -123,7 +123,8 @@ def _run_pde(spec, grid, penalties, direct):
     lo2, hi2 = band.sigma_low ** 2, band.sigma_high ** 2
     defect = -0.5 * (hi2 - lo2)
     dx2, two_dx = dx ** 2, 2.0 * dx
-    step = ObstacleStep(dts, penalties, direct)
+    step = ObstacleStep(dts, penalties.n_upper, penalties.m_value, penalties.penalty_mode,
+                        penalties.project_lower, direct)
 
     out = SolutionField.empty(grid)
     u = coeffs("phi")
@@ -157,10 +158,7 @@ def _run_pde(spec, grid, penalties, direct):
             F = g_eval(harg, band) + bv[r] * d1 + coeffs.f([a[r] for a in ks], u, sv[r] * d1)
             out.k_defect[i] += defect * np.abs(harg) * dts
             base = u + dts * F
-            # a zero intensity against an infinite h or h' makes a 0*inf
-            # that obstacle_update discards or that require_finite reports
-            with np.errstate(invalid="ignore"):
-                u, ap, am = obstacle_update(base, u, hv[r], hpv[r], dts, step)
+            u, ap, am = obstacle_update(base, u, hv[r], hpv[r], step)
             out.a_plus[i] += ap
             out.a_minus[i] += am
             if s == nsub - 1:

@@ -8,8 +8,9 @@ pushing increments, in one of four modes (direct double projection, lower
 projection after an upper penalty, or both penalties, explicit or solved
 nodewise-implicitly).  The lattice and the PDE scheme call the same code, so
 they cannot drift apart.  A solver prepares it once per solve and penalty
-group (``ObstacleStep``: the mode and its scalars such as dt*m and 1 + dt*m),
-so a step makes only the update's array operations.
+group as ``ObstacleStep(dt, n, m, penalty_mode, project_lower, direct)``,
+which computes scalars such as dt*m and 1 + dt*m, so a step makes only the
+update's array operations; the update silences its own 0*inf.
 """
 
 from __future__ import annotations
@@ -117,61 +118,54 @@ def _solve_upper(base, hp, dtn, one_dtn):
 
 
 class ObstacleStep:
-    """``obstacle_update`` prepared for one solve and penalty group: its mode,
-    and the scalars dt*m, 1 + dt*m, dt*n, 1 + dt*n and dt*|n| computed once."""
+    """``obstacle_update`` prepared for one solve and penalty group, with the
+    scalars dt*m, 1 + dt*m, dt*n, 1 + dt*n and dt*|n| computed once.  The
+    intensities ``n`` and ``m`` are numbers, or (B, 1) columns for a batch
+    whose row b is one cell with intensities n[b] and m[b].  ``direct``
+    projects onto [h, h'] and ignores the penalties; else ``project_lower``
+    applies max(h, .) after the upper penalty in place of the lower one."""
 
-    def __init__(self, dt, penalties, direct=False):
-        n, m = penalties.n_upper, penalties.m_value
-        self.direct, self.project_lower = direct, penalties.project_lower
-        self.implicit = penalties.penalty_mode == NODEWISE_IMPLICIT
+    def __init__(self, dt, n, m, penalty_mode, project_lower, direct=False):
+        self.direct, self.project_lower = direct, project_lower
+        self.implicit = penalty_mode == NODEWISE_IMPLICIT
         self.dtm, self.dtn = dt * m, dt * n
         self.one_dtm, self.one_dtn = 1.0 + self.dtm, 1.0 + self.dtn
         # abs: at n = -0.0 the term would be -0.0 and make a -0.0 base +0.0
         self.dt_abs_n = dt * abs(n)
 
 
-def obstacle_update(base, anchor, h, hp, dt, penalties, direct=False):
-    """Constrain one step's unconstrained value ``base``; returns
-    (value, a_plus, a_minus).
+def obstacle_update(base, anchor, h, hp, step):
+    """Constrain one step's unconstrained value ``base`` by the prepared
+    ObstacleStep ``step``; returns (value, a_plus, a_minus).
 
     ``anchor`` is where explicit penalties are evaluated: the lattice
-    continuation value or the PDE's incoming slice.  ``direct`` projects
-    onto [h, h'] and ignores the penalties.  Otherwise ``m_lower =
-    "projection"`` applies max(h, .) after the upper penalty, so a_plus is
-    nonzero only where the value sits on h; numeric intensities apply both
-    penalties, solved exactly per node in nodewise-implicit mode.
-
-    ``penalties`` is a PenaltyParams, or the ObstacleStep a solver prepared
-    from it (with its dt and direct, which the call's then do not change).
-    The intensities ``n_upper`` and ``m_value`` are numbers, or
-    (B, 1) columns for a batch whose row b of ``base`` is one cell with
-    intensities n[b] and m[b].  A zero intensity takes the same
-    path and returns the unpenalized value bitwise for finite obstacles;
-    against an infinite obstacle it makes 0*inf, a nan that np.where drops
-    unless the obstacle is infinite on the wrong side (both solvers call
-    it under ``np.errstate(invalid="ignore")``, and only it).
+    continuation value or the PDE's incoming slice.  Under lower projection
+    a_plus is nonzero only where the value sits on h.  A zero intensity
+    takes the same path and returns the unpenalized value bitwise for
+    finite obstacles; against an infinite obstacle it makes 0*inf, a nan
+    that np.where drops unless the obstacle is infinite on the wrong side,
+    where the solver's non-finite check reports it.  The update runs under
+    its own ``np.errstate(invalid="ignore")``, so its callers need none.
     """
-    step = penalties
-    if not isinstance(step, ObstacleStep):
-        step = ObstacleStep(dt, penalties, direct)
-    if step.direct:
-        lower = np.maximum(h, base)
-        value = np.minimum(hp, lower)
-        return value, lower - base, lower - value
-    if step.project_lower:
+    with np.errstate(invalid="ignore"):
+        if step.direct:
+            lower = np.maximum(h, base)
+            value = np.minimum(hp, lower)
+            return value, lower - base, lower - value
+        if step.project_lower:
+            if step.implicit:
+                pre = _solve_upper(base, hp, step.dtn, step.one_dtn)
+            else:
+                pre = base - step.dt_abs_n * np.maximum(anchor - hp, 0.0)
+            value = np.maximum(h, pre)
+            return value, value - pre, base - pre
         if step.implicit:
-            pre = _solve_upper(base, hp, step.dtn, step.one_dtn)
-        else:
-            pre = base - step.dt_abs_n * np.maximum(anchor - hp, 0.0)
-        value = np.maximum(h, pre)
-        return value, value - pre, base - pre
-    if step.implicit:
-        lower = _solve_lower(base, h, step.dtm, step.one_dtm)
-        value = _solve_upper(lower, hp, step.dtn, step.one_dtn)
-        return value, lower - base, lower - value
-    a_plus = step.dtm * np.maximum(h - anchor, 0.0)
-    a_minus = step.dtn * np.maximum(anchor - hp, 0.0)
-    return base + a_plus - a_minus, a_plus, a_minus
+            lower = _solve_lower(base, h, step.dtm, step.one_dtm)
+            value = _solve_upper(lower, hp, step.dtn, step.one_dtn)
+            return value, lower - base, lower - value
+        a_plus = step.dtm * np.maximum(h - anchor, 0.0)
+        a_minus = step.dtn * np.maximum(anchor - hp, 0.0)
+        return base + a_plus - a_minus, a_plus, a_minus
 
 
 @dataclass

@@ -128,6 +128,8 @@ class TestLoadConfig:
          "need (n_t + 1)*n_x <= 8388608 nodes, got 11000000000000000000000000000011"),
         ({"problem": "gheat-convex", "grid": {"n_t": 10, "n_x": 10 ** 11}}, "/grid",
          "need (n_t + 1)*n_x <= 8388608 nodes, got 1100000000000"),
+        ({"problem": dict(INLINE_HEAT, phi="sin(" * 197 + "x" + ")" * 197)}, "/problem",
+         "bad expression: expression nests deeper than 100 levels (offset 396)"),
     ])
     def test_rejection_pointer_and_message(self, change, pointer, message):
         with pytest.raises(ConfigError) as err:
@@ -318,6 +320,19 @@ class TestRun:
         assert rc == EXIT_STABILITY
         assert ("stability status=rejected kind=non-finite-field method=lattice "
                 "t_index=15 x_index=0" in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("out, error", [
+        ("taken", "[Errno 17] File exists"), ("taken/x", "[Errno 20] Not a directory")])
+    def test_unmakeable_output_directory_exits_2(self, tmp_path, out, error):
+        # the solves run, then the directory cannot be made under a regular file
+        (tmp_path / "taken").write_text("")
+        cfg = _write(tmp_path, {"problem": "gheat-convex", "grid": {"n_t": 10, "n_x": 21}})
+        proc = subprocess.run(
+            [sys.executable, "-m", "gdro.cli", "solve", "--config", cfg,
+             "--out", str(tmp_path / out)], capture_output=True, text=True)
+        assert proc.returncode == EXIT_VALIDATION
+        assert 'output status=error detail="%s: ' % error in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_non_finite_field_prints_no_warning(self, tmp_path):
         # the 0*inf that makes the nan would otherwise print a RuntimeWarning

@@ -42,6 +42,14 @@ def test_unknown_identifier():
     ("x + .", "malformed number", 4),
     ("max(x)", "max takes 2 argument(s), got 1", 0),
     ("sin(x, 1)", "sin takes 1 argument(s), got 2", 0),
+    # nesting beyond MAX_DEPTH = 100 levels, each shape at a length
+    # that exhausted Python's recursion limit in a `gdro solve` before the cap
+    ("(" * 197 + "x" + ")" * 197, "expression nests deeper than 100 levels", 99),
+    ("sin(" * 197 + "x" + ")" * 197, "expression nests deeper than 100 levels", 396),
+    ("+".join(["0*y"] * 495), "expression nests deeper than 100 levels", 395),
+    ("x" + "+x" * 990, "expression nests deeper than 100 levels", 199),
+    ("x" + "^1" * 990, "expression nests deeper than 100 levels", 199),
+    ("-" * 990 + "x", "expression nests deeper than 100 levels", 99),
 ])
 def test_parse_error_messages_and_offsets(source, message, position):
     with pytest.raises(ParseError, match=re.escape(message)) as err:
