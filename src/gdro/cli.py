@@ -485,6 +485,10 @@ def _beside_child(child_work, work):
     return theirs, mine
 
 
+# 0*inf or inf-inf in a solve gives a nan that the non-finite-field check
+# reports, and a residual that overflows is written as Infinity; numpy's
+# RuntimeWarning about either would only be noise on stderr
+@np.errstate(invalid="ignore", over="ignore")
 def run(config: RunConfig, assert_mode: bool = False,
         out_dir: str | None = None) -> int:
     """Execute one configured run; returns the process exit code."""
@@ -496,105 +500,102 @@ def run(config: RunConfig, assert_mode: bool = False,
         ladders = dict(config.entry.ladders)
 
     results = RunResults(grid=grid)
-    # 0*inf or inf-inf in a solve gives a nan that the non-finite-field check
-    # below reports; numpy's RuntimeWarning about it would only be noise
-    with np.errstate(invalid="ignore", over="ignore"):
-        try:
-            report = validate_problem(spec, grid, kappa_f=penalties.kappa_f)
-            for warning in report.warnings:
-                _diag("warn", msg='"%s"' % warning)
-            if not report.ok:
-                v = report.first_violation
-                _diag("validate", status="fail", kind=v.kind, t_index=v.t_index,
-                      x_index=v.x_index, t=_fmt(v.t), x=_fmt(v.x), detail='"%s"' % v.detail)
-                return EXIT_VALIDATION
-            _diag("validate", status="ok", f_lipschitz_y=_fmt(report.f_lipschitz_y),
-                  f_lipschitz_z=_fmt(report.f_lipschitz_z))
-
-            # the main lattice solve and the eps-probes, which shift its h,
-            # are one batch; under --method pde it is only the probes' base.
-            # The ladders' cells join it while all its distinct fields fit
-            # the budget, and reach the ladders through swept
-            epsilons = ladders.get("epsilon_list", [])
-            main_cell = SweepCell(penalties)
-            cells = ([main_cell] + [SweepCell(penalties, eps) for eps in epsilons]
-                     if config.method != "pde" or epsilons else [])
-            rungs = _ladder_cells(penalties, ladders)
-            if len(set(cells + rungs)) * (grid.n_t + 1) * grid.n_x > _RUN_BATCH_NODES:
-                rungs = []
-            params = PdeSchemeParams(grid=grid, penalty=penalties)
-
-            def lattice_batch():
-                batch = sweep_cells(spec, grid, cells + rungs)
-                return ([_field_or_raise(r) for r in batch[:len(cells)]],
-                        dict(zip(rungs, batch[len(cells):])))
-
-            def pde_solves():
-                pde = direct = None
-                if config.method != "lattice":
-                    pde = solve_penalized_pde(spec, params)
-                if "residual" in config.emit:
-                    direct = solve_double_obstacle_direct(spec, params)
-                return pde, direct
-
-            # the two sides share nothing until the cross gap, so a large
-            # enough run sweeps its batch in a child while the PDE solves here
-            if (cells and (config.method != "lattice" or "residual" in config.emit)
-                    and _fork_pays(grid)):
-                (batch, swept), (pde_field, results.direct_field) = _beside_child(
-                    lattice_batch, pde_solves)
-            else:
-                batch, swept = lattice_batch()
-                pde_field, results.direct_field = pde_solves()
-            probes = []
-            if batch:
-                base, *probes = batch
-                swept[main_cell] = base
-                if config.method != "pde":
-                    results.fields["lattice"] = base
-            del batch  # so that del probes below frees the probe fields
-            if pde_field is not None:
-                results.fields["pde"] = pde_field
-            if config.method == "both":
-                results.cross_gap = interior_gap(spec, grid, base.u, pde_field.u)
-            r_grid = None
-            if results.direct_field is not None:
-                r_grid, results.residual_sup = complementarity_residual(
-                    results.direct_field, spec, grid)
-
-            solved = dict(results.fields, direct=results.direct_field)
-            for method, fld in sorted(solved.items()):
-                if fld is not None:
-                    require_finite(fld, method=method)
-            if probes and "lattice" not in results.fields:
-                require_finite(base, n=penalties.n_upper,
-                               m=np.inf if penalties.project_lower else penalties.m_value)
-            results.stability_gaps = [probe_output_gap(base, require_finite(p, eps=eps))
-                                      for eps, p in zip(epsilons, probes)]
-            del probes  # the ladders run without the probe fields
-
-            if "n_list" in ladders:
-                results.ladder_report = monotone_ladder(
-                    spec, grid, ladders["n_list"], penalty_mode=penalties.penalty_mode,
-                    kappa_f=penalties.kappa_f, swept=swept)
-            if "m_list" in ladders:
-                results.m_ladder, results.double_report = _m_ladder(
-                    spec, grid, penalties, ladders, swept)
-        except NonFiniteField as err:
-            # the first node the backward solve made non-finite
-            i, j = err.t_index, err.x_index
-            label = {k: v if isinstance(v, str) else _fmt(v) for k, v in err.label.items()}
-            _diag("stability", status="rejected", kind="non-finite-field", **label,
-                  t_index=i, x_index=j, t=_fmt(grid.t[i]), x=_fmt(grid.x[j]))
-            return EXIT_STABILITY
-        except StabilityError as err:
-            _diag("stability", status="rejected", detail='"%s"' % err)
-            return EXIT_STABILITY
-        except ex.DomainError as err:
-            # an expression undefined at a node validation did not sample, such
-            # as the lattice's ghost cells or a driver value off the sample
-            _diag("validate", status="fail", kind="domain-error", detail='"%s"' % err)
+    try:
+        report = validate_problem(spec, grid, kappa_f=penalties.kappa_f)
+        for warning in report.warnings:
+            _diag("warn", msg='"%s"' % warning)
+        if not report.ok:
+            v = report.first_violation
+            _diag("validate", status="fail", kind=v.kind, t_index=v.t_index,
+                  x_index=v.x_index, t=_fmt(v.t), x=_fmt(v.x), detail='"%s"' % v.detail)
             return EXIT_VALIDATION
+        _diag("validate", status="ok", f_lipschitz_y=_fmt(report.f_lipschitz_y),
+              f_lipschitz_z=_fmt(report.f_lipschitz_z))
+
+        # the main lattice solve and the eps-probes, which shift its h,
+        # are one batch; under --method pde it is only the probes' base.
+        # The ladders' cells join it while all its distinct fields fit
+        # the budget, and reach the ladders through swept
+        epsilons = ladders.get("epsilon_list", [])
+        main_cell = SweepCell(penalties)
+        cells = ([main_cell] + [SweepCell(penalties, eps) for eps in epsilons]
+                 if config.method != "pde" or epsilons else [])
+        rungs = _ladder_cells(penalties, ladders)
+        if len(set(cells + rungs)) * (grid.n_t + 1) * grid.n_x > _RUN_BATCH_NODES:
+            rungs = []
+        params = PdeSchemeParams(grid=grid, penalty=penalties)
+
+        def lattice_batch():
+            batch = sweep_cells(spec, grid, cells + rungs)
+            return ([_field_or_raise(r) for r in batch[:len(cells)]],
+                    dict(zip(rungs, batch[len(cells):])))
+
+        def pde_solves():
+            pde = direct = None
+            if config.method != "lattice":
+                pde = solve_penalized_pde(spec, params)
+            if "residual" in config.emit:
+                direct = solve_double_obstacle_direct(spec, params)
+            return pde, direct
+
+        # the two sides share nothing until the cross gap, so a large
+        # enough run sweeps its batch in a child while the PDE solves here
+        if (cells and (config.method != "lattice" or "residual" in config.emit)
+                and _fork_pays(grid)):
+            (batch, swept), (pde_field, results.direct_field) = _beside_child(
+                lattice_batch, pde_solves)
+        else:
+            batch, swept = lattice_batch()
+            pde_field, results.direct_field = pde_solves()
+        probes = []
+        if batch:
+            base, *probes = batch
+            swept[main_cell] = base
+            if config.method != "pde":
+                results.fields["lattice"] = base
+        del batch  # so that del probes below frees the probe fields
+        if pde_field is not None:
+            results.fields["pde"] = pde_field
+        if config.method == "both":
+            results.cross_gap = interior_gap(spec, grid, base.u, pde_field.u)
+        r_grid = None
+        if results.direct_field is not None:
+            r_grid, results.residual_sup = complementarity_residual(
+                results.direct_field, spec, grid)
+
+        solved = dict(results.fields, direct=results.direct_field)
+        for method, fld in sorted(solved.items()):
+            if fld is not None:
+                require_finite(fld, method=method)
+        if probes and "lattice" not in results.fields:
+            require_finite(base, n=penalties.n_upper,
+                           m=np.inf if penalties.project_lower else penalties.m_value)
+        results.stability_gaps = [probe_output_gap(base, require_finite(p, eps=eps))
+                                  for eps, p in zip(epsilons, probes)]
+        del probes  # the ladders run without the probe fields
+
+        if "n_list" in ladders:
+            results.ladder_report = monotone_ladder(
+                spec, grid, ladders["n_list"], penalty_mode=penalties.penalty_mode,
+                kappa_f=penalties.kappa_f, swept=swept)
+        if "m_list" in ladders:
+            results.m_ladder, results.double_report = _m_ladder(
+                spec, grid, penalties, ladders, swept)
+    except NonFiniteField as err:
+        # the first node the backward solve made non-finite
+        i, j = err.t_index, err.x_index
+        label = {k: v if isinstance(v, str) else _fmt(v) for k, v in err.label.items()}
+        _diag("stability", status="rejected", kind="non-finite-field", **label,
+              t_index=i, x_index=j, t=_fmt(grid.t[i]), x=_fmt(grid.x[j]))
+        return EXIT_STABILITY
+    except StabilityError as err:
+        _diag("stability", status="rejected", detail='"%s"' % err)
+        return EXIT_STABILITY
+    except ex.DomainError as err:
+        # an expression undefined at a node validation did not sample, such
+        # as the lattice's ghost cells or a driver value off the sample
+        _diag("validate", status="fail", kind="domain-error", detail='"%s"' % err)
+        return EXIT_VALIDATION
 
     try:
         os.makedirs(out_path, exist_ok=True)

@@ -7,14 +7,16 @@ Grammar (whitespace-insensitive):
     unary    ::= '-' unary | power
     power    ::= atom (('^' | '**') atom)*        # exponent: non-negative integer literal
     atom     ::= NUMBER | NAME | NAME '(' expr (',' expr)* ')' | '(' expr ')'
+    NUMBER   ::= ([0-9]+ ('.' [0-9]*)? | '.' [0-9]+) ([eE] [+-]? [0-9]+)?
+    NAME     ::= a letter (str.isalpha) followed by letters, digits (str.isalnum) or '_'
 
-An expression nests at most MAX_DEPTH levels; a deeper one is a ParseError
-at the offset where it crosses the cap.
+Whitespace is anything str.isspace takes.  An expression nests at most
+MAX_DEPTH levels; a deeper one is a ParseError at the offset where it
+crosses the cap.
 
 Variables are restricted to t, x, y, z.  Functions: min, max (binary);
 abs, exp, log, sin, cos, sqrt, pos, neg (unary), where pos(a) = max(a, 0)
-and neg(a) = max(-a, 0).  Numbers are decimal literals with an optional
-exponent part, in ASCII digits.  Evaluation follows IEEE double semantics
+and neg(a) = max(-a, 0).  Evaluation follows IEEE double semantics
 (a float power that overflows saturates to +-inf, as exp does) and accepts
 numpy arrays as bindings, broadcasting elementwise.
 
@@ -28,6 +30,7 @@ and the driver that way, once per block of rows or once per step.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +40,9 @@ UNARY_FUNCTIONS = ("abs", "exp", "log", "sin", "cos", "sqrt", "pos", "neg")
 BINARY_FUNCTIONS = ("min", "max")
 #: the most levels an expression may nest, where each operator, function
 #: call, unary minus and pair of parentheses is one.  Parsing recurses up to
-#: five frames per level; under Python's default recursion limit of 1000,
-#: `gdro solve` without the cap failed from 198 levels (191 under pytest)
+#: seven frames per level; under Python's default recursion limit of 1000,
+#: `gdro solve` without the cap fails from 140 nested parentheses (136
+#: under pytest)
 MAX_DEPTH = 100
 
 
@@ -103,67 +107,32 @@ class Call(Expression):
     args: tuple
 
 
-def _is_digit(ch):
-    # str.isdigit also takes digits of other scripts and superscripts
-    return "0" <= ch <= "9"
-
-
-class _Tokenizer:
-    def __init__(self, source):
-        self.source = source
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.source) and self.source[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.source[self.pos] if self.pos < len(self.source) else ""
-
-    def match(self, text):
-        self.skip_ws()
-        if self.source.startswith(text, self.pos):
-            self.pos += len(text)
-            return True
-        return False
-
-    def number(self):
-        start = self.pos
-        s = self.source
-        n = len(s)
-        i = start
-        while i < n and _is_digit(s[i]):
-            i += 1
-        if i < n and s[i] == ".":
-            i += 1
-            while i < n and _is_digit(s[i]):
-                i += 1
-        if i == start or (i == start + 1 and s[start] == "."):
-            return None
-        if i < n and s[i] in "eE":
-            j = i + 1
-            if j < n and s[j] in "+-":
-                j += 1
-            if j < n and _is_digit(s[j]):
-                while j < n and _is_digit(s[j]):
-                    j += 1
-                i = j
-        self.pos = i
-        return float(s[start:i])
-
-    def name(self):
-        start = self.pos
-        s = self.source
-        while self.pos < len(s) and (s[self.pos].isalnum() or s[self.pos] == "_"):
-            self.pos += 1
-        return s[start:self.pos] if self.pos > start else None
+#: the token at an offset: whitespace, then a NUMBER, a word of letters,
+#: digits and '_', '**', any other single character, or '' at the end of the
+#: input.  re's \s takes what str.isspace does, and \w what str.isalnum does
+#: and '_', on every code point (checked exhaustively on CPython 3.11)
+_TOKEN = re.compile(r"\s*((?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|\w+|\*\*|.?)",
+                    re.DOTALL)
 
 
 class _Parser:
     def __init__(self, source):
-        self.tok = _Tokenizer(source)
+        self.source = source
         self.open = 0  # the groups, calls and unary minuses around the parse
+        self.token, self.at = "", 0  # the next token and its offset
+        self.take()
+
+    def take(self):
+        """Read the next token: return it and its offset, and scan the one after."""
+        token, at = self.token, self.at
+        m = _TOKEN.match(self.source, at + len(token))
+        self.token, self.at = m[1], m.start(1)
+        return token, at
+
+    def close(self):
+        if self.token != ")":
+            raise ParseError("expected ')'", self.at)
+        self.take()
 
     def level(self, height, at):
         """``height`` + 1, the height of a node at ``at`` over its operands."""
@@ -178,101 +147,79 @@ class _Parser:
 
     def parse(self):
         node, _ = self.expr()
-        self.tok.skip_ws()
-        if self.tok.pos != len(self.tok.source):
-            raise ParseError("unexpected trailing input", self.tok.pos)
+        if self.token:
+            raise ParseError("unexpected trailing input", self.at)
         return node
 
     def expr(self):
-        node, height = self.term()
-        while True:
-            self.tok.skip_ws()
-            at = self.tok.pos
-            op = "+" if self.tok.match("+") else "-" if self.tok.match("-") else None
-            if op is None:
-                return node, height
-            right, h = self.term()
-            node, height = BinOp(op, node, right), self.level(max(height, h), at)
+        return self.binary(self.term, ("+", "-"))
 
     def term(self):
-        node, height = self.unary()
-        while True:
-            self.tok.skip_ws()
-            at = self.tok.pos
-            # '**' is pow, so only a lone '*' is multiplication
-            if self.tok.peek() == "*" and not self.tok.source.startswith("**", at):
-                self.tok.match("*")
-                op = "*"
-            elif self.tok.match("/"):
-                op = "/"
-            else:
-                return node, height
-            right, h = self.unary()
+        return self.binary(self.unary, ("*", "/"))
+
+    def binary(self, operand, ops):
+        """``operand (op operand)*`` for an ``op`` of ``ops``, grouped to the left."""
+        node, height = operand()
+        while self.token in ops:
+            op, at = self.take()
+            right, h = operand()
             node, height = BinOp(op, node, right), self.level(max(height, h), at)
+        return node, height
 
     def unary(self):
-        self.tok.skip_ws()
-        at = self.tok.pos
-        if not self.tok.match("-"):
+        if self.token != "-":
             return self.power()
-        self.enter(at)
+        self.enter(self.take()[1])
         operand, height = self.unary()
         self.open -= 1
         return Neg(operand), height + 1
 
     def power(self):
         node, height = self.atom()
-        while True:
-            self.tok.skip_ws()
-            op_at = self.tok.pos
-            if not (self.tok.match("**") or self.tok.match("^")):
-                return node, height
-            at = self.tok.pos
+        while self.token in ("^", "**"):
+            op, op_at = self.take()
             exponent, h = self.atom()
             if (not isinstance(exponent, Num) or not 0 <= exponent.value < math.inf
                     or exponent.value != int(exponent.value)):
-                raise ParseError("exponent must be a non-negative integer literal", at)
+                raise ParseError("exponent must be a non-negative integer literal",
+                                 op_at + len(op))
             node, height = BinOp("^", node, exponent), self.level(max(height, h), op_at)
+        return node, height
 
     def atom(self):
-        self.tok.skip_ws()
-        at = self.tok.pos
-        ch = self.tok.peek()
-        if ch == "(":
-            self.tok.match("(")
+        token, at = self.take()
+        if token == "(":
             self.enter(at)
             node, height = self.expr()
             self.open -= 1
-            if not self.tok.match(")"):
-                raise ParseError("expected ')'", self.tok.pos)
+            self.close()
             return node, height + 1
-        if _is_digit(ch) or ch == ".":
-            value = self.tok.number()
-            if value is None:
+        if token and token[0] in ".0123456789":
+            if token == ".":
                 raise ParseError("malformed number", at)
-            return Num(value), 1
-        if ch.isalpha():
-            name = self.tok.name()
-            if self.tok.match("("):
+            return Num(float(token)), 1
+        if token[:1].isalpha():
+            if self.token == "(":
+                self.take()
                 self.enter(at)
                 args = [self.expr()]
-                while self.tok.match(","):
+                while self.token == ",":
+                    self.take()
                     args.append(self.expr())
                 self.open -= 1
-                if not self.tok.match(")"):
-                    raise ParseError("expected ')'", self.tok.pos)
-                if name in UNARY_FUNCTIONS:
+                self.close()
+                if token in UNARY_FUNCTIONS:
                     arity = 1
-                elif name in BINARY_FUNCTIONS:
+                elif token in BINARY_FUNCTIONS:
                     arity = 2
                 else:
-                    raise ParseError("unknown function %r" % name, at)
+                    raise ParseError("unknown function %r" % token, at)
                 if len(args) != arity:
-                    raise ParseError("%s takes %d argument(s), got %d" % (name, arity, len(args)), at)
-                return Call(name, tuple(a for a, _ in args)), 1 + max(h for _, h in args)
-            if name in VARIABLES:
-                return Var(name), 1
-            raise ParseError("unknown identifier %r" % name, at)
+                    raise ParseError("%s takes %d argument(s), got %d" % (token, arity, len(args)), at)
+                return Call(token, tuple(a for a, _ in args)), 1 + max(h for _, h in args)
+            if token in VARIABLES:
+                return Var(token), 1
+            raise ParseError("unknown identifier %r" % token, at)
         raise ParseError("expected an operand", at)
 
 
@@ -450,7 +397,8 @@ def eval_expr(expr: Expression, bindings: dict):
 def format_expr(expr: Expression) -> str:
     """Render ``expr`` fully parenthesized; reparsing gives an identical AST."""
     if isinstance(expr, Num):
-        return repr(expr.value)
+        # a literal that overflows back to inf, which has no literal of its own
+        return "1e999" if expr.value == math.inf else repr(expr.value)
     if isinstance(expr, Var):
         return expr.name
     if isinstance(expr, Neg):

@@ -753,3 +753,17 @@ def test_non_ascii_digit_is_bad_expression(tmp_path, capsys):
     assert "config status=error" in err
     assert "bad expression: expected an operand (offset 0) at /problem" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_overflowing_residual_written_without_warning(tmp_path, capsys):
+    # (h' - u)*a_minus overflows in the summary's residuals, which ran after
+    # the solves' errstate: RuntimeWarnings on stderr, an error under -W error
+    rc = _solve(tmp_path, {
+        "problem": {"horizon": 1.0, "x_min": -1.0, "x_max": 1.0, "sigma_low": 0.5,
+                    "sigma_high": 1.0, "phi": "0", "h": "-1", "h_prime": "1", "f": "1e300"},
+        "penalties": {"n_upper": 64.0, "m_lower": 64.0, "penalty_mode": "nodewise-implicit"},
+        "grid": {"n_t": 10, "n_x": 11}, "method": "lattice", "emit": []})
+    assert rc == EXIT_OK
+    assert "Warning" not in capsys.readouterr().err
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["asc_lattice"]["minus"] == np.inf

@@ -1,14 +1,15 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdro.expr import (BinOp, Call, DomainError, ExprError, Neg, Num, ParseError,
-                       UnboundVariableError, Var, compile_expr, eval_expr, format_expr,
-                       join, parse_expr, split, variables)
+from gdro.expr import (BinOp, Call, DomainError, Expression, ExprError, Neg, Num,
+                       ParseError, UnboundVariableError, Var, compile_expr, eval_expr,
+                       format_expr, join, parse_expr, split, variables)
 from oracles import reference_eval
 
 B = {"t": 0.0, "x": 0.0, "y": 0.0, "z": 0.0}
@@ -42,6 +43,14 @@ def test_unknown_identifier():
     ("x + .", "malformed number", 4),
     ("max(x)", "max takes 2 argument(s), got 1", 0),
     ("sin(x, 1)", "sin takes 1 argument(s), got 2", 0),
+    # an exponent error is at the end of the operator, before any whitespace
+    ("x^ 2.5", "exponent must be a non-negative integer literal", 2),
+    ("(x + 1  ", "expected ')'", 8),
+    ("_x", "expected an operand", 0),
+    ("é", "unknown identifier 'é'", 0),
+    ("x1.5", "unknown identifier 'x1'", 0),
+    ("1.5.3", "unexpected trailing input", 3),
+    ("x* *2", "expected an operand", 3),
     # nesting beyond MAX_DEPTH = 100 levels, each shape at a length
     # that exhausted Python's recursion limit in a `gdro solve` before the cap
     ("(" * 197 + "x" + ")" * 197, "expression nests deeper than 100 levels", 99),
@@ -55,6 +64,29 @@ def test_parse_error_messages_and_offsets(source, message, position):
     with pytest.raises(ParseError, match=re.escape(message)) as err:
         parse_expr(source)
     assert err.value.position == position
+
+
+@pytest.mark.parametrize("source, want", [
+    ("x\u00a0+\u20031", BinOp("+", Var("x"), Num(1.0))),  # no-break space, em space
+    ("1.e5*x", BinOp("*", Num(100000.0), Var("x"))),
+])
+def test_scanner_edges(source, want):
+    assert parse_expr(source) == want
+
+
+def test_scanner_reads_one_token_at_a_time():
+    # a scanner that lists every token up front takes seconds and hundreds
+    # of MiB on this input before the nesting cap stops the parse
+    source = "x" + "+x" * 10 ** 6
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="nests deeper") as err:
+            parse_expr(source)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.position == 199
+    assert peak < 2 ** 20
 
 
 def test_empty_and_trailing():
@@ -160,6 +192,7 @@ def test_variables():
 _leaf = st.one_of(
     st.floats(min_value=0.0, max_value=1e6, allow_nan=False).map(lambda v: Num(abs(v))),
     st.sampled_from([Var(v) for v in ("t", "x", "y", "z")]),
+    st.just(Num(math.inf)),  # what a literal such as 1e400 parses to
 )
 
 
@@ -184,6 +217,23 @@ ast_strategy = st.recursive(_leaf, _extend, max_leaves=20)
 @given(ast_strategy)
 @settings(max_examples=300)
 def test_format_parse_round_trip(expr):
+    assert parse_expr(format_expr(expr)) == expr
+
+
+_text = st.lists(
+    st.sampled_from(tuple("+-*/^(),.eE txyz0123456789\u0663\u00b2\t\n\u00a0\u2003_\u00e9")
+                    + ("**", "1e400", "sin(", "max(")),
+    max_size=40).map(lambda parts: "".join(parts)[:40])
+
+
+@given(_text)
+@settings(max_examples=500, deadline=None)
+def test_random_text_parses_or_raises_and_round_trips(source):
+    try:
+        expr = parse_expr(source)
+    except ParseError:
+        return
+    assert isinstance(expr, Expression)
     assert parse_expr(format_expr(expr)) == expr
 
 

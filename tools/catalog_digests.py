@@ -67,6 +67,9 @@ _VARCOEF = {"horizon": 1.0, "x_min": -3.0, "x_max": 3.0,
 #: grid is, so each slice is a block of its own; its last residual slice is
 #: all nan, so one block writes no row.  b = l = 0 and sigma = 0.1 keep the
 #: PDE's substeps and the lattice margin small.
+#: lexical writes the varcoef coefficients with the number forms '.5', '1.'
+#: and '4E-2', a power '**', and a tab, a newline and a no-break space, so
+#: two checkouts' expression scanners are compared on a full solve.
 INLINE = {
     "varcoef-inline": {
         "problem": _VARCOEF,
@@ -116,6 +119,14 @@ INLINE = {
         "grid": {"n_t": 20, "n_x": 1201},
         "penalties": {"n_upper": 64.0, "m_lower": 64.0, "penalty_mode": "nodewise-implicit"},
         "ladders": {"n_list": [4.0, 16.0, 64.0]}},
+    "lexical": {
+        "problem": dict(_VARCOEF, b="0.1*sin(x + t + .5)", l="4E-2*cos(x - 2*t + 1.)",
+                        sigma="1 + 0.2*sin(.5*x\t+ t + 2)",
+                        f="sin(x + 3)*cos(t + 0.3) - 0.3*y\n + 0.1*z*cos(x + t)**1",
+                        phi="0.08*sin(x\u00a0+ 1.5)"),
+        "grid": {"n_t": 40, "n_x": 41},
+        "penalties": {"n_upper": 64.0, "m_lower": 64.0, "penalty_mode": "nodewise-implicit"},
+        "ladders": {"n_list": [4.0, 16.0], "m_list": [10.0], "epsilon_list": [0.1]}},
 }
 
 
