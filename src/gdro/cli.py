@@ -486,7 +486,7 @@ def _beside_child(child_work, work):
 
 
 # 0*inf or inf-inf in a solve gives a nan that the non-finite-field check
-# reports, and a residual that overflows is written as Infinity; numpy's
+# reports, and a residual that overflows is written as null; numpy's
 # RuntimeWarning about either would only be noise on stderr
 @np.errstate(invalid="ignore", over="ignore")
 def run(config: RunConfig, assert_mode: bool = False,
@@ -660,8 +660,18 @@ def _write_summary(path, config, results):
         summary["asc_%s" % method] = {"plus": ap, "minus": am,
                                       "plus_global": gp, "minus_global": gm}
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(_json_safe(summary), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def _json_safe(value):
+    """``value`` with every non-finite float, which JSON cannot hold (a
+    residual that overflows, say), replaced by None, written as null."""
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_json_safe(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def main(argv=None) -> int:

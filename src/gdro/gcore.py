@@ -263,7 +263,7 @@ class Coefficients:
             if name not in self.fields:
                 self.fields[name] = ex.compile_expr(self.exprs[name])
             a = self.fields[name](bind)
-        return np.broadcast_to(a, np.broadcast_shapes(t.shape, self.x.shape)) if column else a
+        return broadcast(a, np.broadcast_shapes(t.shape, self.x.shape)) if column else a
 
     @property
     def block_rows(self):
@@ -308,6 +308,12 @@ class Coefficients:
         except ex.DomainError as err:
             # name the node as spec.f reads it
             raise ex.DomainError(err.message, ex.join(err.node, self.subtrees)) from None
+
+
+def broadcast(a, shape):
+    """``a`` broadcast to ``shape`` as a view, or ``a`` itself if it has
+    that shape already: np.broadcast_to costs a few microseconds even then."""
+    return a if a.shape == shape else np.broadcast_to(a, shape)
 
 
 def t_free_rows(*tables):

@@ -39,7 +39,7 @@ import numpy as np
 
 from .gcore import (EXPLICIT, NODEWISE_IMPLICIT, DEFAULT_KAPPA_F, PROJECTION,
                     Coefficients, Grid, PenaltyParams, ProblemSpec, StabilityError,
-                    first_true, obstacle_fields, t_free_rows)
+                    broadcast, first_true, obstacle_fields, t_free_rows)
 from .scheme import (LadderRow, ObstacleStep, SolutionField, central_diff, ceil_eps,
                      ladder_row, obstacle_update, ordering_gap, require_finite,
                      strictly_ascending, z_field)
@@ -97,7 +97,7 @@ def _kernels(sv, bv, lv, idx, band, dt, dx, n_nodes, t, x):
         variance = (sig * sv) ** 2 * dt
         span = np.sqrt(variance / (1.0 - s)) / dx
         k = np.maximum(1, ceil_eps(span).astype(np.int64))
-        kernels.append(_Kernel._make(np.broadcast_to(a, (n_rows, idx.size)) for a in (
+        kernels.append(_Kernel._make(broadcast(a, (n_rows, idx.size)) for a in (
             s, variance / (2.0 * (k * dx) ** 2),
             np.minimum(idx + k, n_nodes - 1), np.maximum(idx - k, 0),
             np.minimum(np.maximum(idx + np.where(mu >= 0, 1, -1), 0), n_nodes - 1))))
@@ -106,13 +106,16 @@ def _kernels(sv, bv, lv, idx, band, dt, dx, n_nodes, t, x):
 
 def _endpoint_expectation(u_next, here, kernel, r):
     """One-step expectation of u_next under row r of one endpoint's kernel,
-    where ``here`` is u_next at the kernel's nodes (one row, or one row per
-    cell of a batch)."""
+    where ``here`` is u_next at the kernel's nodes (one row per cell of a
+    batch, or one 1-D row).  The weights are read as (1, nodes) rows, so a
+    one-cell batch meets only operands of its own shape; the result has at
+    least two dimensions."""
     up = u_next.take(kernel.up[r], axis=-1)
     dn = u_next.take(kernel.dn[r], axis=-1)
     shifted = u_next.take(kernel.drift_to[r], axis=-1)
+    p, s = kernel.p[r:r + 1], kernel.s[r:r + 1]
     # delta form: constant slices propagate with zero rounding error
-    return here + kernel.p[r] * ((up - here) + (dn - here)) + kernel.s[r] * (shifted - here)
+    return here + p * ((up - here) + (dn - here)) + s * (shifted - here)
 
 
 def conditional_g_expectation(next_slice, t, x, spec: ProblemSpec, grid: Grid):
@@ -134,7 +137,7 @@ def conditional_g_expectation(next_slice, t, x, spec: ProblemSpec, grid: Grid):
     if error is not None:
         raise error
     here = u_next.take(idx)
-    e_low, e_high = (_endpoint_expectation(u_next, here, k, 0) for k in kernels)
+    e_low, e_high = (_endpoint_expectation(u_next, here, k, 0)[0] for k in kernels)
     value = np.maximum(e_low, e_high)
     choice = (e_high > e_low).astype(np.int8)  # ties resolve to the low endpoint
     defects = np.stack([e_low - value, e_high - value])
@@ -199,8 +202,12 @@ def _sweep_live(spec, grid, cells):
         return cell.penalties.penalty_mode, cell.penalties.project_lower
     live = sorted(cells, key=mode)
 
+    # one value per member, as a (B, 1) column, or as a 0-d array for a
+    # group of one, which then meets only (1, nodes) rows: numpy's
+    # same-shape path, not its broadcasting one
     def column(values):
-        return np.array(values, dtype=float)[:, None]
+        a = np.array(values, dtype=float)
+        return a.reshape(()) if a.size == 1 else a[:, None]
 
     groups, lo = [], 0
     for key, members in groupby(live, key=mode):
@@ -248,11 +255,13 @@ def _sweep_live(spec, grid, cells):
         kernels, error = _kernels(sv, bv, lv, idx, band, dt, dx, nxe, times, xg)
         n_rows = len(kernels[0].s)
         for r in range(n_rows):
-            z_tilde = sv[r] * central_diff(u, dx)
+            # rows of the tables as (1, nodes) slices, as in _endpoint_expectation
+            row = slice(r, r + 1)
+            z_tilde = sv[row] * central_diff(u, dx)
             e_low, e_high = (_endpoint_expectation(u, u, k, r) for k in kernels)
             c = np.maximum(e_low, e_high)
-            base = c + dt * coeffs.f([a[r] for a in ks], c, z_tilde)
-            parts = [obstacle_update(base[rows], c[rows], hv[r] + shift, hpv[r], step)
+            base = c + dt * coeffs.f([a[row] for a in ks], c, z_tilde)
+            parts = [obstacle_update(base[rows], c[rows], hv[row] + shift, hpv[row], step)
                      for rows, step, shift in groups]
             u, a_plus, a_minus = (parts[0] if len(parts) == 1 else
                                   [np.concatenate(a) for a in zip(*parts)])

@@ -44,6 +44,13 @@ RESIDUAL_CONTACT_MARGIN_X = 0.025
 _CONTACT_TOL = 1e-9
 #: the most substeps per reported step; a bound that needs more raises StabilityError
 MAX_SUBSTEPS = 10_000
+#: the most node-substeps, n_t*nsub*n_x, of one solve; a solve that needs more
+#: raises StabilityError before it allocates its fields.  A node-substep was
+#: measured at 95-150 ns (the varcoef-pde problem at 2,001 to 200,001 nodes,
+#: one thread of a 2-vCPU Xeon, Python 3.11, numpy 2.4), so a solve at the
+#: cap takes about 3.5-5.5 minutes, where MAX_SUBSTEPS and
+#: gcore.MAX_GRID_NODES alone allow hours
+MAX_PDE_WORK = 2 ** 31
 
 
 @dataclass(frozen=True)
@@ -78,7 +85,8 @@ def _explicit_rate(spec, penalties, direct, dx, sv, bv, lv, per_node=False):
 
 def _stability_substeps(spec, grid, penalties, direct):
     """Substeps per reported step so the explicit bound holds for dt_sub at
-    the reported times; _run_pde checks it again at every substep."""
+    the reported times; _run_pde checks it again at every substep.  More
+    than MAX_SUBSTEPS, or more work than MAX_PDE_WORK, raises StabilityError."""
     coeffs = Coefficients(spec, grid.x)
     rate = _explicit_rate(spec, penalties, direct, grid.dx,
                           *(coeffs(name, grid.t[:, None]) for name in ("sigma", "b", "l")))
@@ -87,7 +95,13 @@ def _stability_substeps(spec, grid, penalties, direct):
         raise StabilityError(
             "explicit stability needs %.0f substeps per step (cap %d); "
             "bound dt*rate = %.6g" % (nsub, MAX_SUBSTEPS, grid.dt * rate))
-    return max(1, int(nsub))
+    nsub = max(1, int(nsub))
+    work = grid.n_t * nsub * grid.n_x
+    if work > MAX_PDE_WORK:
+        raise StabilityError(
+            "the PDE solve needs n_t*nsub*n_x = %d node-substeps (cap %d) at %d substeps "
+            "per step; coarsen the grid" % (work, MAX_PDE_WORK, nsub))
+    return nsub
 
 
 def _substep_failure(spec, penalties, direct, grid, dts, ts, sv, bv, lv):
@@ -117,12 +131,13 @@ def _run_pde(spec, grid, penalties, direct):
     if penalties.penalty_mode == NODEWISE_IMPLICIT:
         penalties.check_explicit_cfl(dt)
     nsub = _stability_substeps(spec, grid, penalties, direct)
-    dts = dt / nsub
     coeffs = Coefficients(spec, grid.x)
     band = spec.band
     lo2, hi2 = band.sigma_low ** 2, band.sigma_high ** 2
-    defect = -0.5 * (hi2 - lo2)
-    dx2, two_dx = dx ** 2, 2.0 * dx
+    # the substep's scalars as 0-d arrays, which numpy combines with an
+    # array faster than a Python float (see ObstacleStep)
+    two, dx2, two_dx, defect, dts = (np.asarray(a) for a in (
+        2.0, dx ** 2, 2.0 * dx, -0.5 * (hi2 - lo2), dt / nsub))
     step = ObstacleStep(dts, penalties.n_upper, penalties.m_value, penalties.penalty_mode,
                         penalties.project_lower, direct)
 
@@ -152,7 +167,7 @@ def _run_pde(spec, grid, penalties, direct):
             g[1:-1] = u
             g[0] = 3.0 * u[0] - 3.0 * u[1] + u[2]
             g[-1] = 3.0 * u[-1] - 3.0 * u[-2] + u[-3]
-            d2 = (g_up - 2.0 * u + g_dn) / dx2
+            d2 = (g_up - two * u + g_dn) / dx2
             d1 = (g_up - g_dn) / two_dx
             harg = s2[r] * d2 + l2[r] * d1
             F = g_eval(harg, band) + bv[r] * d1 + coeffs.f([a[r] for a in ks], u, sv[r] * d1)

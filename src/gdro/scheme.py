@@ -120,18 +120,21 @@ def _solve_upper(base, hp, dtn, one_dtn):
 class ObstacleStep:
     """``obstacle_update`` prepared for one solve and penalty group, with the
     scalars dt*m, 1 + dt*m, dt*n, 1 + dt*n and dt*|n| computed once.  The
-    intensities ``n`` and ``m`` are numbers, or (B, 1) columns for a batch
-    whose row b is one cell with intensities n[b] and m[b].  ``direct``
-    projects onto [h, h'] and ignores the penalties; else ``project_lower``
-    applies max(h, .) after the upper penalty in place of the lower one."""
+    intensities ``n`` and ``m`` are numbers (or 0-d arrays), or (B, 1)
+    columns for a batch whose row b is one cell with intensities n[b] and
+    m[b].  The scalars are held as arrays, 0-d for numbers: numpy combines
+    a 0-d float64 array with an array faster than a Python float, whose
+    type it must first resolve.  ``direct`` projects onto [h, h'] and
+    ignores the penalties; else ``project_lower`` applies max(h, .) after
+    the upper penalty in place of the lower one."""
 
     def __init__(self, dt, n, m, penalty_mode, project_lower, direct=False):
         self.direct, self.project_lower = direct, project_lower
         self.implicit = penalty_mode == NODEWISE_IMPLICIT
-        self.dtm, self.dtn = dt * m, dt * n
-        self.one_dtm, self.one_dtn = 1.0 + self.dtm, 1.0 + self.dtn
+        dtm, dtn = dt * m, dt * n
         # abs: at n = -0.0 the term would be -0.0 and make a -0.0 base +0.0
-        self.dt_abs_n = dt * abs(n)
+        self.dtm, self.dtn, self.one_dtm, self.one_dtn, self.dt_abs_n = (
+            np.asarray(a, dtype=float) for a in (dtm, dtn, 1.0 + dtm, 1.0 + dtn, dt * abs(n)))
 
 
 def obstacle_update(base, anchor, h, hp, step):

@@ -135,3 +135,44 @@ def reference_eval(expr, bindings):
     if fn == "pos":
         return np.maximum(a, 0.0)
     return np.maximum(-np.asarray(a), 0.0) if isinstance(a, np.ndarray) else max(-a, 0.0)
+
+
+def _reference_solve_lower(base, h, dtm, one_dtm):
+    low = (base + dtm * h) / one_dtm
+    return np.where(base < h, np.minimum(np.maximum(low, base), h), base)
+
+
+def _reference_solve_upper(base, hp, dtn, one_dtn):
+    high = (base + dtn * hp) / one_dtn
+    return np.where(base > hp, np.maximum(np.minimum(high, base), hp), base)
+
+
+def reference_obstacle_update(base, anchor, h, hp, dt, n, m, implicit, project_lower,
+                              direct):
+    """(value, a_plus, a_minus) of one obstacle update, as the shared kernel
+    ``scheme.obstacle_update`` computed it with Python-float intensities
+    ``n`` and ``m`` before its scalars became 0-d arrays and a lattice
+    step's rows (1, nodes) slices: the reference its edge semantics (signed
+    zeros, subnormals, infinities and nan) must match bit for bit."""
+    dtm, dtn = dt * m, dt * n
+    one_dtm, one_dtn = 1.0 + dtm, 1.0 + dtn
+    dt_abs_n = dt * abs(n)
+    with np.errstate(invalid="ignore"):
+        if direct:
+            lower = np.maximum(h, base)
+            value = np.minimum(hp, lower)
+            return value, lower - base, lower - value
+        if project_lower:
+            if implicit:
+                pre = _reference_solve_upper(base, hp, dtn, one_dtn)
+            else:
+                pre = base - dt_abs_n * np.maximum(anchor - hp, 0.0)
+            value = np.maximum(h, pre)
+            return value, value - pre, base - pre
+        if implicit:
+            lower = _reference_solve_lower(base, h, dtm, one_dtm)
+            value = _reference_solve_upper(lower, hp, dtn, one_dtn)
+            return value, lower - base, lower - value
+        a_plus = dtm * np.maximum(h - anchor, 0.0)
+        a_minus = dtn * np.maximum(anchor - hp, 0.0)
+        return base + a_plus - a_minus, a_plus, a_minus

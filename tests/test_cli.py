@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import gdro.cli
 import gdro.lattice
+import gdro.pde
 from gdro.cli import (EXIT_ASSERT, EXIT_OK, EXIT_STABILITY, EXIT_VALIDATION,
                       ConfigError, load_config, main, parse_config,
                       write_field_csv, write_report_csv, write_residual_csv)
@@ -251,6 +252,20 @@ class TestRun:
         err = capsys.readouterr().err
         assert "stability status=rejected" in err and "between reported times" in err
         assert "at t=0.947619048 x=-3: dt_sub*rate = 2.00636 > 1" in err
+
+    def test_pde_work_cap(self, tmp_path, capsys, monkeypatch):
+        # 100 steps of 6,401 substeps on 4,001 nodes: each within its own
+        # cap, but 2.56e9 node-substeps, minutes of work above pde.MAX_PDE_WORK;
+        # the run is rejected before the solve allocates a field
+        monkeypatch.setattr(gdro.pde.SolutionField, "empty", classmethod(
+            lambda cls, grid: pytest.fail("a PDE field was allocated")))
+        rc = _solve(tmp_path, {
+            "problem": dict(INLINE_HEAT, sigma_low=1.2, sigma_high=1.2),
+            "grid": {"n_t": 100, "n_x": 4001}, "method": "pde", "emit": []})
+        assert rc == EXIT_STABILITY
+        assert ('stability status=rejected detail="the PDE solve needs n_t*nsub*n_x = '
+                '2561040100 node-substeps (cap 2147483648) at 6401 substeps per step; '
+                'coarsen the grid"' in capsys.readouterr().err)
 
     def test_drift_weight_rejection_names_its_node(self, tmp_path):
         # b grows like t^2, so the upwind drift weight |mu|/dx passes 0.5 at
@@ -755,15 +770,31 @@ def test_non_ascii_digit_is_bad_expression(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+#: a run whose summary residuals (h' - u)*a_minus overflow to inf
+OVERFLOWING_RESIDUAL = {
+    "problem": {"horizon": 1.0, "x_min": -1.0, "x_max": 1.0, "sigma_low": 0.5,
+                "sigma_high": 1.0, "phi": "0", "h": "-1", "h_prime": "1", "f": "1e300"},
+    "penalties": {"n_upper": 64.0, "m_lower": 64.0, "penalty_mode": "nodewise-implicit"},
+    "grid": {"n_t": 10, "n_x": 11}, "method": "lattice", "emit": []}
+
+
 def test_overflowing_residual_written_without_warning(tmp_path, capsys):
-    # (h' - u)*a_minus overflows in the summary's residuals, which ran after
-    # the solves' errstate: RuntimeWarnings on stderr, an error under -W error
-    rc = _solve(tmp_path, {
-        "problem": {"horizon": 1.0, "x_min": -1.0, "x_max": 1.0, "sigma_low": 0.5,
-                    "sigma_high": 1.0, "phi": "0", "h": "-1", "h_prime": "1", "f": "1e300"},
-        "penalties": {"n_upper": 64.0, "m_lower": 64.0, "penalty_mode": "nodewise-implicit"},
-        "grid": {"n_t": 10, "n_x": 11}, "method": "lattice", "emit": []})
+    # the summary's residuals run after the solves' errstate: RuntimeWarnings
+    # on stderr, an error under -W error
+    rc = _solve(tmp_path, OVERFLOWING_RESIDUAL)
     assert rc == EXIT_OK
     assert "Warning" not in capsys.readouterr().err
-    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert summary["asc_lattice"]["minus"] == np.inf
+
+
+def test_summary_is_strict_json(tmp_path):
+    # an overflowing residual is written as null, not as Infinity, which is
+    # not JSON: a strict reader rejects NaN, Infinity and -Infinity
+    def reject(constant):
+        raise ValueError("non-JSON constant %s" % constant)
+
+    assert _solve(tmp_path, OVERFLOWING_RESIDUAL) == EXIT_OK
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text(),
+                         parse_constant=reject)
+    assert summary["asc_lattice"]["minus"] is None
+    assert summary["asc_lattice"]["minus_global"] is None
+    assert np.isfinite(summary["asc_lattice"]["plus"])

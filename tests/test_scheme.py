@@ -10,6 +10,7 @@ from gdro import catalog
 from gdro.gcore import (EXPLICIT, NODEWISE_IMPLICIT, Coefficients, Grid, PenaltyParams,
                         ProblemSpec)
 from gdro.scheme import ObstacleStep, obstacle_update
+from oracles import reference_obstacle_update
 
 VALUES = st.floats(-100.0, 100.0, allow_nan=False)
 INTENSITY = st.sampled_from([0.0, 1.0, 64.0]) | st.floats(0.0, 1e4)
@@ -152,6 +153,62 @@ def test_batched_cells_match_their_own_calls(data):
         own = obstacle_update(c["base"][:width], c["anchor"][:width], c["h"][:width],
                               c["hp"][:width], _step(first["dt"], pen, first["direct"]))
         assert _bits(a[b] for a in batch) == _bits(own), b
+
+
+#: the values where a rounded kernel's edge semantics show: signed zeros,
+#: subnormals, the largest finite numbers, infinities and nan
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e308, -1e308, np.inf, -np.inf, np.nan]
+
+
+def _same_bits(a, b):
+    """Bit-for-bit equality, where a nan matches any nan."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), st.sampled_from([1e-3, 0.025, 0.1]),
+       st.sampled_from([(True, False), (False, True), (False, False)]),
+       st.sampled_from([EXPLICIT, NODEWISE_IMPLICIT]),
+       st.sampled_from(["1-D", "columns", "0-d"]))
+def test_kernel_matches_reference_on_edge_values(data, dt, direct_projection, mode, layout):
+    # every mode on edge values, laid out as the solvers call the kernel: the
+    # PDE's 1-D slice with numbers, and a lattice batch of (B, n) values
+    # against (1, n) obstacle rows with (B, 1) intensity columns, or 0-d
+    # intensities (a group of one); each row must be the reference's 1-D
+    # update with Python-float intensities
+    direct, project_lower = direct_projection
+    rows = 1 if layout == "1-D" else data.draw(st.integers(1, 3))
+    width = data.draw(st.integers(1, 6))
+    edges = st.sampled_from(EDGE_VALUES)
+
+    def draw(shape):
+        return np.array(data.draw(st.lists(edges, min_size=int(np.prod(shape)),
+                                           max_size=int(np.prod(shape))))).reshape(shape)
+
+    intensity = st.sampled_from([0.0, -0.0, 1e-3, 64 * dt])
+    count = rows if layout == "columns" else 1
+    ns, ms = ([data.draw(intensity) for _ in range(count)] for _ in range(2))
+    if layout == "1-D":
+        shape, obstacle_shape, n, m = (width,), (width,), ns[0], ms[0]
+    elif layout == "columns":
+        shape, obstacle_shape = (rows, width), (1, width)
+        n, m = np.array(ns)[:, None], np.array(ms)[:, None]
+    else:
+        shape, obstacle_shape, n, m = (rows, width), (1, width), np.array(ns[0]), np.array(ms[0])
+    base, anchor = draw(shape), draw(shape)
+    h, hp = draw(obstacle_shape), draw(obstacle_shape)
+    # 1e308 + 1e308 overflows, which would warn
+    with np.errstate(over="ignore"):
+        got = [np.atleast_2d(a) for a in obstacle_update(
+            base, anchor, h, hp, ObstacleStep(dt, n, m, mode, project_lower, direct))]
+        for b, (base_b, anchor_b) in enumerate(zip(np.atleast_2d(base), np.atleast_2d(anchor))):
+            want = reference_obstacle_update(
+                base_b, anchor_b, h.ravel(), hp.ravel(), dt, ns[b % count], ms[b % count],
+                mode == NODEWISE_IMPLICIT, project_lower, direct)
+            assert all(_same_bits(g[b], w) for g, w in zip(got, want)), b
 
 
 def _catalog_specs():

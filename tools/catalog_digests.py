@@ -70,6 +70,12 @@ _VARCOEF = {"horizon": 1.0, "x_min": -3.0, "x_max": 3.0,
 #: lexical writes the varcoef coefficients with the number forms '.5', '1.'
 #: and '4E-2', a power '**', and a tab, a newline and a no-break space, so
 #: two checkouts' expression scanners are compared on a full solve.
+#: signed-zeros has h = -0*x, which is +0.0 left of x = 0 and -0.0 from it,
+#: a terminal value phi = max(h, -1 + 0.1*sin(x)) that sits on h, and the
+#: varcoef driver without its source term, so the value stays on h: every
+#: obstacle update of both solvers, penalized and direct, meets a tie
+#: between +0.0 and -0.0.  It has no ladders and no probes, so each solve is
+#: one cell, whose operands have the shape of one (1, nodes) row.
 INLINE = {
     "varcoef-inline": {
         "problem": _VARCOEF,
@@ -127,6 +133,11 @@ INLINE = {
         "grid": {"n_t": 40, "n_x": 41},
         "penalties": {"n_upper": 64.0, "m_lower": 64.0, "penalty_mode": "nodewise-implicit"},
         "ladders": {"n_list": [4.0, 16.0], "m_list": [10.0], "epsilon_list": [0.1]}},
+    "signed-zeros": {
+        "problem": dict(_VARCOEF, h="-0*x", phi="max(-0*x, -1 + 0.1*sin(x))",
+                        f="-0.3*y + 0.1*z*cos(x + t)"),
+        "grid": {"n_t": 40, "n_x": 41},
+        "penalties": {"n_upper": 64.0, "m_lower": 64.0, "penalty_mode": "nodewise-implicit"}},
 }
 
 
