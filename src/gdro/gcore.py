@@ -230,7 +230,7 @@ class Coefficients:
     bound as an array, so a row is computed by the same numpy kernels as
     the matching table row and the two agree bitwise.  Fields free of t are
     evaluated once and come back as zero-copy broadcast views.  ``blocks``
-    gives the tables of a long time column a block of rows at a time.
+    gives the tables at a grid's reported steps a block of rows at a time.
 
     The driver is split (``expr.split``) into a residual tree in y and z and
     its maximal subtrees free of both, which are fields like the others,
@@ -270,30 +270,30 @@ class Coefficients:
         """Rows in a full block of ``blocks``."""
         return max(1, _BLOCK_NODES // self.x.size)
 
-    def blocks(self, names, n_rows, time_of):
-        """Yield (rows, times, tables) over consecutive slices ``rows`` of
-        range(n_rows), where times = time_of(row indices) is the 1-D array
-        of the rows' times and tables[k] is self(names[k], times[:, None]),
-        whose row r is self(names[k], times[r]) bitwise.
+    def blocks(self, names, grid):
+        """Yield (times, tables) over the reported steps of ``grid`` in
+        backward order, a block of steps at a time.  Step k runs from
+        t_{i+1} back to t_i, i = n_t-1-k, and both solvers read its
+        coefficients at t_i: times is the 1-D array of the block's t_i and
+        tables[k] is self(names[k], times[:, None]), whose row r is
+        self(names[k], times[r]) bitwise.
 
         A block holds about _BLOCK_NODES nodes per field, and at least one
-        row; only one block's times and tables exist at a time.  A block in
-        which a field is undefined is cut to its first row, so the error
-        raises only after the rows before it were yielded, as it would in a
-        row-by-row evaluation.
+        step; only one block's times and tables exist at a time.  A block in
+        which a field is undefined is cut to its first step, so the error
+        raises only after the steps before it were yielded, as it would in a
+        step-by-step evaluation.
         """
-        step = self.block_rows
-        lo = 0
-        while lo < n_rows:
-            rows = slice(lo, min(lo + step, n_rows))
-            times = time_of(np.arange(rows.start, rows.stop))
+        k = 0
+        while k < grid.n_t:
+            times = grid.dt * (grid.n_t - 1 - np.arange(k, min(k + self.block_rows, grid.n_t)))
             try:
                 tables = [self(name, times[:, None]) for name in names]
             except ValueError:
-                rows, times = slice(lo, lo + 1), times[:1]
+                times = times[:1]
                 tables = [self(name, times[:, None]) for name in names]
-            yield rows, times, tables
-            lo = rows.stop
+            yield times, tables
+            k += len(times)
 
     def f(self, ks, y, z):
         """The driver at y and z, where ``ks`` holds the values of the

@@ -249,9 +249,8 @@ def _sweep_live(spec, grid, cells):
             for name in names]
     u_buf, plus_buf, minus_buf, defect_buf, choice_buf = bufs
     i0 = grid.n_t
-    for _, times, (sv, bv, lv, hv, hpv, *ks) in coeffs.blocks(
-            _KERNEL_FIELDS + ("h", "h_prime") + coeffs.driver_fields, grid.n_t,
-            lambda k: dt * (grid.n_t - 1 - k)):
+    for times, (sv, bv, lv, hv, hpv, *ks) in coeffs.blocks(
+            _KERNEL_FIELDS + ("h", "h_prime") + coeffs.driver_fields, grid):
         kernels, error = _kernels(sv, bv, lv, idx, band, dt, dx, nxe, times, xg)
         n_rows = len(kernels[0].s)
         for r in range(n_rows):

@@ -8,16 +8,17 @@ satisfying
     dt_sub * (sigma_high^2 max sigma^2 / dx^2 + |2 l sigma_high^2 + b|_max / dx
               + kappa_f + n_upper + m_lower) <= 1,
 
-at the reported times, and only the requested slices are stored.  The
-coefficients sigma, b, l, h and h', and the driver's subtrees free of u and
-of its derivative, come from tables evaluated once per block of substep rows
-(``Coefficients.blocks``), and so do sigma^2 and 2*l; the obstacle
-update's scalars and the buffer of ghost values are prepared once per
-solve.  A substep makes only its array operations and evaluates only the
-rest of the driver, on a row of those tables.  Each block's tables are
-checked against the bound node by node, so a coefficient peaking between
-reported times raises StabilityError, once the backward loop reaches the
-failing substep, instead of blowing the field up.
+at the reported times, and only the requested slices are stored.  Every
+substep of the step from t_{i+1} back to t_i reads the coefficients sigma,
+b, l, h and h', and the driver's subtrees free of u and of its derivative,
+at t_i, as the lattice does; they come from tables evaluated once per block
+of reported steps (``Coefficients.blocks``), and so do sigma^2 and 2*l.
+Freezing them over a step is an O(dt) consistency error, and since the
+substeps are sized on the maxima over every t_i, the bound holds at every
+node the solve reads.  The obstacle update's scalars and the buffer of
+ghost values are prepared once per solve, so a substep makes only its array
+operations and evaluates only the rest of the driver, on a row of those
+tables.
 
 Boundary columns use one-sided first differences with the curvature copied
 from the adjacent interior column (quadratic ghost nodes), which is exact
@@ -33,10 +34,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .gcore import (EXPLICIT, NODEWISE_IMPLICIT, Coefficients, Grid, PenaltyParams,
-                    ProblemSpec, StabilityError, first_true, g_eval, obstacle_fields,
-                    t_free_rows, uncontaminated_mask)
-from .scheme import (CEIL_EPS, ObstacleStep, SolutionField, ceil_eps, obstacle_update,
-                     z_field)
+                    ProblemSpec, StabilityError, g_eval, obstacle_fields, uncontaminated_mask)
+from .scheme import ObstacleStep, SolutionField, ceil_eps, obstacle_update, z_field
 
 #: contact-set exclusion margins for the residual sup, as domain fractions
 RESIDUAL_CONTACT_MARGIN_T = 0.03
@@ -68,28 +67,18 @@ def f_operator(d2u, du, u, x, t, spec: ProblemSpec):
     return out if np.ndim(out) else float(out)
 
 
-def _explicit_rate(spec, penalties, direct, dx, sv, bv, lv, per_node=False):
-    """Rate r of the explicit bound dt_sub * r <= 1 (module docstring), from
-    the maxima of the given coefficient fields or, with ``per_node``, at
-    every node."""
-    hi2 = spec.band.sigma_high ** 2
-    s2 = sv ** 2
-    trans = np.abs(2.0 * lv * hi2 + bv)
-    if not per_node:
-        s2, trans = float(np.max(s2)), float(np.max(trans))
-    rate = hi2 * s2 / dx ** 2 + trans / dx + penalties.kappa_f
-    if not direct and penalties.penalty_mode == EXPLICIT:
-        rate = rate + (penalties.n_upper + penalties.m_value)
-    return rate
-
-
 def _stability_substeps(spec, grid, penalties, direct):
     """Substeps per reported step so the explicit bound holds for dt_sub at
-    the reported times; _run_pde checks it again at every substep.  More
-    than MAX_SUBSTEPS, or more work than MAX_PDE_WORK, raises StabilityError."""
+    the maxima of the coefficients over the reported times, which include
+    every time _run_pde reads them at.  More than MAX_SUBSTEPS, or more
+    work than MAX_PDE_WORK, raises StabilityError."""
     coeffs = Coefficients(spec, grid.x)
-    rate = _explicit_rate(spec, penalties, direct, grid.dx,
-                          *(coeffs(name, grid.t[:, None]) for name in ("sigma", "b", "l")))
+    sv, bv, lv = (coeffs(name, grid.t[:, None]) for name in ("sigma", "b", "l"))
+    hi2 = spec.band.sigma_high ** 2
+    rate = (hi2 * float(np.max(sv ** 2)) / grid.dx ** 2
+            + float(np.max(np.abs(2.0 * lv * hi2 + bv))) / grid.dx + penalties.kappa_f)
+    if not direct and penalties.penalty_mode == EXPLICIT:
+        rate = rate + (penalties.n_upper + penalties.m_value)
     nsub = ceil_eps(grid.dt * rate)
     if not nsub <= MAX_SUBSTEPS:
         raise StabilityError(
@@ -104,29 +93,13 @@ def _stability_substeps(spec, grid, penalties, direct):
     return nsub
 
 
-def _substep_failure(spec, penalties, direct, grid, dts, ts, sv, bv, lv):
-    """(r, error): the explicit bound holds at every node of the first r
-    rows of the substep tables (rows at the times ``ts``), and ``error`` is
-    the StabilityError naming the first failing node of row r, or None when
-    every row holds.  Tables cut to one row (``t_free_rows``) stand for
-    every row of ``ts``."""
-    rate = _explicit_rate(spec, penalties, direct, grid.dx, sv, bv, lv, per_node=True)
-    node = first_true(~(dts * rate <= 1.0 + CEIL_EPS))
-    if node is None:
-        return len(ts), None
-    r, j = node
-    return r, StabilityError(
-        "explicit stability bound fails between reported times at t=%.9g x=%.9g: "
-        "dt_sub*rate = %.6g > 1" % (ts[r], grid.x[j], dts * rate[r, j]))
-
-
 def _run_pde(spec, grid, penalties, direct):
     """The backward loop of both PDE solves.  Each substep adds its a_plus,
     a_minus and defect into row i of the zeroed field; u and sigma_choice
-    are stored at the step's last substep.  A block runs its substeps up to
-    the first failing the explicit bound and raises that one's error after.
-    What is the same for every row of a block (sigma^2 and 2*l) is tabled
-    once per block, and what is the same for the solve once."""
+    are stored at the step's last substep, and every substep of a step
+    reads the coefficient rows at t_i.  What is the same for every row of
+    a block (sigma^2 and 2*l) is tabled once per block, and what is the
+    same for the solve once."""
     dt, dx = grid.dt, grid.dx
     if penalties.penalty_mode == NODEWISE_IMPLICIT:
         penalties.check_explicit_cfl(dt)
@@ -149,41 +122,30 @@ def _run_pde(spec, grid, penalties, direct):
     g = np.empty(grid.n_x + 2)
     g_up, g_dn = g[2:], g[:-2]
 
-    # substep s of the step ending at t_i runs at i*dt + (nsub-1-s)*dts,
-    # anchored at i*dt so the final substep's clamp uses exactly the
-    # reported slice time (keeps the sandwich bitwise exact); the tables
-    # come in blocks of substep rows k = (n_t-1-i)*nsub + s, in loop order
-    def substep_times(k):
-        return (grid.n_t - 1 - k // nsub) * dt + (nsub - 1 - k % nsub) * dts
+    i = grid.n_t
+    for _, (sv, bv, lv, hv, hpv, *ks) in coeffs.blocks(
+            ("sigma", "b", "l", "h", "h_prime") + coeffs.driver_fields, grid):
+        for s2, l2, bvr, svr, hr, hpr, *kr in zip(sv ** 2, 2.0 * lv, bv, sv, hv, hpv, *ks):
+            i -= 1
+            for _ in range(nsub):
+                g[1:-1] = u
+                g[0] = 3.0 * u[0] - 3.0 * u[1] + u[2]
+                g[-1] = 3.0 * u[-1] - 3.0 * u[-2] + u[-3]
+                d2 = (g_up - two * u + g_dn) / dx2
+                d1 = (g_up - g_dn) / two_dx
+                harg = s2 * d2 + l2 * d1
+                F = g_eval(harg, band) + bvr * d1 + coeffs.f(kr, u, svr * d1)
+                out.k_defect[i] += defect * np.abs(harg) * dts
+                base = u + dts * F
+                u, ap, am = obstacle_update(base, u, hr, hpr, step)
+                out.a_plus[i] += ap
+                out.a_minus[i] += am
+            out.u[i] = u
+            out.sigma_choice[i] = harg > 0.0
 
-    for block, times, (sv, bv, lv, hv, hpv, *ks) in coeffs.blocks(
-            ("sigma", "b", "l", "h", "h_prime") + coeffs.driver_fields, grid.n_t * nsub,
-            substep_times):
-        n_ok, error = _substep_failure(spec, penalties, direct, grid, dts, times,
-                                       *t_free_rows(sv, bv, lv))
-        s2, l2 = sv ** 2, 2.0 * lv
-        for r, k in enumerate(range(block.start, block.start + n_ok)):
-            i, s = grid.n_t - 1 - k // nsub, k % nsub
-            g[1:-1] = u
-            g[0] = 3.0 * u[0] - 3.0 * u[1] + u[2]
-            g[-1] = 3.0 * u[-1] - 3.0 * u[-2] + u[-3]
-            d2 = (g_up - two * u + g_dn) / dx2
-            d1 = (g_up - g_dn) / two_dx
-            harg = s2[r] * d2 + l2[r] * d1
-            F = g_eval(harg, band) + bv[r] * d1 + coeffs.f([a[r] for a in ks], u, sv[r] * d1)
-            out.k_defect[i] += defect * np.abs(harg) * dts
-            base = u + dts * F
-            u, ap, am = obstacle_update(base, u, hv[r], hpv[r], step)
-            out.a_plus[i] += ap
-            out.a_minus[i] += am
-            if s == nsub - 1:
-                out.u[i] = u
-                out.sigma_choice[i] = harg > 0.0
-        if error is not None:
-            raise error
-
-    # the last block's tables are not kept while z is computed
-    del sv, bv, lv, hv, hpv, ks, s2, l2
+    # the last block's tables, and the rows viewing them, are not kept
+    # while z is computed
+    del sv, bv, lv, hv, hpv, ks, s2, l2, bvr, svr, hr, hpr, kr
     out.z = z_field(coeffs("sigma", grid.t[:, None]), grid, out.u)
     return out
 

@@ -239,19 +239,21 @@ class TestRun:
     def test_missing_config_file(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.json")]) == EXIT_VALIDATION
 
-    def test_substep_stability_between_reported_times(self, tmp_path, capsys):
-        # sigma is 1 at every reported time t = k/20 but reaches 4 in between,
-        # so substeps sized on the reported slices alone would blow up
+    def test_peak_between_reported_times_is_not_read(self, tmp_path, capsys):
+        # sigma is 1 at every reported time t = k/20 but reaches 4 in between;
+        # both solvers read the coefficients at reported times only, so both
+        # substep and step on sigma = 1 and run stably
         rc = _solve(tmp_path, {
             "problem": {"horizon": 1.0, "x_min": -3.0, "x_max": 3.0,
                         "sigma_low": 0.5, "sigma_high": 1.0,
                         "sigma": "1 + 3*pos(sin(62.83185307179586*t))",
                         "phi": "0.1*sin(3*x)"},
-            "grid": {"n_t": 20, "n_x": 121}, "method": "pde", "emit": []}, "--assert")
-        assert rc == EXIT_STABILITY
-        err = capsys.readouterr().err
-        assert "stability status=rejected" in err and "between reported times" in err
-        assert "at t=0.947619048 x=-3: dt_sub*rate = 2.00636 > 1" in err
+            "grid": {"n_t": 20, "n_x": 121}, "method": "both", "emit": ["field"]}, "--assert")
+        assert rc == EXIT_OK
+        assert "assert-suite status=ok" in capsys.readouterr().err
+        for name in ("field_lattice.csv", "field_pde.csv"):
+            table = np.genfromtxt(tmp_path / "out" / name, delimiter=",", skip_header=1)
+            assert table.shape == (21 * 121, 8) and np.isfinite(table).all()
 
     def test_pde_work_cap(self, tmp_path, capsys, monkeypatch):
         # 100 steps of 6,401 substeps on 4,001 nodes: each within its own

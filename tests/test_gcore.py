@@ -165,21 +165,23 @@ def test_obstacle_fields_and_mask():
 
 
 def test_coefficient_blocks_stop_at_an_undefined_row(monkeypatch):
-    # h is undefined above t = 0.5; with four rows per block, the second
-    # block holds the first undefined row (t = 0.6) and is cut before it
+    # the steps run backward from t = 0.9 and h is undefined below t = 0.35;
+    # with four steps per block, the second block holds the first undefined
+    # step (t = 0.3) and is cut before it
     spec = ProblemSpec.from_strings(horizon=1.0, x_min=-1.0, x_max=1.0, sigma_low=1.0,
-                                    sigma_high=1.0, h="sqrt(0.5 - t) + x*t")
-    coeffs = Coefficients(spec, np.linspace(-1.0, 1.0, 5))
+                                    sigma_high=1.0, h="sqrt(t - 0.35) + x*t")
+    grid = Grid.for_problem(spec, 10, 5)
+    coeffs = Coefficients(spec, grid.x)
     monkeypatch.setattr(gcore, "_BLOCK_NODES", 20)
     seen = []
     with pytest.raises(DomainError):
-        for rows, times, (h, sigma) in coeffs.blocks(("h", "sigma"), 11, lambda k: 0.1 * k):
-            seen.append(rows)
-            assert np.array_equal(times, 0.1 * np.arange(rows.start, rows.stop))
+        for times, (h, sigma) in coeffs.blocks(("h", "sigma"), grid):
+            seen.append(times)
             for t, h_row, sigma_row in zip(times, h, sigma):
                 assert np.array_equal(h_row.view(np.uint8), coeffs("h", t).view(np.uint8))
                 assert np.array_equal(sigma_row, np.ones(5))
-    assert seen == [slice(0, 4), slice(4, 5), slice(5, 6)]
+    assert [len(times) for times in seen] == [4, 1, 1]
+    assert np.array_equal(np.concatenate(seen), grid.t[9:3:-1])
 
 
 def _bits(a, shape):
@@ -208,7 +210,7 @@ def test_tabled_driver_matches_the_whole_tree_bitwise(f, monkeypatch):
     coeffs = Coefficients(spec, x)
     monkeypatch.setattr(gcore, "_BLOCK_NODES", 40)
     rows = 0
-    for _, times, tables in coeffs.blocks(coeffs.driver_fields, 401, lambda k: 1.0 - k / 400):
+    for times, tables in coeffs.blocks(coeffs.driver_fields, Grid.for_problem(spec, 401, x.size)):
         for r, t in enumerate(times.tolist()):
             whole = eval_expr(spec.f, {"t": np.full(x.shape, t), "x": x, "y": y, "z": z})
             tabled = coeffs.f([k[r] for k in tables], y, z)
@@ -250,14 +252,12 @@ def test_undefined_driver_subtree_raises_at_its_row(solver, monkeypatch):
                                     sigma_high=1.0, phi="0.1*sin(x)", f=MIDWAY_UNDEFINED)
     grid = Grid.for_problem(spec, 20, 33)
     penalties = PenaltyParams()
-    if solver == "lattice":
-        times = [grid.dt * (grid.n_t - 1 - k) for k in range(grid.n_t)]
-    else:
-        nsub = pde._stability_substeps(spec, grid, penalties, False)
-        dts = grid.dt / nsub
-        times = [(grid.n_t - 1 - k // nsub) * grid.dt + (nsub - 1 - k % nsub) * dts
-                 for k in range(grid.n_t * nsub)]
+    # both solvers read the driver at t_i = dt*(n_t-1-k) for step k, and the
+    # PDE makes nsub obstacle updates per step
+    times = [grid.dt * (grid.n_t - 1 - k) for k in range(grid.n_t)]
     first_undefined = next(k for k, t in enumerate(times) if abs(t - 0.6) - 0.04 < 0)
+    if solver == "pde":
+        first_undefined *= pde._stability_substeps(spec, grid, penalties, False)
     module = lattice if solver == "lattice" else pde
     steps = []
     update = module.obstacle_update

@@ -430,8 +430,8 @@ _VARCOEF = dict(horizon=1.0, x_min=-3.0, x_max=3.0, sigma_low=0.5, sigma_high=1.
 
 
 def test_fields_independent_of_table_block_size(monkeypatch):
-    # one-row blocks, blocks that end inside a reported step of the PDE
-    # (10 rows, 3 substeps per step), and one block holding every row
+    # one-row blocks, blocks of a few steps (10 for the PDE, fewer on the
+    # lattice's widened x-grid), and one block holding every step
     spec = ProblemSpec.from_strings(**_VARCOEF)
     grid = Grid.for_problem(spec, 20, 33)
     params = PdeSchemeParams(grid=grid, penalty=_BATCH[0])

@@ -7,7 +7,7 @@ import oracles
 from gdro.expr import DomainError
 from gdro.gcore import (Grid, PenaltyParams, ProblemSpec, StabilityError,
                         VolatilityBand, g_eval, obstacle_fields)
-from gdro.lattice import SolutionField
+from gdro.lattice import SolutionField, penalized_sweep
 from gdro.pde import (PdeSchemeParams, _dilate, complementarity_residual, f_operator,
                       solve_double_obstacle_direct, solve_penalized_pde)
 
@@ -115,35 +115,47 @@ class TestPenalizedPde:
         u_hi = solve_penalized_pde(hi, PdeSchemeParams(grid=grid)).u
         assert np.min((u_hi - u_lo)[:, 1:-1]) >= -1e-12
 
-    def test_degenerate_band_matches_classical_stepper(self):
-        # hand-rolled linear explicit stepper, same substep count and ghosts
-        spec = _spec(sigma_low=1.2, sigma_high=1.2)
+    @pytest.mark.parametrize("sigma, sig", [("1", lambda t: 1.0),
+                                            ("1 + 0.5*t", lambda t: 1.0 + 0.5 * t)],
+                             ids=["constant", "t-dependent"])
+    def test_degenerate_band_matches_classical_stepper(self, sigma, sig):
+        # hand-rolled linear explicit stepper, same substep count and ghosts;
+        # every substep of step i reads sigma at t_i, as the lattice does
+        spec = _spec(sigma_low=1.2, sigma_high=1.2, sigma=sigma)
         grid = Grid.for_problem(spec, 50, 81)
         fld = solve_penalized_pde(spec, PdeSchemeParams(grid=grid))
 
-        a = 0.5 * 1.2 ** 2
-        rate = 1.2 ** 2 / grid.dx ** 2 + 5.0
+        rate = 1.2 ** 2 * max(sig(t) for t in grid.t) ** 2 / grid.dx ** 2 + 5.0
         nsub = max(1, int(np.ceil(grid.dt * rate - 1e-9)))
         dts = grid.dt / nsub
         u = grid.x ** 2
-        for _ in range(grid.n_t * nsub):
-            g = np.empty(u.size + 2)
-            g[1:-1] = u
-            g[0] = 3 * u[0] - 3 * u[1] + u[2]
-            g[-1] = 3 * u[-1] - 3 * u[-2] + u[-3]
-            u = u + dts * a * (g[2:] - 2 * u + g[:-2]) / grid.dx ** 2
+        for t in grid.t[-2::-1]:
+            a = 0.5 * (1.2 * sig(t)) ** 2
+            for _ in range(nsub):
+                g = np.empty(u.size + 2)
+                g[1:-1] = u
+                g[0] = 3 * u[0] - 3 * u[1] + u[2]
+                g[-1] = 3 * u[-1] - 3 * u[-2] + u[-3]
+                u = u + dts * a * (g[2:] - 2 * u + g[:-2]) / grid.dx ** 2
         np.testing.assert_allclose(fld.u[0], u, atol=1e-11)
 
-    def test_earlier_driver_domain_error_wins_over_stability(self):
-        # sigma breaks the explicit bound at t = 0.947619048 (see
-        # test_cli), but the backward loop first reaches the substeps above
-        # t = 0.99, where the driver is undefined
-        spec = _spec(sigma_low=0.5, sigma_high=1.0,
-                     sigma="1 + 3*pos(sin(62.83185307179586*t))",
-                     phi="0.1*sin(3*x)", f="0*sqrt(0.99 - t)")
-        params = PdeSchemeParams(grid=Grid.for_problem(spec, 20, 121))
-        with pytest.raises(DomainError, match="sqrt"):
-            solve_penalized_pde(spec, params)
+    def test_both_solvers_read_the_driver_at_reported_times_only(self):
+        # the last reported step of the 20-step grid reads t = 0.95, so a
+        # driver undefined above t = 0.99 is evaluated by neither solver
+        # and one undefined above t = 0.9 by both; sigma is 1 at every
+        # reported time and reaches 4 in between (see test_cli)
+        def spec(f):
+            return _spec(sigma_low=0.5, sigma_high=1.0,
+                         sigma="1 + 3*pos(sin(62.83185307179586*t))",
+                         phi="0.1*sin(3*x)", f=f)
+
+        grid = Grid.for_problem(spec("0"), 20, 121)
+        defined, undefined = spec("0*sqrt(0.99 - t)"), spec("0*sqrt(0.9 - t)")
+        for solve in (lambda s: solve_penalized_pde(s, PdeSchemeParams(grid=grid)),
+                      lambda s: penalized_sweep(s, grid, PenaltyParams())):
+            assert np.isfinite(solve(defined).u).all()
+            with pytest.raises(DomainError, match="sqrt"):
+                solve(undefined)
 
 
 class TestDirectSolve:

@@ -76,6 +76,9 @@ _VARCOEF = {"horizon": 1.0, "x_min": -3.0, "x_max": 3.0,
 #: obstacle update of both solvers, penalized and direct, meets a tie
 #: between +0.0 and -0.0.  It has no ladders and no probes, so each solve is
 #: one cell, whose operands have the shape of one (1, nodes) row.
+#: peaked-sigma is the one run whose coefficients peak between reported
+#: times: sigma is 1 at every t = k/20 and reaches 4 in between, so it pins
+#: that both solvers read the coefficients at the reported times only.
 INLINE = {
     "varcoef-inline": {
         "problem": _VARCOEF,
@@ -138,6 +141,11 @@ INLINE = {
                         f="-0.3*y + 0.1*z*cos(x + t)"),
         "grid": {"n_t": 40, "n_x": 41},
         "penalties": {"n_upper": 64.0, "m_lower": 64.0, "penalty_mode": "nodewise-implicit"}},
+    "peaked-sigma": {
+        "problem": {"horizon": 1.0, "x_min": -3.0, "x_max": 3.0,
+                    "sigma_low": 0.5, "sigma_high": 1.0,
+                    "sigma": "1 + 3*pos(sin(62.83185307179586*t))", "phi": "0.1*sin(3*x)"},
+        "grid": {"n_t": 20, "n_x": 121}},
 }
 
 
