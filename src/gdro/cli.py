@@ -35,11 +35,11 @@ import numpy as np
 from . import catalog as cat
 from . import expr as ex
 from .convergence import (ConvergenceReport, asc_residuals, asc_residuals_global,
-                          interior_gap, monotone_ladder, probe_output_gap)
+                          interior_gap, monotone_report)
 from .gcore import (PROJECTION, Grid, PenaltyParams, ProblemSpec, StabilityError,
                     contamination_cone_width, obstacle_fields, validate_problem)
-from .lattice import (DoubleLadderReport, SweepCell, _field_or_raise, double_ladder,
-                      ladder_cells, sweep_cells)
+from .lattice import (Batch, DoubleLadderReport, Ladder, SweepCell, _field_or_raise,
+                      double_report, sweep_cells)
 from .pde import (PdeSchemeParams, complementarity_residual,
                   solve_double_obstacle_direct, solve_penalized_pde)
 from .scheme import NonFiniteField, require_finite, strictly_ascending
@@ -223,6 +223,29 @@ def _parse_ladders(value):
     return out
 
 
+#: the most cell-nodes, cells x (n_t+1)*n_x, a run's lattice batch may hold.
+#: Its cells are counted before any is built: the main cell, one per
+#: eps-probe and one per ladder entry, a repeat or an invalid rung included.
+#: A cell whose field the sweep does not keep was measured at about 21 bytes
+#: per cell-node (double-obstacle-sine at 200x161 with 100 and 300 reflected
+#: rungs peaked at 95.3 and 222.5 MiB), so a batch at the cap needs about
+#: 1.3 GiB.  A cell also costs about 6.5 KiB whatever its grid (20,000 rungs
+#: at 20x3 peaked at 161 MiB), so it counts as at least _CELL_NODES_FLOOR
+MAX_CELL_NODES = 2 ** 26
+_CELL_NODES_FLOOR = 512
+
+
+def _check_cell_nodes(grid, ladders):
+    """Raise ConfigError at /ladders if the run's lattice batch would hold
+    more than MAX_CELL_NODES cell-nodes."""
+    n, m = (len(ladders.get(key, [])) for key in ("n_list", "m_list"))
+    cells = 1 + len(ladders.get("epsilon_list", [])) + n * (1 + m) + m
+    nodes = cells * max((grid.n_t + 1) * grid.n_x, _CELL_NODES_FLOOR)
+    if nodes > MAX_CELL_NODES:
+        raise ConfigError("the run's %d lattice cells need %d cell-nodes (cap %d)"
+                          % (cells, nodes, MAX_CELL_NODES), "/ladders")
+
+
 def parse_config(data) -> RunConfig:
     _object(data, "", ("problem", "grid", "method", "penalties", "ladders", "output_dir", "emit"),
             "unknown key", "config must be a single JSON object")
@@ -242,6 +265,7 @@ def parse_config(data) -> RunConfig:
 
     penalties = _parse_penalties(data.get("penalties"), entry)
     ladders = _parse_ladders(data.get("ladders"))
+    _check_cell_nodes(grid, ladders)
 
     emit = data.get("emit", ["field", "report"])
     if not isinstance(emit, list) or any(e not in EMITS for e in emit):
@@ -365,34 +389,40 @@ def _ladder_rows(results):
     return rows
 
 
-def _m_ladder(spec, grid, penalties, ladders, swept):
-    """Rows of the m-ladder at the configured n_upper, and the double ladder
-    over n_list x m_list (None without an n_list) that shares its sweeps."""
-    def ladder(n_list):
-        return double_ladder(spec, grid, n_list, ladders["m_list"],
-                             penalty_mode=penalties.penalty_mode,
-                             kappa_f=penalties.kappa_f, swept=swept)
+def _ladders(penalties, ladders):
+    """The run's reflected n-ladder, its double ladder over n_list x m_list
+    and its m-ladder row at an n_upper outside n_list, each None where the
+    run has none."""
+    mode, kappa = penalties.penalty_mode, penalties.kappa_f
+    n_list, m_list = ladders.get("n_list"), ladders.get("m_list")
+    reflected = double = row = None
+    if n_list is not None:
+        reflected = Ladder(n_list, (PROJECTION,), mode, kappa)
+    if m_list is not None:
+        if n_list is not None:
+            double = Ladder(n_list, m_list, mode, kappa)
+        if n_list is None or penalties.n_upper not in n_list:
+            row = Ladder((penalties.n_upper,), m_list, mode, kappa)
+    return reflected, double, row
 
-    double = ladder(ladders["n_list"]) if "n_list" in ladders else None
-    if double is not None and penalties.n_upper in double.n_list:
+
+def _probe_gap(swept, base, probe, eps):
+    """The probe's output gap sup |u_probe - u_base|; a non-finite probe
+    raises NonFiniteField."""
+    if swept[probe].bad is not None:
+        raise NonFiniteField({"eps": eps}, *swept[probe].bad)
+    return swept[base].gaps["probe", probe]
+
+
+def _m_ladder(penalties, double, row, swept):
+    """Rows of the m-ladder at the configured n_upper: those of the double
+    ladder there, or of the ladder ``row`` at an n_upper outside n_list."""
+    if row is None:
         cells = double.cells[double.n_list.index(penalties.n_upper)]
     else:
-        cells = ladder([penalties.n_upper]).cells[0]
+        cells = double_report(row, swept).cells[0]
     # the report lists m-ladder rows without ordering gaps
-    return [replace(c, mono_gap_n=np.nan, mono_gap_m=np.nan) for c in cells], double
-
-
-def _ladder_cells(penalties, ladders):
-    """The valid cells the run's ladders sweep: the reflected n-ladder's
-    rungs, the double ladder's n x m cells and the m-ladder row at an
-    n_upper outside n_list."""
-    mode, kappa = penalties.penalty_mode, penalties.kappa_f
-    n_list = ladders.get("n_list", [])
-    rows = n_list + ([] if penalties.n_upper in n_list else [penalties.n_upper])
-    cells = ladder_cells(n_list, PROJECTION, mode, kappa)
-    for m in ladders.get("m_list", []):
-        cells += ladder_cells(rows, m, mode, kappa)
-    return [c for c in cells if isinstance(c, SweepCell)]
+    return [replace(c, mono_gap_n=np.nan, mono_gap_m=np.nan) for c in cells]
 
 
 def _generic_assertions(results, spec, grid, penalties):
@@ -415,13 +445,6 @@ def _generic_assertions(results, spec, grid, penalties):
         out.append(cat.AssertionResult("direct-sandwich", sandwich <= 0.0, sandwich, 0.0))
     return out
 
-
-#: field nodes, cells*(n_t+1)*n_x, up to which the ladders' cells join the
-#: run's lattice batch.  One batch pays each step's numpy call overhead once
-#: for every cell, but holds every ladder field at once; the cap is about
-#: the nodes one 8-cell double-ladder column holds at the catalog's 200x161
-#: default grid (258,888), so a run's largest batch stays that size
-_RUN_BATCH_NODES = 2 ** 18
 
 #: reporting-grid nodes, (n_t+1)*n_x, from which a run's lattice batch is
 #: swept in a forked child.  The fork costs CPU time (copied pages, two busy
@@ -498,6 +521,11 @@ def run(config: RunConfig, assert_mode: bool = False,
     ladders = dict(config.ladders)
     if assert_mode and config.entry is not None and not ladders:
         ladders = dict(config.entry.ladders)
+        try:
+            _check_cell_nodes(grid, ladders)
+        except ConfigError as err:
+            _diag("config", status="error", detail='"%s"' % err)
+            return EXIT_VALIDATION
 
     results = RunResults(grid=grid)
     try:
@@ -512,23 +540,22 @@ def run(config: RunConfig, assert_mode: bool = False,
         _diag("validate", status="ok", f_lipschitz_y=_fmt(report.f_lipschitz_y),
               f_lipschitz_z=_fmt(report.f_lipschitz_z))
 
-        # the main lattice solve and the eps-probes, which shift its h,
-        # are one batch; under --method pde it is only the probes' base.
-        # The ladders' cells join it while all its distinct fields fit
-        # the budget, and reach the ladders through swept
+        # the main lattice solve, the eps-probes, which shift its h, and the
+        # ladders' cells are one batch, which keeps only the main field (under
+        # --method pde only the probes' base) and the others' summaries
         epsilons = ladders.get("epsilon_list", [])
-        main_cell = SweepCell(penalties)
-        cells = ([main_cell] + [SweepCell(penalties, eps) for eps in epsilons]
-                 if config.method != "pde" or epsilons else [])
-        rungs = _ladder_cells(penalties, ladders)
-        if len(set(cells + rungs)) * (grid.n_t + 1) * grid.n_x > _RUN_BATCH_NODES:
-            rungs = []
+        reflected, double, row = _ladders(penalties, ladders)
+        main = SweepCell(penalties)
+        batch = Batch.of([lad for lad in (reflected, double, row) if lad is not None],
+                         [main] if config.method != "pde" or epsilons else [],
+                         [(main, SweepCell(penalties, eps)) for eps in epsilons])
         params = PdeSchemeParams(grid=grid, penalty=penalties)
 
         def lattice_batch():
-            batch = sweep_cells(spec, grid, cells + rungs)
-            return ([_field_or_raise(r) for r in batch[:len(cells)]],
-                    dict(zip(rungs, batch[len(cells):])))
+            swept = dict(zip(batch, sweep_cells(spec, grid, batch)))
+            for cell in batch.keep + tuple(probe for _, probe in batch.probes):
+                _field_or_raise(swept[cell])
+            return swept
 
         def pde_solves():
             pde = direct = None
@@ -540,20 +567,15 @@ def run(config: RunConfig, assert_mode: bool = False,
 
         # the two sides share nothing until the cross gap, so a large
         # enough run sweeps its batch in a child while the PDE solves here
-        if (cells and (config.method != "lattice" or "residual" in config.emit)
+        if (batch.keep and (config.method != "lattice" or "residual" in config.emit)
                 and _fork_pays(grid)):
-            (batch, swept), (pde_field, results.direct_field) = _beside_child(
-                lattice_batch, pde_solves)
+            swept, (pde_field, results.direct_field) = _beside_child(lattice_batch, pde_solves)
         else:
-            batch, swept = lattice_batch()
+            swept = lattice_batch()
             pde_field, results.direct_field = pde_solves()
-        probes = []
-        if batch:
-            base, *probes = batch
-            swept[main_cell] = base
-            if config.method != "pde":
-                results.fields["lattice"] = base
-        del batch  # so that del probes below frees the probe fields
+        base = swept[main].field if batch.keep else None
+        if base is not None and config.method != "pde":
+            results.fields["lattice"] = base
         if pde_field is not None:
             results.fields["pde"] = pde_field
         if config.method == "both":
@@ -567,20 +589,18 @@ def run(config: RunConfig, assert_mode: bool = False,
         for method, fld in sorted(solved.items()):
             if fld is not None:
                 require_finite(fld, method=method)
-        if probes and "lattice" not in results.fields:
+        if batch.probes and "lattice" not in results.fields:
             require_finite(base, n=penalties.n_upper,
                            m=np.inf if penalties.project_lower else penalties.m_value)
-        results.stability_gaps = [probe_output_gap(base, require_finite(p, eps=eps))
-                                  for eps, p in zip(epsilons, probes)]
-        del probes  # the ladders run without the probe fields
+        results.stability_gaps = [_probe_gap(swept, *pair, eps)
+                                  for eps, pair in zip(epsilons, batch.probes)]
 
-        if "n_list" in ladders:
-            results.ladder_report = monotone_ladder(
-                spec, grid, ladders["n_list"], penalty_mode=penalties.penalty_mode,
-                kappa_f=penalties.kappa_f, swept=swept)
+        if reflected is not None:
+            results.ladder_report = monotone_report(reflected, swept)
+        if double is not None:
+            results.double_report = double_report(double, swept)
         if "m_list" in ladders:
-            results.m_ladder, results.double_report = _m_ladder(
-                spec, grid, penalties, ladders, swept)
+            results.m_ladder = _m_ladder(penalties, results.double_report, row, swept)
     except NonFiniteField as err:
         # the first node the backward solve made non-finite
         i, j = err.t_index, err.x_index

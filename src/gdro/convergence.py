@@ -11,7 +11,7 @@ import numpy as np
 from .gcore import (NODEWISE_IMPLICIT, DEFAULT_KAPPA_F, PROJECTION, Coefficients,
                     Grid, PenaltyParams, ProblemSpec, driver_sample, obstacle_fields,
                     uncontaminated_mask)
-from .lattice import ladder_column, penalized_sweep
+from .lattice import Batch, Ladder, ladder_column, penalized_sweep, sweep_cells
 from .pde import PdeSchemeParams, solve_penalized_pde
 # LadderRow, asc_residuals, asc_residuals_global and obstacle_violations are
 # also this module's API
@@ -30,11 +30,7 @@ class ConvergenceReport:
 
 def interior_gap(spec: ProblemSpec, grid: Grid, a, b) -> float:
     """Sup |a - b| of two grid fields over the uncontaminated interior."""
-    return _masked_gap(uncontaminated_mask(spec, grid), a, b)
-
-
-def _masked_gap(mask, a, b):
-    return float(np.max(np.abs(np.where(mask, a - b, 0.0))))
+    return float(np.max(np.abs(np.where(uncontaminated_mask(spec, grid), a - b, 0.0))))
 
 
 def _fit_rate_slope(n_values, violations):
@@ -48,33 +44,32 @@ def _fit_rate_slope(n_values, violations):
 
 def monotone_ladder(spec: ProblemSpec, grid: Grid, n_list,
                     penalty_mode: str = NODEWISE_IMPLICIT,
-                    kappa_f: float = DEFAULT_KAPPA_F, swept=None) -> ConvergenceReport:
+                    kappa_f: float = DEFAULT_KAPPA_F) -> ConvergenceReport:
     """Reflected sweeps along an ascending ladder of upper intensities.
 
     Fills per-rung upper violations (which should decay like 1/n), the
     pointwise monotonicity violation against the previous rung (the ladder
-    is non-increasing in n for a monotone scheme), pushing residuals, and a
-    least-squares log-log slope of the upper violation over the rungs with
-    n > 0 above the noise floor.  The rungs not in ``swept``, a mapping of
-    cells already swept to their fields or errors, are one batched sweep.
-    A non-finite rung raises NonFiniteField.
+    is non-increasing in n for a monotone scheme), pushing residuals, the
+    interior z gap to the finest rung, and a least-squares log-log slope of
+    the upper violation over the rungs with n > 0 above the noise floor.
+    The rungs are one batched sweep that keeps no field, only each rung's
+    ladder row and its gaps.  A non-finite rung raises NonFiniteField.
     """
     n_list = [float(v) for v in n_list]
     if not strictly_ascending(n_list):
         raise ValueError("n_list must be strictly ascending")
-    rows, fields = ladder_column(spec, grid, n_list, PROJECTION, penalty_mode, kappa_f, swept)
-    report = ConvergenceReport(rows)
-    report.rate_slope = _fit_rate_slope(
-        [r.n for r in report.rows if r.error is None],
-        [r.sup_upper_violation for r in report.rows if r.error is None])
+    ladder = Ladder(n_list, (PROJECTION,), penalty_mode, kappa_f)
+    batch = Batch.of([ladder])
+    return monotone_report(ladder, dict(zip(batch, sweep_cells(spec, grid, batch))))
 
-    # decay of the derivative field toward the finest rung, interior only
-    finest = next((f for f in reversed(fields) if f is not None), None)
-    if finest is not None:
-        interior = uncontaminated_mask(spec, grid)
-        for row, fld in zip(report.rows, fields):
-            if fld is not None:
-                row.z_gap = _masked_gap(interior, fld.z, finest.z)
+
+def monotone_report(ladder: Ladder, swept: dict) -> ConvergenceReport:
+    """The ConvergenceReport of the reflected ``ladder`` from ``swept`` (see
+    ladder_column)."""
+    report = ConvergenceReport(ladder_column(ladder, 0, swept))
+    clean = [r for r in report.rows if r.error is None]
+    report.rate_slope = _fit_rate_slope([r.n for r in clean],
+                                        [r.sup_upper_violation for r in clean])
     return report
 
 

@@ -25,8 +25,15 @@ and z, come from tables evaluated once per block of time rows
 diffusion weight and gather indices) is built once per block from them.  A
 step then only gathers and combines, reading row r of each kernel table,
 and evaluates the rest of the driver on a row of those tables.  It writes
-each output of the whole batch with one assignment into per-block buffers,
-which are copied into each cell's own arrays once per block.
+each output of the whole batch with one assignment into per-block buffers.
+
+A Batch says what the sweep keeps.  Once per block, the buffers are copied
+into the fields of the cells it keeps (a run's main cell) and reduced, for
+the ladder cells and the probes, to what a ladder row or a probe gap
+reads (CellSummary): maxima over the nodes, and a ladder cell's two asc
+product tables, which are summed over t in forward order after the sweep.
+So a ladder costs two tables per cell, not a field, and a run's main cell,
+probes and ladders are one batch at every grid.
 """
 
 from __future__ import annotations
@@ -39,10 +46,9 @@ import numpy as np
 
 from .gcore import (EXPLICIT, NODEWISE_IMPLICIT, DEFAULT_KAPPA_F, PROJECTION,
                     Coefficients, Grid, PenaltyParams, ProblemSpec, StabilityError,
-                    broadcast, first_true, obstacle_fields, t_free_rows)
-from .scheme import (LadderRow, ObstacleStep, SolutionField, central_diff, ceil_eps,
-                     ladder_row, obstacle_update, ordering_gap, require_finite,
-                     strictly_ascending, z_field)
+                    broadcast, first_true, obstacle_fields, t_free_rows, uncontaminated_mask)
+from .scheme import (LadderRow, NonFiniteField, ObstacleStep, SolutionField, central_diff,
+                     ceil_eps, obstacle_update, strictly_ascending, z_field)
 
 #: widened-domain margin, in adversarial diffusive standard deviations
 MARGIN_SIGMAS = 6.0
@@ -168,32 +174,242 @@ class SweepCell:
     h_shift: float = 0.0
 
 
-def _run_sweep(spec, grid, cells):
-    """Sweep the tuple ``cells`` through one backward time loop.
+def ladder_cells(n_list, m_lower, penalty_mode, kappa_f) -> list:
+    """Per n in ``n_list``, the ladder cell (n, m_lower), or the ValueError
+    of its invalid penalties."""
+    cells = []
+    for n in n_list:
+        try:
+            cells.append(SweepCell(PenaltyParams(n, m_lower, penalty_mode, kappa_f)))
+        except ValueError as err:
+            cells.append(err)
+    return cells
 
-    Returns, per cell, its SolutionField or a StabilityError: that of its
-    own step-size check, else that of the ghost margin or the drift weight,
-    which depend on (spec, grid) alone and so fail every cell alike.  Any
-    other error raises for the whole batch.
+
+class Ladder:
+    """A ladder of penalized sweeps: per m in ``m_list``, the column of the
+    cells (n, m), n in ``n_list``.  Each column is ordered in n; a reflected
+    ladder (m_list (PROJECTION,)) also measures each rung's z gap to its
+    finest rung, and any other ladder is ordered in m as well.  (A plain
+    class: a NamedTuple costs a run's import about 0.2 ms.)"""
+
+    def __init__(self, n_list, m_list, penalty_mode, kappa_f):
+        self.n_list, self.m_list = tuple(n_list), tuple(m_list)
+        self.penalty_mode, self.kappa_f = penalty_mode, kappa_f
+
+    @property
+    def reflected(self):
+        return self.m_list == (PROJECTION,)
+
+    def column(self, j):
+        """The ladder_cells of the column at m_list[j]."""
+        return ladder_cells(self.n_list, self.m_list[j], self.penalty_mode, self.kappa_f)
+
+    def columns(self):
+        return [self.column(j) for j in range(len(self.m_list))]
+
+
+class Batch(tuple):
+    """The distinct cells of one sweep, as a tuple, and what the sweep keeps
+    of them: the SolutionField of each cell in ``keep``, and the reductions
+    the ``ladders`` and the ``probes``, pairs (base, probe), read (see
+    CellSummary)."""
+
+    def __new__(cls, cells, keep=(), probes=(), ladders=()):
+        batch = super().__new__(cls, cells)
+        batch.keep, batch.probes, batch.ladders = tuple(keep), tuple(probes), tuple(ladders)
+        return batch
+
+    @classmethod
+    def of(cls, ladders=(), keep=(), probes=()):
+        """The batch of the cells ``keep``, the probes' cells and the valid
+        cells of ``ladders``, in that order, each once."""
+        cells = [*keep, *(c for pair in probes for c in pair),
+                 *(c for ladder in ladders for column in ladder.columns() for c in column
+                   if isinstance(c, SweepCell))]
+        return cls(dict.fromkeys(cells), keep, probes, ladders)
+
+    def only(self, cells):
+        """This batch restricted to ``cells``."""
+        return Batch(cells, self.keep, self.probes, self.ladders)
+
+
+class CellSummary:
+    """What a Batch sweep keeps of one cell (a plain class, as Ladder).
+
+    field       its SolutionField if the batch keeps it, else None
+    bad         (t_index, x_index) of its first non-finite u, as
+                require_finite finds it (None if finite, or if the batch
+                reads no reductions)
+    violations  (sup (h - u)^+, sup (u - h')^+) of a ladder cell
+    asc         asc_residuals of a ladder cell
+    gaps        (kind, other cell) -> gap: "order" sup (u - u_other)^+,
+                "z" the masked sup |z - z_other| of a reflected rung, and
+                "probe" sup |u - u_other| of a probe's base
     """
+    __slots__ = ("field", "bad", "violations", "asc", "gaps")
+
+    def __init__(self, field, bad, violations, asc, gaps):
+        self.field, self.bad, self.violations, self.asc, self.gaps = (
+            field, bad, violations, asc, gaps)
+
+
+class _Reductions:
+    """The maxima and product tables a Batch asks of its cells ``live``,
+    taken one block of time slices at a time.
+
+    The ordering pairs are each ladder column's neighbouring rungs, and each
+    cell against the same n in the previous m-column, both live; the z pairs
+    are each live rung of a reflected column against its finest live rung.
+    Every quantity but the asc sums is a maximum over the slices, so the
+    blocks may come in any order; the asc products (u - h)*a_plus and
+    (h' - u)*a_minus are kept as (n_t+1, n_x) tables per ladder cell and
+    summed over t after the sweep, as asc_residuals sums them.
+    """
+
+    def __init__(self, spec, grid, live, batch):
+        self.row = row = {c: b for b, c in enumerate(live)}
+        ladder, order, z = {}, {}, {}  # dicts as ordered sets
+        for lad in batch.ladders:
+            columns = [[c if isinstance(c, SweepCell) and c in row else None for c in column]
+                       for column in lad.columns()]
+            for j, column in enumerate(columns):
+                for k, c in enumerate(column):
+                    if c is None:
+                        continue
+                    ladder[c] = None
+                    if k and column[k - 1] is not None:
+                        order[c, column[k - 1]] = None
+                    if j and columns[j - 1][k] is not None:
+                        order[columns[j - 1][k], c] = None
+                valid = [c for c in column if c is not None]
+                if lad.reflected and valid:
+                    z.update(((c, valid[-1]), None) for c in valid)
+        probe = list(dict.fromkeys((a, b) for a, b in batch.probes if a in row and b in row))
+        self.ladder = list(ladder)
+        self.pairs = {"order": list(order), "z": list(z), "probe": probe}
+        self.active = bool(ladder or probe)
+        self.bad = [None] * len(live)
+        self.max = {kind: np.full(len(pairs), -np.inf) for kind, pairs in self.pairs.items()}
+        self.index = {kind: [np.array([row[p[s]] for p in self.pairs[kind]], dtype=np.intp)
+                             for s in (0, 1)] for kind in ("order", "probe")}
+        self.cols = np.array([row[c] for c in ladder], dtype=np.intp)
+        if ladder:
+            self.h, self.hp = obstacle_fields(spec, grid)
+            shape = (len(ladder), grid.n_t + 1, grid.n_x)
+            self.plus, self.minus = np.empty(shape), np.empty(shape)
+            self.low, self.up = np.full(len(ladder), -np.inf), np.full(len(ladder), -np.inf)
+        if z:
+            # z of the cells in a z pair, which index_z indexes
+            zcells = {c: k for k, c in enumerate(dict.fromkeys(c for pair in z for c in pair))}
+            self.zcells = np.array([row[c] for c in zcells], dtype=np.intp)
+            self.index_z = [np.array([zcells[p[s]] for p in z], dtype=np.intp) for s in (0, 1)]
+            self.sigma = Coefficients(spec, grid.x)("sigma", grid.t[:, None])
+            self.mask = uncontaminated_mask(spec, grid)
+            self.dx = grid.dx
+
+    def add(self, u, a_plus, a_minus, top):
+        """Reduce the slices top-1, top-2, ... of the batch, which rows 0, 1,
+        ... of the (rows, cells, nodes) arrays hold."""
+        rows = slice(top - len(u), top)
+
+        def at(table):  # a grid table's slices in the rows' order, per cell
+            return table[rows][::-1, None]
+
+        bad = ~np.isfinite(u)
+        if bad.any():
+            for b in np.flatnonzero(bad.any(axis=(0, 2))):
+                if self.bad[b] is None:  # else a later slice was bad
+                    r = int(np.flatnonzero(bad[:, b].any(axis=1))[0])
+                    self.bad[b] = (top - 1 - r, int(np.argmax(bad[r, b])))
+        if self.ladder:
+            # the ladder cells' u is gathered anew for each difference, so
+            # that no copy of it stays alive beside them
+            h, hp = at(self.h), at(self.hp)
+            self.low = np.maximum(self.low, _sup_positive(h - u[:, self.cols]))
+            self.up = np.maximum(self.up, _sup_positive(u[:, self.cols] - hp))
+            for table, d, a in ((self.plus, u[:, self.cols] - h, a_plus),
+                                (self.minus, hp - u[:, self.cols], a_minus)):
+                d *= a[:, self.cols]
+                table[:, rows] = d[::-1].swapaxes(0, 1)
+        # each gap is reduced before the next one's arrays exist
+        if self.pairs["order"]:
+            hi, lo = self.index["order"]
+            d = u[:, hi]
+            d -= u[:, lo]
+            self._max("order", _sup_positive(d))
+        if self.pairs["z"]:
+            z = at(self.sigma) * central_diff(u[:, self.zcells], self.dx)
+            a, b = self.index_z
+            d = np.where(at(self.mask), z[:, a] - z[:, b], 0.0)
+            self._max("z", np.abs(d, out=d).max(axis=(0, 2)))
+        if self.pairs["probe"]:
+            a, b = self.index["probe"]
+            d = u[:, a]
+            d -= u[:, b]
+            self._max("probe", np.abs(d, out=d).max(axis=(0, 2)))
+
+    def _max(self, kind, gaps):
+        self.max[kind] = np.maximum(self.max[kind], gaps)
+
+    def summaries(self, fields):
+        """A CellSummary per live cell, with ``fields`` {row: field} of the
+        kept rows."""
+        gaps = [{} for _ in self.bad]
+        for kind, pairs in self.pairs.items():
+            for (a, b), gap in zip(pairs, self.max[kind].tolist()):
+                gaps[self.row[a]][kind, b] = gap
+        ladder = {self.row[c]: k for k, c in enumerate(self.ladder)}
+        out = []
+        for b, bad in enumerate(self.bad):
+            k = ladder.get(b)
+            if k is None:
+                out.append(CellSummary(fields.get(b), bad, None, None, gaps[b]))
+                continue
+            # each product table is a C-ordered (n_t+1, n_x) array, summed as
+            # asc_residuals sums its own
+            asc = tuple(float(np.max(np.abs(np.sum(t[k], axis=0))))
+                        for t in (self.plus, self.minus))
+            out.append(CellSummary(fields.get(b), bad, (float(self.low[k]), float(self.up[k])),
+                                   asc, gaps[b]))
+        return out
+
+
+def _sup_positive(d):
+    """sup d^+ per cell of a (rows, cells, nodes) array, overwriting ``d``."""
+    return np.maximum(d, 0.0, out=d).max(axis=(0, 2))
+
+
+def _run_sweep(spec, grid, cells):
+    """Sweep ``cells``, a Batch or a tuple of cells whose fields are all
+    kept, through one backward time loop.
+
+    Returns, per cell, its CellSummary (for a tuple, its SolutionField) or
+    a StabilityError: that of its own step-size check, else that of the
+    ghost margin or the drift weight, which depend on (spec, grid) alone and
+    so fail every cell alike.  Any other error raises for the whole batch.
+    """
+    batch = cells if isinstance(cells, Batch) else Batch(cells, cells)
     results = {}
-    for cell in cells:
+    for cell in batch:
         try:
             cell.penalties.check_explicit_cfl(grid.dt)
         except StabilityError as err:
             results[cell] = err
-    live = [c for c in cells if c not in results]
+    live = [c for c in batch if c not in results]
     if live:
         try:
-            results.update(_sweep_live(spec, grid, live))
+            results.update(_sweep_live(spec, grid, live, batch))
         except StabilityError as err:
             results.update(dict.fromkeys(live, err))
+    if batch is not cells:
+        results = {c: r.field if isinstance(r, CellSummary) else r for c, r in results.items()}
     return [results[c] for c in cells]
 
 
-def _sweep_live(spec, grid, cells):
-    """(cell, SolutionField) pairs of ``cells``, which pass their step-size
-    checks, swept through one backward time loop."""
+def _sweep_live(spec, grid, cells, batch):
+    """(cell, CellSummary) pairs of ``cells``, which pass their step-size
+    checks, swept through one backward time loop as members of ``batch``."""
     dt, dx = grid.dt, grid.dx
 
     # cells sharing a penalty mode and lower projection take adjacent rows,
@@ -228,25 +444,35 @@ def _sweep_live(spec, grid, cells):
     coeffs = Coefficients(spec, xg)
     band = spec.band
 
-    # each cell's field owns its arrays, so a consumer keeping one field
-    # does not keep the batch; cell b stores the core of row b of the batch
-    outs = [SolutionField.empty(grid) for _ in live]
+    # each kept cell's field owns its arrays, so a consumer keeping one
+    # field does not keep the batch; the field of kept row b stores the
+    # core of row b
+    keep = set(batch.keep)
+    kept = [b for b, c in enumerate(live) if c in keep]
+    outs = [SolutionField.empty(grid) for _ in kept]
+    reductions = _Reductions(spec, grid, live, batch)
     u = np.broadcast_to(coeffs("phi"), (len(live), nxe)).copy()
-    for b, out in enumerate(outs):
+    for b, out in zip(kept, outs):
         out.u[grid.n_t] = u[b, core]
+    if reductions.active:
+        zero = np.zeros((1, len(live), grid.n_x))  # no increments at T
+        reductions.add(u[None, :, core], zero, zero, grid.n_t + 1)
 
     # the coefficients and kernels come in blocks of time rows
     # k = n_t-1-i, in loop order; a block's kernels cover the rows before
     # its first failing one, whose error is raised once they are swept.  A
     # step writes the batch's core into the buffers, row r of a block for
-    # slice i0-1-r, which are copied into each cell's field once per block.
-    # The obstacle rows of a group are made per step: as block tables, with
-    # a cell axis, they would hold several times a coefficient table
+    # slice i0-1-r, which are copied into each kept field and reduced once
+    # per block; the defect and the choice, which are not reduced, are made
+    # for the kept rows alone.  The obstacle rows of a group are made per
+    # step: as block tables, with a cell axis, they would hold several times
+    # a coefficient table
     idx = np.arange(nxe)
+    mine = None if len(kept) == len(live) else np.array(kept, dtype=np.intp)
     names = ("u", "a_plus", "a_minus", "k_defect", "sigma_choice")
-    shape = (min(grid.n_t, coeffs.block_rows), len(live), grid.n_x)
-    bufs = [np.empty(shape, dtype=np.int8 if name == "sigma_choice" else float)
-            for name in names]
+    rows_per_block = min(grid.n_t, coeffs.block_rows)
+    bufs = [np.empty((rows_per_block, len(kept) if name in names[3:] else len(live), grid.n_x),
+                     dtype=np.int8 if name == "sigma_choice" else float) for name in names]
     u_buf, plus_buf, minus_buf, defect_buf, choice_buf = bufs
     i0 = grid.n_t
     for times, (sv, bv, lv, hv, hpv, *ks) in coeffs.blocks(
@@ -267,11 +493,15 @@ def _sweep_live(spec, grid, cells):
             u_buf[r] = u[:, core]
             plus_buf[r] = a_plus[:, core]
             minus_buf[r] = a_minus[:, core]
+            if mine is not None:
+                e_low, e_high, c = e_low[mine], e_high[mine], c[mine]
             defect_buf[r] = np.minimum(e_low - c, e_high - c)[:, core]
             choice_buf[r] = (e_high > e_low)[:, core]  # ties resolve to the low endpoint
-        for b, out in enumerate(outs):
-            for name, buf in zip(names, bufs):
-                getattr(out, name)[i0 - n_rows:i0] = buf[:n_rows][::-1, b]
+        for q, (b, out) in enumerate(zip(kept, outs)):
+            for name, buf, col in zip(names, bufs, (b, b, b, q, q)):
+                getattr(out, name)[i0 - n_rows:i0] = buf[:n_rows][::-1, col]
+        if reductions.active:
+            reductions.add(u_buf[:n_rows], plus_buf[:n_rows], minus_buf[:n_rows], i0)
         i0 -= n_rows
         if error is not None:
             raise error
@@ -280,32 +510,40 @@ def _sweep_live(spec, grid, cells):
     # while z is computed
     del sv, bv, lv, hv, hpv, ks, kernels, bufs
     del u_buf, plus_buf, minus_buf, defect_buf, choice_buf
-    sigma = Coefficients(spec, grid.x)("sigma", grid.t[:, None])
-    for out in outs:
-        out.z = z_field(sigma, grid, out.u)
-    return zip(live, outs)
+    if outs:
+        sigma = Coefficients(spec, grid.x)("sigma", grid.t[:, None])
+        for out in outs:
+            out.z = z_field(sigma, grid, out.u)
+    return zip(live, reductions.summaries(dict(zip(kept, outs))))
 
 
-def sweep_cells(spec: ProblemSpec, grid: Grid, cells, swept=None) -> list:
-    """Per cell, its SolutionField or the error that stopped its sweep.
+def sweep_cells(spec: ProblemSpec, grid: Grid, cells) -> list:
+    """Per cell, what _run_sweep returns for it, or the error that stopped
+    its sweep.
 
-    The distinct cells not already in ``swept`` (a mapping of cell to
-    field or error) go through one batched sweep.  A StabilityError of the
-    whole batch is every cell's own.  If the sweep raises a ValueError,
-    each cell is swept on its own, so an error only some cells' values
-    raise (a driver outside its domain at one cell's y) stays with those
-    cells.
+    ``cells`` is a Batch, or cells whose fields are all kept; their distinct
+    cells go through one batched sweep.  A StabilityError of the whole
+    batch is every cell's own.  If the sweep raises a ValueError, each cell
+    is swept on its own, so an error only some cells' values raise (a
+    driver outside its domain at one cell's y) stays with those cells; the
+    cells of a Batch that survive are then swept again as one batch, so that
+    the reductions between them exist.
     """
-    known = dict(swept or {})
-    todo = tuple(c for c in dict.fromkeys(cells) if c not in known)
-    if todo:
-        try:
-            known.update(zip(todo, _run_sweep(spec, grid, todo)))
-        except ValueError as err:
-            if len(todo) == 1:
-                known[todo[0]] = err
-            else:
-                known.update((c, sweep_cells(spec, grid, [c])[0]) for c in todo)
+    planned = isinstance(cells, Batch)
+    todo = cells if planned else tuple(dict.fromkeys(cells))
+    if not todo:
+        return []
+    try:
+        known = dict(zip(todo, _run_sweep(spec, grid, todo)))
+    except ValueError as err:
+        if len(todo) == 1:
+            known = dict.fromkeys(todo, err)
+        else:
+            known = {c: sweep_cells(spec, grid, todo.only([c]) if planned else [c])[0]
+                     for c in todo}
+            alive = [c for c in todo if not isinstance(known[c], Exception)]
+            if planned and len(alive) > 1:
+                known.update(zip(alive, _run_sweep(spec, grid, todo.only(alive))))
     return [known[c] for c in cells]
 
 
@@ -343,47 +581,48 @@ def reflected_sweep(spec: ProblemSpec, grid: Grid, n_upper: float,
         n_upper=n_upper, m_lower=PROJECTION, penalty_mode=penalty_mode, kappa_f=kappa_f))
 
 
-def ladder_cells(n_list, m_lower, penalty_mode, kappa_f) -> list:
-    """Per n in ``n_list``, the ladder cell (n, m_lower), or the ValueError
-    of its invalid penalties."""
-    cells = []
-    for n in n_list:
-        try:
-            cells.append(SweepCell(PenaltyParams(n, m_lower, penalty_mode, kappa_f)))
-        except ValueError as err:
-            cells.append(err)
-    return cells
+def _gap(swept, hi, lo):
+    """The ordering gap sup (u_hi - u_lo)^+ a sweep kept, 0.0 if either
+    cell is invalid or failed."""
+    summary = swept.get(hi)  # None for the ValueError of invalid penalties
+    if not isinstance(summary, CellSummary):
+        return 0.0
+    return summary.gaps.get(("order", lo), 0.0)
 
 
-def ladder_column(spec: ProblemSpec, grid: Grid, n_list, m_lower, penalty_mode, kappa_f,
-                  swept=None, left=None):
-    """(rows, fields) of the cells (n, m_lower), n in ``n_list``, swept as one
-    batch; ``swept`` maps cells already swept to their fields or errors.
+def ladder_column(ladder: Ladder, j: int, swept: dict) -> list:
+    """The LadderRows of column ``j`` of ``ladder``, from ``swept``, which
+    maps each cell of a Batch holding the ladder to its sweep_cells result.
 
     A cell with invalid penalties or a failed sweep gets a row holding the
-    error and the field None; a non-finite field raises NonFiniteField.
-    mono_gap_n is taken against the previous n, and mono_gap_m against
-    ``left`` (u per n at the previous m, None where missing) if given.  A
-    projection column is labelled m = inf."""
+    error; a non-finite cell raises NonFiniteField, the first in n order.
+    mono_gap_n is taken against the previous n and mono_gap_m against the
+    same n in the previous column, each 0.0 where that cell holds an error
+    (or for the first n, the first column); a reflected ladder's mono_gap_m
+    is nan and its z_gap is that to its finest valid rung.  A projection
+    column is labelled m = inf."""
+    m_lower = ladder.m_list[j]
     m = np.inf if m_lower == PROJECTION else m_lower
-    cells = ladder_cells(n_list, m_lower, penalty_mode, kappa_f)
-    swept_fields = iter(sweep_cells(spec, grid, [c for c in cells if isinstance(c, SweepCell)],
-                                    swept))
-    rows, fields, above = [], [], None  # above: u at the previous n
-    obstacles = obstacle_fields(spec, grid)
-    for k, (n, cell) in enumerate(zip(n_list, cells)):
-        fld = next(swept_fields) if isinstance(cell, SweepCell) else cell
-        if isinstance(fld, Exception):
-            rows.append(LadderRow(n=n, m=m, error=str(fld)))
-            fld = None
+    column = ladder.column(j)
+    left = ladder.column(j - 1) if j else None
+    results = [swept[c] if isinstance(c, SweepCell) else c for c in column]
+    valid = [c for c, r in zip(column, results) if not isinstance(r, Exception)]
+    rows = []
+    for k, (n, cell, result) in enumerate(zip(ladder.n_list, column, results)):
+        if isinstance(result, Exception):
+            rows.append(LadderRow(n=n, m=m, error=str(result)))
+            continue
+        if result.bad is not None:
+            raise NonFiniteField({"n": n, "m": m}, *result.bad)
+        row = LadderRow(n=n, m=m, mono_gap_n=_gap(swept, cell, column[k - 1]) if k else 0.0)
+        row.sup_lower_violation, row.sup_upper_violation = result.violations
+        row.asc_plus, row.asc_minus = result.asc
+        if ladder.reflected:
+            row.z_gap = result.gaps["z", valid[-1]]
         else:
-            require_finite(fld, n=n, m=m)
-            rows.append(ladder_row(
-                fld, spec, grid, n, m, obstacles, mono_gap_n=ordering_gap(fld.u, above),
-                mono_gap_m=np.nan if left is None else ordering_gap(left[k], fld.u)))
-        fields.append(fld)
-        above = None if fld is None else fld.u
-    return rows, fields
+            row.mono_gap_m = _gap(swept, left[k], cell) if j else 0.0
+        rows.append(row)
+    return rows
 
 
 @dataclass
@@ -393,14 +632,22 @@ class DoubleLadderReport:
     cells: list  # rows indexed by n, columns by m
 
 
+def double_report(ladder: Ladder, swept: dict) -> DoubleLadderReport:
+    """The DoubleLadderReport of ``ladder`` from ``swept`` (see
+    ladder_column); the columns raise NonFiniteField in m order."""
+    columns = [ladder_column(ladder, j, swept) for j in range(len(ladder.m_list))]
+    return DoubleLadderReport(n_list=list(ladder.n_list), m_list=list(ladder.m_list),
+                              cells=[[column[k] for column in columns]
+                                     for k in range(len(ladder.n_list))])
+
+
 def double_ladder(spec: ProblemSpec, grid: Grid, n_list, m_list,
                   penalty_mode: str = NODEWISE_IMPLICIT,
-                  kappa_f: float = DEFAULT_KAPPA_F, swept=None) -> DoubleLadderReport:
+                  kappa_f: float = DEFAULT_KAPPA_F) -> DoubleLadderReport:
     """Penalized sweeps over the (n, m) product, with ordering diagnostics.
 
-    Each m-column's cells not in ``swept``, a mapping of cells already
-    swept to their fields or errors, are one batched sweep, and only the
-    previous column's value grids are kept.
+    Every cell is one batched sweep that keeps no field, only each cell's
+    ladder row and its gaps to the neighbouring cells in n and in m.
     Per-cell sweep failures are recorded in the cell and the ladder carries
     on; a non-finite field raises NonFiniteField.  Lists must be strictly
     ascending; an empty list gives an empty report.
@@ -409,13 +656,6 @@ def double_ladder(spec: ProblemSpec, grid: Grid, n_list, m_list,
     m_list = [float(v) for v in m_list]
     if not (strictly_ascending(n_list) and strictly_ascending(m_list)):
         raise ValueError("n_list and m_list must be strictly ascending")
-    report = DoubleLadderReport(n_list=n_list, m_list=m_list,
-                                cells=[[None] * len(m_list) for _ in n_list])
-    left = [None] * len(n_list)  # u at the previous m, per n
-    for j, m in enumerate(m_list):
-        rows, fields = ladder_column(spec, grid, n_list, m, penalty_mode, kappa_f, swept, left)
-        left = [None if fld is None else fld.u for fld in fields]
-        del fields  # the next column sweeps with only this one's u alive
-        for cells, row in zip(report.cells, rows):
-            cells[j] = row
-    return report
+    ladder = Ladder(n_list, m_list, penalty_mode, kappa_f)
+    batch = Batch.of([ladder])
+    return double_report(ladder, dict(zip(batch, sweep_cells(spec, grid, batch))))

@@ -69,11 +69,11 @@ def f_operator(d2u, du, u, x, t, spec: ProblemSpec):
 
 def _stability_substeps(spec, grid, penalties, direct):
     """Substeps per reported step so the explicit bound holds for dt_sub at
-    the maxima of the coefficients over the reported times, which include
-    every time _run_pde reads them at.  More than MAX_SUBSTEPS, or more
-    work than MAX_PDE_WORK, raises StabilityError."""
+    the maxima of the coefficients over the times _run_pde reads them at:
+    each step's t_i, so every reported time but T.  More than MAX_SUBSTEPS,
+    or more work than MAX_PDE_WORK, raises StabilityError."""
     coeffs = Coefficients(spec, grid.x)
-    sv, bv, lv = (coeffs(name, grid.t[:, None]) for name in ("sigma", "b", "l"))
+    sv, bv, lv = (coeffs(name, grid.t[:-1, None]) for name in ("sigma", "b", "l"))
     hi2 = spec.band.sigma_high ** 2
     rate = (hi2 * float(np.max(sv ** 2)) / grid.dx ** 2
             + float(np.max(np.abs(2.0 * lv * hi2 + bv))) / grid.dx + penalties.kappa_f)

@@ -230,25 +230,6 @@ def asc_residuals_global(field: SolutionField, spec: ProblemSpec, grid: Grid,
             float(abs(np.sum((hp - field.u) * field.a_minus))))
 
 
-def ordering_gap(hi, lo):
-    """sup (hi - lo)^+ between the value grids u of two solves, 0.0 if
-    either is missing."""
-    if hi is None or lo is None:
-        return 0.0
-    return float(np.max(np.maximum(hi - lo, 0.0)))
-
-
 def strictly_ascending(values) -> bool:
     """Whether each of ``values`` is below the next: a ladder's rungs."""
     return all(a < b for a, b in zip(values, values[1:]))
-
-
-def ladder_row(field, spec, grid, n, m, obstacles=None, **gaps) -> LadderRow:
-    """The ladder row of one solve; ``gaps`` sets mono_gap_n and mono_gap_m,
-    and ``obstacles`` is as in obstacle_violations."""
-    row = LadderRow(n=n, m=m, **gaps)
-    obstacles = obstacles or obstacle_fields(spec, grid)
-    row.sup_lower_violation, row.sup_upper_violation = obstacle_violations(
-        field, spec, grid, obstacles)
-    row.asc_plus, row.asc_minus = asc_residuals(field, spec, grid, obstacles)
-    return row

@@ -14,6 +14,7 @@ import gdro.pde
 from gdro.cli import (EXIT_ASSERT, EXIT_OK, EXIT_STABILITY, EXIT_VALIDATION,
                       ConfigError, load_config, main, parse_config,
                       write_field_csv, write_report_csv, write_residual_csv)
+from gdro.catalog import CATALOG, build_spec
 from gdro.convergence import stability_probe
 from gdro.gcore import Grid
 from gdro.scheme import LadderRow, SolutionField
@@ -131,6 +132,9 @@ class TestLoadConfig:
          "need (n_t + 1)*n_x <= 8388608 nodes, got 1100000000000"),
         ({"problem": dict(INLINE_HEAT, phi="sin(" * 197 + "x" + ")" * 197)}, "/problem",
          "bad expression: expression nests deeper than 100 levels (offset 396)"),
+        # 25 nodes a cell count as 512: each cell costs kilobytes at any grid
+        ({"ladders": {"n_list": list(range(400)), "m_list": list(range(400))}}, "/ladders",
+         "the run's 160801 lattice cells need 82330112 cell-nodes (cap 67108864)"),
     ])
     def test_rejection_pointer_and_message(self, change, pointer, message):
         with pytest.raises(ConfigError) as err:
@@ -437,34 +441,61 @@ def test_each_cell_swept_once(tmp_path, monkeypatch, penalties, ladders):
     assert cells and len(set(cells)) == len(cells)
 
 
-def test_ladders_join_the_run_batch_within_the_budget(tmp_path, monkeypatch):
-    """Within gdro.cli._RUN_BATCH_NODES the main cell, the probes and every
-    ladder cell are one sweep; with no budget each ladder sweeps its own
-    batches, and the outputs are the same bytes."""
+@pytest.mark.parametrize("grid", [{"n_t": 20, "n_x": 33}, {"n_t": 200, "n_x": 161}],
+                         ids=["20x33", "200x161"])
+def test_run_sweeps_one_batch_at_every_grid(tmp_path, monkeypatch, grid):
+    """The main cell, the probes and every cell of the three ladders are one
+    sweep, also at the catalog's default grid, where their fields would not
+    fit one batch; the sweep keeps only the main cell's field."""
     batches = []
     run_sweep = gdro.lattice._run_sweep
 
     def recording(spec, grid, cells):
         batches.append(cells)
-        return run_sweep(spec, grid, cells)
+        results = run_sweep(spec, grid, cells)
+        kept.extend(r.field is not None for r in results)
+        return results
 
+    kept = []
     monkeypatch.setattr(gdro.lattice, "_run_sweep", recording)
     # n_upper = 32 is outside n_list, so the m-ladder is a row of its own
-    cfg = _write(tmp_path, {
-        "problem": "double-obstacle-sine", "grid": {"n_t": 20, "n_x": 33},
+    rc = _solve(tmp_path, {
+        "problem": "double-obstacle-sine", "grid": grid,
         "method": "both", "emit": ["report"], "penalties": {"n_upper": 32},
         "ladders": {"n_list": [4, 8, 16], "m_list": [10, 100], "epsilon_list": [0.1, 0.01]}})
-    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "one")]) == EXIT_OK
+    assert rc == EXIT_OK
     (one,) = batches
-    batches.clear()
-    monkeypatch.setattr(gdro.cli, "_RUN_BATCH_NODES", 0)
-    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "per-ladder")]) == EXIT_OK
-    # main and probes, the reflected rungs, two m-columns, the m-row one m at a time
-    assert [len(b) for b in batches] == [3, 3, 3, 3, 1, 1]
-    assert sorted(map(repr, one)) == sorted(repr(c) for b in batches for c in b)
-    for name in ("report.csv", "summary.json"):
-        assert (tmp_path / "one" / name).read_bytes() == \
-            (tmp_path / "per-ladder" / name).read_bytes()
+    # main and probes, the reflected rungs, the double ladder, the m-row
+    assert len(one) == 3 + 3 + 3 * 2 + 2
+    assert kept == [True] + [False] * (len(one) - 1)
+
+
+def test_cell_node_cap_rejects_before_any_sweep(tmp_path, monkeypatch, capsys):
+    """A run whose lattice cells would hold more than MAX_CELL_NODES
+    cell-nodes exits 2 at /ladders before anything is swept: 3,000 rungs at
+    200x161 once ran out of memory allocating their fields.  The catalog's
+    own ladders are counted under --assert."""
+    monkeypatch.setattr(gdro.lattice, "_run_sweep",
+                        lambda *args: pytest.fail("a lattice sweep ran"))
+    rc = _solve(tmp_path, {
+        "problem": "double-obstacle-sine", "grid": {"n_t": 200, "n_x": 161},
+        "method": "lattice", "ladders": {"n_list": [4.0 + k for k in range(3000)]}})
+    assert rc == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("config status=error") and err.rstrip().endswith('at /ladders"')
+    assert "3001 lattice cells" in err
+
+    payload = {"problem": "double-obstacle-sine", "grid": {"n_t": 2000, "n_x": 1601}}
+    parse_config(payload)  # no ladders of its own
+    assert _solve(tmp_path, payload, "--assert") == EXIT_VALIDATION
+    assert 'at /ladders"' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_catalog_ladders_within_the_cell_node_cap(name):
+    entry = CATALOG[name]
+    grid = Grid.for_problem(build_spec(entry), *entry.grid)
+    gdro.cli._check_cell_nodes(grid, dict(entry.ladders))
 
 
 @pytest.mark.parametrize("h, ladders, record", [

@@ -65,8 +65,8 @@ def _in_process_then_forked(tmp_path, monkeypatch, capsys, payload, forks):
 @pytest.mark.parametrize("method, emit", [
     ("both", ["field", "report", "residual"]), ("pde", ["field", "report"])])
 def test_forked_run_is_byte_identical(tmp_path, monkeypatch, capsys, forks, method, emit):
-    # the ladders' cells fit gdro.cli._RUN_BATCH_NODES, so the forked run
-    # sweeps every cell in the child and none here
+    # the main cell, the probes and the ladders' cells are one batch, which
+    # the forked run sweeps in the child and none here
     batches = []
     run_sweep = gdro.lattice._run_sweep
     monkeypatch.setattr(gdro.lattice, "_run_sweep",

@@ -1,6 +1,6 @@
 import pytest
 
-import gdro.convergence
+import gdro.lattice
 from gdro.convergence import (asc_residuals, asc_residuals_global, cross_validate,
                               interior_gap, monotone_ladder, stability_probe)
 from gdro.gcore import (NODEWISE_IMPLICIT, Grid, PenaltyParams, ProblemSpec,
@@ -47,7 +47,8 @@ class TestMonotoneLadder:
         assert report.rows[-1].z_gap == 0.0
 
     def test_one_boundary_mask_per_ladder(self, monkeypatch):
-        # each rung's z_gap rebuilt the mask, and with it a sigma table
+        # each rung's z_gap rebuilt the mask, and with it a sigma table; the
+        # sweep that reduces the rungs builds it once
         spec = _sine_spec()
         grid = Grid.for_problem(spec, 20, 41)
         n_list = [4.0, 16.0, 64.0]
@@ -58,7 +59,7 @@ class TestMonotoneLadder:
         def counted(*args):
             calls.append(args)
             return uncontaminated_mask(*args)
-        monkeypatch.setattr(gdro.convergence, "uncontaminated_mask", counted)
+        monkeypatch.setattr(gdro.lattice, "uncontaminated_mask", counted)
         report = monotone_ladder(spec, grid, n_list)
         assert len(calls) == 1
         assert [r.z_gap for r in report.rows] == want  # bitwise; no NaN here

@@ -9,19 +9,24 @@ driver's Lipschitz constants stay near 0.3 in y and 0.1 in z, and sigma =
 1 + 0.2 sin(...) keeps the stencil spans fixed.
 """
 
-from dataclasses import replace
+from dataclasses import fields as dc_fields, replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gdro.lattice
 from gdro.catalog import MONO_TOL
-from gdro.convergence import monotone_ladder
+from gdro.convergence import monotone_ladder, probe_output_gap
 from gdro.expr import BinOp, Num
-from gdro.gcore import (NODEWISE_IMPLICIT, PROJECTION, Grid, PenaltyParams, ProblemSpec,
-                        obstacle_fields, uncontaminated_mask)
-from gdro.lattice import SweepCell, double_ladder, penalized_sweep, sweep_cells
+from gdro.gcore import (EXPLICIT, NODEWISE_IMPLICIT, PROJECTION, Grid, PenaltyParams,
+                        ProblemSpec, obstacle_fields, uncontaminated_mask)
+from gdro.lattice import (Batch, Ladder, SweepCell, double_ladder, ladder_column,
+                          penalized_sweep, sweep_cells)
 from gdro.pde import PdeSchemeParams, solve_double_obstacle_direct, solve_penalized_pde
+from gdro.scheme import (LadderRow, NonFiniteField, asc_residuals, obstacle_violations,
+                         require_finite)
 
 N_LIST = [4.0, 16.0, 64.0]
 M_LIST = [4.0, 16.0, 64.0]
@@ -131,3 +136,164 @@ def test_raised_data_raise_both_solutions(spec, raise_by):
     pde = (solve_penalized_pde(spec, PdeSchemeParams(grid, pen)).u
            - solve_penalized_pde(raised, PdeSchemeParams(grid, pen)).u)
     assert np.max(pde[uncontaminated_mask(spec, grid)]) <= MONO_TOL
+
+
+# The reducing sweep against full fields.  A Batch keeps only its main
+# cell's field and reduces every other cell to the inputs of its ladder row
+# (or its probe gap) block by block; the reference below computes the same
+# rows from the full fields of the same cells, which sweep_cells keeps when
+# given the cells alone.  Every value must agree bitwise.
+
+def ordering_gap(hi, lo):
+    """sup (hi - lo)^+ between two value grids, 0.0 if either is missing
+    (a neighbour that holds an error)."""
+    if hi is None or lo is None:
+        return 0.0
+    return float(np.max(np.maximum(hi - lo, 0.0)))
+
+
+def ladder_row(field, spec, grid, n, m, **gaps):
+    """The ladder row of one full field; ``gaps`` sets the ordering gaps."""
+    row = LadderRow(n=n, m=m, **gaps)
+    row.sup_lower_violation, row.sup_upper_violation = obstacle_violations(field, spec, grid)
+    row.asc_plus, row.asc_minus = asc_residuals(field, spec, grid)
+    return row
+
+
+def reference_columns(spec, grid, ladder, fields):
+    """Per column of ``ladder``, its LadderRows from ``fields``, each cell's
+    full field or error; a non-finite field raises NonFiniteField."""
+    mask = uncontaminated_mask(spec, grid)
+    columns, left = [], [None] * len(ladder.n_list)
+    for m, cells in zip(ladder.m_list, ladder.columns()):
+        m = np.inf if m == PROJECTION else m
+        results = [fields[c] if isinstance(c, SweepCell) else c for c in cells]
+        us = [None if isinstance(r, Exception) else r.u for r in results]
+        rows = []
+        for k, (n, r) in enumerate(zip(ladder.n_list, results)):
+            if isinstance(r, Exception):
+                rows.append(LadderRow(n=n, m=m, error=str(r)))
+                continue
+            require_finite(r, n=n, m=m)
+            rows.append(ladder_row(
+                r, spec, grid, n, m, mono_gap_n=ordering_gap(r.u, us[k - 1] if k else None),
+                mono_gap_m=np.nan if ladder.reflected else ordering_gap(left[k], r.u)))
+        finest = next((r for r in reversed(results) if not isinstance(r, Exception)), None)
+        if ladder.reflected and finest is not None:
+            for row, r in zip(rows, results):
+                if not isinstance(r, Exception):
+                    row.z_gap = float(np.max(np.abs(np.where(mask, r.z - finest.z, 0.0))))
+        columns.append(rows)
+        left = us
+    return columns
+
+
+def _bits(row):
+    return row.error, np.array([getattr(row, f.name) for f in dc_fields(LadderRow)
+                                if f.name != "error"], dtype=float).tobytes()
+
+
+def _assert_rows_equal(got, want):
+    assert [_bits(r) for r in got] == [_bits(r) for r in want]
+
+
+def _full_fields(spec, grid, batch):
+    return dict(zip(batch, sweep_cells(spec, grid, list(batch))))
+
+
+#: the implicit ladders order valid rungs; the explicit ones hold an invalid
+#: rung (n = -1) and column (m = -1), and cells failing the explicit
+#: step-size check dt*(n + m + 5) <= 1 at dt = 0.05 (n = 16 and 64, and
+#: m = 20)
+_ERROR_N = (-1.0, 1.0, 4.0, 16.0, 64.0)
+_LADDERS = (Ladder(N_LIST, (PROJECTION,), NODEWISE_IMPLICIT, 5.0),
+            Ladder(N_LIST, M_LIST, NODEWISE_IMPLICIT, 5.0),
+            Ladder(_ERROR_N, (PROJECTION,), EXPLICIT, 5.0),
+            Ladder(_ERROR_N, (-1.0, 2.0, 10.0, 20.0), EXPLICIT, 5.0))
+_MAIN = SweepCell(_implicit(16.0, 16.0))
+_PROBES = tuple((_MAIN, SweepCell(_MAIN.penalties, eps)) for eps in (0.1, 0.01, 0.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(problems())
+def test_reducing_sweep_equals_its_full_field_reference(spec):
+    grid = _grid(spec)
+    batch = Batch.of(_LADDERS, [_MAIN], _PROBES)
+    swept = dict(zip(batch, sweep_cells(spec, grid, batch)))
+    fields = _full_fields(spec, grid, batch)
+    for ladder in _LADDERS:
+        for j, want in enumerate(reference_columns(spec, grid, ladder, fields)):
+            _assert_rows_equal(ladder_column(ladder, j, swept), want)
+    for base, probe in _PROBES:
+        assert swept[base].gaps["probe", probe] == probe_output_gap(fields[base], fields[probe])
+    assert [c for c in batch if getattr(swept[c], "field", None) is not None] == [_MAIN]
+    for name in ("u", "z", "a_plus", "a_minus", "k_defect", "sigma_choice"):
+        assert getattr(swept[_MAIN].field, name).tobytes() == \
+            getattr(fields[_MAIN], name).tobytes(), name
+
+    # the public ladders sweep a batch of their own
+    reflected, double = _LADDERS[2:]
+    (want,) = reference_columns(spec, grid, reflected, fields)
+    _assert_rows_equal(monotone_ladder(spec, grid, reflected.n_list, EXPLICIT).rows, want)
+    cells = double_ladder(spec, grid, double.n_list, double.m_list, EXPLICIT).cells
+    for got, want in zip(zip(*cells), reference_columns(spec, grid, double, fields)):
+        _assert_rows_equal(got, want)
+
+
+def test_reducing_sweep_after_a_cell_domain_error(monkeypatch):
+    # the driver is undefined above y = 1.05, which the n = 10 rung reaches
+    # (see test_lattice): the batch raises, each rung is swept alone, and
+    # the two that survive are swept again as one batch, whose gap between
+    # them is the one their full fields give
+    spec = ProblemSpec.from_strings(
+        horizon=1.0, x_min=-3.0, x_max=3.0, sigma_low=0.5, sigma_high=1.0,
+        f="2 + 0*sqrt(1.05 - y)", phi="0.5", h="-10", h_prime="1")
+    grid = _grid(spec)
+    ladder = Ladder((10.0, 1000.0, 2000.0), (PROJECTION,), NODEWISE_IMPLICIT, 5.0)
+    batch = Batch.of([ladder])
+    batches = []
+    run_sweep = gdro.lattice._run_sweep
+    monkeypatch.setattr(gdro.lattice, "_run_sweep",
+                        lambda *args: batches.append(len(args[2])) or run_sweep(*args))
+    rows = ladder_column(ladder, 0, dict(zip(batch, sweep_cells(spec, grid, batch))))
+    assert batches == [3, 1, 1, 1, 2]
+    monkeypatch.undo()
+    (want,) = reference_columns(spec, grid, ladder, _full_fields(spec, grid, batch))
+    _assert_rows_equal(rows, want)
+    assert "sqrt" in rows[0].error and rows[2].mono_gap_n == want[2].mono_gap_n
+
+
+def _first_non_finite(field):
+    try:
+        require_finite(field)
+    except NonFiniteField as err:
+        return err.t_index, err.x_index
+    return None
+
+
+@np.errstate(invalid="ignore", over="ignore")  # the 0*inf of h, as in cli.run
+def test_reducing_sweep_finds_the_first_non_finite_node():
+    # the reflected rungs project onto an h that is nan in the ghost cells,
+    # and the eps = inf probe shifts h to inf; the penalized cells stay
+    # finite (see test_cli)
+    spec = ProblemSpec.from_strings(
+        horizon=1.0, x_min=-3.0, x_max=3.0, sigma_low=0.5, sigma_high=1.0,
+        f="2*sin(x) - 0.3*y", phi="0.1*sin(x)", h="-1 + 0*exp(800*(-x - 3.05))",
+        h_prime="0.4 + 0.1*sin(x - t)")
+    grid = _grid(spec)
+    main = SweepCell(_implicit(64.0, 64.0))
+    probes = [(main, SweepCell(main.penalties, eps)) for eps in (0.1, np.inf)]
+    ladders = _LADDERS[:2]
+    batch = Batch.of(ladders, [main], probes)
+    swept = dict(zip(batch, sweep_cells(spec, grid, batch)))
+    fields = _full_fields(spec, grid, batch)
+    bad = {c: _first_non_finite(f) for c, f in fields.items()}
+    assert bad[probes[1][1]] is not None and bad[main] is None
+    assert {c: swept[c].bad for c in batch} == bad
+    with pytest.raises(NonFiniteField) as got:
+        ladder_column(ladders[0], 0, swept)
+    with pytest.raises(NonFiniteField) as want:
+        reference_columns(spec, grid, ladders[0], fields)
+    assert str(got.value) == str(want.value) and got.value.label == {"n": 4.0, "m": np.inf}
+    for j, want in enumerate(reference_columns(spec, grid, ladders[1], fields)):
+        _assert_rows_equal(ladder_column(ladders[1], j, swept), want)

@@ -8,8 +8,8 @@ from gdro.expr import DomainError
 from gdro.gcore import (Grid, PenaltyParams, ProblemSpec, StabilityError,
                         VolatilityBand, g_eval, obstacle_fields)
 from gdro.lattice import SolutionField, penalized_sweep
-from gdro.pde import (PdeSchemeParams, _dilate, complementarity_residual, f_operator,
-                      solve_double_obstacle_direct, solve_penalized_pde)
+from gdro.pde import (PdeSchemeParams, _dilate, _stability_substeps, complementarity_residual,
+                      f_operator, solve_double_obstacle_direct, solve_penalized_pde)
 
 
 def _spec(**kw):
@@ -100,6 +100,16 @@ class TestPenalizedPde:
             solve_penalized_pde(spec, PdeSchemeParams(
                 grid=grid, penalty=PenaltyParams(n_upper=1e9)))
 
+    def test_substeps_sized_at_the_times_a_step_reads(self):
+        # sigma is 1 at every t_i <= 0.95 a step reads and 2.2 only at T = 1,
+        # where no step reads it, so it needs the substeps of sigma = 1
+        def substeps(sigma):
+            spec = _spec(sigma_low=0.5, sigma_high=1.0, sigma=sigma)
+            return _stability_substeps(spec, Grid.for_problem(spec, 20, 121),
+                                       PenaltyParams(), False)
+
+        assert substeps("1 + 30*pos(t - 0.96)") == substeps("1") == 21
+
     def test_implicit_kappa_rejection(self):
         spec = _spec()
         grid = Grid.for_problem(spec, 2, 61)  # dt = 0.5, kappa_f = 5
@@ -125,7 +135,7 @@ class TestPenalizedPde:
         grid = Grid.for_problem(spec, 50, 81)
         fld = solve_penalized_pde(spec, PdeSchemeParams(grid=grid))
 
-        rate = 1.2 ** 2 * max(sig(t) for t in grid.t) ** 2 / grid.dx ** 2 + 5.0
+        rate = 1.2 ** 2 * max(sig(t) for t in grid.t[:-1]) ** 2 / grid.dx ** 2 + 5.0
         nsub = max(1, int(np.ceil(grid.dt * rate - 1e-9)))
         dts = grid.dt / nsub
         u = grid.x ** 2

@@ -1,0 +1,65 @@
+"""Peak RSS and CPU time of every catalog entry's run.
+
+    python3 tools/run_cost.py [--root DIR]
+
+Runs ``gdro solve --assert --method both`` on each catalog entry at its
+default grid, emitting the report only, with the package imported from
+``DIR/src`` (default: this checkout), one child process at a time.  Prints
+one line per entry: its grid, the child's exit code, its peak resident set
+size (``ru_maxrss``, in MiB) and its user plus system CPU time (in s), as
+``os.wait4`` reports them for that child.  To compare two checkouts:
+
+    python3 tools/run_cost.py --root ../old
+    python3 tools/run_cost.py
+
+The numbers describe the machine they were taken on; peak RSS also moves by
+a fraction of a MiB with the directory a run starts from.  Uses only the
+standard library.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+_LIST_ENTRIES = ("import json; from gdro.catalog import CATALOG; "
+                 "print(json.dumps({k: list(e.grid) for k, e in sorted(CATALOG.items())}))")
+
+
+def run_costs(root, work):
+    """Yield (entry, n_t, n_x, exit code, peak RSS in MiB, CPU s) per entry."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    listing = subprocess.run([sys.executable, "-c", _LIST_ENTRIES], env=env,
+                             check=True, capture_output=True, text=True)
+    for name, (n_t, n_x) in json.loads(listing.stdout).items():
+        config = os.path.join(work, name + ".json")
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump({"problem": name, "grid": {"n_t": n_t, "n_x": n_x},
+                       "method": "both", "emit": ["report"]}, fh)
+        proc = subprocess.Popen([sys.executable, "-m", "gdro.cli", "solve", "--config", config,
+                                 "--out", os.path.join(work, name), "--assert"],
+                                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+        yield (name, n_t, n_x, proc.returncode, usage.ru_maxrss / 1024.0,
+               usage.ru_utime + usage.ru_stime)
+
+
+def main(argv=None):
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--root", default=here, help="checkout whose src/ is run")
+    args = ap.parse_args(argv)
+    print("%-22s %9s %5s %12s %8s" % ("entry", "grid", "exit", "peak_rss_mb", "cpu_s"))
+    with tempfile.TemporaryDirectory() as work:
+        for name, n_t, n_x, code, rss, cpu in run_costs(os.path.abspath(args.root), work):
+            print("%-22s %9s %5d %12.2f %8.3f" % (name, "%dx%d" % (n_t, n_x), code, rss, cpu))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
