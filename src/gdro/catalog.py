@@ -9,19 +9,18 @@ actually used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .gcore import EXPLICIT, NODEWISE_IMPLICIT, Grid, ProblemSpec
+from .record import Record
 
 GHEAT_ANCHOR_TOL = 2e-2
 CROSS_GAP_FACTOR = 5.0
 MONO_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record, frozen=True):
     name: str
     problem: dict       # ProblemSpec.from_strings kwargs
     grid: tuple         # default (n_t, n_x)
@@ -119,8 +118,7 @@ def bermudan_put_binomial(x0: float, vol: float, horizon: float, n_t: int,
     return float(values[0])
 
 
-@dataclass
-class AssertionResult:
+class AssertionResult(Record):
     name: str
     ok: bool
     value: float

@@ -27,7 +27,7 @@ import pickle
 import signal
 import sys
 import tempfile
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import field as dc_field, replace
 from itertools import compress
 
 import numpy as np
@@ -42,6 +42,7 @@ from .lattice import (Batch, DoubleLadderReport, Ladder, SweepCell, _field_or_ra
                       double_report, sweep_cells)
 from .pde import (PdeSchemeParams, complementarity_residual,
                   solve_double_obstacle_direct, solve_penalized_pde)
+from .record import Record
 from .scheme import NonFiniteField, require_finite, strictly_ascending
 
 EXIT_OK = 0
@@ -75,8 +76,7 @@ def _diag(record, **fields):
     print(" ".join(parts), file=sys.stderr)
 
 
-@dataclass
-class RunConfig:
+class RunConfig(Record):
     spec: ProblemSpec
     grid: Grid
     method: str
@@ -87,8 +87,7 @@ class RunConfig:
     entry: object = None  # CatalogEntry when resolved from the catalog
 
 
-@dataclass
-class RunResults:
+class RunResults(Record):
     grid: Grid
     fields: dict = dc_field(default_factory=dict)   # method -> SolutionField
     direct_field: object = None

@@ -4,7 +4,7 @@ residuals, stability probes, and cross-validation between the two solvers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import field as dc_field
 
 import numpy as np
 
@@ -13,6 +13,7 @@ from .gcore import (NODEWISE_IMPLICIT, DEFAULT_KAPPA_F, PROJECTION, Coefficients
                     uncontaminated_mask)
 from .lattice import Batch, Ladder, ladder_column, penalized_sweep, sweep_cells
 from .pde import PdeSchemeParams, solve_penalized_pde
+from .record import Record
 # LadderRow, asc_residuals, asc_residuals_global and obstacle_violations are
 # also this module's API
 from .scheme import (LadderRow, SolutionField, asc_residuals, asc_residuals_global,
@@ -22,8 +23,7 @@ from .scheme import (LadderRow, SolutionField, asc_residuals, asc_residuals_glob
 RATE_FIT_FLOOR = 10.0 * np.finfo(float).eps
 
 
-@dataclass
-class ConvergenceReport:
+class ConvergenceReport(Record):
     rows: list = dc_field(default_factory=list)
     rate_slope: float | None = None
 

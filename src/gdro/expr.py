@@ -31,9 +31,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 import numpy as np
+
+from .record import Record
 
 VARIABLES = ("t", "x", "y", "z")
 UNARY_FUNCTIONS = ("abs", "exp", "log", "sin", "cos", "sqrt", "pos", "neg")
@@ -74,34 +75,28 @@ class DomainError(ExprError):
         return "%s in %r" % (self.message, format_expr(self.node))
 
 
-@dataclass(frozen=True)
-class Expression:
+class Expression(Record, frozen=True):
     """Immutable AST node; safe to share once parsed."""
 
 
-@dataclass(frozen=True)
 class Num(Expression):
     value: float
 
 
-@dataclass(frozen=True)
 class Var(Expression):
     name: str
 
 
-@dataclass(frozen=True)
 class Neg(Expression):
     operand: Expression
 
 
-@dataclass(frozen=True)
 class BinOp(Expression):
     op: str  # one of + - * / ^
     left: Expression
     right: Expression
 
 
-@dataclass(frozen=True)
 class Call(Expression):
     func: str
     args: tuple

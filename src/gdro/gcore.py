@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
+from .record import Record
 
 PROJECTION = "projection"
 EXPLICIT = "explicit"
@@ -43,8 +44,7 @@ class StabilityError(RuntimeError):
     """Raised when a scheme's monotonicity/step-size requirement fails at entry."""
 
 
-@dataclass(frozen=True)
-class VolatilityBand:
+class VolatilityBand(Record, frozen=True):
     sigma_low: float
     sigma_high: float
 
@@ -110,8 +110,7 @@ class ProblemSpec:
         )
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(Record, frozen=True):
     """Uniform time-space grid; t_i = i*dt, x_j = x_min + j*dx."""
     n_t: int
     n_x: int
@@ -199,8 +198,7 @@ class PenaltyParams:
                     "implicit mode requires dt*kappa_f < 1, got %.6g" % (dt * self.kappa_f))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record, frozen=True):
     kind: str  # non-finite-coefficient | obstacle-crossing | terminal-sandwich
                # | negative-diffusion
     t_index: int
@@ -210,8 +208,7 @@ class Violation:
     detail: str
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(Record):
     ok: bool
     violations: list = field(default_factory=list)
     f_lipschitz_y: float = 0.0
@@ -296,6 +293,11 @@ class Coefficients:
                 tables = [self(name, times[:, None]) for name in names]
             yield times, tables
             k += len(times)
+
+    @property
+    def reads_z(self):
+        """Whether the driver reads z; if not, ``f`` may take None for it."""
+        return "z" in ex.variables(self.driver)
 
     def f(self, ks, y, z):
         """The driver at y and z, where ``ks`` holds the values of the

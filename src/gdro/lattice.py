@@ -38,7 +38,6 @@ probes and ladders are one batch at every grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 from typing import NamedTuple
 
@@ -47,6 +46,7 @@ import numpy as np
 from .gcore import (EXPLICIT, NODEWISE_IMPLICIT, DEFAULT_KAPPA_F, PROJECTION,
                     Coefficients, Grid, PenaltyParams, ProblemSpec, StabilityError,
                     broadcast, first_true, obstacle_fields, t_free_rows, uncontaminated_mask)
+from .record import Record
 from .scheme import (LadderRow, NonFiniteField, ObstacleStep, SolutionField, central_diff,
                      ceil_eps, obstacle_update, strictly_ascending, z_field)
 
@@ -166,8 +166,7 @@ def _extension_cells(spec, grid):
     return int(cells)
 
 
-@dataclass(frozen=True)
-class SweepCell:
+class SweepCell(Record, frozen=True):
     """One member of a batched sweep: its penalties, and a constant added to
     the lower obstacle h (an ε-probe's perturbation)."""
     penalties: PenaltyParams
@@ -468,6 +467,7 @@ def _sweep_live(spec, grid, cells, batch):
     # step: as block tables, with a cell axis, they would hold several times
     # a coefficient table
     idx = np.arange(nxe)
+    reads_z = coeffs.reads_z  # a driver free of z gets None, not a product per step
     mine = None if len(kept) == len(live) else np.array(kept, dtype=np.intp)
     names = ("u", "a_plus", "a_minus", "k_defect", "sigma_choice")
     rows_per_block = min(grid.n_t, coeffs.block_rows)
@@ -482,7 +482,7 @@ def _sweep_live(spec, grid, cells, batch):
         for r in range(n_rows):
             # rows of the tables as (1, nodes) slices, as in _endpoint_expectation
             row = slice(r, r + 1)
-            z_tilde = sv[row] * central_diff(u, dx)
+            z_tilde = sv[row] * central_diff(u, dx) if reads_z else None
             e_low, e_high = (_endpoint_expectation(u, u, k, r) for k in kernels)
             c = np.maximum(e_low, e_high)
             base = c + dt * coeffs.f([a[row] for a in ks], c, z_tilde)
@@ -625,8 +625,7 @@ def ladder_column(ladder: Ladder, j: int, swept: dict) -> list:
     return rows
 
 
-@dataclass
-class DoubleLadderReport:
+class DoubleLadderReport(Record):
     n_list: list
     m_list: list
     cells: list  # rows indexed by n, columns by m

@@ -29,12 +29,13 @@ fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import field as dc_field
 
 import numpy as np
 
 from .gcore import (EXPLICIT, NODEWISE_IMPLICIT, Coefficients, Grid, PenaltyParams,
                     ProblemSpec, StabilityError, g_eval, obstacle_fields, uncontaminated_mask)
+from .record import Record
 from .scheme import ObstacleStep, SolutionField, ceil_eps, obstacle_update, z_field
 
 #: contact-set exclusion margins for the residual sup, as domain fractions
@@ -52,8 +53,7 @@ MAX_SUBSTEPS = 10_000
 MAX_PDE_WORK = 2 ** 31
 
 
-@dataclass(frozen=True)
-class PdeSchemeParams:
+class PdeSchemeParams(Record, frozen=True):
     grid: Grid
     penalty: PenaltyParams = dc_field(default_factory=PenaltyParams)
 
@@ -63,7 +63,7 @@ def f_operator(d2u, du, u, x, t, spec: ProblemSpec):
     coeffs = Coefficients(spec, x)
     sv, bv, lv, *ks = (coeffs(name, t) for name in ("sigma", "b", "l") + coeffs.driver_fields)
     out = (g_eval(sv ** 2 * d2u + 2.0 * lv * du, spec.band) + bv * du
-           + coeffs.f(ks, u, sv * du))
+           + coeffs.f(ks, u, sv * du if coeffs.reads_z else None))
     return out if np.ndim(out) else float(out)
 
 
@@ -122,6 +122,7 @@ def _run_pde(spec, grid, penalties, direct):
     g = np.empty(grid.n_x + 2)
     g_up, g_dn = g[2:], g[:-2]
 
+    reads_z = coeffs.reads_z
     i = grid.n_t
     for _, (sv, bv, lv, hv, hpv, *ks) in coeffs.blocks(
             ("sigma", "b", "l", "h", "h_prime") + coeffs.driver_fields, grid):
@@ -134,7 +135,7 @@ def _run_pde(spec, grid, penalties, direct):
                 d2 = (g_up - two * u + g_dn) / dx2
                 d1 = (g_up - g_dn) / two_dx
                 harg = s2 * d2 + l2 * d1
-                F = g_eval(harg, band) + bvr * d1 + coeffs.f(kr, u, svr * d1)
+                F = g_eval(harg, band) + bvr * d1 + coeffs.f(kr, u, svr * d1 if reads_z else None)
                 out.k_defect[i] += defect * np.abs(harg) * dts
                 base = u + dts * F
                 u, ap, am = obstacle_update(base, u, hr, hpr, step)

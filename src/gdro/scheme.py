@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gcore import NODEWISE_IMPLICIT, Grid, ProblemSpec, obstacle_fields
+from .record import Record
 
 #: guard against floating-point noise when rounding step counts and spans up
 CEIL_EPS = 1e-9
@@ -29,8 +30,7 @@ def ceil_eps(a):
     return np.ceil(a - CEIL_EPS)
 
 
-@dataclass
-class SolutionField:
+class SolutionField(Record):
     """Grid fields produced by one sweep.
 
     u             value grid, shape (n_t+1, n_x); u[-1] is the terminal slice

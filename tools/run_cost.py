@@ -1,13 +1,17 @@
-"""Peak RSS and CPU time of every catalog entry's run.
+"""Start-up time of gdro, and peak RSS and CPU time of every catalog entry's run.
 
     python3 tools/run_cost.py [--root DIR]
 
-Runs ``gdro solve --assert --method both`` on each catalog entry at its
-default grid, emitting the report only, with the package imported from
-``DIR/src`` (default: this checkout), one child process at a time.  Prints
-one line per entry: its grid, the child's exit code, its peak resident set
-size (``ru_maxrss``, in MiB) and its user plus system CPU time (in s), as
-``os.wait4`` reports them for that child.  To compare two checkouts:
+Imports the package from ``DIR/src`` (default: this checkout).  The first
+line is the time ``import gdro.cli`` takes in a fresh interpreter: the
+minimum over 5 child processes, after one warm-up child that writes the
+bytecode cache.  Then runs ``gdro solve --assert --method both`` on each
+catalog entry at its default grid, emitting the report only, one child
+process at a time, and prints one line per entry: its grid, the child's
+exit code, its peak resident set size (``ru_maxrss``, in MiB) and its user
+plus system CPU time (in s), as ``os.wait4`` reports them for that child.
+The children run without ``PYTHONDONTWRITEBYTECODE``, so they do not
+recompile the package each time.  To compare two checkouts:
 
     python3 tools/run_cost.py --root ../old
     python3 tools/run_cost.py
@@ -28,11 +32,29 @@ import tempfile
 
 _LIST_ENTRIES = ("import json; from gdro.catalog import CATALOG; "
                  "print(json.dumps({k: list(e.grid) for k, e in sorted(CATALOG.items())}))")
+_IMPORT = "import time; t = time.perf_counter(); import gdro.cli; print(time.perf_counter() - t)"
+
+
+def child_env(root):
+    """The environment of the children: the package from ``root/src``, and
+    bytecode written and read."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPATH"] = os.path.join(root, "src")
+    return env
+
+
+def startup_s(root):
+    """The least time of ``import gdro.cli`` in 5 child processes, after one
+    warm-up child."""
+    times = [float(subprocess.run([sys.executable, "-c", _IMPORT], env=child_env(root),
+                                  check=True, capture_output=True, text=True).stdout)
+             for _ in range(6)]
+    return min(times[1:])
 
 
 def run_costs(root, work):
     """Yield (entry, n_t, n_x, exit code, peak RSS in MiB, CPU s) per entry."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    env = child_env(root)
     listing = subprocess.run([sys.executable, "-c", _LIST_ENTRIES], env=env,
                              check=True, capture_output=True, text=True)
     for name, (n_t, n_x) in json.loads(listing.stdout).items():
@@ -54,6 +76,8 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--root", default=here, help="checkout whose src/ is run")
     args = ap.parse_args(argv)
+    print("start-up: import gdro.cli %.1f ms (least of 5 processes)"
+          % (1e3 * startup_s(os.path.abspath(args.root))))
     print("%-22s %9s %5s %12s %8s" % ("entry", "grid", "exit", "peak_rss_mb", "cpu_s"))
     with tempfile.TemporaryDirectory() as work:
         for name, n_t, n_x, code, rss, cpu in run_costs(os.path.abspath(args.root), work):
