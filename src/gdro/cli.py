@@ -27,7 +27,7 @@ import pickle
 import signal
 import sys
 import tempfile
-from dataclasses import field as dc_field, replace
+from dataclasses import field as dc_field
 from itertools import compress
 
 import numpy as np
@@ -42,7 +42,7 @@ from .lattice import (Batch, DoubleLadderReport, Ladder, SweepCell, _field_or_ra
                       double_report, sweep_cells)
 from .pde import (PdeSchemeParams, complementarity_residual,
                   solve_double_obstacle_direct, solve_penalized_pde)
-from .record import Record
+from .record import Record, replace
 from .scheme import NonFiniteField, require_finite, strictly_ascending
 
 EXIT_OK = 0
@@ -363,11 +363,10 @@ def write_report_csv(path, ladder_rows, rate_slope):
     (nan when there is none), as a single slice with no t/x lead."""
     slope = rate_slope if rate_slope is not None else float("nan")
     values = np.array([(r.n, r.m, r.sup_upper_violation, r.sup_lower_violation,
-                        r.mono_violation, r.asc_plus, r.asc_minus, r.cross_gap, slope)
+                        r.mono_violation, r.asc_plus, r.asc_minus, slope)
                        for r in ladder_rows], dtype=float)
     _write_csv(path, ("n", "m", "sup_upper_violation", "sup_lower_violation",
-                      "mono_violation", "asc_plus", "asc_minus", "cross_gap",
-                      "rate_slope"),
+                      "mono_violation", "asc_plus", "asc_minus", "rate_slope"),
                [([("", [""] * len(values))], values)])
 
 
@@ -390,8 +389,8 @@ def _ladder_rows(results):
 
 def _ladders(penalties, ladders):
     """The run's reflected n-ladder, its double ladder over n_list x m_list
-    and its m-ladder row at an n_upper outside n_list, each None where the
-    run has none."""
+    and its m-ladder, the row (n_upper,) x m_list, each None where the run
+    has none."""
     mode, kappa = penalties.penalty_mode, penalties.kappa_f
     n_list, m_list = ladders.get("n_list"), ladders.get("m_list")
     reflected = double = row = None
@@ -400,8 +399,7 @@ def _ladders(penalties, ladders):
     if m_list is not None:
         if n_list is not None:
             double = Ladder(n_list, m_list, mode, kappa)
-        if n_list is None or penalties.n_upper not in n_list:
-            row = Ladder((penalties.n_upper,), m_list, mode, kappa)
+        row = Ladder((penalties.n_upper,), m_list, mode, kappa)
     return reflected, double, row
 
 
@@ -413,15 +411,11 @@ def _probe_gap(swept, base, probe, eps):
     return swept[base].gaps["probe", probe]
 
 
-def _m_ladder(penalties, double, row, swept):
-    """Rows of the m-ladder at the configured n_upper: those of the double
-    ladder there, or of the ladder ``row`` at an n_upper outside n_list."""
-    if row is None:
-        cells = double.cells[double.n_list.index(penalties.n_upper)]
-    else:
-        cells = double_report(row, swept).cells[0]
-    # the report lists m-ladder rows without ordering gaps
-    return [replace(c, mono_gap_n=np.nan, mono_gap_m=np.nan) for c in cells]
+def _m_ladder(row, swept):
+    """Rows of the m-ladder ``row``, which the report lists without
+    ordering gaps."""
+    return [replace(c, mono_gap_n=np.nan, mono_gap_m=np.nan)
+            for c in double_report(row, swept).cells[0]]
 
 
 def _generic_assertions(results, spec, grid, penalties):
@@ -599,7 +593,7 @@ def run(config: RunConfig, assert_mode: bool = False,
         if double is not None:
             results.double_report = double_report(double, swept)
         if "m_list" in ladders:
-            results.m_ladder = _m_ladder(penalties, results.double_report, row, swept)
+            results.m_ladder = _m_ladder(row, swept)
     except NonFiniteField as err:
         # the first node the backward solve made non-finite
         i, j = err.t_index, err.x_index

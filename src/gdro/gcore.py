@@ -9,7 +9,7 @@ at the two endpoint controls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
@@ -69,8 +69,7 @@ def g_eval(a, band: VolatilityBand):
     return out if isinstance(out, np.ndarray) else float(out)
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(Record, frozen=True):
     """All data for one double-obstacle problem on [0, T] x [x_min, x_max].
 
     Coefficients are parsed expressions: b, l, sigma, h, h_prime in (t, x);
@@ -153,8 +152,7 @@ class Grid(Record, frozen=True):
         return self.x_min + self.dx * np.arange(self.n_x)
 
 
-@dataclass(frozen=True)
-class PenaltyParams:
+class PenaltyParams(Record, frozen=True):
     """Penalty intensities and stepping controls shared by both solvers.
 
     ``m_lower`` is either a non-negative intensity or the marker

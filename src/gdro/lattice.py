@@ -39,7 +39,6 @@ probes and ladders are one batch at every grid.
 from __future__ import annotations
 
 from itertools import groupby
-from typing import NamedTuple
 
 import numpy as np
 
@@ -58,7 +57,7 @@ MAX_DRIFT_WEIGHT = 0.5
 _KERNEL_FIELDS = ("sigma", "b", "l")
 
 
-class _Kernel(NamedTuple):
+class _Kernel(Record, frozen=True):
     """One band endpoint's one-step kernel at a set of nodes, one row per
     time: the drift weight s = |mu|/dx, the diffusion weight p, and the
     nodes the mass moves to (up and dn at the stencil span, drift_to one
@@ -103,10 +102,10 @@ def _kernels(sv, bv, lv, idx, band, dt, dx, n_nodes, t, x):
         variance = (sig * sv) ** 2 * dt
         span = np.sqrt(variance / (1.0 - s)) / dx
         k = np.maximum(1, ceil_eps(span).astype(np.int64))
-        kernels.append(_Kernel._make(broadcast(a, (n_rows, idx.size)) for a in (
+        kernels.append(_Kernel(*(broadcast(a, (n_rows, idx.size)) for a in (
             s, variance / (2.0 * (k * dx) ** 2),
             np.minimum(idx + k, n_nodes - 1), np.maximum(idx - k, 0),
-            np.minimum(np.maximum(idx + np.where(mu >= 0, 1, -1), 0), n_nodes - 1))))
+            np.minimum(np.maximum(idx + np.where(mu >= 0, 1, -1), 0), n_nodes - 1)))))
     return kernels, error
 
 
@@ -173,39 +172,34 @@ class SweepCell(Record, frozen=True):
     h_shift: float = 0.0
 
 
-def ladder_cells(n_list, m_lower, penalty_mode, kappa_f) -> list:
-    """Per n in ``n_list``, the ladder cell (n, m_lower), or the ValueError
-    of its invalid penalties."""
-    cells = []
-    for n in n_list:
-        try:
-            cells.append(SweepCell(PenaltyParams(n, m_lower, penalty_mode, kappa_f)))
-        except ValueError as err:
-            cells.append(err)
-    return cells
+def _ladder_cell(n, m, penalty_mode, kappa_f):
+    """The ladder cell (n, m), or the ValueError of its invalid penalties."""
+    try:
+        return SweepCell(PenaltyParams(n, m, penalty_mode, kappa_f))
+    except ValueError as err:
+        return err
 
 
-class Ladder:
+class Ladder(Record, frozen=True):
     """A ladder of penalized sweeps: per m in ``m_list``, the column of the
-    cells (n, m), n in ``n_list``.  Each column is ordered in n; a reflected
-    ladder (m_list (PROJECTION,)) also measures each rung's z gap to its
-    finest rung, and any other ladder is ordered in m as well.  (A plain
-    class: a NamedTuple costs a run's import about 0.2 ms.)"""
+    cells (n, m), n in ``n_list``, each built once into ``columns``.  Each
+    column is ordered in n; a reflected ladder (m_list (PROJECTION,)) also
+    measures each rung's z gap to its finest rung, and any other ladder is
+    ordered in m as well."""
+    n_list: tuple
+    m_list: tuple
+    penalty_mode: str
+    kappa_f: float
 
-    def __init__(self, n_list, m_list, penalty_mode, kappa_f):
-        self.n_list, self.m_list = tuple(n_list), tuple(m_list)
-        self.penalty_mode, self.kappa_f = penalty_mode, kappa_f
+    def __post_init__(self):
+        n_list, m_list = tuple(self.n_list), tuple(self.m_list)
+        vars(self).update(n_list=n_list, m_list=m_list, columns=tuple(
+            tuple(_ladder_cell(n, m, self.penalty_mode, self.kappa_f) for n in n_list)
+            for m in m_list))
 
     @property
     def reflected(self):
         return self.m_list == (PROJECTION,)
-
-    def column(self, j):
-        """The ladder_cells of the column at m_list[j]."""
-        return ladder_cells(self.n_list, self.m_list[j], self.penalty_mode, self.kappa_f)
-
-    def columns(self):
-        return [self.column(j) for j in range(len(self.m_list))]
 
 
 class Batch(tuple):
@@ -224,7 +218,7 @@ class Batch(tuple):
         """The batch of the cells ``keep``, the probes' cells and the valid
         cells of ``ladders``, in that order, each once."""
         cells = [*keep, *(c for pair in probes for c in pair),
-                 *(c for ladder in ladders for column in ladder.columns() for c in column
+                 *(c for ladder in ladders for column in ladder.columns for c in column
                    if isinstance(c, SweepCell))]
         return cls(dict.fromkeys(cells), keep, probes, ladders)
 
@@ -233,8 +227,8 @@ class Batch(tuple):
         return Batch(cells, self.keep, self.probes, self.ladders)
 
 
-class CellSummary:
-    """What a Batch sweep keeps of one cell (a plain class, as Ladder).
+class CellSummary(Record):
+    """What a Batch sweep keeps of one cell.
 
     field       its SolutionField if the batch keeps it, else None
     bad         (t_index, x_index) of its first non-finite u, as
@@ -246,11 +240,11 @@ class CellSummary:
                 "z" the masked sup |z - z_other| of a reflected rung, and
                 "probe" sup |u - u_other| of a probe's base
     """
-    __slots__ = ("field", "bad", "violations", "asc", "gaps")
-
-    def __init__(self, field, bad, violations, asc, gaps):
-        self.field, self.bad, self.violations, self.asc, self.gaps = (
-            field, bad, violations, asc, gaps)
+    field: SolutionField | None
+    bad: tuple | None
+    violations: tuple | None
+    asc: tuple | None
+    gaps: dict
 
 
 class _Reductions:
@@ -271,7 +265,7 @@ class _Reductions:
         ladder, order, z = {}, {}, {}  # dicts as ordered sets
         for lad in batch.ladders:
             columns = [[c if isinstance(c, SweepCell) and c in row else None for c in column]
-                       for column in lad.columns()]
+                       for column in lad.columns]
             for j, column in enumerate(columns):
                 for k, c in enumerate(column):
                     if c is None:
@@ -603,8 +597,8 @@ def ladder_column(ladder: Ladder, j: int, swept: dict) -> list:
     column is labelled m = inf."""
     m_lower = ladder.m_list[j]
     m = np.inf if m_lower == PROJECTION else m_lower
-    column = ladder.column(j)
-    left = ladder.column(j - 1) if j else None
+    column = ladder.columns[j]
+    left = ladder.columns[j - 1] if j else None
     results = [swept[c] if isinstance(c, SweepCell) else c for c in column]
     valid = [c for c, r in zip(column, results) if not isinstance(r, Exception)]
     rows = []

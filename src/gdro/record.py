@@ -12,8 +12,8 @@ within one class and print as ``Name(field=value, ...)``.  Those of a
 ``class C(Record, frozen=True)`` and its subclasses hash by value and raise
 FrozenInstanceError (an AttributeError) on assignment or deletion; the
 others are unhashable.  Instances keep their ``__dict__``, so they pickle as
-plain objects.  ProblemSpec, PenaltyParams and LadderRow stay dataclasses:
-callers use ``dataclasses.replace`` and ``dataclasses.fields`` on them.
+plain objects.  ``replace(record, **changes)`` stands in for
+``dataclasses.replace`` and a class's ``_fields`` for ``dataclasses.fields``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ class Record:
 
     def __init_subclass__(cls, frozen=False, **kwargs):
         super().__init_subclass__(**kwargs)
-        own = tuple(cls.__dict__.get("__annotations__", ()))
+        own = tuple(cls.__annotations__)  # this class's own, empty if it has none
         cls._fields = tuple(dict.fromkeys(cls._fields + own))
         cls._defaults = dict(cls._defaults)
         cls._defaults.update((name, cls.__dict__[name]) for name in own if name in cls.__dict__)
@@ -92,3 +92,10 @@ class Record:
     def __repr__(self):
         return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
             "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+
+def replace(record, **changes):
+    """A copy of ``record`` with ``changes`` to its fields, built through its
+    class's ``__init__``, so that ``__post_init__`` checks it again."""
+    return record.__class__(**{**{name: getattr(record, name) for name in record._fields},
+                               **changes})

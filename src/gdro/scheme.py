@@ -15,8 +15,6 @@ update's array operations; the update silences its own 0*inf.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .gcore import NODEWISE_IMPLICIT, Grid, ProblemSpec, obstacle_fields
@@ -171,8 +169,7 @@ def obstacle_update(base, anchor, h, hp, step):
         return base + a_plus - a_minus, a_plus, a_minus
 
 
-@dataclass
-class LadderRow:
+class LadderRow(Record):
     """Summary of one penalized solve in a ladder.
 
     mono_gap_n is sup (u at this n - u at the previous smaller n)^+ and
@@ -187,7 +184,6 @@ class LadderRow:
     mono_gap_m: float = np.nan
     asc_plus: float = np.nan
     asc_minus: float = np.nan
-    cross_gap: float = np.nan
     z_gap: float = np.nan
     error: str | None = None
 

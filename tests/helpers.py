@@ -1,9 +1,9 @@
 """Test helpers built on the package.  ``oracles.py`` stays free of the
 solvers; what needs them goes here."""
 
-from dataclasses import replace
 
 from gdro import expr as ex
+from gdro.record import replace
 
 
 def perturb_lower(spec, eps):

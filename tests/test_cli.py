@@ -600,15 +600,15 @@ def test_writers_match_per_value_reference(tmp_path):
                           for j in range(5) if not np.isnan(r_grid[i, j])])
 
     rows = [LadderRow(n=10.0, m=np.inf, sup_upper_violation=0.1, asc_plus=-0.0,
-                      asc_minus=5e-324, cross_gap=1e308, mono_gap_n=-1.0 / 3.0),
+                      asc_minus=5e-324, mono_gap_n=-1.0 / 3.0),
             LadderRow(n=100.0, m=1e4, error="stability")]
     header = ("n", "m", "sup_upper_violation", "sup_lower_violation", "mono_violation",
-              "asc_plus", "asc_minus", "cross_gap", "rate_slope")
+              "asc_plus", "asc_minus", "rate_slope")
     for slope in (None, -0.1):
         write_report_csv(tmp_path / "report.csv", rows, slope)
         assert (tmp_path / "report.csv").read_bytes() == _per_value_csv(header, [
             (r.n, r.m, r.sup_upper_violation, r.sup_lower_violation, r.mono_violation,
-             r.asc_plus, r.asc_minus, r.cross_gap, np.nan if slope is None else slope)
+             r.asc_plus, r.asc_minus, np.nan if slope is None else slope)
             for r in rows])
 
 
@@ -678,15 +678,15 @@ def test_writers_match_per_value_reference_on_blocks(tmp_path_factory, n_t, n_x,
         ("t", "x", "r"), [(t[i], x[j], r_grid[i, j]) for i in range(n_t + 1)
                           for j in range(n_x) if not np.isnan(r_grid[i, j])])
 
-    entries = _pooled(rng, kinds[0], (n_rows, 9))
+    entries = _pooled(rng, kinds[0], (n_rows, 8))
     rows = [LadderRow(*r[:4], mono_gap_n=r[4], mono_gap_m=r[5], asc_plus=r[6],
-                      asc_minus=r[7], cross_gap=r[8]) for r in entries]
+                      asc_minus=r[7]) for r in entries]
     write_report_csv(out / "report.csv", rows, slope)
     assert (out / "report.csv").read_bytes() == _per_value_csv(
         ("n", "m", "sup_upper_violation", "sup_lower_violation", "mono_violation",
-         "asc_plus", "asc_minus", "cross_gap", "rate_slope"),
+         "asc_plus", "asc_minus", "rate_slope"),
         [(r.n, r.m, r.sup_upper_violation, r.sup_lower_violation, r.mono_violation,
-          r.asc_plus, r.asc_minus, r.cross_gap, np.nan if slope is None else slope)
+          r.asc_plus, r.asc_minus, np.nan if slope is None else slope)
          for r in rows])
 
 

@@ -9,8 +9,6 @@ driver's Lipschitz constants stay near 0.3 in y and 0.1 in z, and sigma =
 1 + 0.2 sin(...) keeps the stencil spans fixed.
 """
 
-from dataclasses import fields as dc_fields, replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +23,7 @@ from gdro.gcore import (EXPLICIT, NODEWISE_IMPLICIT, PROJECTION, Grid, PenaltyPa
 from gdro.lattice import (Batch, Ladder, SweepCell, double_ladder, ladder_column,
                           penalized_sweep, sweep_cells)
 from gdro.pde import PdeSchemeParams, solve_double_obstacle_direct, solve_penalized_pde
+from gdro.record import replace
 from gdro.scheme import (LadderRow, NonFiniteField, asc_residuals, obstacle_violations,
                          require_finite)
 
@@ -165,7 +164,7 @@ def reference_columns(spec, grid, ladder, fields):
     full field or error; a non-finite field raises NonFiniteField."""
     mask = uncontaminated_mask(spec, grid)
     columns, left = [], [None] * len(ladder.n_list)
-    for m, cells in zip(ladder.m_list, ladder.columns()):
+    for m, cells in zip(ladder.m_list, ladder.columns):
         m = np.inf if m == PROJECTION else m
         results = [fields[c] if isinstance(c, SweepCell) else c for c in cells]
         us = [None if isinstance(r, Exception) else r.u for r in results]
@@ -189,8 +188,8 @@ def reference_columns(spec, grid, ladder, fields):
 
 
 def _bits(row):
-    return row.error, np.array([getattr(row, f.name) for f in dc_fields(LadderRow)
-                                if f.name != "error"], dtype=float).tobytes()
+    return row.error, np.array([getattr(row, f) for f in LadderRow._fields
+                                if f != "error"], dtype=float).tobytes()
 
 
 def _assert_rows_equal(got, want):

@@ -1,5 +1,4 @@
 import pickle
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from gdro.gcore import Grid, PenaltyParams, ProblemSpec, StabilityError
 from gdro.lattice import (SweepCell, _extension_cells, _run_sweep, conditional_g_expectation,
                           double_ladder, penalized_sweep, reflected_sweep, sweep_cells)
 from gdro.pde import PdeSchemeParams, solve_penalized_pde
+from gdro.record import replace
 from gdro.scheme import SolutionField
 
 

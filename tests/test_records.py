@@ -15,17 +15,22 @@ from gdro import expr as ex
 from gdro.catalog import AssertionResult, CatalogEntry
 from gdro.cli import RunConfig, RunResults
 from gdro.convergence import ConvergenceReport
-from gdro.gcore import (Grid, PenaltyParams, ProblemSpec, ValidationReport, Violation,
+from gdro.gcore import (DEFAULT_KAPPA_F, EXPLICIT, NODEWISE_IMPLICIT, PROJECTION, Grid,
+                        PenaltyParams, ProblemSpec, ValidationReport, Violation,
                         VolatilityBand)
-from gdro.lattice import CellSummary, DoubleLadderReport, SweepCell
+from gdro.lattice import Batch, CellSummary, DoubleLadderReport, Ladder, SweepCell, _Kernel
 from gdro.pde import PdeSchemeParams
-from gdro.scheme import SolutionField
+from gdro.record import replace
+from gdro.scheme import LadderRow, SolutionField
 
 GRID = Grid(4, 5, 1.0, -1.0, 1.0)
 PEN = PenaltyParams(8.0, 2.0)
 SPEC = ProblemSpec.from_strings(horizon=1.0, x_min=-1.0, x_max=1.0,
                                 sigma_low=0.5, sigma_high=1.0)
 ARRAYS = [np.full((5, 5), float(k)) for k in range(5)] + [np.zeros((5, 5), dtype=np.int8)]
+EXPRS = dict(zip(("b", "l", "sigma", "f", "phi", "h", "h_prime"),
+                 (ex.Num(0.0), ex.Num(0.1), ex.Num(1.0), ex.Var("y"), ex.Var("x"),
+                  ex.Num(-1.0), ex.Num(1.0))))
 
 #: (type, frozen, every field's value in field order)
 CASES = [
@@ -57,6 +62,18 @@ CASES = [
     (RunResults, False, {"grid": GRID, "fields": {"pde": None}, "direct_field": None,
                          "residual_sup": 0.1, "cross_gap": 0.2, "ladder_report": None,
                          "double_report": None, "m_ladder": [], "stability_gaps": [0.0]}),
+    (ProblemSpec, True, {"horizon": 1.0, "x_min": -1.0, "x_max": 1.0,
+                         "band": VolatilityBand(0.5, 1.0), **EXPRS, "name": "p"}),
+    (PenaltyParams, True, {"n_upper": 8.0, "m_lower": PROJECTION,
+                           "penalty_mode": NODEWISE_IMPLICIT, "kappa_f": 3.0}),
+    (LadderRow, False, {"n": 4.0, "m": np.inf, "sup_upper_violation": 0.1,
+                        "sup_lower_violation": 0.0, "mono_gap_n": 0.0, "mono_gap_m": np.nan,
+                        "asc_plus": 0.0, "asc_minus": 1e-3, "z_gap": 0.5, "error": None}),
+    (_Kernel, True, dict(zip(("s", "p", "up", "dn", "drift_to"), ARRAYS))),
+    (CellSummary, False, {"field": None, "bad": (1, 2), "violations": (0.0, 0.5),
+                          "asc": (0.0, 0.25), "gaps": {("order", SweepCell(PEN)): 0.1}}),
+    (Ladder, True, {"n_list": (4.0, 8.0), "m_list": (10.0, 100.0), "penalty_mode": EXPLICIT,
+                    "kappa_f": 5.0}),
 ]
 FROZEN = [case for case in CASES if case[1]]
 MUTABLE = [case for case in CASES if not case[1]]
@@ -170,6 +187,9 @@ DEFAULTS = [
     (RunResults, (GRID,), {"fields": {}, "direct_field": None, "residual_sup": None,
                            "cross_gap": None, "ladder_report": None, "double_report": None,
                            "m_ladder": None, "stability_gaps": []}),
+    (ProblemSpec, (1.0, -1.0, 1.0, VolatilityBand(0.5, 1.0), *EXPRS.values()), {"name": ""}),
+    (PenaltyParams, (), {"n_upper": 0.0, "m_lower": 0.0, "penalty_mode": EXPLICIT,
+                         "kappa_f": DEFAULT_KAPPA_F}),
 ]
 
 
@@ -191,7 +211,16 @@ def test_defaults_and_fresh_factory_values(case):
     lambda: Grid(4, 5),
     lambda: SweepCell(),
     lambda: ValidationReport(),
-], ids=["extra", "unknown", "repeated", "missing", "missing-kw", "missing-default", "factory"])
+    lambda: PenaltyParams(8.0, 2.0, EXPLICIT, 5.0, 1.0),
+    lambda: ProblemSpec(horizon=1.0, x_min=-1.0, x_max=1.0),
+    lambda: LadderRow(4.0),
+    lambda: LadderRow(4.0, 1.0, cross_gap=0.0),
+    lambda: CellSummary(None, None, None, None),
+    lambda: Ladder((4.0,), (10.0,), EXPLICIT),
+    lambda: _Kernel(*ARRAYS[:4]),
+], ids=["extra", "unknown", "repeated", "missing", "missing-kw", "missing-default", "factory",
+        "penalties-extra", "spec-missing", "row-missing", "row-cross-gap", "summary-missing",
+        "ladder-missing", "kernel-missing"])
 def test_bad_arguments_raise_type_error(call):
     with pytest.raises(TypeError):
         call()
@@ -204,10 +233,83 @@ def test_bad_arguments_raise_type_error(call):
     lambda: Grid(0, 5, 1.0, -1.0, 1.0),
     lambda: Grid(n_t=4, n_x=2, t_max=1.0, x_min=-1.0, x_max=1.0),
     lambda: Grid(4, 5, 1.0, 1.0, 1.0),
-], ids=["low", "order", "square", "n_t", "n_x", "x"])
+    lambda: PenaltyParams(-1.0),
+    lambda: PenaltyParams(m_lower=np.nan),
+    lambda: PenaltyParams(penalty_mode="implicit"),
+    lambda: PenaltyParams(kappa_f=-1.0),
+    lambda: ProblemSpec(0.0, -1.0, 1.0, VolatilityBand(0.5, 1.0), *EXPRS.values()),
+    lambda: ProblemSpec(1.0, 1.0, 1.0, VolatilityBand(0.5, 1.0), *EXPRS.values()),
+    lambda: ProblemSpec.from_strings(horizon=1.0, x_min=-1e308, x_max=1e308,
+                                     sigma_low=0.5, sigma_high=1.0),
+], ids=["low", "order", "square", "n_t", "n_x", "x", "n_upper", "m_lower", "mode", "kappa_f",
+        "horizon", "span", "infinite-span"])
 def test_post_init_checks_raise_value_error(call):
     with pytest.raises(ValueError):
         call()
+
+
+def test_ladder_row_defaults_are_nan():
+    row = LadderRow(4.0, np.inf)
+    assert row.error is None
+    assert np.isnan([getattr(row, name) for name in LadderRow._fields[2:-1]]).all()
+    assert np.isnan(row.mono_violation)
+
+
+def test_ladder_builds_its_columns_once():
+    ladder = Ladder([-1.0, 4.0], [2.0, PROJECTION], EXPLICIT, 5.0)
+    assert (ladder.n_list, ladder.m_list) == ((-1.0, 4.0), (2.0, PROJECTION))
+    assert ladder == Ladder((-1.0, 4.0), (2.0, PROJECTION), EXPLICIT, 5.0)
+    (bad, cell), (bad_reflected, rung) = ladder.columns
+    assert isinstance(bad, ValueError) and isinstance(bad_reflected, ValueError)
+    assert cell == SweepCell(PenaltyParams(4.0, 2.0, EXPLICIT, 5.0))
+    assert rung == SweepCell(PenaltyParams(4.0, PROJECTION, EXPLICIT, 5.0))
+    # a batch holds the ladder's own cells, not rebuilt ones
+    assert [c is d for c, d in zip(Batch.of([ladder]), (cell, rung))] == [True, True]
+    assert not ladder.reflected and Ladder((4.0,), (PROJECTION,), EXPLICIT, 5.0).reflected
+
+
+NEW_TYPES = (ProblemSpec, PenaltyParams, LadderRow, _Kernel, CellSummary, Ladder)
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if c[0] in NEW_TYPES], ids=_ids)
+def test_records_pickle(case):
+    cls, frozen, values = case
+    record = cls(**values)
+    back = pickle.loads(pickle.dumps(record, pickle.HIGHEST_PROTOCOL))
+    assert type(back) is cls and repr(back) == repr(record)
+    if frozen and all(isinstance(v, Hashable) for v in values.values()):
+        assert back == record and hash(back) == hash(record)
+    if frozen:
+        with pytest.raises(AttributeError):
+            setattr(back, next(iter(values)), 0)
+
+
+def test_replace_rebuilds_through_init():
+    pen = PenaltyParams(8.0, 2.0)
+    new = replace(pen, m_lower=PROJECTION, kappa_f=1.0)
+    assert new == PenaltyParams(8.0, PROJECTION, EXPLICIT, 1.0) and new.project_lower
+    assert pen == PenaltyParams(8.0, 2.0, EXPLICIT, DEFAULT_KAPPA_F)
+    assert replace(pen) == pen and replace(pen) is not pen
+    with pytest.raises(ValueError):
+        replace(pen, n_upper=-1.0)
+    with pytest.raises(TypeError):
+        replace(pen, n_uper=1.0)
+    assert pen == PenaltyParams(8.0, 2.0)
+
+    h = SPEC.h
+    spec = replace(SPEC, h=ex.Num(-2.0), name="lower")
+    assert (spec.h, spec.name, spec.band) == (ex.Num(-2.0), "lower", SPEC.band)
+    assert (SPEC.h, SPEC.name) == (h, "")
+    with pytest.raises(ValueError):
+        replace(SPEC, x_max=SPEC.x_min)
+
+    row = LadderRow(4.0, 10.0, mono_gap_n=0.5)
+    gapless = replace(row, mono_gap_n=np.nan)
+    assert np.isnan(gapless.mono_gap_n) and row.mono_gap_n == 0.5
+
+    ladder = replace(Ladder((4.0,), (10.0,), EXPLICIT, 5.0), n_list=[-1.0, 8.0])
+    assert isinstance(ladder.columns[0][0], ValueError)
+    assert ladder.columns[0][1] == SweepCell(PenaltyParams(8.0, 10.0, EXPLICIT, 5.0))
 
 
 def test_cell_summary_with_field_pickles():
@@ -243,9 +345,10 @@ def _gdro_classes():
                 yield obj
 
 
-def test_only_three_dataclasses():
-    found = sorted(cls.__name__ for cls in _gdro_classes() if dataclasses.is_dataclass(cls))
-    assert found == ["LadderRow", "PenaltyParams", "ProblemSpec"], (
-        "every dataclass compiles its methods with exec when gdro is imported (about 0.4-1.2"
-        " ms each); derive a value type from gdro.record.Record unless callers need"
-        " dataclasses.replace or dataclasses.fields on it: %s" % found)
+def test_no_dataclass_or_named_tuple():
+    found = sorted(cls.__name__ for cls in _gdro_classes() if dataclasses.is_dataclass(cls)
+                   or issubclass(cls, tuple) and hasattr(cls, "_fields"))
+    assert found == [], (
+        "gdro.record.Record is gdro's one record mechanism: a dataclass compiles its methods"
+        " with exec when gdro is imported (about 0.4-1.2 ms each), and gdro.record.replace"
+        " stands in for dataclasses.replace: %s" % found)

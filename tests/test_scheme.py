@@ -1,5 +1,4 @@
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import strategies as st
 from gdro import catalog
 from gdro.gcore import (EXPLICIT, NODEWISE_IMPLICIT, Coefficients, Grid, PenaltyParams,
                         ProblemSpec)
+from gdro.record import replace
 from gdro.scheme import ObstacleStep, obstacle_update
 from oracles import reference_obstacle_update
 

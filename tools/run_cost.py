@@ -5,13 +5,16 @@
 Imports the package from ``DIR/src`` (default: this checkout).  The first
 line is the time ``import gdro.cli`` takes in a fresh interpreter: the
 minimum over 5 child processes, after one warm-up child that writes the
-bytecode cache.  Then runs ``gdro solve --assert --method both`` on each
-catalog entry at its default grid, emitting the report only, one child
-process at a time, and prints one line per entry: its grid, the child's
-exit code, its peak resident set size (``ru_maxrss``, in MiB) and its user
-plus system CPU time (in s), as ``os.wait4`` reports them for that child.
-The children run without ``PYTHONDONTWRITEBYTECODE``, so they do not
-recompile the package each time.  To compare two checkouts:
+bytecode cache.  The second is gdro's own share of it: the same minimum in
+children that first import every other module a fresh ``import gdro.cli``
+loads (numpy and the standard library modules).  Then runs ``gdro solve
+--assert --method both`` on each catalog entry at its default grid,
+emitting the report only, one child process at a time, and prints one line
+per entry: its grid, the child's exit code, its peak resident set size
+(``ru_maxrss``, in MiB) and its user plus system CPU time (in s), as
+``os.wait4`` reports them for that child.  The children run without
+``PYTHONDONTWRITEBYTECODE``, so they do not recompile the package each
+time.  To compare two checkouts:
 
     python3 tools/run_cost.py --root ../old
     python3 tools/run_cost.py
@@ -32,7 +35,12 @@ import tempfile
 
 _LIST_ENTRIES = ("import json; from gdro.catalog import CATALOG; "
                  "print(json.dumps({k: list(e.grid) for k, e in sorted(CATALOG.items())}))")
-_IMPORT = "import time; t = time.perf_counter(); import gdro.cli; print(time.perf_counter() - t)"
+#: the time of ``import gdro.cli`` after importing the modules named in argv
+_IMPORT = ("import importlib, sys, time\nfor m in sys.argv[1:]: importlib.import_module(m)\n"
+           "t = time.perf_counter(); import gdro.cli; print(time.perf_counter() - t)")
+#: the modules besides gdro's that ``import gdro.cli`` loads, in load order
+_DEPENDENCIES = ("import sys, gdro.cli; print(' '.join(m for m in sys.modules"
+                 " if m.partition('.')[0] != 'gdro'))")
 
 
 def child_env(root):
@@ -43,12 +51,17 @@ def child_env(root):
     return env
 
 
-def startup_s(root):
+def _child(root, code, *args):
+    return subprocess.run([sys.executable, "-c", code, *args], env=child_env(root),
+                          check=True, capture_output=True, text=True).stdout
+
+
+def startup_s(root, own=False):
     """The least time of ``import gdro.cli`` in 5 child processes, after one
-    warm-up child."""
-    times = [float(subprocess.run([sys.executable, "-c", _IMPORT], env=child_env(root),
-                                  check=True, capture_output=True, text=True).stdout)
-             for _ in range(6)]
+    warm-up child; with ``own``, in children that have already imported
+    every other module it loads."""
+    args = _child(root, _DEPENDENCIES).split() if own else ()
+    times = [float(_child(root, _IMPORT, *args)) for _ in range(6)]
     return min(times[1:])
 
 
@@ -76,11 +89,13 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--root", default=here, help="checkout whose src/ is run")
     args = ap.parse_args(argv)
-    print("start-up: import gdro.cli %.1f ms (least of 5 processes)"
-          % (1e3 * startup_s(os.path.abspath(args.root))))
+    root = os.path.abspath(args.root)
+    print("start-up: import gdro.cli %.1f ms (least of 5 processes)" % (1e3 * startup_s(root)))
+    print("start-up: gdro's own import, its dependencies loaded, %.1f ms (least of 5 processes)"
+          % (1e3 * startup_s(root, own=True)))
     print("%-22s %9s %5s %12s %8s" % ("entry", "grid", "exit", "peak_rss_mb", "cpu_s"))
     with tempfile.TemporaryDirectory() as work:
-        for name, n_t, n_x, code, rss, cpu in run_costs(os.path.abspath(args.root), work):
+        for name, n_t, n_x, code, rss, cpu in run_costs(root, work):
             print("%-22s %9s %5d %12.2f %8.3f" % (name, "%dx%d" % (n_t, n_x), code, rss, cpu))
     return 0
 
