@@ -4,8 +4,6 @@ residuals, stability probes, and cross-validation between the two solvers.
 
 from __future__ import annotations
 
-from dataclasses import field as dc_field
-
 import numpy as np
 
 from .gcore import (NODEWISE_IMPLICIT, DEFAULT_KAPPA_F, PROJECTION, Coefficients,
@@ -13,7 +11,7 @@ from .gcore import (NODEWISE_IMPLICIT, DEFAULT_KAPPA_F, PROJECTION, Coefficients
                     uncontaminated_mask)
 from .lattice import Batch, Ladder, ladder_column, penalized_sweep, sweep_cells
 from .pde import PdeSchemeParams, solve_penalized_pde
-from .record import Record
+from .record import Factory, Record
 # LadderRow, asc_residuals, asc_residuals_global and obstacle_violations are
 # also this module's API
 from .scheme import (LadderRow, SolutionField, asc_residuals, asc_residuals_global,
@@ -24,7 +22,7 @@ RATE_FIT_FLOOR = 10.0 * np.finfo(float).eps
 
 
 class ConvergenceReport(Record):
-    rows: list = dc_field(default_factory=list)
+    rows: list = Factory(list)
     rate_slope: float | None = None
 
 

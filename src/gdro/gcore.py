@@ -9,12 +9,10 @@ at the two endpoint controls.
 
 from __future__ import annotations
 
-from dataclasses import field
-
 import numpy as np
 
 from . import expr as ex
-from .record import Record
+from .record import Factory, Record
 
 PROJECTION = "projection"
 EXPLICIT = "explicit"
@@ -208,10 +206,10 @@ class Violation(Record, frozen=True):
 
 class ValidationReport(Record):
     ok: bool
-    violations: list = field(default_factory=list)
+    violations: list = Factory(list)
     f_lipschitz_y: float = 0.0
     f_lipschitz_z: float = 0.0
-    warnings: list = field(default_factory=list)
+    warnings: list = Factory(list)
 
     @property
     def first_violation(self):

@@ -29,13 +29,11 @@ fields.
 
 from __future__ import annotations
 
-from dataclasses import field as dc_field
-
 import numpy as np
 
 from .gcore import (EXPLICIT, NODEWISE_IMPLICIT, Coefficients, Grid, PenaltyParams,
                     ProblemSpec, StabilityError, g_eval, obstacle_fields, uncontaminated_mask)
-from .record import Record
+from .record import Factory, Record
 from .scheme import ObstacleStep, SolutionField, ceil_eps, obstacle_update, z_field
 
 #: contact-set exclusion margins for the residual sup, as domain fractions
@@ -55,7 +53,7 @@ MAX_PDE_WORK = 2 ** 31
 
 class PdeSchemeParams(Record, frozen=True):
     grid: Grid
-    penalty: PenaltyParams = dc_field(default_factory=PenaltyParams)
+    penalty: PenaltyParams = Factory(PenaltyParams)
 
 
 def f_operator(d2u, du, u, x, t, spec: ProblemSpec):

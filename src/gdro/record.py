@@ -3,23 +3,35 @@ without generating code.
 
 CPython's ``dataclass`` compiles each class's methods with ``exec``: on
 CPython 3.11, 0.4-1.2 ms per class, 14 of the 19.5 ms gdro added to
-``import gdro.cli`` when it had 22 dataclasses.  A Record's fields are the
-annotations of its classes in MRO order; a class value is a field's
-default, and ``dataclasses.field(default_factory=...)`` a fresh one per
-instance.  ``__init__`` takes positional and keyword arguments, then calls
-``__post_init__`` if the class has one.  Records compare field by field
-within one class and print as ``Name(field=value, ...)``.  Those of a
-``class C(Record, frozen=True)`` and its subclasses hash by value and raise
-FrozenInstanceError (an AttributeError) on assignment or deletion; the
-others are unhashable.  Instances keep their ``__dict__``, so they pickle as
-plain objects.  ``replace(record, **changes)`` stands in for
-``dataclasses.replace`` and a class's ``_fields`` for ``dataclasses.fields``.
+``import gdro.cli`` when it had 22 dataclasses; this module does not even
+import ``dataclasses``, which numpy does not load.  A Record's fields are
+the annotations of its classes in MRO order; a class value is a field's
+default, and ``Factory(make)`` a fresh ``make()`` per instance, as
+``dataclasses.field(default_factory=make)``.  ``__init__`` takes positional
+and keyword arguments, then calls ``__post_init__`` if the class has one.
+Records compare field by field within one class and print as
+``Name(field=value, ...)``.  Those of a ``class C(Record, frozen=True)`` and
+its subclasses hash by value and raise FrozenInstanceError (an
+AttributeError) on assignment or deletion; the others are unhashable.
+Instances keep their ``__dict__``, so they pickle as plain objects.
+``replace(record, **changes)`` stands in for ``dataclasses.replace`` and a
+class's ``_fields`` for ``dataclasses.fields``.
 """
 
 from __future__ import annotations
 
-from dataclasses import Field, FrozenInstanceError
 from operator import attrgetter
+
+
+class FrozenInstanceError(AttributeError):
+    """Assignment to, or deletion of, a field of a frozen Record."""
+
+
+class Factory:
+    """A field default made fresh for each instance by ``make()``."""
+
+    def __init__(self, make):
+        self.make = make
 
 
 def _frozen(self, name, *value):
@@ -32,7 +44,7 @@ def _hash(self):
 
 class Record:
     _fields = ()    # field names, in MRO order
-    _defaults = {}  # name -> default value, or the Field of its default_factory
+    _defaults = {}  # name -> default value, or its Factory
     _tail = ()      # the defaults of the last fields, up to one without a plain default
 
     def __init_subclass__(cls, frozen=False, **kwargs):
@@ -42,11 +54,11 @@ class Record:
         cls._defaults = dict(cls._defaults)
         cls._defaults.update((name, cls.__dict__[name]) for name in own if name in cls.__dict__)
         for name in own:
-            if isinstance(cls._defaults.get(name), Field):
+            if isinstance(cls._defaults.get(name), Factory):
                 delattr(cls, name)
         tail = []
         for name in reversed(cls._fields):
-            if name not in cls._defaults or isinstance(cls._defaults[name], Field):
+            if name not in cls._defaults or isinstance(cls._defaults[name], Factory):
                 break
             tail.insert(0, cls._defaults[name])
         cls._tail = tuple(tail)
@@ -81,7 +93,7 @@ class Record:
                 if name not in cls._defaults:
                     raise TypeError("%s() missing argument %r" % (cls.__name__, name))
                 value = cls._defaults[name]
-                values[name] = value.default_factory() if isinstance(value, Field) else value
+                values[name] = value.make() if isinstance(value, Factory) else value
         return [values[name] for name in cls._fields]
 
     def __eq__(self, other):

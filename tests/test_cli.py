@@ -1,4 +1,6 @@
+import gc
 import json
+import os
 import subprocess
 import sys
 import threading
@@ -831,3 +833,43 @@ def test_summary_is_strict_json(tmp_path):
     assert summary["asc_lattice"]["minus"] is None
     assert summary["asc_lattice"]["minus_global"] is None
     assert np.isfinite(summary["asc_lattice"]["plus"])
+
+
+#: runs ``gdro.cli.main`` ARGV[2] times in a fresh interpreter whose
+#: ``gc.freeze`` counts its calls; an atexit canary registered before gdro
+#: runs after gdro's hook and prints the frozen objects and the call count
+_EXIT_CANARY = """
+import atexit, gc, sys
+calls = []
+freeze = gc.freeze
+gc.freeze = lambda: calls.append(freeze())
+atexit.register(lambda: print("frozen", gc.get_freeze_count(), "calls", len(calls)))
+sys.path.insert(0, sys.argv[1])
+import gdro.cli
+for _ in range(int(sys.argv[2])):
+    rc = gdro.cli.main(sys.argv[3:])
+sys.exit(rc)
+"""
+
+SMALL_LATTICE = {"problem": dict(INLINE_HEAT), "grid": {"n_t": 10, "n_x": 11},
+                 "method": "lattice"}
+
+
+@pytest.mark.parametrize("runs", [1, 2])
+def test_exit_hook_freezes_the_heap_once(tmp_path, runs):
+    # the heap alive at exit goes to the permanent generation, by one
+    # gc.freeze however often main runs
+    src = os.path.dirname(os.path.dirname(gdro.cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", _EXIT_CANARY, src, str(runs), "solve",
+         "--config", _write(tmp_path, SMALL_LATTICE), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    _, frozen, _, calls = proc.stdout.split()
+    assert int(frozen) > 0 and int(calls) == 1
+
+
+def test_main_leaves_garbage_collection_on(tmp_path):
+    # the hook acts only at exit: an in-process caller keeps normal collection
+    assert _solve(tmp_path, SMALL_LATTICE) == EXIT_OK
+    assert gc.isenabled() and gc.get_freeze_count() == 0

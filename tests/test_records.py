@@ -3,8 +3,11 @@ equality, hashing, frozenness, repr and pickling, type by type."""
 
 import dataclasses
 import importlib
+import os
 import pickle
 import pkgutil
+import subprocess
+import sys
 from collections.abc import Hashable
 
 import numpy as np
@@ -352,3 +355,14 @@ def test_no_dataclass_or_named_tuple():
         "gdro.record.Record is gdro's one record mechanism: a dataclass compiles its methods"
         " with exec when gdro is imported (about 0.4-1.2 ms each), and gdro.record.replace"
         " stands in for dataclasses.replace: %s" % found)
+
+
+def test_import_leaves_dataclasses_unloaded():
+    # neither numpy nor gdro's other stdlib dependencies import dataclasses
+    # (nor, through it, copy): gdro.record must not be the one that does
+    src = os.path.dirname(os.path.dirname(gdro.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", "import sys; sys.path.insert(0, sys.argv[1]);"
+         " import gdro.cli; print('dataclasses' in sys.modules)", src],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["False"]

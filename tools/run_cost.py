@@ -1,4 +1,4 @@
-"""Start-up time of gdro, and peak RSS and CPU time of every catalog entry's run.
+"""Start-up and exit time of gdro, and peak RSS and CPU time of every catalog entry's run.
 
     python3 tools/run_cost.py [--root DIR]
 
@@ -7,14 +7,18 @@ line is the time ``import gdro.cli`` takes in a fresh interpreter: the
 minimum over 5 child processes, after one warm-up child that writes the
 bytecode cache.  The second is gdro's own share of it: the same minimum in
 children that first import every other module a fresh ``import gdro.cli``
-loads (numpy and the standard library modules).  Then runs ``gdro solve
---assert --method both`` on each catalog entry at its default grid,
-emitting the report only, one child process at a time, and prints one line
-per entry: its grid, the child's exit code, its peak resident set size
-(``ru_maxrss``, in MiB) and its user plus system CPU time (in s), as
-``os.wait4`` reports them for that child.  The children run without
-``PYTHONDONTWRITEBYTECODE``, so they do not recompile the package each
-time.  To compare two checkouts:
+loads (numpy and the standard library modules).  The third is the exit
+time: the minimum over 5 children, each a small ``gdro solve`` through
+``gdro.cli.main`` that prints ``time.monotonic()`` once ``main`` returns, of
+the time from that print to this process's ``os.wait4`` reaping the child.
+It covers the interpreter's finalization and the process's teardown.
+Then runs ``gdro solve --assert --method both`` on each catalog entry at its
+default grid, emitting the report only, one child process at a time, and
+prints one line per entry: its grid, the child's exit code, its peak
+resident set size (``ru_maxrss``, in MiB) and its user plus system CPU time
+(in s), as ``os.wait4`` reports them for that child.  The children run
+without ``PYTHONDONTWRITEBYTECODE``, so they do not recompile the package
+each time.  To compare two checkouts:
 
     python3 tools/run_cost.py --root ../old
     python3 tools/run_cost.py
@@ -32,6 +36,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 _LIST_ENTRIES = ("import json; from gdro.catalog import CATALOG; "
                  "print(json.dumps({k: list(e.grid) for k, e in sorted(CATALOG.items())}))")
@@ -41,6 +46,12 @@ _IMPORT = ("import importlib, sys, time\nfor m in sys.argv[1:]: importlib.import
 #: the modules besides gdro's that ``import gdro.cli`` loads, in load order
 _DEPENDENCIES = ("import sys, gdro.cli; print(' '.join(m for m in sys.modules"
                  " if m.partition('.')[0] != 'gdro'))")
+#: ``gdro.cli.main`` on argv, then the CLOCK_MONOTONIC time it returned at
+_SOLVE = ("import sys, time\nfrom gdro.cli import main\nrc = main(sys.argv[1:])\n"
+          "print(time.monotonic())\nsys.exit(rc)")
+#: the run the exit time is taken on
+_EXIT_RUN = {"problem": "double-obstacle-sine", "grid": {"n_t": 20, "n_x": 33},
+             "method": "both", "emit": ["report"]}
 
 
 def child_env(root):
@@ -65,6 +76,35 @@ def startup_s(root, own=False):
     return min(times[1:])
 
 
+def _reap(proc):
+    """Wait for ``proc`` with ``os.wait4``; its resource usage."""
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    return usage
+
+
+def exit_s(root, work):
+    """The least time, over 5 ``gdro solve`` children, from the return of
+    ``main`` to the child's reaping."""
+    config = os.path.join(work, "exit.json")
+    with open(config, "w", encoding="utf-8") as fh:
+        json.dump(_EXIT_RUN, fh)
+    times = []
+    for _ in range(5):
+        proc = subprocess.Popen([sys.executable, "-c", _SOLVE, "solve", "--config", config,
+                                 "--out", os.path.join(work, "exit")],
+                                env=child_env(root), stdout=subprocess.PIPE,
+                                stderr=subprocess.DEVNULL, text=True)
+        with proc.stdout:
+            _reap(proc)
+            reaped = time.monotonic()
+            returned = float(proc.stdout.read())  # one line: fits the pipe before exit
+        if proc.returncode:
+            raise RuntimeError("exit-time run exited %d" % proc.returncode)
+        times.append(reaped - returned)
+    return min(times)
+
+
 def run_costs(root, work):
     """Yield (entry, n_t, n_x, exit code, peak RSS in MiB, CPU s) per entry."""
     env = child_env(root)
@@ -78,8 +118,7 @@ def run_costs(root, work):
         proc = subprocess.Popen([sys.executable, "-m", "gdro.cli", "solve", "--config", config,
                                  "--out", os.path.join(work, name), "--assert"],
                                 env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+        usage = _reap(proc)
         yield (name, n_t, n_x, proc.returncode, usage.ru_maxrss / 1024.0,
                usage.ru_utime + usage.ru_stime)
 
@@ -93,8 +132,10 @@ def main(argv=None):
     print("start-up: import gdro.cli %.1f ms (least of 5 processes)" % (1e3 * startup_s(root)))
     print("start-up: gdro's own import, its dependencies loaded, %.1f ms (least of 5 processes)"
           % (1e3 * startup_s(root, own=True)))
-    print("%-22s %9s %5s %12s %8s" % ("entry", "grid", "exit", "peak_rss_mb", "cpu_s"))
     with tempfile.TemporaryDirectory() as work:
+        print("exit: main's return to the reaping of a gdro solve child %.1f ms"
+              " (least of 5 processes)" % (1e3 * exit_s(root, work)))
+        print("%-22s %9s %5s %12s %8s" % ("entry", "grid", "exit", "peak_rss_mb", "cpu_s"))
         for name, n_t, n_x, code, rss, cpu in run_costs(root, work):
             print("%-22s %9s %5d %12.2f %8.3f" % (name, "%dx%d" % (n_t, n_x), code, rss, cpu))
     return 0
