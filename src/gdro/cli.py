@@ -234,11 +234,12 @@ def _parse_ladders(value):
 #: the most cell-nodes, cells x (n_t+1)*n_x, a run's lattice batch may hold.
 #: Its cells are counted before any is built: the main cell, one per
 #: eps-probe and one per ladder entry, a repeat or an invalid rung included.
-#: A cell whose field the sweep does not keep was measured at about 21 bytes
+#: A cell whose field the sweep does not keep was measured at about 4.6 bytes
 #: per cell-node (double-obstacle-sine at 200x161 with 100 and 300 reflected
-#: rungs peaked at 95.3 and 222.5 MiB), so a batch at the cap needs about
-#: 1.3 GiB.  A cell also costs about 6.5 KiB whatever its grid (20,000 rungs
-#: at 20x3 peaked at 161 MiB), so it counts as at least _CELL_NODES_FLOOR
+#: rungs peaked at 45.4 and 73.9 MiB), so a batch at the cap needs about
+#: 0.3 GiB.  A cell also costs about 5.5 KiB whatever its grid (20,000 rungs
+#: at 20x3 peaked at 136.5 MiB), so it counts as at least _CELL_NODES_FLOOR,
+#: and a batch of such cells at the cap needs about 0.7 GiB
 MAX_CELL_NODES = 2 ** 26
 _CELL_NODES_FLOOR = 512
 

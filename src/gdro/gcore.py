@@ -31,10 +31,10 @@ _BLOCK_NODES = 4096
 
 #: the most reporting-grid nodes, (n_t+1)*n_x, a Grid may have.  A
 #: ``--method both`` run emitting every output was measured to peak at about
-#: 200 bytes per node, so a run at the cap needs about 1.6 GiB.  The
-#: catalog's double-obstacle-sine ladders took a 1000x801 run from 259 to
-#: 626 bytes per node; their 39 counted cells keep such a run below
-#: 2**26/39 nodes (cli.MAX_CELL_NODES), about 1 GiB
+#: 200 bytes per node, so a run at the cap needs about 1.6 GiB.  A 1000x801
+#: double-obstacle-sine run peaked at 257 bytes per node with and without
+#: the catalog's ladders, whose 39 counted cells keep such a run below
+#: 2**26/39 nodes (cli.MAX_CELL_NODES), about 0.4 GiB
 MAX_GRID_NODES = 2 ** 23
 
 

@@ -31,9 +31,9 @@ A Batch says what the sweep keeps.  Once per block, the buffers are copied
 into the fields of the cells it keeps (a run's main cell) and reduced, for
 the ladder cells and the probes, to what a ladder row or a probe gap
 reads (CellSummary): maxima over the nodes, and a ladder cell's two asc
-product tables, which are summed over t in forward order after the sweep.
-So a ladder costs two tables per cell, not a field, and a run's main cell,
-probes and ladders are one batch at every grid.
+sums over t, which run backward in t with the sweep.  So a ladder cell costs
+a few rows of nodes, not a field, and a run's main cell, probes and ladders
+are one batch at every grid.
 """
 
 from __future__ import annotations
@@ -248,16 +248,16 @@ class CellSummary(Record):
 
 
 class _Reductions:
-    """The maxima and product tables a Batch asks of its cells ``live``,
-    taken one block of time slices at a time.
+    """The maxima and sums a Batch asks of its cells ``live``, taken one
+    block of time slices at a time.
 
     The ordering pairs are each ladder column's neighbouring rungs, and each
     cell against the same n in the previous m-column, both live; the z pairs
     are each live rung of a reflected column against its finest live rung.
-    Every quantity but the asc sums is a maximum over the slices, so the
-    blocks may come in any order; the asc products (u - h)*a_plus and
-    (h' - u)*a_minus are kept as (n_t+1, n_x) tables per ladder cell and
-    summed over t after the sweep, as asc_residuals sums them.
+    Every quantity is a running one: maxima over the slices, and per ladder
+    cell and node the sums over t of the asc products (u - h)*a_plus and
+    (h' - u)*a_minus, which add the slices one at a time backward in t, as
+    asc_residuals does, whatever the block size.
     """
 
     def __init__(self, spec, grid, live, batch):
@@ -289,8 +289,7 @@ class _Reductions:
         self.cols = np.array([row[c] for c in ladder], dtype=np.intp)
         if ladder:
             self.h, self.hp = obstacle_fields(spec, grid)
-            shape = (len(ladder), grid.n_t + 1, grid.n_x)
-            self.plus, self.minus = np.empty(shape), np.empty(shape)
+            self.plus, self.minus = np.zeros((2, len(ladder), grid.n_x))
             self.low, self.up = np.full(len(ladder), -np.inf), np.full(len(ladder), -np.inf)
         if z:
             # z of the cells in a z pair, which index_z indexes
@@ -321,10 +320,12 @@ class _Reductions:
             h, hp = at(self.h), at(self.hp)
             self.low = np.maximum(self.low, _sup_positive(h - u[:, self.cols]))
             self.up = np.maximum(self.up, _sup_positive(u[:, self.cols] - hp))
-            for table, d, a in ((self.plus, u[:, self.cols] - h, a_plus),
-                                (self.minus, hp - u[:, self.cols], a_minus)):
+            for acc, d, a in ((self.plus, u[:, self.cols] - h, a_plus),
+                              (self.minus, hp - u[:, self.cols], a_minus)):
                 d *= a[:, self.cols]
-                table[:, rows] = d[::-1].swapaxes(0, 1)
+                # numpy sums a leading axis row by row: latest slice first
+                d[0] += acc
+                d.sum(axis=0, out=acc)
         # each gap is reduced before the next one's arrays exist
         if self.pairs["order"]:
             hi, lo = self.index["order"]
@@ -359,10 +360,7 @@ class _Reductions:
             if k is None:
                 out.append(CellSummary(fields.get(b), bad, None, None, gaps[b]))
                 continue
-            # each product table is a C-ordered (n_t+1, n_x) array, summed as
-            # asc_residuals sums its own
-            asc = tuple(float(np.max(np.abs(np.sum(t[k], axis=0))))
-                        for t in (self.plus, self.minus))
+            asc = tuple(float(np.max(np.abs(acc[k]))) for acc in (self.plus, self.minus))
             out.append(CellSummary(fields.get(b), bad, (float(self.low[k]), float(self.up[k])),
                                    asc, gaps[b]))
         return out

@@ -205,15 +205,15 @@ def obstacle_violations(field: SolutionField, spec: ProblemSpec, grid: Grid,
 def asc_residuals(field: SolutionField, spec: ProblemSpec, grid: Grid, obstacles=None):
     """Pushing-consistency residuals (asc_plus, asc_minus).
 
-    Per spatial column, sums (u - h) * da_plus over time and takes the
-    magnitude; asc_plus is the sup of those column magnitudes (asc_minus
-    analogous with (h' - u) * da_minus).  Exact lower reflection gives
-    asc_plus = 0 because increments occur only where u sits on h.
-    ``obstacles`` is as in obstacle_violations.
+    Per spatial column, sums (u - h) * da_plus backward in t, as the lattice
+    sweep does, and takes the magnitude; asc_plus is the sup of those column
+    magnitudes (asc_minus analogous with (h' - u) * da_minus).  Exact lower
+    reflection gives asc_plus = 0 because increments occur only where u sits
+    on h.  ``obstacles`` is as in obstacle_violations.
     """
     h, hp = obstacles or obstacle_fields(spec, grid)
-    cols_plus = np.sum((field.u - h) * field.a_plus, axis=0)
-    cols_minus = np.sum((hp - field.u) * field.a_minus, axis=0)
+    cols_plus = np.sum(((field.u - h) * field.a_plus)[::-1], axis=0)
+    cols_minus = np.sum(((hp - field.u) * field.a_minus)[::-1], axis=0)
     return float(np.max(np.abs(cols_plus))), float(np.max(np.abs(cols_minus)))
 
 

@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -435,17 +436,41 @@ def test_fields_independent_of_table_block_size(monkeypatch):
     spec = ProblemSpec.from_strings(**_VARCOEF)
     grid = Grid.for_problem(spec, 20, 33)
     params = PdeSchemeParams(grid=grid, penalty=_BATCH[0])
-    runs = []
+    runs, ladders = [], []
     for budget in (1, 10 * grid.n_x, 10 ** 9):
         monkeypatch.setattr(gcore, "_BLOCK_NODES", budget)
         runs.append([penalized_sweep(spec, grid, _BATCH[1]),
                      *_run_sweep(spec, grid, tuple(SweepCell(p) for p in _BATCH[:6])),
                      solve_penalized_pde(spec, params)])
+        # the ladder rows' asc sums run with the sweep, one block at a time
+        ladders.append(pickle.dumps([double_ladder(spec, grid, [4.0, 16.0, 64.0],
+                                                   [10.0, 100.0]).cells,
+                                     monotone_ladder(spec, grid, [4.0, 16.0, 64.0]).rows]))
     for fields in zip(*runs):
         for name in ("u", "z", "a_plus", "a_minus", "k_defect", "sigma_choice"):
             first, *others = (getattr(f, name).view(np.uint8) for f in fields)
             for other in others:
                 assert np.array_equal(first, other), name
+    assert ladders[1:] == ladders[:1] * 2
+
+
+def test_ladder_memory_does_not_grow_with_a_table_per_cell():
+    # a ladder cell keeps rows of nodes, not (n_t+1, n_x) tables: from
+    # n_t = 40 to 160, the peak grows by less than one table's 120 extra
+    # rows per cell of the 6 x 4 ladder
+    spec = _sine_spec()
+    peaks = []
+    for n_t in (40, 160):
+        grid = Grid.for_problem(spec, n_t, 33)
+        tracemalloc.start()
+        try:
+            report = double_ladder(spec, grid, [1.0, 4.0, 16.0, 64.0, 256.0, 1024.0],
+                                   [1.0, 10.0, 100.0, 1000.0])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert all(cell.error is None for row in report.cells for cell in row)
+    assert peaks[1] - peaks[0] < 24 * 120 * 33 * 8
 
 
 def test_batch_fields_own_their_memory_and_match_single_sweeps():

@@ -4,14 +4,17 @@
 
 Imports the package from ``DIR/src`` (default: this checkout).  The first
 line is the time ``import gdro.cli`` takes in a fresh interpreter: the
-minimum over 5 child processes, after one warm-up child that writes the
-bytecode cache.  The second is gdro's own share of it: the same minimum in
-children that first import every other module a fresh ``import gdro.cli``
-loads (numpy and the standard library modules).  The third is the exit
-time: the minimum over 5 children, each a small ``gdro solve`` through
-``gdro.cli.main`` that prints ``time.monotonic()`` once ``main`` returns, of
-the time from that print to this process's ``os.wait4`` reaping the child.
-It covers the interpreter's finalization and the process's teardown.
+median and the quartiles over 11 child processes, after one warm-up child
+that writes the bytecode cache.  The second is gdro's own share of it: the
+same in children that first import every other module a fresh
+``import gdro.cli`` loads (numpy and the standard library modules).  The
+third is the exit time: the median and the quartiles over 11 children, each
+a small ``gdro solve`` through ``gdro.cli.main`` that prints
+``time.monotonic()`` once ``main`` returns, of the time from that print to
+this process's ``os.wait4`` reaping the child.  It covers the interpreter's
+finalization and the process's teardown.  The quartiles show how far one
+checkout's children spread, so a difference between two checkouts smaller
+than that spread is noise.
 Then runs ``gdro solve --assert --method both`` on each catalog entry at its
 default grid, emitting the report only, one child process at a time, and
 prints one line per entry: its grid, the child's exit code, its peak
@@ -33,6 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -52,6 +56,8 @@ _SOLVE = ("import sys, time\nfrom gdro.cli import main\nrc = main(sys.argv[1:])\
 #: the run the exit time is taken on
 _EXIT_RUN = {"problem": "double-obstacle-sine", "grid": {"n_t": 20, "n_x": 33},
              "method": "both", "emit": ["report"]}
+#: child processes per start-up or exit time
+_CHILDREN = 11
 
 
 def child_env(root):
@@ -68,12 +74,12 @@ def _child(root, code, *args):
 
 
 def startup_s(root, own=False):
-    """The least time of ``import gdro.cli`` in 5 child processes, after one
-    warm-up child; with ``own``, in children that have already imported
-    every other module it loads."""
+    """The quartiles of the time of ``import gdro.cli`` in _CHILDREN child
+    processes, after one warm-up child; with ``own``, in children that have
+    already imported every other module it loads."""
     args = _child(root, _DEPENDENCIES).split() if own else ()
-    times = [float(_child(root, _IMPORT, *args)) for _ in range(6)]
-    return min(times[1:])
+    times = [float(_child(root, _IMPORT, *args)) for _ in range(1 + _CHILDREN)]
+    return statistics.quantiles(times[1:], n=4)
 
 
 def _reap(proc):
@@ -84,13 +90,13 @@ def _reap(proc):
 
 
 def exit_s(root, work):
-    """The least time, over 5 ``gdro solve`` children, from the return of
-    ``main`` to the child's reaping."""
+    """The quartiles, over _CHILDREN ``gdro solve`` children, of the time
+    from the return of ``main`` to the child's reaping."""
     config = os.path.join(work, "exit.json")
     with open(config, "w", encoding="utf-8") as fh:
         json.dump(_EXIT_RUN, fh)
     times = []
-    for _ in range(5):
+    for _ in range(_CHILDREN):
         proc = subprocess.Popen([sys.executable, "-c", _SOLVE, "solve", "--config", config,
                                  "--out", os.path.join(work, "exit")],
                                 env=child_env(root), stdout=subprocess.PIPE,
@@ -102,7 +108,7 @@ def exit_s(root, work):
         if proc.returncode:
             raise RuntimeError("exit-time run exited %d" % proc.returncode)
         times.append(reaped - returned)
-    return min(times)
+    return statistics.quantiles(times, n=4)
 
 
 def run_costs(root, work):
@@ -123,18 +129,23 @@ def run_costs(root, work):
                usage.ru_utime + usage.ru_stime)
 
 
+def _ms(quartiles):
+    q1, median, q3 = (1e3 * q for q in quartiles)
+    return "%.1f ms (median of %d processes, quartiles %.1f-%.1f)" % (median, _CHILDREN, q1, q3)
+
+
 def main(argv=None):
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--root", default=here, help="checkout whose src/ is run")
     args = ap.parse_args(argv)
     root = os.path.abspath(args.root)
-    print("start-up: import gdro.cli %.1f ms (least of 5 processes)" % (1e3 * startup_s(root)))
-    print("start-up: gdro's own import, its dependencies loaded, %.1f ms (least of 5 processes)"
-          % (1e3 * startup_s(root, own=True)))
+    print("start-up: import gdro.cli " + _ms(startup_s(root)))
+    print("start-up: gdro's own import, its dependencies loaded, "
+          + _ms(startup_s(root, own=True)))
     with tempfile.TemporaryDirectory() as work:
-        print("exit: main's return to the reaping of a gdro solve child %.1f ms"
-              " (least of 5 processes)" % (1e3 * exit_s(root, work)))
+        print("exit: main's return to the reaping of a gdro solve child "
+              + _ms(exit_s(root, work)))
         print("%-22s %9s %5s %12s %8s" % ("entry", "grid", "exit", "peak_rss_mb", "cpu_s"))
         for name, n_t, n_x, code, rss, cpu in run_costs(root, work):
             print("%-22s %9s %5d %12.2f %8.3f" % (name, "%dx%d" % (n_t, n_x), code, rss, cpu))
