@@ -14,7 +14,9 @@ are byte-identical.  ``--threads`` is accepted for compatibility and has no
 effect: each solver is single-threaded.  On a large enough grid, with two
 usable CPUs and ``os.fork``, a run sweeps the lattice's main batch in a
 forked child while the parent solves the PDE; outputs, exit codes and
-diagnostics are those of the in-process run.
+diagnostics are those of the in-process run.  The PDE's step-size caps are
+checked from validation's run plan before either solver starts, so a run
+they reject forks no child.
 
 ``main`` registers ``gc.freeze`` with ``atexit``, once per process.  At
 interpreter exit it moves every object still alive, mostly what numpy, the
@@ -50,7 +52,7 @@ from .gcore import (PROJECTION, Grid, PenaltyParams, ProblemSpec, StabilityError
 from .lattice import (Batch, DoubleLadderReport, Ladder, SweepCell, _field_or_raise,
                       double_report, sweep_cells)
 from .pde import (PdeSchemeParams, complementarity_residual,
-                  solve_double_obstacle_direct, solve_penalized_pde)
+                  solve_double_obstacle_direct, solve_penalized_pde, substeps)
 from .record import Factory, Record, replace
 from .scheme import NonFiniteField, require_finite, strictly_ascending
 
@@ -542,6 +544,13 @@ def run(config: RunConfig, assert_mode: bool = False,
             return EXIT_VALIDATION
         _diag("validate", status="ok", f_lipschitz_y=_fmt(report.f_lipschitz_y),
               f_lipschitz_z=_fmt(report.f_lipschitz_z))
+        # the PDE solves' step-size caps read only the plan's maxima, so a
+        # run they reject stops here, before a lattice sweep or a fork
+        plan = report.plan
+        if config.method != "lattice":
+            substeps(plan, grid, penalties)
+        if "residual" in config.emit:
+            substeps(plan, grid, penalties, direct=True)
 
         # the main lattice solve, the eps-probes, which shift its h, and the
         # ladders' cells are one batch, which keeps only the main field (under
@@ -551,7 +560,7 @@ def run(config: RunConfig, assert_mode: bool = False,
         main = SweepCell(penalties)
         batch = Batch.of([lad for lad in (reflected, double, row) if lad is not None],
                          [main] if config.method != "pde" or epsilons else [],
-                         [(main, SweepCell(penalties, eps)) for eps in epsilons])
+                         [(main, SweepCell(penalties, eps)) for eps in epsilons], plan)
         params = PdeSchemeParams(grid=grid, penalty=penalties)
 
         def lattice_batch():
@@ -563,9 +572,9 @@ def run(config: RunConfig, assert_mode: bool = False,
         def pde_solves():
             pde = direct = None
             if config.method != "lattice":
-                pde = solve_penalized_pde(spec, params)
+                pde = solve_penalized_pde(spec, params, plan=plan)
             if "residual" in config.emit:
-                direct = solve_double_obstacle_direct(spec, params)
+                direct = solve_double_obstacle_direct(spec, params, plan=plan)
             return pde, direct
 
         # the two sides share nothing until the cross gap, so a large
@@ -582,11 +591,11 @@ def run(config: RunConfig, assert_mode: bool = False,
         if pde_field is not None:
             results.fields["pde"] = pde_field
         if config.method == "both":
-            results.cross_gap = interior_gap(spec, grid, base.u, pde_field.u)
+            results.cross_gap = interior_gap(spec, grid, base.u, pde_field.u, plan)
         r_grid = None
         if results.direct_field is not None:
             r_grid, results.residual_sup = complementarity_residual(
-                results.direct_field, spec, grid)
+                results.direct_field, spec, grid, plan)
 
         solved = dict(results.fields, direct=results.direct_field)
         for method, fld in sorted(solved.items()):
@@ -632,7 +641,7 @@ def run(config: RunConfig, assert_mode: bool = False,
             write_report_csv(os.path.join(out_path, "report.csv"), ladder_rows, slope)
         if r_grid is not None:
             write_residual_csv(os.path.join(out_path, "residual.csv"), r_grid, grid)
-        _write_summary(os.path.join(out_path, "summary.json"), config, results)
+        _write_summary(os.path.join(out_path, "summary.json"), config, results, plan)
     except OSError as err:
         _diag("output", status="error", detail='"%s"' % err)
         return EXIT_VALIDATION
@@ -653,7 +662,7 @@ def run(config: RunConfig, assert_mode: bool = False,
     return EXIT_OK
 
 
-def _write_summary(path, config, results):
+def _write_summary(path, config, results, plan):
     grid = config.grid
     anchor_x = config.entry.anchor_x if config.entry is not None else \
         0.5 * (grid.x_min + grid.x_max)
@@ -661,7 +670,7 @@ def _write_summary(path, config, results):
     summary = {
         "problem": config.spec.name,
         "method": config.method,
-        "contamination_cone_t0": float(contamination_cone_width(config.spec, grid)[0]),
+        "contamination_cone_t0": float(contamination_cone_width(config.spec, grid, plan)[0]),
         "grid": {"n_t": grid.n_t, "n_x": grid.n_x, "dt": grid.dt, "dx": grid.dx},
         "penalties": {"n_upper": config.penalties.n_upper,
                       "m_lower": ("projection" if config.penalties.project_lower

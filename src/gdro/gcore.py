@@ -55,16 +55,20 @@ class VolatilityBand(Record, frozen=True):
             raise ValueError("need a finite sigma_high**2, got sigma_high=%r" % self.sigma_high)
 
 
-def g_eval(a, band: VolatilityBand):
+def g_eval(a, band: VolatilityBand, out=None):
     """Envelope nonlinearity 0.5*(sigma_high^2 * a+  -  sigma_low^2 * a-).
 
-    Positively homogeneous, monotone, subadditive; accepts arrays.
+    Positively homogeneous, monotone, subadditive; accepts arrays.  Given
+    ``out``, an array of a's shape other than ``a``, it forms the positive
+    part and the result there.
     """
     a = np.asarray(a, dtype=float) if isinstance(a, np.ndarray) else a
     hi = band.sigma_high ** 2
     lo = band.sigma_low ** 2
-    out = 0.5 * (hi * np.maximum(a, 0.0) - lo * np.maximum(-a, 0.0))
-    return out if isinstance(out, np.ndarray) else float(out)
+    negative = lo * np.maximum(-a, 0.0)
+    positive = np.multiply(hi, np.maximum(a, 0.0, out=out), out=out)
+    value = np.multiply(0.5, np.subtract(positive, negative, out=out), out=out)
+    return value if isinstance(value, np.ndarray) else float(value)
 
 
 class ProblemSpec(Record, frozen=True):
@@ -210,6 +214,7 @@ class ValidationReport(Record):
     f_lipschitz_y: float = 0.0
     f_lipschitz_z: float = 0.0
     warnings: list = Factory(list)
+    plan: RunPlan | None = None  # the RunPlan of validate_problem's tables
 
     @property
     def first_violation(self):
@@ -338,6 +343,61 @@ def driver_sample(spec, t_max, x, dy=0.0, dz=0.0):
     return np.broadcast_to(coeffs.f(ks, y + dy, y.swapaxes(2, 3) + dz), y.shape)
 
 
+class RunPlan(Record, frozen=True):
+    """The maxima of sigma, b and l on a reporting grid that a run's step
+    sizes and margins read: the PDE's substeps (``pde.substeps``), the
+    lattice's ghost margin (``lattice.ghost_cells``) and the contamination
+    cone.  ``validate_problem`` builds it from the tables it evaluates, so a
+    run evaluates sigma, b and l on the whole grid once.
+
+    sigma_high  the band's upper endpoint
+    sigma2      max sigma^2 over the rows t < T, the times a PDE step reads
+    pde_drift   max |2 l sigma_high^2 + b| over the rows t < T
+    sigma       max |sigma| over every row
+    drift       per band endpoint (low, high), max |b + l sig^2| over every row
+
+    Each is the maximum of the same elementwise values that a table of the
+    whole grid, or of its rows t < T, gives, so it is that table's maximum
+    bit for bit.
+    """
+    sigma_high: float
+    sigma2: float
+    pde_drift: float
+    sigma: float
+    drift: tuple
+
+    @classmethod
+    def of(cls, spec, grid, tables=None):
+        """The plan of ``spec`` on ``grid`` from ``tables``, sigma, b and
+        l at the column ``grid.t[:, None]``, or from tables evaluated here."""
+        if tables is None:
+            coeffs = Coefficients(spec, grid.x)
+            tables = [coeffs(name, grid.t[:, None]) for name in ("sigma", "b", "l")]
+        # tables free of t are cut to one row, which then stands for the
+        # rows t < T that a PDE step reads as well
+        sv, bv, lv = t_free_rows(*tables)
+        steps = slice(0, max(1, len(sv) - 1))
+        band = spec.band
+        hi2 = band.sigma_high ** 2
+        buf = np.empty(sv.shape)
+        at_steps = buf[steps]
+        # the maxima are of the values the solvers' formulas give, not
+        # warnings about them
+        with np.errstate(over="ignore", invalid="ignore"):
+            sigma2 = float(np.max(np.square(sv[steps], out=at_steps)))
+            np.multiply(2.0, lv[steps], out=at_steps)
+            at_steps *= hi2
+            at_steps += bv[steps]
+            pde_drift = float(np.max(np.abs(at_steps, out=at_steps)))
+            sigma = float(np.max(np.abs(sv, out=buf)))
+            drift = []
+            for sig in (band.sigma_low, band.sigma_high):
+                np.multiply(lv, sig ** 2, out=buf)
+                buf += bv
+                drift.append(float(np.max(np.abs(buf, out=buf))))
+        return cls(band.sigma_high, sigma2, pde_drift, sigma, tuple(drift))
+
+
 def validate_problem(spec: ProblemSpec, grid: Grid,
                      kappa_f: float = DEFAULT_KAPPA_F) -> ValidationReport:
     """Check the standing assumptions on the grid.
@@ -346,7 +406,8 @@ def validate_problem(spec: ProblemSpec, grid: Grid,
     node, the terminal sandwich h(T,.) <= phi <= h'(T,.), and sigma >= 0;
     estimates empirical Lipschitz constants of f in (y, z) by sampled
     difference quotients and warns when they exceed the configured kappa_f.
-    Returns the violations it finds; an expression undefined at a node it
+    The report's ``plan`` is the RunPlan of the tables it checks.  Returns
+    the violations it finds; an expression undefined at a node it
     evaluates (``sqrt`` or ``log`` of a negative value, say) raises
     ``expr.DomainError`` instead.
     """
@@ -375,6 +436,8 @@ def validate_problem(spec: ProblemSpec, grid: Grid,
         first_bad("obstacle-crossing", hv > hpv, "h=%.9g > h'=%.9g", hv, hpv)
         + first_bad("negative-diffusion", table["sigma"] < 0, "sigma=%.9g < 0",
                     table["sigma"]), key=lambda v: v.t_index)
+
+    report.plan = RunPlan.of(spec, grid, [table[name] for name in ("sigma", "b", "l")])
 
     phiv = table["phi"]
     hT = coeffs("h", spec.horizon)[None, :]
@@ -406,14 +469,17 @@ def obstacle_fields(spec: ProblemSpec, grid: Grid):
     return coeffs("h", grid.t[:, None]), coeffs("h_prime", grid.t[:, None])
 
 
-def contamination_cone_width(spec: ProblemSpec, grid: Grid) -> np.ndarray:
-    """Diagnostic cone width sigma_high * max|sigma(t,x)| * sqrt(T - t) per slice."""
-    smax = float(np.max(np.abs(Coefficients(spec, grid.x)("sigma", grid.t[:, None]))))
-    return spec.band.sigma_high * smax * np.sqrt(grid.t_max - grid.t)
+def contamination_cone_width(spec: ProblemSpec, grid: Grid, plan=None) -> np.ndarray:
+    """Diagnostic cone width sigma_high * max|sigma(t,x)| * sqrt(T - t) per
+    slice; the max is read from ``plan``, the RunPlan of (spec, grid), or
+    from one built here."""
+    plan = plan if plan is not None else RunPlan.of(spec, grid)
+    return plan.sigma_high * plan.sigma * np.sqrt(grid.t_max - grid.t)
 
 
-def uncontaminated_mask(spec: ProblemSpec, grid: Grid) -> np.ndarray:
-    """Boolean (n_t+1, n_x) mask of nodes outside the boundary cone."""
-    cone = contamination_cone_width(spec, grid)[:, None]
+def uncontaminated_mask(spec: ProblemSpec, grid: Grid, plan=None) -> np.ndarray:
+    """Boolean (n_t+1, n_x) mask of nodes outside the boundary cone; ``plan``
+    is as in contamination_cone_width."""
+    cone = contamination_cone_width(spec, grid, plan)[:, None]
     x = grid.x[None, :]
     return (x >= grid.x_min + cone) & (x <= grid.x_max - cone)

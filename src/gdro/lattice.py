@@ -10,8 +10,9 @@ scheme monotone; beyond the domain edges probes clamp to the edge value
 (constant extrapolation).
 
 Sweeps run on an internally widened x-grid (both band endpoints' drift
-reach plus a few adversarial standard deviations) so edge clamping cannot
-pollute the reported window; the returned fields cover the requested grid.
+reach plus a few adversarial standard deviations, from the maxima of the
+run plan, gcore.RunPlan) so edge clamping cannot pollute the reported
+window; the returned fields cover the requested grid.
 
 One sweep advances a batch of cells through one backward time loop.  A cell
 is a set of penalties plus a constant shift of the lower obstacle h; the
@@ -28,7 +29,8 @@ and evaluates the rest of the driver on a row of those tables.  It writes
 each output of the whole batch with one assignment into per-block buffers.
 
 A Batch says what the sweep keeps.  Once per block, the buffers are copied
-into the fields of the cells it keeps (a run's main cell) and reduced, for
+into the fields of the cells it keeps (a run's main cell), whose z is formed
+from the block's sigma table, and reduced, for
 the ladder cells and the probes, to what a ladder row or a probe gap
 reads (CellSummary): maxima over the nodes, and a ladder cell's two asc
 sums over t, which run backward in t with the sweep.  So a ladder cell costs
@@ -43,7 +45,7 @@ from itertools import groupby
 import numpy as np
 
 from .gcore import (EXPLICIT, NODEWISE_IMPLICIT, DEFAULT_KAPPA_F, PROJECTION,
-                    Coefficients, Grid, PenaltyParams, ProblemSpec, StabilityError,
+                    Coefficients, Grid, PenaltyParams, ProblemSpec, RunPlan, StabilityError,
                     broadcast, first_true, obstacle_fields, t_free_rows, uncontaminated_mask)
 from .record import Record
 from .scheme import (LadderRow, NonFiniteField, ObstacleStep, SolutionField, central_diff,
@@ -151,14 +153,11 @@ def conditional_g_expectation(next_slice, t, x, spec: ProblemSpec, grid: Grid):
     return value, choice, defects
 
 
-def _extension_cells(spec, grid):
-    """Ghost-margin width: either endpoint's drift reach plus MARGIN_SIGMAS deviations."""
-    coeffs = Coefficients(spec, grid.x)
-    sv, bv, lv = (coeffs(name, grid.t[:, None]) for name in ("sigma", "b", "l"))
-    smax = float(np.max(np.abs(sv)))
-    bmax = max(float(np.max(np.abs(bv + lv * sig ** 2)))
-               for sig in (spec.band.sigma_low, spec.band.sigma_high))
-    reach = bmax * grid.t_max + MARGIN_SIGMAS * spec.band.sigma_high * smax * np.sqrt(grid.t_max)
+def ghost_cells(plan, grid):
+    """Ghost-margin width: either endpoint's drift reach plus MARGIN_SIGMAS
+    deviations, from the maxima of ``plan`` (a gcore.RunPlan)."""
+    reach = (max(plan.drift) * grid.t_max
+             + MARGIN_SIGMAS * plan.sigma_high * plan.sigma * np.sqrt(grid.t_max))
     cells = ceil_eps(reach / grid.dx)
     if not cells <= 200_000:
         raise StabilityError("widened lattice domain would need %.0f ghost cells" % cells)
@@ -206,25 +205,27 @@ class Batch(tuple):
     """The distinct cells of one sweep, as a tuple, and what the sweep keeps
     of them: the SolutionField of each cell in ``keep``, and the reductions
     the ``ladders`` and the ``probes``, pairs (base, probe), read (see
-    CellSummary)."""
+    CellSummary).  ``plan`` is the gcore.RunPlan of the sweep's (spec,
+    grid), if the caller has one; else the sweep builds it."""
 
-    def __new__(cls, cells, keep=(), probes=(), ladders=()):
+    def __new__(cls, cells, keep=(), probes=(), ladders=(), plan=None):
         batch = super().__new__(cls, cells)
         batch.keep, batch.probes, batch.ladders = tuple(keep), tuple(probes), tuple(ladders)
+        batch.plan = plan
         return batch
 
     @classmethod
-    def of(cls, ladders=(), keep=(), probes=()):
+    def of(cls, ladders=(), keep=(), probes=(), plan=None):
         """The batch of the cells ``keep``, the probes' cells and the valid
         cells of ``ladders``, in that order, each once."""
         cells = [*keep, *(c for pair in probes for c in pair),
                  *(c for ladder in ladders for column in ladder.columns for c in column
                    if isinstance(c, SweepCell))]
-        return cls(dict.fromkeys(cells), keep, probes, ladders)
+        return cls(dict.fromkeys(cells), keep, probes, ladders, plan)
 
     def only(self, cells):
         """This batch restricted to ``cells``."""
-        return Batch(cells, self.keep, self.probes, self.ladders)
+        return Batch(cells, self.keep, self.probes, self.ladders, self.plan)
 
 
 class CellSummary(Record):
@@ -260,7 +261,7 @@ class _Reductions:
     asc_residuals does, whatever the block size.
     """
 
-    def __init__(self, spec, grid, live, batch):
+    def __init__(self, spec, grid, live, batch, plan):
         self.row = row = {c: b for b, c in enumerate(live)}
         ladder, order, z = {}, {}, {}  # dicts as ordered sets
         for lad in batch.ladders:
@@ -296,13 +297,13 @@ class _Reductions:
             zcells = {c: k for k, c in enumerate(dict.fromkeys(c for pair in z for c in pair))}
             self.zcells = np.array([row[c] for c in zcells], dtype=np.intp)
             self.index_z = [np.array([zcells[p[s]] for p in z], dtype=np.intp) for s in (0, 1)]
-            self.sigma = Coefficients(spec, grid.x)("sigma", grid.t[:, None])
-            self.mask = uncontaminated_mask(spec, grid)
+            self.mask = uncontaminated_mask(spec, grid, plan)
             self.dx = grid.dx
 
-    def add(self, u, a_plus, a_minus, top):
+    def add(self, u, a_plus, a_minus, top, sigma):
         """Reduce the slices top-1, top-2, ... of the batch, which rows 0, 1,
-        ... of the (rows, cells, nodes) arrays hold."""
+        ... of the (rows, cells, nodes) arrays hold, and of ``sigma``, the
+        (rows, nodes) table of sigma at those slices."""
         rows = slice(top - len(u), top)
 
         def at(table):  # a grid table's slices in the rows' order, per cell
@@ -333,7 +334,7 @@ class _Reductions:
             d -= u[:, lo]
             self._max("order", _sup_positive(d))
         if self.pairs["z"]:
-            z = at(self.sigma) * central_diff(u[:, self.zcells], self.dx)
+            z = sigma[:, None] * central_diff(u[:, self.zcells], self.dx)
             a, b = self.index_z
             d = np.where(at(self.mask), z[:, a] - z[:, b], 0.0)
             self._max("z", np.abs(d, out=d).max(axis=(0, 2)))
@@ -426,7 +427,8 @@ def _sweep_live(spec, grid, cells, batch):
                                           column([c.penalties.m_value for c in members]), *key),
                        column([c.h_shift or -0.0 for c in members])))
 
-    mc = _extension_cells(spec, grid)
+    plan = batch.plan if batch.plan is not None else RunPlan.of(spec, grid)
+    mc = ghost_cells(plan, grid)
     nxe = grid.n_x + 2 * mc
     # core coordinates must match grid.x bitwise so clamped nodes satisfy
     # u == h exactly; hence x_min + dx*(j - mc), not (x_min - mc*dx) + dx*j
@@ -441,13 +443,17 @@ def _sweep_live(spec, grid, cells, batch):
     keep = set(batch.keep)
     kept = [b for b, c in enumerate(live) if c in keep]
     outs = [SolutionField.empty(grid) for _ in kept]
-    reductions = _Reductions(spec, grid, live, batch)
+    reductions = _Reductions(spec, grid, live, batch, plan)
     u = np.broadcast_to(coeffs("phi"), (len(live), nxe)).copy()
+    # sigma at T on the reporting grid; at the steps' t_i the tables' core
+    # columns give it, as x_min + dx*(j - mc) is grid.x there bitwise
+    sigma_end = Coefficients(spec, grid.x)("sigma", grid.t[-1])
     for b, out in zip(kept, outs):
         out.u[grid.n_t] = u[b, core]
+        out.z[grid.n_t] = z_field(sigma_end, grid, out.u[grid.n_t])
     if reductions.active:
         zero = np.zeros((1, len(live), grid.n_x))  # no increments at T
-        reductions.add(u[None, :, core], zero, zero, grid.n_t + 1)
+        reductions.add(u[None, :, core], zero, zero, grid.n_t + 1, sigma_end[None])
 
     # the coefficients and kernels come in blocks of time rows
     # k = n_t-1-i, in loop order; a block's kernels cover the rows before
@@ -489,23 +495,17 @@ def _sweep_live(spec, grid, cells, batch):
                 e_low, e_high, c = e_low[mine], e_high[mine], c[mine]
             defect_buf[r] = np.minimum(e_low - c, e_high - c)[:, core]
             choice_buf[r] = (e_high > e_low)[:, core]  # ties resolve to the low endpoint
+        sigma = sv[:n_rows, core]
+        rows = slice(i0 - n_rows, i0)
         for q, (b, out) in enumerate(zip(kept, outs)):
             for name, buf, col in zip(names, bufs, (b, b, b, q, q)):
-                getattr(out, name)[i0 - n_rows:i0] = buf[:n_rows][::-1, col]
+                getattr(out, name)[rows] = buf[:n_rows][::-1, col]
+            out.z[rows] = z_field(sigma[::-1], grid, out.u[rows])
         if reductions.active:
-            reductions.add(u_buf[:n_rows], plus_buf[:n_rows], minus_buf[:n_rows], i0)
+            reductions.add(u_buf[:n_rows], plus_buf[:n_rows], minus_buf[:n_rows], i0, sigma)
         i0 -= n_rows
         if error is not None:
             raise error
-
-    # the last block's tables and kernels and the buffers are not kept
-    # while z is computed
-    del sv, bv, lv, hv, hpv, ks, kernels, bufs
-    del u_buf, plus_buf, minus_buf, defect_buf, choice_buf
-    if outs:
-        sigma = Coefficients(spec, grid.x)("sigma", grid.t[:, None])
-        for out in outs:
-            out.z = z_field(sigma, grid, out.u)
     return zip(live, reductions.summaries(dict(zip(kept, outs))))
 
 

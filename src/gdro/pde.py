@@ -15,10 +15,14 @@ at t_i, as the lattice does; they come from tables evaluated once per block
 of reported steps (``Coefficients.blocks``), and so do sigma^2 and 2*l.
 Freezing them over a step is an O(dt) consistency error, and since the
 substeps are sized on the maxima over every t_i, the bound holds at every
-node the solve reads.  The obstacle update's scalars and the buffer of
-ghost values are prepared once per solve, so a substep makes only its array
-operations and evaluates only the rest of the driver, on a row of those
-tables.
+node the solve reads.  Those maxima come from the run's plan
+(``gcore.RunPlan``), which validation builds from the tables it evaluates,
+so ``substeps`` is scalar arithmetic that a run can check before any solve
+starts.  The obstacle update's scalars, the buffer of ghost values and the
+substep's rows d2, d1, harg, F and a scratch row are allocated once per
+solve, and a substep fills them in place, so it allocates only in the
+driver and the obstacle update, and evaluates only the rest of the driver,
+on a row of those tables.
 
 Boundary columns use one-sided first differences with the curvature copied
 from the adjacent interior column (quadratic ghost nodes), which is exact
@@ -32,7 +36,8 @@ from __future__ import annotations
 import numpy as np
 
 from .gcore import (EXPLICIT, NODEWISE_IMPLICIT, Coefficients, Grid, PenaltyParams,
-                    ProblemSpec, StabilityError, g_eval, obstacle_fields, uncontaminated_mask)
+                    ProblemSpec, RunPlan, StabilityError, g_eval, obstacle_fields,
+                    uncontaminated_mask)
 from .record import Factory, Record
 from .scheme import ObstacleStep, SolutionField, ceil_eps, obstacle_update, z_field
 
@@ -65,16 +70,16 @@ def f_operator(d2u, du, u, x, t, spec: ProblemSpec):
     return out if np.ndim(out) else float(out)
 
 
-def _stability_substeps(spec, grid, penalties, direct):
-    """Substeps per reported step so the explicit bound holds for dt_sub at
-    the maxima of the coefficients over the times _run_pde reads them at:
-    each step's t_i, so every reported time but T.  More than MAX_SUBSTEPS,
-    or more work than MAX_PDE_WORK, raises StabilityError."""
-    coeffs = Coefficients(spec, grid.x)
-    sv, bv, lv = (coeffs(name, grid.t[:-1, None]) for name in ("sigma", "b", "l"))
-    hi2 = spec.band.sigma_high ** 2
-    rate = (hi2 * float(np.max(sv ** 2)) / grid.dx ** 2
-            + float(np.max(np.abs(2.0 * lv * hi2 + bv))) / grid.dx + penalties.kappa_f)
+def substeps(plan, grid, penalties, direct=False):
+    """Substeps per reported step of a PDE solve on ``grid`` with
+    ``penalties`` (``direct`` for the direct solve, whose bound has no
+    penalty), so the explicit bound holds for dt_sub at the maxima of the
+    coefficients over the times _run_pde reads them at: each step's t_i, so
+    every reported time but T, as ``plan`` (a gcore.RunPlan) holds them.
+    More than MAX_SUBSTEPS, or more work than MAX_PDE_WORK, raises
+    StabilityError."""
+    hi2 = plan.sigma_high ** 2
+    rate = hi2 * plan.sigma2 / grid.dx ** 2 + plan.pde_drift / grid.dx + penalties.kappa_f
     if not direct and penalties.penalty_mode == EXPLICIT:
         rate = rate + (penalties.n_upper + penalties.m_value)
     nsub = ceil_eps(grid.dt * rate)
@@ -91,17 +96,23 @@ def _stability_substeps(spec, grid, penalties, direct):
     return nsub
 
 
-def _run_pde(spec, grid, penalties, direct):
-    """The backward loop of both PDE solves.  Each substep adds its a_plus,
-    a_minus and defect into row i of the zeroed field; u and sigma_choice
-    are stored at the step's last substep, and every substep of a step
-    reads the coefficient rows at t_i.  What is the same for every row of
-    a block (sigma^2 and 2*l) is tabled once per block, and what is the
-    same for the solve once."""
+def _run_pde(spec, grid, penalties, direct, plan):
+    """The backward loop of both PDE solves, with nsub from ``plan``, the
+    RunPlan of (spec, grid), or from one built here.  Each substep adds its
+    a_plus, a_minus and defect into row i of the zeroed field; u and
+    sigma_choice are stored at the step's last substep, and every substep
+    of a step reads the coefficient rows at t_i.  What is the same for every
+    row of a block (sigma^2 and 2*l) is tabled once per block, and what is
+    the same for the solve once.  A substep fills the rows d2, d1, harg, F
+    and a scratch row, allocated once per solve, with in-place ufunc calls
+    in the order of the formulas they compute, and takes the ghost values
+    from Python floats; z is formed a block of rows at a time from the same
+    sigma tables."""
     dt, dx = grid.dt, grid.dx
     if penalties.penalty_mode == NODEWISE_IMPLICIT:
         penalties.check_explicit_cfl(dt)
-    nsub = _stability_substeps(spec, grid, penalties, direct)
+    nsub = substeps(plan if plan is not None else RunPlan.of(spec, grid), grid, penalties,
+                    direct)
     coeffs = Coefficients(spec, grid.x)
     band = spec.band
     lo2, hi2 = band.sigma_low ** 2, band.sigma_high ** 2
@@ -115,63 +126,86 @@ def _run_pde(spec, grid, penalties, direct):
     out = SolutionField.empty(grid)
     u = coeffs("phi")
     out.u[grid.n_t] = u
+    out.z[grid.n_t] = z_field(coeffs("sigma", grid.t[-1]), grid, u)
     # u with its quadratic ghost values: one-sided first difference, copied
     # curvature; g_up[j] and g_dn[j] are the values right and left of node j
     g = np.empty(grid.n_x + 2)
     g_up, g_dn = g[2:], g[:-2]
+    d2, d1, harg, F, scratch = np.empty((5, grid.n_x))
 
     reads_z = coeffs.reads_z
     i = grid.n_t
-    for _, (sv, bv, lv, hv, hpv, *ks) in coeffs.blocks(
+    for times, (sv, bv, lv, hv, hpv, *ks) in coeffs.blocks(
             ("sigma", "b", "l", "h", "h_prime") + coeffs.driver_fields, grid):
         for s2, l2, bvr, svr, hr, hpr, *kr in zip(sv ** 2, 2.0 * lv, bv, sv, hv, hpv, *ks):
             i -= 1
+            k_defect, a_plus, a_minus = out.k_defect[i], out.a_plus[i], out.a_minus[i]
             for _ in range(nsub):
+                u0, u1, u2 = u[:3].tolist()
+                v2, v1, v0 = u[-3:].tolist()
                 g[1:-1] = u
-                g[0] = 3.0 * u[0] - 3.0 * u[1] + u[2]
-                g[-1] = 3.0 * u[-1] - 3.0 * u[-2] + u[-3]
-                d2 = (g_up - two * u + g_dn) / dx2
-                d1 = (g_up - g_dn) / two_dx
-                harg = s2 * d2 + l2 * d1
-                F = g_eval(harg, band) + bvr * d1 + coeffs.f(kr, u, svr * d1 if reads_z else None)
-                out.k_defect[i] += defect * np.abs(harg) * dts
-                base = u + dts * F
-                u, ap, am = obstacle_update(base, u, hr, hpr, step)
-                out.a_plus[i] += ap
-                out.a_minus[i] += am
+                g[0] = 3.0 * u0 - 3.0 * u1 + u2
+                g[-1] = 3.0 * v0 - 3.0 * v1 + v2
+                # d2 = (g_up - 2 u + g_dn) / dx^2, d1 = (g_up - g_dn) / (2 dx)
+                np.multiply(two, u, out=d2)
+                np.subtract(g_up, d2, out=d2)
+                np.add(d2, g_dn, out=d2)
+                np.divide(d2, dx2, out=d2)
+                np.subtract(g_up, g_dn, out=d1)
+                np.divide(d1, two_dx, out=d1)
+                # harg = s2 d2 + l2 d1
+                np.multiply(s2, d2, out=harg)
+                np.multiply(l2, d1, out=scratch)
+                np.add(harg, scratch, out=harg)
+                # F = G(harg) + b d1 + f(u, sigma d1)
+                g_eval(harg, band, out=F)
+                np.multiply(bvr, d1, out=scratch)
+                np.add(F, scratch, out=F)
+                np.add(F, coeffs.f(kr, u, np.multiply(svr, d1, out=scratch) if reads_z else None),
+                       out=F)
+                # k_defect += defect |harg| dt_sub
+                np.abs(harg, out=scratch)
+                np.multiply(defect, scratch, out=scratch)
+                np.multiply(scratch, dts, out=scratch)
+                np.add(k_defect, scratch, out=k_defect)
+                # base = u + dt_sub F
+                np.multiply(dts, F, out=F)
+                np.add(u, F, out=F)
+                u, ap, am = obstacle_update(F, u, hr, hpr, step)
+                a_plus += ap
+                a_minus += am
             out.u[i] = u
             out.sigma_choice[i] = harg > 0.0
-
-    # the last block's tables, and the rows viewing them, are not kept
-    # while z is computed
-    del sv, bv, lv, hv, hpv, ks, s2, l2, bvr, svr, hr, hpr, kr
-    out.z = z_field(coeffs("sigma", grid.t[:, None]), grid, out.u)
+        rows = slice(i, i + len(times))
+        out.z[rows] = z_field(sv[::-1], grid, out.u[rows])
     return out
 
 
 def solve_penalized_pde(spec: ProblemSpec, params: PdeSchemeParams,
-                        threads: int = 1) -> SolutionField:
+                        threads: int = 1, plan=None) -> SolutionField:
     """Explicit scheme for the doubly penalized equation.
 
     Penalties are applied on the incoming (later-time) slice in explicit
     mode; nodewise-implicit mode resolves them exactly against the node
     value, matching the lattice semantics so ladders are comparable.
     ``m_lower="projection"`` replaces the lower penalty with the exact
-    reflection, mirroring the lattice's reflected sweep.  ``threads`` is
-    accepted for compatibility and ignored.
+    reflection, mirroring the lattice's reflected sweep.  ``plan`` is the
+    gcore.RunPlan of (spec, params.grid), built here if None.  ``threads``
+    is accepted for compatibility and ignored.
     """
-    return _run_pde(spec, params.grid, params.penalty, direct=False)
+    return _run_pde(spec, params.grid, params.penalty, False, plan)
 
 
 def solve_double_obstacle_direct(spec: ProblemSpec, params: PdeSchemeParams,
-                                 threads: int = 1) -> SolutionField:
+                                 threads: int = 1, plan=None) -> SolutionField:
     """Explicit step followed by the double projection min(h', max(h, .)).
 
     Penalty intensities are ignored (and excluded from the stability bound);
-    the output satisfies h <= u <= h' exactly at every node.  ``threads`` is
-    accepted for compatibility and ignored.
+    the output satisfies h <= u <= h' exactly at every node.  ``plan`` is
+    as in solve_penalized_pde.  ``threads`` is accepted for compatibility
+    and ignored.
     """
-    return _run_pde(spec, params.grid, params.penalty, direct=True)
+    return _run_pde(spec, params.grid, params.penalty, True, plan)
 
 
 def _dilate(mask, kt, kx):
@@ -189,7 +223,7 @@ def _dilate(mask, kt, kx):
     return out
 
 
-def complementarity_residual(field: SolutionField, spec: ProblemSpec, grid: Grid):
+def complementarity_residual(field: SolutionField, spec: ProblemSpec, grid: Grid, plan=None):
     """Pointwise residual of the double-obstacle equation and its interior sup.
 
     r = max(u - h', min(u - h, -dt_forward(u) - F)) with central space
@@ -197,7 +231,8 @@ def complementarity_residual(field: SolutionField, spec: ProblemSpec, grid: Grid
     final slice, the boundary columns, and a fixed physical margin around
     the realized contact set: one-sided time differences straddle the
     derivative kink at the free boundary, so the residual there is O(1) for
-    any grid and says nothing about consistency.
+    any grid and says nothing about consistency.  ``plan`` is as in
+    solve_penalized_pde.
     """
     u = field.u
     dt, dx = grid.dt, grid.dx
@@ -215,7 +250,7 @@ def complementarity_residual(field: SolutionField, spec: ProblemSpec, grid: Grid
     kt = int(ceil_eps(RESIDUAL_CONTACT_MARGIN_T * grid.t_max / dt))
     kx = int(ceil_eps(RESIDUAL_CONTACT_MARGIN_X * (grid.x_max - grid.x_min) / dx))
     near_contact = _dilate(contact, kt, kx)
-    keep = uncontaminated_mask(spec, grid) & ~near_contact & ~np.isnan(r)
+    keep = uncontaminated_mask(spec, grid, plan) & ~near_contact & ~np.isnan(r)
     keep[grid.n_t, :] = False
     sup = float(np.max(np.abs(np.where(keep, r, 0.0)))) if keep.any() else 0.0
     return r, sup

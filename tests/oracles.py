@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from gdro.expr import BinOp, DomainError, Neg, Num, UnboundVariableError, Var
+from gdro.gcore import EXPLICIT, Coefficients, StabilityError
 
 # Bermudan put on an additive coin-flip tree: steps +-vol*sqrt(dt), p = 1/2,
 # exercise at every grid time.  Value at x0=1 for vol=0.16, T=1, 200 steps,
@@ -176,3 +177,58 @@ def reference_obstacle_update(base, anchor, h, hp, dt, n, m, implicit, project_l
         a_plus = dtm * np.maximum(h - anchor, 0.0)
         a_minus = dtn * np.maximum(anchor - hp, 0.0)
         return base + a_plus - a_minus, a_plus, a_minus
+
+
+# The step sizes and margins as they were computed before the run plan, each
+# from tables of sigma, b and l it evaluated itself on the whole grid: the
+# references the plan's scalars must reproduce bit for bit, errors included.
+# The caps are arguments, so that no solver module is imported here.
+_CEIL_EPS = 1e-9
+
+
+def _kernel_tables(spec, grid, t):
+    coeffs = Coefficients(spec, grid.x)
+    return (coeffs(name, t[:, None]) for name in ("sigma", "b", "l"))
+
+
+def reference_substeps(spec, grid, penalties, direct, max_substeps, max_work):
+    """The PDE's substeps per reported step, sized on the tables at every
+    reported time but T (``pde._stability_substeps``)."""
+    sv, bv, lv = _kernel_tables(spec, grid, grid.t[:-1])
+    hi2 = spec.band.sigma_high ** 2
+    rate = (hi2 * float(np.max(sv ** 2)) / grid.dx ** 2
+            + float(np.max(np.abs(2.0 * lv * hi2 + bv))) / grid.dx + penalties.kappa_f)
+    if not direct and penalties.penalty_mode == EXPLICIT:
+        rate = rate + (penalties.n_upper + penalties.m_value)
+    nsub = np.ceil(grid.dt * rate - _CEIL_EPS)
+    if not nsub <= max_substeps:
+        raise StabilityError(
+            "explicit stability needs %.0f substeps per step (cap %d); "
+            "bound dt*rate = %.6g" % (nsub, max_substeps, grid.dt * rate))
+    nsub = max(1, int(nsub))
+    work = grid.n_t * nsub * grid.n_x
+    if work > max_work:
+        raise StabilityError(
+            "the PDE solve needs n_t*nsub*n_x = %d node-substeps (cap %d) at %d substeps "
+            "per step; coarsen the grid" % (work, max_work, nsub))
+    return nsub
+
+
+def reference_ghost_cells(spec, grid, margin_sigmas):
+    """The lattice's ghost-margin width (``lattice._extension_cells``)."""
+    sv, bv, lv = _kernel_tables(spec, grid, grid.t)
+    smax = float(np.max(np.abs(sv)))
+    bmax = max(float(np.max(np.abs(bv + lv * sig ** 2)))
+               for sig in (spec.band.sigma_low, spec.band.sigma_high))
+    reach = bmax * grid.t_max + margin_sigmas * spec.band.sigma_high * smax * np.sqrt(grid.t_max)
+    cells = np.ceil(reach / grid.dx - _CEIL_EPS)
+    if not cells <= 200_000:
+        raise StabilityError("widened lattice domain would need %.0f ghost cells" % cells)
+    return int(cells)
+
+
+def reference_cone_width(spec, grid):
+    """The contamination cone's width per slice (``gcore.contamination_cone_width``)."""
+    sv, _, _ = _kernel_tables(spec, grid, grid.t)
+    smax = float(np.max(np.abs(sv)))
+    return spec.band.sigma_high * smax * np.sqrt(grid.t_max - grid.t)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gdro.cli
+import gdro.gcore
 import gdro.lattice
 import gdro.pde
 from gdro.cli import (EXIT_ASSERT, EXIT_OK, EXIT_STABILITY, EXIT_VALIDATION,
@@ -274,6 +275,46 @@ class TestRun:
         assert ('stability status=rejected detail="the PDE solve needs n_t*nsub*n_x = '
                 '2561040100 node-substeps (cap 2147483648) at 6401 substeps per step; '
                 'coarsen the grid"' in capsys.readouterr().err)
+
+    def test_pde_work_cap_rejects_before_the_lattice_and_the_fork(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # the same run under --method both, above the fork gate: the PDE's
+        # caps are checked before the lattice batch is swept, here or in a
+        # forked child, whose sweep the rejection would throw away
+        forks, sweeps = [], []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or pytest.fail("forked"))
+        monkeypatch.setattr(gdro.lattice, "_run_sweep", lambda *args: sweeps.append(args))
+        grid = {"n_t": 100, "n_x": 4001}
+        assert (grid["n_t"] + 1) * grid["n_x"] >= gdro.cli._FORK_NODES
+        rc = _solve(tmp_path, {
+            "problem": dict(INLINE_HEAT, sigma_low=1.2, sigma_high=1.2),
+            "grid": grid, "method": "both", "emit": []})
+        assert rc == EXIT_STABILITY and forks == [] and sweeps == []
+        assert ('stability status=rejected detail="the PDE solve needs n_t*nsub*n_x = '
+                '2561040100 node-substeps (cap 2147483648) at 6401 substeps per step; '
+                'coarsen the grid"' in capsys.readouterr().err)
+
+    def test_kernel_coefficients_evaluated_on_the_grid_once(self, tmp_path, monkeypatch):
+        # validation's tables of sigma, b and l feed the run plan, which sizes
+        # the PDE's substeps, the lattice's margin and the cone, mask and
+        # summary; the solvers' z fields take sigma from their block tables
+        calls = []
+        call = gdro.gcore.Coefficients.__call__
+
+        def counted(coeffs, name, t=None):
+            if isinstance(t, np.ndarray) and len(t) == grid["n_t"] + 1:
+                calls.append(name)
+            return call(coeffs, name, t)
+
+        monkeypatch.setattr(gdro.gcore.Coefficients, "__call__", counted)
+        grid = {"n_t": 20, "n_x": 33}
+        rc = _solve(tmp_path, {
+            "problem": dict(UNCERTAIN_SINE, sigma="1 + 0.2*sin(x + t)",
+                            b="0.1*cos(x - t)", l="0.05*sin(x*t)"),
+            "grid": grid, "method": "both", "emit": ["field", "report", "residual"],
+            "ladders": {"n_list": [4, 8], "m_list": [10], "epsilon_list": [0.1]}})
+        assert rc == EXIT_OK
+        assert sorted(c for c in calls if c in ("sigma", "b", "l")) == ["b", "l", "sigma"]
 
     def test_drift_weight_rejection_names_its_node(self, tmp_path):
         # b grows like t^2, so the upwind drift weight |mu|/dx passes 0.5 at

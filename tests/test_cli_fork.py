@@ -102,8 +102,8 @@ def _slow_sweeps(monkeypatch):
       "grid": {"n_t": 20, "n_x": 41}, "method": "both", "emit": ["residual"]},
      EXIT_VALIDATION, 'validate status=fail kind=domain-error detail="sqrt of negative value'),
     # the lattice's drift weight fails at its first step, for the main cell
-    # and the n-ladder's rungs of its batch alike, and the PDE's explicit
-    # bound between reported times fails too: the lattice is reported
+    # and the n-ladder's rungs of its batch alike; the PDE, which reads sigma
+    # at the reported times only, solves it in 68 substeps per step
     ({"problem": dict(UNCERTAIN_SINE, phi="0.1*sin(3*x)", b="40*t*t*(1 + 0.1*x)",
                       sigma="1 + 3*pos(sin(62.83185307179586*t))"),
       "grid": {"n_t": 20, "n_x": 121}, "method": "both", "emit": [],
@@ -134,7 +134,7 @@ def test_forked_failure_matches_in_process(tmp_path, monkeypatch, capsys, forks,
 
 
 def test_pde_failure_still_raised_after_lattice_success(tmp_path, monkeypatch, capsys, forks):
-    def failing(*args):
+    def failing(*args, **kwargs):
         raise StabilityError("pde rejected")
 
     monkeypatch.setattr(gdro.cli, "solve_penalized_pde", failing)
@@ -154,7 +154,7 @@ def test_child_without_result_raises(tmp_path, monkeypatch, forks):
 
 
 def test_parent_interrupt_kills_child(tmp_path, monkeypatch, forks):
-    def interrupted(*args):
+    def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
 
     killed = []

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from gdro import gcore, lattice, pde
 from gdro.expr import DomainError, eval_expr
-from gdro.gcore import (Coefficients, Grid, PenaltyParams, ProblemSpec, StabilityError,
-                        VolatilityBand, g_eval, obstacle_fields,
-                        uncontaminated_mask, validate_problem)
+from gdro.gcore import (Coefficients, Grid, PenaltyParams, ProblemSpec, RunPlan,
+                        StabilityError, VolatilityBand, contamination_cone_width, g_eval,
+                        obstacle_fields, uncontaminated_mask, validate_problem)
 
 bands = st.tuples(
     st.floats(min_value=0.05, max_value=3.0, allow_nan=False),
@@ -164,6 +165,82 @@ def test_obstacle_fields_and_mask():
     assert mask.dtype == bool
 
 
+def _plan_outcomes(spec, grid, penalties, direct):
+    """(nsub, ghost cells, cone width bytes) from the run plan of validation,
+    then from the references, each an error message where it raises."""
+    def outcome(fn, *args):
+        try:
+            # a last time dt*n_t that rounds above T gives the cone a nan
+            with np.errstate(invalid="ignore"):
+                value = fn(*args)
+        except StabilityError as err:
+            return "StabilityError: %s" % err
+        return value.tobytes() if isinstance(value, np.ndarray) else value
+
+    plan = validate_problem(spec, grid).plan
+    ours = (outcome(pde.substeps, plan, grid, penalties, direct),
+            outcome(lattice.ghost_cells, plan, grid),
+            outcome(contamination_cone_width, spec, grid, plan))
+    theirs = (outcome(oracles.reference_substeps, spec, grid, penalties, direct,
+                      pde.MAX_SUBSTEPS, pde.MAX_PDE_WORK),
+              outcome(oracles.reference_ghost_cells, spec, grid, lattice.MARGIN_SIGMAS),
+              outcome(oracles.reference_cone_width, spec, grid))
+    return ours, theirs
+
+
+def _varying(t_dependent, template, *numbers):
+    """``template`` filled with ``numbers`` and, for its time, t or a constant."""
+    return template.format(*numbers, t="t" if t_dependent else "0.7")
+
+
+plan_problems = st.builds(
+    lambda lo, width, horizon, x_min, span, sig, b, l, moving: ProblemSpec.from_strings(
+        horizon=horizon, x_min=x_min, x_max=x_min + span, sigma_low=lo,
+        sigma_high=lo + width, phi="0.1*sin(x)",
+        sigma=_varying(True, "{0!r} + {1!r}*sin({2!r}*x + {3!r}*{t} + 0.3)", *sig),
+        b=_varying(moving[0], "{0!r}*cos(x - {1!r}*{t})*(1 + 0.5*{t})", *b),
+        l=_varying(moving[1], "{0!r}*sin({1!r}*x*{t} + 1) - 0.1*exp(-{t})", *l)),
+    st.floats(0.1, 1.0), st.floats(0.0, 2.0), st.floats(0.1, 2.0), st.floats(-3.0, 0.0),
+    st.floats(0.5, 6.0),
+    st.tuples(st.floats(0.0, 2.0), st.floats(-1.0, 1.0), st.floats(0.0, 3.0),
+              st.floats(-5.0, 5.0)),
+    st.tuples(st.floats(-2.0, 2.0), st.floats(-5.0, 5.0)),
+    st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    st.tuples(st.booleans(), st.booleans()))
+
+plan_penalties = st.builds(
+    PenaltyParams, st.sampled_from([0.0, 4.0, 64.0, 1e9]) | st.floats(0.0, 1e3),
+    st.just("projection") | st.floats(0.0, 1e3),
+    st.sampled_from(["explicit", "nodewise-implicit"]), st.floats(0.0, 10.0))
+
+
+@settings(deadline=None)
+@given(plan_problems, st.integers(1, 30), st.integers(3, 50), plan_penalties, st.booleans())
+def test_run_plan_equals_the_formulas_it_replaced(spec, n_t, n_x, penalties, direct):
+    # sigma varies in t and x; b and l in x, and in t where drawn so; the
+    # PDE's substeps, the lattice's margin and the cone read the plan's
+    # maxima and equal, bit for bit, what their own tables gave
+    grid = Grid.for_problem(spec, n_t, n_x)
+    ours, theirs = _plan_outcomes(spec, grid, penalties, direct)
+    assert ours == theirs
+    assert validate_problem(spec, grid).plan == RunPlan.of(spec, grid)
+
+
+@pytest.mark.parametrize("coefficients, grid, penalties, error", [
+    ({"sigma": "1 + 0.1*sin(x + t)"}, (10, 201), PenaltyParams(n_upper=1e9),
+     "explicit stability needs 100001211 substeps per step (cap 10000)"),
+    ({"x_min": -3.0, "x_max": 3.0, "sigma_low": 1.2, "sigma_high": 1.2}, (100, 4001),
+     PenaltyParams(), "2561040100 node-substeps (cap 2147483648)"),
+    ({"b": "1e6*(1 + 0*t)"}, (10, 21), PenaltyParams(),
+     "widened lattice domain would need 5000060 ghost cells"),
+], ids=["MAX_SUBSTEPS", "MAX_PDE_WORK", "ghost-cells"])
+def test_run_plan_caps_raise_as_before(coefficients, grid, penalties, error):
+    spec = _spec(**coefficients)
+    ours, theirs = _plan_outcomes(spec, Grid.for_problem(spec, *grid), penalties, False)
+    assert ours == theirs
+    assert any(isinstance(o, str) and error in o for o in ours)
+
+
 def test_coefficient_blocks_stop_at_an_undefined_row(monkeypatch):
     # the steps run backward from t = 0.9 and h is undefined below t = 0.35;
     # with four steps per block, the second block holds the first undefined
@@ -257,7 +334,7 @@ def test_undefined_driver_subtree_raises_at_its_row(solver, monkeypatch):
     times = [grid.dt * (grid.n_t - 1 - k) for k in range(grid.n_t)]
     first_undefined = next(k for k, t in enumerate(times) if abs(t - 0.6) - 0.04 < 0)
     if solver == "pde":
-        first_undefined *= pde._stability_substeps(spec, grid, penalties, False)
+        first_undefined *= pde.substeps(RunPlan.of(spec, grid), grid, penalties)
     module = lattice if solver == "lattice" else pde
     steps = []
     update = module.obstacle_update

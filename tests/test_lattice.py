@@ -9,9 +9,9 @@ import oracles
 from gdro import gcore
 from gdro.convergence import monotone_ladder
 from gdro.expr import BinOp, DomainError, Num, UnboundVariableError, parse_expr
-from gdro.gcore import Grid, PenaltyParams, ProblemSpec, StabilityError
-from gdro.lattice import (SweepCell, _extension_cells, _run_sweep, conditional_g_expectation,
-                          double_ladder, penalized_sweep, reflected_sweep, sweep_cells)
+from gdro.gcore import Grid, PenaltyParams, ProblemSpec, RunPlan, StabilityError
+from gdro.lattice import (SweepCell, _run_sweep, conditional_g_expectation, double_ladder,
+                          ghost_cells, penalized_sweep, reflected_sweep, sweep_cells)
 from gdro.pde import PdeSchemeParams, solve_penalized_pde
 from gdro.record import replace
 from gdro.scheme import SolutionField
@@ -478,7 +478,7 @@ def test_batch_fields_own_their_memory_and_match_single_sweeps():
     # each cell's arrays; n_t = 80 leaves a last block shorter than the rest
     spec = ProblemSpec.from_strings(**_VARCOEF)
     grid = Grid.for_problem(spec, 80, 33)
-    block_rows = gcore._BLOCK_NODES // (grid.n_x + 2 * _extension_cells(spec, grid))
+    block_rows = gcore._BLOCK_NODES // (grid.n_x + 2 * ghost_cells(RunPlan.of(spec, grid), grid))
     assert 1 < block_rows < grid.n_t and grid.n_t % block_rows
     cells = [SweepCell(p) for p in _BATCH] + [SweepCell(_BATCH[0], _SHIFT)]
     fields = [f for f in sweep_cells(spec, grid, cells) if isinstance(f, SolutionField)]

@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 import oracles
 from gdro.expr import DomainError
-from gdro.gcore import (Grid, PenaltyParams, ProblemSpec, StabilityError,
+from gdro.gcore import (Grid, PenaltyParams, ProblemSpec, RunPlan, StabilityError,
                         VolatilityBand, g_eval, obstacle_fields)
 from gdro.lattice import SolutionField, penalized_sweep
-from gdro.pde import (PdeSchemeParams, _dilate, _stability_substeps, complementarity_residual,
-                      f_operator, solve_double_obstacle_direct, solve_penalized_pde)
+from gdro.pde import (PdeSchemeParams, _dilate, complementarity_residual, f_operator,
+                      solve_double_obstacle_direct, solve_penalized_pde, substeps)
 
 
 def _spec(**kw):
@@ -103,12 +103,12 @@ class TestPenalizedPde:
     def test_substeps_sized_at_the_times_a_step_reads(self):
         # sigma is 1 at every t_i <= 0.95 a step reads and 2.2 only at T = 1,
         # where no step reads it, so it needs the substeps of sigma = 1
-        def substeps(sigma):
+        def nsub(sigma):
             spec = _spec(sigma_low=0.5, sigma_high=1.0, sigma=sigma)
-            return _stability_substeps(spec, Grid.for_problem(spec, 20, 121),
-                                       PenaltyParams(), False)
+            grid = Grid.for_problem(spec, 20, 121)
+            return substeps(RunPlan.of(spec, grid), grid, PenaltyParams())
 
-        assert substeps("1 + 30*pos(t - 0.96)") == substeps("1") == 21
+        assert nsub("1 + 30*pos(t - 0.96)") == nsub("1") == 21
 
     def test_implicit_kappa_rejection(self):
         spec = _spec()

@@ -19,7 +19,7 @@ from gdro.catalog import AssertionResult, CatalogEntry
 from gdro.cli import RunConfig, RunResults
 from gdro.convergence import ConvergenceReport
 from gdro.gcore import (DEFAULT_KAPPA_F, EXPLICIT, NODEWISE_IMPLICIT, PROJECTION, Grid,
-                        PenaltyParams, ProblemSpec, ValidationReport, Violation,
+                        PenaltyParams, ProblemSpec, RunPlan, ValidationReport, Violation,
                         VolatilityBand)
 from gdro.lattice import Batch, CellSummary, DoubleLadderReport, Ladder, SweepCell, _Kernel
 from gdro.pde import PdeSchemeParams
@@ -52,8 +52,11 @@ CASES = [
     (CatalogEntry, True, {"name": "e", "problem": {"horizon": 1.0}, "grid": (4, 5),
                           "penalties": {"n_upper": 8.0}, "anchor_x": 0.0,
                           "ladders": {"n_list": [4, 8]}}),
+    (RunPlan, True, {"sigma_high": 1.0, "sigma2": 1.44, "pde_drift": 0.2, "sigma": 1.2,
+                     "drift": (0.1, 0.15)}),
     (ValidationReport, False, {"ok": True, "violations": [], "f_lipschitz_y": 0.3,
-                               "f_lipschitz_z": 0.1, "warnings": ["w"]}),
+                               "f_lipschitz_z": 0.1, "warnings": ["w"],
+                               "plan": RunPlan(1.0, 1.0, 0.0, 1.0, (0.0, 0.0))}),
     (DoubleLadderReport, False, {"n_list": [4.0], "m_list": [2.0], "cells": [[None]]}),
     (SolutionField, False, dict(zip(("grid", "u", "z", "a_plus", "a_minus", "k_defect",
                                      "sigma_choice"), [GRID] + ARRAYS))),
@@ -182,7 +185,8 @@ def test_sweep_cell_is_a_dict_key():
 #: (type, the required arguments, the defaults of the other fields)
 DEFAULTS = [
     (ValidationReport, (True,),
-     {"violations": [], "f_lipschitz_y": 0.0, "f_lipschitz_z": 0.0, "warnings": []}),
+     {"violations": [], "f_lipschitz_y": 0.0, "f_lipschitz_z": 0.0, "warnings": [],
+      "plan": None}),
     (SweepCell, (PEN,), {"h_shift": 0.0}),
     (PdeSchemeParams, (GRID,), {"penalty": PenaltyParams()}),
     (ConvergenceReport, (), {"rows": [], "rate_slope": None}),

@@ -16,10 +16,14 @@ finalization and the process's teardown.  The quartiles show how far one
 checkout's children spread, so a difference between two checkouts smaller
 than that spread is noise.
 Then runs ``gdro solve --assert --method both`` on each catalog entry at its
-default grid, emitting the report only, one child process at a time, and
-prints one line per entry: its grid, the child's exit code, its peak
-resident set size (``ru_maxrss``, in MiB) and its user plus system CPU time
-(in s), as ``os.wait4`` reports them for that child.  The children run
+default grid, and on the ``varcoef-forked`` inline run of
+``tools/catalog_digests.py``, emitting the report only, one child process at
+a time, and prints one line per entry: its grid, the child's exit code, its
+peak resident set size (``ru_maxrss``, in MiB) and its user plus system CPU
+time (in s), as ``os.wait4`` reports them for that child and its forked
+lattice child.  Every catalog entry has sigma, b and l free of t and a grid
+below the fork gate; ``varcoef-forked`` has all three varying in t and x,
+on the grid of the benchmark's varcoef-pde workload, above the gate.  The children run
 without ``PYTHONDONTWRITEBYTECODE``, so they do not recompile the package
 each time.  To compare two checkouts:
 
@@ -42,6 +46,8 @@ import sys
 import tempfile
 import time
 
+from catalog_digests import INLINE
+
 _LIST_ENTRIES = ("import json; from gdro.catalog import CATALOG; "
                  "print(json.dumps({k: list(e.grid) for k, e in sorted(CATALOG.items())}))")
 #: the time of ``import gdro.cli`` after importing the modules named in argv
@@ -58,6 +64,8 @@ _EXIT_RUN = {"problem": "double-obstacle-sine", "grid": {"n_t": 20, "n_x": 33},
              "method": "both", "emit": ["report"]}
 #: child processes per start-up or exit time
 _CHILDREN = 11
+#: the inline runs measured beside the catalog entries
+_INLINE_RUNS = ("varcoef-forked",)
 
 
 def child_env(root):
@@ -112,21 +120,24 @@ def exit_s(root, work):
 
 
 def run_costs(root, work):
-    """Yield (entry, n_t, n_x, exit code, peak RSS in MiB, CPU s) per entry."""
+    """Yield (entry, n_t, n_x, exit code, peak RSS in MiB, CPU s) per
+    catalog entry, then per inline run of _INLINE_RUNS."""
     env = child_env(root)
     listing = subprocess.run([sys.executable, "-c", _LIST_ENTRIES], env=env,
                              check=True, capture_output=True, text=True)
-    for name, (n_t, n_x) in json.loads(listing.stdout).items():
+    runs = {name: {"problem": name, "grid": {"n_t": n_t, "n_x": n_x}}
+            for name, (n_t, n_x) in json.loads(listing.stdout).items()}
+    runs.update((name, INLINE[name]) for name in _INLINE_RUNS)
+    for name, run in runs.items():
         config = os.path.join(work, name + ".json")
         with open(config, "w", encoding="utf-8") as fh:
-            json.dump({"problem": name, "grid": {"n_t": n_t, "n_x": n_x},
-                       "method": "both", "emit": ["report"]}, fh)
+            json.dump({**run, "method": "both", "emit": ["report"]}, fh)
         proc = subprocess.Popen([sys.executable, "-m", "gdro.cli", "solve", "--config", config,
                                  "--out", os.path.join(work, name), "--assert"],
                                 env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         usage = _reap(proc)
-        yield (name, n_t, n_x, proc.returncode, usage.ru_maxrss / 1024.0,
-               usage.ru_utime + usage.ru_stime)
+        yield (name, run["grid"]["n_t"], run["grid"]["n_x"], proc.returncode,
+               usage.ru_maxrss / 1024.0, usage.ru_utime + usage.ru_stime)
 
 
 def _ms(quartiles):
