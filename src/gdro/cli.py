@@ -13,10 +13,11 @@ written with 17 significant digits so doubles round-trip exactly and reruns
 are byte-identical.  ``--threads`` is accepted for compatibility and has no
 effect: each solver is single-threaded.  On a large enough grid, with two
 usable CPUs and ``os.fork``, a run sweeps the lattice's main batch in a
-forked child while the parent solves the PDE; outputs, exit codes and
-diagnostics are those of the in-process run.  The PDE's step-size caps are
-checked from validation's run plan before either solver starts, so a run
-they reject forks no child.
+forked child while the parent solves the PDE; on a smaller one, from
+_LANE_NODES nodes, the solves and then the field CSVs run in two lanes;
+outputs, exit codes and diagnostics are those of the in-process run.  The
+PDE's step-size caps are checked from validation's run plan before either
+solver starts, so a run they reject forks no child.
 
 ``main`` registers ``gc.freeze`` with ``atexit``, once per process.  At
 interpreter exit it moves every object still alive, mostly what numpy, the
@@ -309,12 +310,15 @@ _BLOCK_NODES = 1024
 
 
 def _cells(column):
-    """The conversion and ``%`` arguments of a block's float ``column``:
-    "%s" and texts where at most half of its bit patterns are distinct, each
+    """The conversion and ``%`` arguments of a block's float ``column``: its
+    one "%.17g" text, which holds no "%", and None where all its bit patterns
+    are equal; "%s" and texts where at most half of them are distinct, each
     formatted once by "%.17g"; else "%.17g" and the column itself."""
     bits = column.view(np.int64)
     ordered = np.sort(bits)
     distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    if len(distinct) == 1:
+        return "%.17g" % column[0], None
     if 2 * len(distinct) > len(bits):
         return "%.17g", column
     texts = "\n".join(["%.17g"] * len(distinct)) % tuple(distinct.view(np.float64).tolist())
@@ -327,18 +331,19 @@ def _write_csv(path, header, blocks):
     ``heads`` lists the block's slices as ``(lead, keys)``: row r of a slice
     is ``lead + keys[r]`` and the slice's next row of the 2-D array
     ``values``, each entry as "%.17g" (17 significant digits, so every double
-    round-trips exactly), all filled into one template per block.
+    round-trips exactly), all filled into one template per block; a column
+    with one value in the block is written into the template as its text.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for heads, values in blocks:
             if not len(values):
                 continue
-            cells = np.empty(values.shape, dtype=object)
-            conversions = []
-            for k, column in enumerate(values.T):
-                conversion, cells[:, k] = _cells(column)
-                conversions.append(conversion)
+            conversions, columns = zip(*map(_cells, values.T))
+            columns = [c for c in columns if c is not None]
+            cells = np.empty((len(values), len(columns)), dtype=object)
+            for k, column in enumerate(columns):
+                cells[:, k] = column
             row = ",".join(conversions) + "\n"
             fh.write("".join(lead + (row + lead).join(keys) + row for lead, keys in heads if keys)
                      % tuple(cells.ravel().tolist()))
@@ -455,13 +460,26 @@ def _generic_assertions(results, spec, grid, penalties):
 #: swept in a forked child.  The fork costs CPU time (copied pages, two busy
 #: cores) and pays in wall time only once both solves are long; the gate sits
 #: above every catalog default grid (at most 80,601 nodes), so those runs
-#: stay in-process
+#: sweep their batch in-process
 _FORK_NODES = 90_000
 
+#: reporting-grid nodes from which a run below _FORK_NODES takes two lanes
+#: where both are long: the lattice batch and the direct PDE in a child
+#: beside the penalized PDE, and the lattice field's CSV in a child beside
+#: the other output files.  Against in-process runs of gheat-convex that
+#: emit field, report and residual, the lanes lost wall time at 861 nodes,
+#: broke even at 1,701 and won from 3,321 (40 alternating pairs each,
+#: CHANGES.md).  Every catalog default grid is above the gate; the tier-1
+#: runs that record a sweep or count forks are below it or emit neither a
+#: field nor the residual
+_LANE_NODES = 5_000
 
-def _fork_pays(grid):
-    """Whether a run on ``grid`` sweeps its lattice batch in a forked child."""
-    if not hasattr(os, "fork") or (grid.n_t + 1) * grid.n_x < _FORK_NODES:
+
+def _fork_pays(grid, nodes):
+    """Whether a run on ``grid`` forks a lane gated at ``nodes``
+    reporting-grid nodes (_FORK_NODES or _LANE_NODES): with ``os.fork``,
+    two usable CPUs and at least ``nodes`` nodes."""
+    if not hasattr(os, "fork") or (grid.n_t + 1) * grid.n_x < nodes:
         return False
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -471,12 +489,14 @@ def _fork_pays(grid):
 def _beside_child(child_work, work):
     """``(child_work(), work())``, with child_work run in a forked child.
 
-    The child pickles its result, or the Exception that stopped it, into an
-    unlinked temporary file opened before the fork, and exits; this process
-    reads the file once it has reaped the child, so the child never waits
-    for a reader.  Errors surface as if child_work had run first: the
-    child's before this process's own.  On any other exception here the
-    child is killed; it is always reaped.
+    The child, which always takes the lattice's side (its batch, or its
+    field's CSV), pickles its result, or the Exception that stopped it, into
+    an unlinked temporary file opened before the fork, and exits; this
+    process reads the file once it has reaped the child, so the child never
+    waits for a reader.  Errors surface as if child_work had run first: the
+    child's before this process's own; a child_work that must fail after
+    work returns its error as a value, for the caller to raise.  On any
+    other exception here the child is killed; it is always reaped.
     """
     with tempfile.TemporaryFile() as fh:
         pid = os.fork()
@@ -569,22 +589,37 @@ def run(config: RunConfig, assert_mode: bool = False,
                 _field_or_raise(swept[cell])
             return swept
 
-        def pde_solves():
-            pde = direct = None
+        def penalized():
             if config.method != "lattice":
-                pde = solve_penalized_pde(spec, params, plan=plan)
-            if "residual" in config.emit:
-                direct = solve_double_obstacle_direct(spec, params, plan=plan)
-            return pde, direct
+                return solve_penalized_pde(spec, params, plan=plan)
 
-        # the two sides share nothing until the cross gap, so a large
-        # enough run sweeps its batch in a child while the PDE solves here
+        def direct():
+            if "residual" in config.emit:
+                return solve_double_obstacle_direct(spec, params, plan=plan)
+
+        def lattice_then_direct():
+            swept = lattice_batch()
+            try:
+                return swept, direct()
+            except Exception as err:  # raised after the penalized solve's error
+                return swept, err
+
+        # the two sides share nothing until the cross gap, so a large enough
+        # run sweeps its batch in a child while the PDE solves here, and a
+        # smaller one that solves both PDEs moves the direct one to the child
         if (batch.keep and (config.method != "lattice" or "residual" in config.emit)
-                and _fork_pays(grid)):
-            swept, (pde_field, results.direct_field) = _beside_child(lattice_batch, pde_solves)
+                and _fork_pays(grid, _FORK_NODES)):
+            swept, (pde_field, results.direct_field) = _beside_child(
+                lattice_batch, lambda: (penalized(), direct()))
+        elif (batch.keep and config.method != "lattice" and "residual" in config.emit
+                and _fork_pays(grid, _LANE_NODES)):
+            (swept, results.direct_field), pde_field = _beside_child(lattice_then_direct,
+                                                                     penalized)
+            if isinstance(results.direct_field, Exception):
+                raise results.direct_field
         else:
             swept = lattice_batch()
-            pde_field, results.direct_field = pde_solves()
+            pde_field, results.direct_field = penalized(), direct()
         base = swept[main].field if batch.keep else None
         if base is not None and config.method != "pde":
             results.fields["lattice"] = base
@@ -629,11 +664,12 @@ def run(config: RunConfig, assert_mode: bool = False,
         _diag("validate", status="fail", kind="domain-error", detail='"%s"' % err)
         return EXIT_VALIDATION
 
-    try:
-        os.makedirs(out_path, exist_ok=True)
-        if "field" in config.emit:
-            for method, fld in sorted(results.fields.items()):
-                write_field_csv(os.path.join(out_path, "field_%s.csv" % method), fld, grid)
+    def write_fields(fields):
+        for method, fld in fields:
+            write_field_csv(os.path.join(out_path, "field_%s.csv" % method), fld, grid)
+
+    def write_rest(fields):
+        write_fields(fields)
         ladder_rows = _ladder_rows(results)
         if "report" in config.emit and ladder_rows:
             slope = (results.ladder_report.rate_slope
@@ -642,6 +678,16 @@ def run(config: RunConfig, assert_mode: bool = False,
         if r_grid is not None:
             write_residual_csv(os.path.join(out_path, "residual.csv"), r_grid, grid)
         _write_summary(os.path.join(out_path, "summary.json"), config, results, plan)
+
+    try:
+        os.makedirs(out_path, exist_ok=True)
+        fields = sorted(results.fields.items()) if "field" in config.emit else []
+        # the lattice field's CSV, the first file, is written in a child
+        # while the others are written here
+        if len(fields) == 2 and _fork_pays(grid, _LANE_NODES):
+            _beside_child(lambda: write_fields(fields[:1]), lambda: write_rest(fields[1:]))
+        else:
+            write_rest(fields)
     except OSError as err:
         _diag("output", status="error", detail='"%s"' % err)
         return EXIT_VALIDATION

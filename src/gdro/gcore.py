@@ -472,9 +472,10 @@ def obstacle_fields(spec: ProblemSpec, grid: Grid):
 def contamination_cone_width(spec: ProblemSpec, grid: Grid, plan=None) -> np.ndarray:
     """Diagnostic cone width sigma_high * max|sigma(t,x)| * sqrt(T - t) per
     slice; the max is read from ``plan``, the RunPlan of (spec, grid), or
-    from one built here."""
+    from one built here.  T - t is clamped at 0: the last time dt*n_t can
+    round above T, where the cone is 0, not nan."""
     plan = plan if plan is not None else RunPlan.of(spec, grid)
-    return plan.sigma_high * plan.sigma * np.sqrt(grid.t_max - grid.t)
+    return plan.sigma_high * plan.sigma * np.sqrt(np.maximum(grid.t_max - grid.t, 0.0))
 
 
 def uncontaminated_mask(spec: ProblemSpec, grid: Grid, plan=None) -> np.ndarray:

@@ -231,4 +231,4 @@ def reference_cone_width(spec, grid):
     """The contamination cone's width per slice (``gcore.contamination_cone_width``)."""
     sv, _, _ = _kernel_tables(spec, grid, grid.t)
     smax = float(np.max(np.abs(sv)))
-    return spec.band.sigma_high * smax * np.sqrt(grid.t_max - grid.t)
+    return spec.band.sigma_high * smax * np.sqrt(np.maximum(grid.t_max - grid.t, 0.0))

@@ -1,8 +1,10 @@
-"""The forked path of ``gdro solve``: the lattice's main batch swept in a child
-process while the parent solves the PDE.
+"""The forked paths of ``gdro solve``: the lattice's main batch swept in a child
+process while the parent solves the PDE, and below that gate the two lanes,
+the lattice batch and the direct PDE in a child beside the penalized PDE,
+then the lattice field's CSV in a child beside the other output files.
 
-Tier-1 grids are below the fork gate, so these tests lower it to 0 and
-compare each forked run with the same run in-process.
+The grids of these tests are below both gates, so each test lowers one of
+them to 0 and compares the forked run with the same run in-process.
 """
 
 import json
@@ -30,7 +32,7 @@ UNCERTAIN_SINE = {
 def forks(monkeypatch):
     """Lower the gate to 0 and record each fork of a run."""
     monkeypatch.setattr(gdro.cli, "_FORK_NODES", 0)
-    if not gdro.cli._fork_pays(Grid(n_t=1, n_x=3, t_max=1.0, x_min=0.0, x_max=1.0)):
+    if not gdro.cli._fork_pays(Grid(n_t=1, n_x=3, t_max=1.0, x_min=0.0, x_max=1.0), 0):
         pytest.skip("needs os.fork and two usable CPUs")
     calls = []
     fork = os.fork
@@ -49,15 +51,25 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _in_process_then_forked(tmp_path, monkeypatch, capsys, payload, forks):
-    """(exit code, stderr) of the run in-process, then forked."""
+@pytest.fixture
+def lanes(monkeypatch, forks):
+    """Restore the fork gate, lower the lane gate to 0 and record each fork."""
+    monkeypatch.setattr(gdro.cli, "_FORK_NODES", 1 << 62)
+    monkeypatch.setattr(gdro.cli, "_LANE_NODES", 0)
+    return forks
+
+
+def _in_process_then_forked(tmp_path, monkeypatch, capsys, payload, forks,
+                            gate="_FORK_NODES", count=1, outs=("seq", "fork")):
+    """(exit code, stderr) of the run in-process, then forked ``count`` times
+    with ``gate`` lowered, each into its directory of ``outs``."""
     with monkeypatch.context() as m:
-        m.setattr(gdro.cli, "_FORK_NODES", 1 << 62)
-        rc = _run(tmp_path, payload, "seq")
+        m.setattr(gdro.cli, gate, 1 << 62)
+        rc = _run(tmp_path, payload, outs[0])
     assert forks == []
     seq = rc, capsys.readouterr().err
-    rc = _run(tmp_path, payload, "fork")
-    assert forks == [1]
+    rc = _run(tmp_path, payload, outs[1])
+    assert forks == [1] * count
     _no_child_left()
     return seq, (rc, capsys.readouterr().err)
 
@@ -168,6 +180,65 @@ def test_parent_interrupt_kills_child(tmp_path, monkeypatch, forks):
                         "method": "both"}, "fork")
     assert time.monotonic() - start < 30
     assert killed == [signal.SIGKILL]
+    _no_child_left()
+
+
+LANE_RUN = {"problem": "double-obstacle-sine", "grid": {"n_t": 20, "n_x": 33},
+            "method": "both", "emit": ["field", "report", "residual"],
+            "ladders": {"n_list": [4, 8], "m_list": [10, 100], "epsilon_list": [0.1, 0.01]}}
+
+
+def test_lanes_are_byte_identical(tmp_path, monkeypatch, capsys, lanes):
+    # the solve lane, then the emit lane
+    seq, fork = _in_process_then_forked(tmp_path, monkeypatch, capsys, LANE_RUN, lanes,
+                                        gate="_LANE_NODES", count=2)
+    assert seq == fork and seq[0] == EXIT_OK
+    names = sorted(p.name for p in (tmp_path / "seq").iterdir())
+    assert names == ["field_lattice.csv", "field_pde.csv", "report.csv", "residual.csv",
+                     "summary.json"]
+    assert names == sorted(p.name for p in (tmp_path / "fork").iterdir())
+    for name in names:
+        assert (tmp_path / "seq" / name).read_bytes() == (tmp_path / "fork" / name).read_bytes()
+
+
+def _rejected(detail):
+    def solve(*args, **kwargs):
+        raise StabilityError(detail)
+    return solve
+
+
+@pytest.mark.parametrize("failing, reported", [
+    (("solve_penalized_pde", "solve_double_obstacle_direct"), "solve_penalized_pde"),
+    (("solve_double_obstacle_direct",), "solve_double_obstacle_direct")],
+    ids=["penalized-and-direct", "direct"])
+def test_lane_errors_surface_in_process_order(tmp_path, monkeypatch, capsys, lanes,
+                                              failing, reported):
+    # the child solves the direct PDE and returns its error, which is raised
+    # only after the penalized solve here has succeeded
+    for name in failing:
+        monkeypatch.setattr(gdro.cli, name, _rejected(name))
+    seq, fork = _in_process_then_forked(tmp_path, monkeypatch, capsys, LANE_RUN, lanes,
+                                        gate="_LANE_NODES")
+    assert seq == fork and fork[0] == EXIT_STABILITY
+    records = [line for line in fork[1].splitlines() if line.startswith("stability")]
+    assert records == ['stability status=rejected detail="%s"' % reported]
+
+
+def test_emit_lane_child_error_matches_in_process(tmp_path, monkeypatch, capsys, lanes):
+    # the child's field_lattice.csv fails; the same directory serves both runs,
+    # so the record names the same path.  The parent's files may be written
+    (tmp_path / "out" / "field_lattice.csv").mkdir(parents=True)
+    seq, fork = _in_process_then_forked(tmp_path, monkeypatch, capsys, LANE_RUN, lanes,
+                                        gate="_LANE_NODES", count=2, outs=("out", "out"))
+    assert seq == fork and fork[0] == EXIT_VALIDATION
+    assert 'output status=error detail="[Errno 21] Is a directory: ' in fork[1]
+    assert "field_lattice.csv" in fork[1].splitlines()[-1]
+
+
+def test_run_below_the_lane_gate_forks_nothing(tmp_path, monkeypatch, lanes):
+    monkeypatch.setattr(gdro.cli, "_LANE_NODES", 21 * 33 + 1)
+    assert _run(tmp_path, LANE_RUN, "out") == EXIT_OK
+    assert lanes == []
     _no_child_left()
 
 

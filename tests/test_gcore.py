@@ -165,14 +165,23 @@ def test_obstacle_fields_and_mask():
     assert mask.dtype == bool
 
 
+def test_cone_closes_at_a_last_time_above_the_horizon():
+    # dt*n_t = 1.7265189214928585 rounds above T, where T - t is clamped at
+    # 0: the cone at T is 0 and every terminal node is kept
+    spec = _spec(horizon=1.7265189214928582)
+    grid = Grid.for_problem(spec, 5, 41)
+    assert grid.t[-1] > grid.t_max
+    cone = contamination_cone_width(spec, grid)
+    assert cone[-1] == 0.0 and np.isfinite(cone).all()
+    assert uncontaminated_mask(spec, grid)[-1].all()
+
+
 def _plan_outcomes(spec, grid, penalties, direct):
     """(nsub, ghost cells, cone width bytes) from the run plan of validation,
     then from the references, each an error message where it raises."""
     def outcome(fn, *args):
         try:
-            # a last time dt*n_t that rounds above T gives the cone a nan
-            with np.errstate(invalid="ignore"):
-                value = fn(*args)
+            value = fn(*args)
         except StabilityError as err:
             return "StabilityError: %s" % err
         return value.tobytes() if isinstance(value, np.ndarray) else value

@@ -53,6 +53,13 @@ _VARCOEF = {"horizon": 1.0, "x_min": -3.0, "x_max": 3.0,
 #: varcoef-forked has the grid of the varcoef-pde benchmark workload, above
 #: cli._FORK_NODES where no catalog default grid is, so its lattice batch,
 #: main cell and probe, is swept in a forked child beside the PDE solves.
+#: Every catalog default grid, varcoef-inline and wide-slices are at or
+#: above cli._LANE_NODES and below cli._FORK_NODES, so they take both
+#: lanes: the lattice batch and the direct PDE in a child beside the
+#: penalized PDE, then field_lattice.csv in a child beside the other files
+#: (varcoef-forked takes the emit lane too); the inline runs on 41x41
+#: nodes, such as varcoef-ladder-errors, and the other small ones stay
+#: in-process, so the digests of two checkouts compare every path.
 #: driver-split has a driver whose subtrees free of y and z, which both
 #: solvers and the residual evaluate as tables with t bound as an array,
 #: include one of t alone (exp(-0.5*t), where a Python float's exp may

@@ -1,4 +1,4 @@
-"""Start-up and exit time of gdro, and peak RSS and CPU time of every catalog entry's run.
+"""Start-up and exit time of gdro, and wall time, peak RSS and CPU time of every catalog entry's run.
 
     python3 tools/run_cost.py [--root DIR]
 
@@ -17,13 +17,19 @@ checkout's children spread, so a difference between two checkouts smaller
 than that spread is noise.
 Then runs ``gdro solve --assert --method both`` on each catalog entry at its
 default grid, and on the ``varcoef-forked`` inline run of
-``tools/catalog_digests.py``, emitting the report only, one child process at
-a time, and prints one line per entry: its grid, the child's exit code, its
-peak resident set size (``ru_maxrss``, in MiB) and its user plus system CPU
-time (in s), as ``os.wait4`` reports them for that child and its forked
-lattice child.  Every catalog entry has sigma, b and l free of t and a grid
-below the fork gate; ``varcoef-forked`` has all three varying in t and x,
-on the grid of the benchmark's varcoef-pde workload, above the gate.  The children run
+``tools/catalog_digests.py``, emitting the report only, and once more on
+gheat-convex at its default grid emitting field, report and residual
+(``gheat-convex-emit``), one child process at a time, and prints one line
+per run: its grid, the child's exit code, its wall time from start to
+reaping (in s), its peak resident set size (``ru_maxrss``, in MiB) and its
+user plus system CPU time (in s), as ``os.wait4`` reports them for that
+child and its forked children.  Every catalog entry has sigma, b and l free
+of t and a grid below the fork gate (``cli._FORK_NODES``) and above the
+lane gate (``cli._LANE_NODES``); emitting the report only, it forks no
+child, while ``gheat-convex-emit`` takes both lanes, so its CPU time counts
+two busy processes and only its wall time shows what the lanes buy.
+``varcoef-forked`` has sigma, b and l varying in t and x, on the grid of the
+benchmark's varcoef-pde workload, above the fork gate.  The children run
 without ``PYTHONDONTWRITEBYTECODE``, so they do not recompile the package
 each time.  To compare two checkouts:
 
@@ -120,24 +126,28 @@ def exit_s(root, work):
 
 
 def run_costs(root, work):
-    """Yield (entry, n_t, n_x, exit code, peak RSS in MiB, CPU s) per
-    catalog entry, then per inline run of _INLINE_RUNS."""
+    """Yield (run, n_t, n_x, exit code, wall s, peak RSS in MiB, CPU s) per
+    catalog entry, then per inline run of _INLINE_RUNS, then for
+    gheat-convex-emit."""
     env = child_env(root)
     listing = subprocess.run([sys.executable, "-c", _LIST_ENTRIES], env=env,
                              check=True, capture_output=True, text=True)
     runs = {name: {"problem": name, "grid": {"n_t": n_t, "n_x": n_x}}
             for name, (n_t, n_x) in json.loads(listing.stdout).items()}
     runs.update((name, INLINE[name]) for name in _INLINE_RUNS)
+    runs["gheat-convex-emit"] = dict(runs["gheat-convex"], emit=["field", "report", "residual"])
     for name, run in runs.items():
         config = os.path.join(work, name + ".json")
         with open(config, "w", encoding="utf-8") as fh:
-            json.dump({**run, "method": "both", "emit": ["report"]}, fh)
+            json.dump({"method": "both", "emit": ["report"], **run}, fh)
+        start = time.monotonic()
         proc = subprocess.Popen([sys.executable, "-m", "gdro.cli", "solve", "--config", config,
                                  "--out", os.path.join(work, name), "--assert"],
                                 env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         usage = _reap(proc)
         yield (name, run["grid"]["n_t"], run["grid"]["n_x"], proc.returncode,
-               usage.ru_maxrss / 1024.0, usage.ru_utime + usage.ru_stime)
+               time.monotonic() - start, usage.ru_maxrss / 1024.0,
+               usage.ru_utime + usage.ru_stime)
 
 
 def _ms(quartiles):
@@ -157,9 +167,11 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as work:
         print("exit: main's return to the reaping of a gdro solve child "
               + _ms(exit_s(root, work)))
-        print("%-22s %9s %5s %12s %8s" % ("entry", "grid", "exit", "peak_rss_mb", "cpu_s"))
-        for name, n_t, n_x, code, rss, cpu in run_costs(root, work):
-            print("%-22s %9s %5d %12.2f %8.3f" % (name, "%dx%d" % (n_t, n_x), code, rss, cpu))
+        print("%-22s %9s %5s %8s %12s %8s" % ("run", "grid", "exit", "wall_s", "peak_rss_mb",
+                                               "cpu_s"))
+        for name, n_t, n_x, code, wall, rss, cpu in run_costs(root, work):
+            print("%-22s %9s %5d %8.3f %12.2f %8.3f" % (name, "%dx%d" % (n_t, n_x), code, wall,
+                                                       rss, cpu))
     return 0
 
 
