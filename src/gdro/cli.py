@@ -14,10 +14,12 @@ are byte-identical.  ``--threads`` is accepted for compatibility and has no
 effect: each solver is single-threaded.  On a large enough grid, with two
 usable CPUs and ``os.fork``, a run sweeps the lattice's main batch in a
 forked child while the parent solves the PDE; on a smaller one, from
-_LANE_NODES nodes, the solves and then the field CSVs run in two lanes;
-outputs, exit codes and diagnostics are those of the in-process run.  The
-PDE's step-size caps are checked from validation's run plan before either
-solver starts, so a run they reject forks no child.
+_LANE_NODES nodes, the solves and then the field CSVs run in two lanes.
+Every schedule runs through ``_run_jobs``, which reports the in-process
+error and runs every job in-process where it cannot fork, so outputs, exit
+codes and diagnostics are those of the in-process run.  The PDE's step-size
+caps are checked from validation's run plan before either solver starts, so
+a run they reject forks no child.
 
 ``main`` registers ``gc.freeze`` with ``atexit``, once per process.  At
 interpreter exit it moves every object still alive, mostly what numpy, the
@@ -40,6 +42,7 @@ import pickle
 import signal
 import sys
 import tempfile
+from contextlib import ExitStack
 from itertools import compress
 
 import numpy as np
@@ -486,37 +489,49 @@ def _fork_pays(grid, nodes):
     return cpus >= 2
 
 
-def _beside_child(child_work, work):
-    """``(child_work(), work())``, with child_work run in a forked child.
-
-    The child, which always takes the lattice's side (its batch, or its
-    field's CSV), pickles its result, or the Exception that stopped it, into
-    an unlinked temporary file opened before the fork, and exits; this
-    process reads the file once it has reaped the child, so the child never
-    waits for a reader.  Errors surface as if child_work had run first: the
-    child's before this process's own; a child_work that must fail after
-    work returns its error as a value, for the caller to raise.  On any
-    other exception here the child is killed; it is always reaped.
-    """
-    with tempfile.TemporaryFile() as fh:
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                try:
-                    result = child_work()
-                except Exception as err:  # sent to the parent, which raises it
-                    result = err
-                pickle.dump(result, fh, pickle.HIGHEST_PROTOCOL)
-                fh.flush()
-                code = 0
-            finally:
-                os._exit(code)
+def _in_order(jobs, indices):
+    """``{i: jobs[i]()}`` over ``indices``, up to the first job that raises,
+    whose Exception stands as its result."""
+    results = {}
+    for i in indices:
         try:
+            results[i] = jobs[i]()
+        except Exception as err:  # raised once every process has stopped
+            results[i] = err
+            break
+    return results
+
+
+def _run_jobs(jobs, child=()):
+    """The results of ``jobs``, callables listed in their in-process order;
+    those whose index is in ``child`` run in a forked child, the others here.
+
+    Each process runs its jobs in order and stops at its first failing job,
+    and the error raised is that of the first failing job in list order, as
+    if every job had run here.  The child, which always takes the lattice's
+    side, pickles its results into an unlinked temporary file opened before
+    the fork, and exits; this process reads the file once it has reaped the
+    child, so the child never waits for a reader.  On any other exception
+    here the child is killed; it is always reaped.  With no ``child``, or
+    where the temporary file or the fork raises OSError, every job runs
+    here in order.
+    """
+    with ExitStack() as stack:
+        try:
+            fh = stack.enter_context(tempfile.TemporaryFile()) if child else None
+            pid = os.fork() if child else None
+        except OSError:  # no temporary file or no fork: the in-process run
+            pid = None
+        if pid is None:
+            return [job() for job in jobs]
+        if pid == 0:  # the parent reads the file, never the exit status
             try:
-                mine = work()
-            except Exception as err:  # raised after any error of the child's
-                mine = err
+                pickle.dump(_in_order(jobs, child), fh, pickle.HIGHEST_PROTOCOL)
+                fh.flush()
+            finally:
+                os._exit(0)
+        try:
+            results = _in_order(jobs, [i for i in range(len(jobs)) if i not in child])
             os.waitpid(pid, 0)
         except BaseException:
             os.kill(pid, signal.SIGKILL)
@@ -524,13 +539,13 @@ def _beside_child(child_work, work):
             raise
         fh.seek(0)
         try:
-            theirs = pickle.load(fh)
+            results.update(pickle.load(fh))
         except (EOFError, pickle.UnpicklingError) as err:
             raise RuntimeError("the lattice child exited without a result") from err
-    for result in (theirs, mine):
-        if isinstance(result, Exception):
-            raise result
-    return theirs, mine
+    for i in sorted(results):
+        if isinstance(results[i], Exception):
+            raise results[i]
+    return [results[i] for i in range(len(jobs))]
 
 
 # 0*inf or inf-inf in a solve gives a nan that the non-finite-field check
@@ -597,29 +612,14 @@ def run(config: RunConfig, assert_mode: bool = False,
             if "residual" in config.emit:
                 return solve_double_obstacle_direct(spec, params, plan=plan)
 
-        def lattice_then_direct():
-            swept = lattice_batch()
-            try:
-                return swept, direct()
-            except Exception as err:  # raised after the penalized solve's error
-                return swept, err
-
         # the two sides share nothing until the cross gap, so a large enough
         # run sweeps its batch in a child while the PDE solves here, and a
         # smaller one that solves both PDEs moves the direct one to the child
-        if (batch.keep and (config.method != "lattice" or "residual" in config.emit)
-                and _fork_pays(grid, _FORK_NODES)):
-            swept, (pde_field, results.direct_field) = _beside_child(
-                lattice_batch, lambda: (penalized(), direct()))
-        elif (batch.keep and config.method != "lattice" and "residual" in config.emit
-                and _fork_pays(grid, _LANE_NODES)):
-            (swept, results.direct_field), pde_field = _beside_child(lattice_then_direct,
-                                                                     penalized)
-            if isinstance(results.direct_field, Exception):
-                raise results.direct_field
-        else:
-            swept = lattice_batch()
-            pde_field, results.direct_field = penalized(), direct()
+        pdes = (config.method != "lattice", "residual" in config.emit)
+        child = ((0,) if batch.keep and any(pdes) and _fork_pays(grid, _FORK_NODES) else
+                 (0, 2) if batch.keep and all(pdes) and _fork_pays(grid, _LANE_NODES) else ())
+        swept, pde_field, results.direct_field = _run_jobs([lattice_batch, penalized, direct],
+                                                           child)
         base = swept[main].field if batch.keep else None
         if base is not None and config.method != "pde":
             results.fields["lattice"] = base
@@ -664,12 +664,13 @@ def run(config: RunConfig, assert_mode: bool = False,
         _diag("validate", status="fail", kind="domain-error", detail='"%s"' % err)
         return EXIT_VALIDATION
 
-    def write_fields(fields):
-        for method, fld in fields:
-            write_field_csv(os.path.join(out_path, "field_%s.csv" % method), fld, grid)
+    fields = results.fields if "field" in config.emit else {}
 
-    def write_rest(fields):
-        write_fields(fields)
+    def write_field(method):
+        if method in fields:
+            write_field_csv(os.path.join(out_path, "field_%s.csv" % method), fields[method], grid)
+
+    def write_rest():
         ladder_rows = _ladder_rows(results)
         if "report" in config.emit and ladder_rows:
             slope = (results.ladder_report.rate_slope
@@ -681,13 +682,10 @@ def run(config: RunConfig, assert_mode: bool = False,
 
     try:
         os.makedirs(out_path, exist_ok=True)
-        fields = sorted(results.fields.items()) if "field" in config.emit else []
         # the lattice field's CSV, the first file, is written in a child
         # while the others are written here
-        if len(fields) == 2 and _fork_pays(grid, _LANE_NODES):
-            _beside_child(lambda: write_fields(fields[:1]), lambda: write_rest(fields[1:]))
-        else:
-            write_rest(fields)
+        _run_jobs([lambda: write_field("lattice"), lambda: write_field("pde"), write_rest],
+                  (0,) if len(fields) == 2 and _fork_pays(grid, _LANE_NODES) else ())
     except OSError as err:
         _diag("output", status="error", detail='"%s"' % err)
         return EXIT_VALIDATION

@@ -1,12 +1,16 @@
 """The forked paths of ``gdro solve``: the lattice's main batch swept in a child
 process while the parent solves the PDE, and below that gate the two lanes,
 the lattice batch and the direct PDE in a child beside the penalized PDE,
-then the lattice field's CSV in a child beside the other output files.
+then the lattice field's CSV in a child beside the other output files.  All
+of them run through ``cli._run_jobs``, whose order contract is tested on its
+own, and which runs every job in-process where it cannot fork.
 
 The grids of these tests are below both gates, so each test lowers one of
 them to 0 and compares the forked run with the same run in-process.
 """
 
+import errno
+import itertools
 import json
 import os
 import pickle
@@ -201,6 +205,37 @@ def test_lanes_are_byte_identical(tmp_path, monkeypatch, capsys, lanes):
         assert (tmp_path / "seq" / name).read_bytes() == (tmp_path / "fork" / name).read_bytes()
 
 
+@pytest.mark.parametrize("call, error", [
+    ((os, "fork"), BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")),
+    ((gdro.cli.tempfile, "TemporaryFile"), OSError(errno.ENOSPC, "No space left on device")),
+], ids=["fork", "temporary-file"])
+@pytest.mark.parametrize("schedule, gate, emit, attempts", [
+    ("forks", "_FORK_NODES", ["field", "report", "residual"], 1),
+    ("lanes", "_LANE_NODES", ["field", "report", "residual"], 2),
+    ("lanes", "_LANE_NODES", ["field", "report"], 1),
+], ids=["forked-batch", "solve-and-emit-lanes", "emit-lane"])
+def test_run_that_cannot_fork_runs_in_process(tmp_path, monkeypatch, capsys, request,
+                                              call, error, schedule, gate, emit, attempts):
+    # each schedule falls back to the in-process run, with no record of its own
+    forks = request.getfixturevalue(schedule)
+    failed = []
+
+    def fail(*args):
+        failed.append(1)
+        raise error
+
+    monkeypatch.setattr(*call, fail)
+    seq, fork = _in_process_then_forked(tmp_path, monkeypatch, capsys,
+                                        dict(LANE_RUN, emit=emit), forks, gate=gate, count=0)
+    assert seq == fork and seq[0] == EXIT_OK
+    assert failed == [1] * attempts
+    names = sorted(p.name for p in (tmp_path / "seq").iterdir())
+    assert "field_lattice.csv" in names
+    assert names == sorted(p.name for p in (tmp_path / "fork").iterdir())
+    for name in names:
+        assert (tmp_path / "seq" / name).read_bytes() == (tmp_path / "fork" / name).read_bytes()
+
+
 def _rejected(detail):
     def solve(*args, **kwargs):
         raise StabilityError(detail)
@@ -209,12 +244,13 @@ def _rejected(detail):
 
 @pytest.mark.parametrize("failing, reported", [
     (("solve_penalized_pde", "solve_double_obstacle_direct"), "solve_penalized_pde"),
-    (("solve_double_obstacle_direct",), "solve_double_obstacle_direct")],
-    ids=["penalized-and-direct", "direct"])
+    (("solve_double_obstacle_direct",), "solve_double_obstacle_direct"),
+    (("sweep_cells", "solve_double_obstacle_direct"), "sweep_cells")],
+    ids=["penalized-and-direct", "direct", "lattice-and-direct"])
 def test_lane_errors_surface_in_process_order(tmp_path, monkeypatch, capsys, lanes,
                                               failing, reported):
-    # the child solves the direct PDE and returns its error, which is raised
-    # only after the penalized solve here has succeeded
+    # the child sweeps the lattice and then solves the direct PDE, whose
+    # error is raised only after the penalized solve here has succeeded
     for name in failing:
         monkeypatch.setattr(gdro.cli, name, _rejected(name))
     seq, fork = _in_process_then_forked(tmp_path, monkeypatch, capsys, LANE_RUN, lanes,
@@ -239,6 +275,46 @@ def test_run_below_the_lane_gate_forks_nothing(tmp_path, monkeypatch, lanes):
     monkeypatch.setattr(gdro.cli, "_LANE_NODES", 21 * 33 + 1)
     assert _run(tmp_path, LANE_RUN, "out") == EXIT_OK
     assert lanes == []
+    _no_child_left()
+
+
+def _job(i, failing):
+    def job():
+        if i in failing:
+            raise ValueError("job %d failed" % i)
+        return 10 * i
+    return job
+
+
+def _subsets(items):
+    return [set(c) for k in range(len(items) + 1) for c in itertools.combinations(items, k)]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_run_jobs_keeps_the_in_process_order(monkeypatch):
+    # every split of three jobs between the two processes, with every set of
+    # failing jobs: the in-process results, or the first failing job's error
+    forked = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
+    for child, failing in itertools.product(_subsets(range(3)), _subsets(range(3))):
+        jobs = [_job(i, failing) for i in range(3)]
+        if failing:
+            with pytest.raises(ValueError, match="job %d failed" % min(failing)):
+                gdro.cli._run_jobs(jobs, tuple(sorted(child)))
+        else:
+            assert gdro.cli._run_jobs(jobs, tuple(sorted(child))) == [0, 10, 20]
+        _no_child_left()
+    assert len(forked) == 7 * 8
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_child_stops_at_its_first_failing_job(tmp_path):
+    marker = tmp_path / "ran"
+    jobs = [_job(0, {0}), _job(1, ()), marker.touch]
+    with pytest.raises(ValueError, match="job 0 failed"):
+        gdro.cli._run_jobs(jobs, (0, 2))
+    assert not marker.exists()
     _no_child_left()
 
 

@@ -31,7 +31,10 @@ two busy processes and only its wall time shows what the lanes buy.
 ``varcoef-forked`` has sigma, b and l varying in t and x, on the grid of the
 benchmark's varcoef-pde workload, above the fork gate.  The children run
 without ``PYTHONDONTWRITEBYTECODE``, so they do not recompile the package
-each time.  To compare two checkouts:
+each time, and with ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and
+``MKL_NUM_THREADS`` at 1, as the benchmark's solve processes do, so a run
+that forks nothing takes about as much CPU time as wall time.  To compare
+two checkouts:
 
     python3 tools/run_cost.py --root ../old
     python3 tools/run_cost.py
@@ -75,10 +78,12 @@ _INLINE_RUNS = ("varcoef-forked",)
 
 
 def child_env(root):
-    """The environment of the children: the package from ``root/src``, and
-    bytecode written and read."""
+    """The environment of the children: the package from ``root/src``,
+    bytecode written and read, and the BLAS and OpenMP thread pools at one
+    thread, as in the benchmark's solve processes (``perfbench/run.py``)."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
-    env["PYTHONPATH"] = os.path.join(root, "src")
+    env.update(PYTHONPATH=os.path.join(root, "src"), OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     return env
 
 
