@@ -53,7 +53,7 @@ from .convergence import (ConvergenceReport, asc_residuals, asc_residuals_global
                           interior_gap, monotone_report)
 from .gcore import (PROJECTION, Grid, PenaltyParams, ProblemSpec, StabilityError,
                     contamination_cone_width, obstacle_fields, validate_problem)
-from .lattice import (Batch, DoubleLadderReport, Ladder, SweepCell, _field_or_raise,
+from .lattice import (Batch, DoubleLadderReport, Ladder, SweepCell, _summary_or_raise,
                       double_report, sweep_cells)
 from .pde import (PdeSchemeParams, complementarity_residual,
                   solve_double_obstacle_direct, solve_penalized_pde, substeps)
@@ -599,9 +599,9 @@ def run(config: RunConfig, assert_mode: bool = False,
         params = PdeSchemeParams(grid=grid, penalty=penalties)
 
         def lattice_batch():
-            swept = dict(zip(batch, sweep_cells(spec, grid, batch)))
+            swept = sweep_cells(spec, grid, batch)
             for cell in batch.keep + tuple(probe for _, probe in batch.probes):
-                _field_or_raise(swept[cell])
+                _summary_or_raise(swept[cell])
             return swept
 
         def penalized():

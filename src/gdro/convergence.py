@@ -58,8 +58,7 @@ def monotone_ladder(spec: ProblemSpec, grid: Grid, n_list,
     if not strictly_ascending(n_list):
         raise ValueError("n_list must be strictly ascending")
     ladder = Ladder(n_list, (PROJECTION,), penalty_mode, kappa_f)
-    batch = Batch.of([ladder])
-    return monotone_report(ladder, dict(zip(batch, sweep_cells(spec, grid, batch))))
+    return monotone_report(ladder, sweep_cells(spec, grid, Batch.of([ladder])))
 
 
 def monotone_report(ladder: Ladder, swept: dict) -> ConvergenceReport:

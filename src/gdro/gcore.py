@@ -128,6 +128,8 @@ class Grid(Record, frozen=True):
                              % (MAX_GRID_NODES, (self.n_t + 1) * self.n_x))
         if not self.dt > 0:
             raise ValueError("need dt = t_max/n_t > 0, got %r" % self.dt)
+        if not 0 < self.dx * self.dx < np.inf:  # dx**2 raises where dx*dx saturates
+            raise ValueError("need 0 < dx*dx < inf, got dx = %r" % self.dx)
         x = self.x
         if not (np.isfinite(x).all() and (np.diff(x) > 0).all()):
             raise ValueError("need finite, strictly increasing x nodes")

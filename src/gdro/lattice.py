@@ -28,14 +28,15 @@ step then only gathers and combines, reading row r of each kernel table,
 and evaluates the rest of the driver on a row of those tables.  It writes
 each output of the whole batch with one assignment into per-block buffers.
 
-A Batch says what the sweep keeps.  Once per block, the buffers are copied
-into the fields of the cells it keeps (a run's main cell), whose z is formed
-from the block's sigma table, and reduced, for
-the ladder cells and the probes, to what a ladder row or a probe gap
-reads (CellSummary): maxima over the nodes, and a ladder cell's two asc
-sums over t, which run backward in t with the sweep.  So a ladder cell costs
-a few rows of nodes, not a field, and a run's main cell, probes and ladders
-are one batch at every grid.
+A sweep takes a Batch, which says what it keeps, and returns {cell:
+CellSummary or error} in the batch's order.  Once per block, the buffers are
+copied into the fields of the cells it keeps (a run's main cell), whose z is
+formed from the block's sigma table, and reduced, for the ladder cells and
+the probes, to what a ladder row or a probe gap reads: maxima over the
+nodes, and a ladder cell's two asc sums over t, which run backward in t with
+the sweep.  So a ladder cell costs a few rows of nodes, not a field, and a
+run's main cell, probes and ladders are one batch at every grid; a single
+solve is the batch that keeps its one cell.
 """
 
 from __future__ import annotations
@@ -372,16 +373,14 @@ def _sup_positive(d):
     return np.maximum(d, 0.0, out=d).max(axis=(0, 2))
 
 
-def _run_sweep(spec, grid, cells):
-    """Sweep ``cells``, a Batch or a tuple of cells whose fields are all
-    kept, through one backward time loop.
+def _run_sweep(spec, grid, batch):
+    """Sweep ``batch``, a Batch, through one backward time loop.
 
-    Returns, per cell, its CellSummary (for a tuple, its SolutionField) or
-    a StabilityError: that of its own step-size check, else that of the
-    ghost margin or the drift weight, which depend on (spec, grid) alone and
-    so fail every cell alike.  Any other error raises for the whole batch.
+    Returns {cell: its CellSummary or a StabilityError} in the batch's
+    order: that of the cell's own step-size check, else that of the ghost
+    margin or the drift weight, which depend on (spec, grid) alone and so
+    fail every cell alike.  Any other error raises for the whole batch.
     """
-    batch = cells if isinstance(cells, Batch) else Batch(cells, cells)
     results = {}
     for cell in batch:
         try:
@@ -394,9 +393,7 @@ def _run_sweep(spec, grid, cells):
             results.update(_sweep_live(spec, grid, live, batch))
         except StabilityError as err:
             results.update(dict.fromkeys(live, err))
-    if batch is not cells:
-        results = {c: r.field if isinstance(r, CellSummary) else r for c, r in results.items()}
-    return [results[c] for c in cells]
+    return {c: results[c] for c in batch}
 
 
 def _sweep_live(spec, grid, cells, batch):
@@ -509,38 +506,33 @@ def _sweep_live(spec, grid, cells, batch):
     return zip(live, reductions.summaries(dict(zip(kept, outs))))
 
 
-def sweep_cells(spec: ProblemSpec, grid: Grid, cells) -> list:
-    """Per cell, what _run_sweep returns for it, or the error that stopped
-    its sweep.
+def sweep_cells(spec: ProblemSpec, grid: Grid, batch: Batch) -> dict:
+    """{cell: what _run_sweep returns for it, or the error that stopped its
+    sweep} over the cells of ``batch``, in its order.
 
-    ``cells`` is a Batch, or cells whose fields are all kept; their distinct
-    cells go through one batched sweep.  A StabilityError of the whole
-    batch is every cell's own.  If the sweep raises a ValueError, each cell
-    is swept on its own, so an error only some cells' values raise (a
-    driver outside its domain at one cell's y) stays with those cells; the
-    cells of a Batch that survive are then swept again as one batch, so that
-    the reductions between them exist.
+    The cells go through one batched sweep; an empty batch sweeps nothing.
+    A StabilityError of the whole batch is every cell's own.  If the sweep
+    raises a ValueError, each cell is swept on its own, so an error only
+    some cells' values raise (a driver outside its domain at one cell's y)
+    stays with those cells; the cells that survive are then swept again as
+    one batch, so that the reductions between them exist.
     """
-    planned = isinstance(cells, Batch)
-    todo = cells if planned else tuple(dict.fromkeys(cells))
-    if not todo:
-        return []
+    if not batch:
+        return {}
     try:
-        known = dict(zip(todo, _run_sweep(spec, grid, todo)))
+        return _run_sweep(spec, grid, batch)
     except ValueError as err:
-        if len(todo) == 1:
-            known = dict.fromkeys(todo, err)
-        else:
-            known = {c: sweep_cells(spec, grid, todo.only([c]) if planned else [c])[0]
-                     for c in todo}
-            alive = [c for c in todo if not isinstance(known[c], Exception)]
-            if planned and len(alive) > 1:
-                known.update(zip(alive, _run_sweep(spec, grid, todo.only(alive))))
-    return [known[c] for c in cells]
+        if len(batch) == 1:
+            return {batch[0]: err}
+    known = {c: sweep_cells(spec, grid, batch.only([c]))[c] for c in batch}
+    alive = [c for c in batch if not isinstance(known[c], Exception)]
+    if len(alive) > 1:
+        known.update(_run_sweep(spec, grid, batch.only(alive)))
+    return known
 
 
-def _field_or_raise(result) -> SolutionField:
-    """A sweep_cells result as a field; an error is raised."""
+def _summary_or_raise(result) -> CellSummary:
+    """A sweep_cells result as a CellSummary; an error is raised."""
     if isinstance(result, Exception):
         raise result
     return result
@@ -557,7 +549,8 @@ def penalized_sweep(spec: ProblemSpec, grid: Grid, penalties: PenaltyParams,
     turns the lower penalty into the exact reflection of reflected_sweep.
     ``threads`` is accepted for compatibility and ignored.
     """
-    return _field_or_raise(sweep_cells(spec, grid, [SweepCell(penalties)])[0])
+    cell = SweepCell(penalties)
+    return _summary_or_raise(sweep_cells(spec, grid, Batch.of(keep=[cell]))[cell]).field
 
 
 def reflected_sweep(spec: ProblemSpec, grid: Grid, n_upper: float,
@@ -648,5 +641,4 @@ def double_ladder(spec: ProblemSpec, grid: Grid, n_list, m_list,
     if not (strictly_ascending(n_list) and strictly_ascending(m_list)):
         raise ValueError("n_list and m_list must be strictly ascending")
     ladder = Ladder(n_list, m_list, penalty_mode, kappa_f)
-    batch = Batch.of([ladder])
-    return double_report(ladder, dict(zip(batch, sweep_cells(spec, grid, batch))))
+    return double_report(ladder, sweep_cells(spec, grid, Batch.of([ladder])))

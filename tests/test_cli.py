@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import os
 import subprocess
@@ -138,6 +139,11 @@ class TestLoadConfig:
         # 25 nodes a cell count as 512: each cell costs kilobytes at any grid
         ({"ladders": {"n_list": list(range(400)), "m_list": list(range(400))}}, "/ladders",
          "the run's 160801 lattice cells need 82330112 cell-nodes (cap 67108864)"),
+        # dx**2 underflows to 0.0 or overflows, which the PDE's substep count divides by
+        ({"problem": dict(INLINE_HEAT, x_min=0.0, x_max=1e-300), "grid": {"n_t": 1, "n_x": 3}},
+         "/grid", "need 0 < dx*dx < inf, got dx = 5e-301"),
+        ({"problem": dict(INLINE_HEAT, x_min=-8e307, x_max=8e307),
+          "grid": {"n_t": 10, "n_x": 3}}, "/grid", "need 0 < dx*dx < inf, got dx = 8e+307"),
     ])
     def test_rejection_pointer_and_message(self, change, pointer, message):
         with pytest.raises(ConfigError) as err:
@@ -429,6 +435,32 @@ class TestRun:
         assert "/ladders/m_list" in capsys.readouterr().err
 
 
+#: x domain ends from the smallest subnormal to near the largest double
+_X_ENDS = sorted({0.0, *(s * v for v in (5e-324, 1e-300, 1e-160, 1e-10, 1.0, 1e154, 1e300,
+                                         8.9e307) for s in (1.0, -1.0))})
+
+
+def test_grid_extremes_exit_cleanly(tmp_path):
+    """Every x domain with ends from _X_ENDS, at three grid and method
+    shapes, exits 0, 2, 3 or 4 without raising, and an exit 0 leaves finite
+    fields."""
+    shapes = [(1, 3, "both"), (5, 9, "pde"), (3, 5, "lattice")]
+    runs = list(itertools.product(shapes, itertools.combinations(_X_ENDS, 2)))
+    codes = []
+    for k, ((n_t, n_x, method), (x_min, x_max)) in enumerate(runs):
+        out = tmp_path / str(k)
+        codes.append(main(["solve", "--config", _write(tmp_path, {
+            "problem": dict(UNCERTAIN_SINE, x_min=x_min, x_max=x_max),
+            "grid": {"n_t": n_t, "n_x": n_x}, "method": method,
+            "emit": ["field", "report", "residual"]}), "--out", str(out), "--assert"]))
+        assert codes[-1] in (EXIT_OK, EXIT_VALIDATION, EXIT_STABILITY, EXIT_ASSERT), (k, runs[k])
+        if codes[-1] == EXIT_OK:
+            for path in out.glob("field_*.csv"):
+                table = np.genfromtxt(path, delimiter=",", skip_header=1)
+                assert np.isfinite(table).all(), (runs[k], path.name)
+    assert len(codes) == 408 and EXIT_OK in codes
+
+
 @pytest.mark.parametrize("method", ["both", "pde"])
 def test_no_sweep_computed_twice(tmp_path, monkeypatch, method):
     """No two lattice sweeps of one run share (spec, grid, penalties): the
@@ -496,7 +528,7 @@ def test_run_sweeps_one_batch_at_every_grid(tmp_path, monkeypatch, grid):
     def recording(spec, grid, cells):
         batches.append(cells)
         results = run_sweep(spec, grid, cells)
-        kept.extend(r.field is not None for r in results)
+        kept.extend(r.field is not None for r in results.values())
         return results
 
     kept = []

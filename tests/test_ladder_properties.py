@@ -84,11 +84,11 @@ def test_penalized_below_reflected_at_equal_n(spec):
         return SweepCell(_implicit(n, m))
 
     cells = [cell(n, m) for n in N_LIST for m in M_LIST + [PROJECTION]]
-    fields = dict(zip(cells, sweep_cells(spec, _grid(spec), cells)))
+    fields = sweep_cells(spec, _grid(spec), Batch.of(keep=cells))
     for n in N_LIST:
-        reflected = fields[cell(n, PROJECTION)].u
+        reflected = fields[cell(n, PROJECTION)].field.u
         for m in M_LIST:
-            assert np.max(fields[cell(n, m)].u - reflected) <= MONO_TOL
+            assert np.max(fields[cell(n, m)].field.u - reflected) <= MONO_TOL
 
 
 @settings(max_examples=50, deadline=None)
@@ -140,8 +140,8 @@ def test_raised_data_raise_both_solutions(spec, raise_by):
 # The reducing sweep against full fields.  A Batch keeps only its main
 # cell's field and reduces every other cell to the inputs of its ladder row
 # (or its probe gap) block by block; the reference below computes the same
-# rows from the full fields of the same cells, which sweep_cells keeps when
-# given the cells alone.  Every value must agree bitwise.
+# rows from the full fields of the same cells, which sweep_cells keeps for
+# a batch that keeps them all.  Every value must agree bitwise.
 
 def ordering_gap(hi, lo):
     """sup (hi - lo)^+ between two value grids, 0.0 if either is missing
@@ -197,7 +197,8 @@ def _assert_rows_equal(got, want):
 
 
 def _full_fields(spec, grid, batch):
-    return dict(zip(batch, sweep_cells(spec, grid, list(batch))))
+    swept = sweep_cells(spec, grid, Batch.of(keep=batch))
+    return {c: r if isinstance(r, Exception) else r.field for c, r in swept.items()}
 
 
 #: the implicit ladders order valid rungs; the explicit ones hold an invalid
@@ -218,7 +219,7 @@ _PROBES = tuple((_MAIN, SweepCell(_MAIN.penalties, eps)) for eps in (0.1, 0.01, 
 def test_reducing_sweep_equals_its_full_field_reference(spec):
     grid = _grid(spec)
     batch = Batch.of(_LADDERS, [_MAIN], _PROBES)
-    swept = dict(zip(batch, sweep_cells(spec, grid, batch)))
+    swept = sweep_cells(spec, grid, batch)
     fields = _full_fields(spec, grid, batch)
     for ladder in _LADDERS:
         for j, want in enumerate(reference_columns(spec, grid, ladder, fields)):
@@ -254,7 +255,7 @@ def test_reducing_sweep_after_a_cell_domain_error(monkeypatch):
     run_sweep = gdro.lattice._run_sweep
     monkeypatch.setattr(gdro.lattice, "_run_sweep",
                         lambda *args: batches.append(len(args[2])) or run_sweep(*args))
-    rows = ladder_column(ladder, 0, dict(zip(batch, sweep_cells(spec, grid, batch))))
+    rows = ladder_column(ladder, 0, sweep_cells(spec, grid, batch))
     assert batches == [3, 1, 1, 1, 2]
     monkeypatch.undo()
     (want,) = reference_columns(spec, grid, ladder, _full_fields(spec, grid, batch))
@@ -284,7 +285,7 @@ def test_reducing_sweep_finds_the_first_non_finite_node():
     probes = [(main, SweepCell(main.penalties, eps)) for eps in (0.1, np.inf)]
     ladders = _LADDERS[:2]
     batch = Batch.of(ladders, [main], probes)
-    swept = dict(zip(batch, sweep_cells(spec, grid, batch)))
+    swept = sweep_cells(spec, grid, batch)
     fields = _full_fields(spec, grid, batch)
     bad = {c: _first_non_finite(f) for c, f in fields.items()}
     assert bad[probes[1][1]] is not None and bad[main] is None

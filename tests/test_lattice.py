@@ -10,8 +10,9 @@ from gdro import gcore
 from gdro.convergence import monotone_ladder
 from gdro.expr import BinOp, DomainError, Num, UnboundVariableError, parse_expr
 from gdro.gcore import Grid, PenaltyParams, ProblemSpec, RunPlan, StabilityError
-from gdro.lattice import (SweepCell, _run_sweep, conditional_g_expectation, double_ladder,
-                          ghost_cells, penalized_sweep, reflected_sweep, sweep_cells)
+from gdro.lattice import (Batch, SweepCell, _run_sweep, conditional_g_expectation,
+                          double_ladder, ghost_cells, penalized_sweep, reflected_sweep,
+                          sweep_cells)
 from gdro.pde import PdeSchemeParams, solve_penalized_pde
 from gdro.record import replace
 from gdro.scheme import SolutionField
@@ -352,19 +353,19 @@ def test_batched_sweep_equals_single_sweeps_bitwise(data):
     cells = tuple(SweepCell(p) for p in _BATCH) + (
         SweepCell(_BATCH[0], h_shift=_SHIFT), SweepCell(_BATCH[1], h_shift=_SHIFT),
         SweepCell(_BATCH[2], h_shift=_SHIFT))
-    batched = _run_sweep(spec, grid, cells)
+    batched = _run_sweep(spec, grid, Batch.of(keep=cells))
     assert len(batched) == len(cells)
-    for cell, got in zip(cells, batched):
+    for cell, got in batched.items():
         problem = shifted if cell.h_shift else spec
         if cell.penalties.n_upper == 1000.0:
             assert isinstance(got, StabilityError)
             with pytest.raises(StabilityError, match="CFL"):
                 penalized_sweep(problem, grid, cell.penalties)
             continue
-        assert isinstance(got, SolutionField)
+        assert isinstance(got.field, SolutionField)
         single = penalized_sweep(problem, grid, cell.penalties)
         for name in ("u", "z", "a_plus", "a_minus", "k_defect", "sigma_choice"):
-            a, b = getattr(got, name), getattr(single, name)
+            a, b = getattr(got.field, name), getattr(single, name)
             assert a.dtype == b.dtype and a.shape == b.shape, (cell, name)
             assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), (cell, name)
 
@@ -392,10 +393,23 @@ def test_driver_domain_error_stays_with_its_cell():
     grid = Grid.for_problem(spec, 20, 33)
     low, high = (PenaltyParams(n_upper=n, m_lower="projection",
                                penalty_mode="nodewise-implicit") for n in (10.0, 1000.0))
-    failed, swept = sweep_cells(spec, grid, [SweepCell(low), SweepCell(high)])
-    assert isinstance(failed, DomainError)
+    swept = sweep_cells(spec, grid, Batch.of(keep=[SweepCell(low), SweepCell(high)]))
+    assert isinstance(swept[SweepCell(low)], DomainError)
     single = penalized_sweep(spec, grid, high)
-    assert np.array_equal(swept.u.view(np.uint8), single.u.view(np.uint8))
+    assert np.array_equal(swept[SweepCell(high)].field.u.view(np.uint8),
+                          single.u.view(np.uint8))
+
+    # one batch keeping the n = 1000 rung between the domain failure and a
+    # cell failing its explicit step-size check: each holds its own result
+    cells = (SweepCell(low), SweepCell(high),
+             SweepCell(PenaltyParams(n_upper=1000.0, penalty_mode="explicit")))
+    swept = sweep_cells(spec, grid, Batch(cells, keep=[SweepCell(high)]))
+    assert tuple(swept) == cells
+    assert isinstance(swept[cells[0]], DomainError) and "sqrt" in str(swept[cells[0]])
+    assert isinstance(swept[cells[2]], StabilityError) and "CFL" in str(swept[cells[2]])
+    for name in ("u", "z", "a_plus", "a_minus", "k_defect", "sigma_choice"):
+        assert getattr(swept[cells[1]].field, name).tobytes() == \
+            getattr(single, name).tobytes(), name
 
     rows = monotone_ladder(spec, grid, [10.0, 1000.0]).rows
     assert "sqrt" in rows[0].error
@@ -409,12 +423,12 @@ def test_batch_stability_error_is_every_cells_own(monkeypatch):
     spec = _spec(b="2")
     grid = Grid.for_problem(spec, 20, 33)
     cells = [SweepCell(PenaltyParams(n_upper=n, m_lower="projection")) for n in (4, 8, 1000)]
-    singles = [str(sweep_cells(spec, grid, [cell])[0]) for cell in cells]
+    singles = [str(sweep_cells(spec, grid, Batch.of(keep=[cell]))[cell]) for cell in cells]
     calls = []
     run_sweep = gdro.lattice._run_sweep
     monkeypatch.setattr(gdro.lattice, "_run_sweep",
                         lambda *args: calls.append(1) or run_sweep(*args))
-    errors = sweep_cells(spec, grid, cells)
+    errors = list(sweep_cells(spec, grid, Batch.of(keep=cells)).values())
     assert calls == [1]
     assert all(isinstance(err, StabilityError) for err in errors)
     assert [str(err) for err in errors] == singles
@@ -440,7 +454,8 @@ def test_fields_independent_of_table_block_size(monkeypatch):
     for budget in (1, 10 * grid.n_x, 10 ** 9):
         monkeypatch.setattr(gcore, "_BLOCK_NODES", budget)
         runs.append([penalized_sweep(spec, grid, _BATCH[1]),
-                     *_run_sweep(spec, grid, tuple(SweepCell(p) for p in _BATCH[:6])),
+                     *(r.field for r in _run_sweep(spec, grid, Batch.of(
+                         keep=[SweepCell(p) for p in _BATCH[:6]])).values()),
                      solve_penalized_pde(spec, params)])
         # the ladder rows' asc sums run with the sweep, one block at a time
         ladders.append(pickle.dumps([double_ladder(spec, grid, [4.0, 16.0, 64.0],
@@ -481,14 +496,15 @@ def test_batch_fields_own_their_memory_and_match_single_sweeps():
     block_rows = gcore._BLOCK_NODES // (grid.n_x + 2 * ghost_cells(RunPlan.of(spec, grid), grid))
     assert 1 < block_rows < grid.n_t and grid.n_t % block_rows
     cells = [SweepCell(p) for p in _BATCH] + [SweepCell(_BATCH[0], _SHIFT)]
-    fields = [f for f in sweep_cells(spec, grid, cells) if isinstance(f, SolutionField)]
+    fields = [r.field for r in sweep_cells(spec, grid, Batch.of(keep=cells)).values()
+              if not isinstance(r, Exception)]
     assert len(fields) == len(cells) - 1  # one cell fails its CFL check
     names = ("u", "a_plus", "a_minus", "k_defect", "sigma_choice")
     arrays = [getattr(f, name) for f in fields for name in names]
     for k, a in enumerate(arrays):
         assert not any(np.shares_memory(a, b) for b in arrays[k + 1:])
     for cell, fld in zip((c for c in cells if c.penalties != _BATCH[6]), fields):
-        single = sweep_cells(spec, grid, [cell])[0]
+        single = sweep_cells(spec, grid, Batch.of(keep=[cell]))[cell].field
         for name in names:
             assert np.array_equal(getattr(fld, name).view(np.uint8),
                                   getattr(single, name).view(np.uint8)), (cell, name)
@@ -502,11 +518,12 @@ def test_t_free_kernel_equals_its_per_row_build():
     per_row = dict(t_free, **{name: t_free[name] + " + 0*t" for name in ("sigma", "b", "l")})
     cells = tuple(SweepCell(p) for p in _BATCH[:3])
     grid = Grid.for_problem(ProblemSpec.from_strings(**t_free), 20, 33)
-    one, every = (_run_sweep(ProblemSpec.from_strings(**d), grid, cells) for d in (t_free, per_row))
-    for a, b in zip(one, every):
+    one, every = (_run_sweep(ProblemSpec.from_strings(**d), grid, Batch.of(keep=cells))
+                  for d in (t_free, per_row))
+    for a, b in zip(one.values(), every.values()):
         for name in ("u", "z", "a_plus", "a_minus", "k_defect", "sigma_choice"):
-            assert np.array_equal(getattr(a, name).view(np.uint8),
-                                  getattr(b, name).view(np.uint8)), name
+            assert np.array_equal(getattr(a.field, name).view(np.uint8),
+                                  getattr(b.field, name).view(np.uint8)), name
 
 
 def _sweep_error(kind):
@@ -521,7 +538,8 @@ def _sweep_error(kind):
         spec = replace(spec, sigma=parse_expr("1 + 0*y"))
     else:
         return ValueError("n_list must be strictly ascending")
-    return sweep_cells(spec, Grid.for_problem(spec, 20, 33), [SweepCell(penalties)])[0]
+    cell = SweepCell(penalties)
+    return sweep_cells(spec, Grid.for_problem(spec, 20, 33), Batch.of(keep=[cell]))[cell]
 
 
 @pytest.mark.parametrize("kind, cls", [

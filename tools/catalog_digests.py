@@ -3,8 +3,8 @@
     python3 tools/catalog_digests.py [--root DIR] [--work DIR]
 
 Runs ``gdro solve --assert --method both`` on each catalog entry at its
-default grid and on the inline problems of ``INLINE``, emitting field, report
-and residual files, with the package imported from ``DIR/src`` (default:
+default grid and on the inline problems of ``INLINE``, which may set a method
+of their own, emitting field, report and residual files, with the package imported from ``DIR/src`` (default:
 this checkout).  Prints one line per output file, ``<entry> <file>
 <sha256>``, plus each run's exit code.  Two checkouts whose printouts match
 produce byte-identical outputs, which is the contract a
@@ -86,6 +86,10 @@ _VARCOEF = {"horizon": 1.0, "x_min": -3.0, "x_max": 3.0,
 #: peaked-sigma is the one run whose coefficients peak between reported
 #: times: sigma is 1 at every t = k/20 and reaches 4 in between, so it pins
 #: that both solvers read the coefficients at the reported times only.
+#: pde-probes and lattice-residual are the runs of one method: under
+#: --method pde the probes keep the main lattice cell only as their base,
+#: and under --method lattice the residual solves the direct PDE without the
+#: penalized one and --assert checks its pushing minimality.
 INLINE = {
     "varcoef-inline": {
         "problem": _VARCOEF,
@@ -153,6 +157,18 @@ INLINE = {
                     "sigma_low": 0.5, "sigma_high": 1.0,
                     "sigma": "1 + 3*pos(sin(62.83185307179586*t))", "phi": "0.1*sin(3*x)"},
         "grid": {"n_t": 20, "n_x": 121}},
+    "pde-probes": {
+        "problem": _VARCOEF,
+        "grid": {"n_t": 40, "n_x": 41},
+        "method": "pde",
+        "penalties": {"n_upper": 64.0, "m_lower": 64.0, "penalty_mode": "nodewise-implicit"},
+        "ladders": {"epsilon_list": [0.1, 0.01]}},
+    "lattice-residual": {
+        "problem": _VARCOEF,
+        "grid": {"n_t": 40, "n_x": 41},
+        "method": "lattice",
+        "penalties": {"n_upper": 8.0, "m_lower": "projection", "penalty_mode": "explicit"},
+        "ladders": {"n_list": [4.0, 16.0], "m_list": [10.0]}},
 }
 
 
@@ -181,7 +197,7 @@ def catalog_digests(root, work):
         out_dir = os.path.join(work, name)
         config = os.path.join(work, name + ".json")
         with open(config, "w", encoding="utf-8") as fh:
-            json.dump({**run, "method": "both", "emit": ["field", "report", "residual"]}, fh)
+            json.dump({"method": "both", "emit": ["field", "report", "residual"], **run}, fh)
         proc = subprocess.run([sys.executable, "-m", "gdro.cli", "solve", "--config", config,
                                "--out", out_dir, "--assert"],
                               env=env, capture_output=True, text=True)
