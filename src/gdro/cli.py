@@ -18,8 +18,8 @@ _LANE_NODES nodes, the solves and then the field CSVs run in two lanes.
 Every schedule runs through ``_run_jobs``, which reports the in-process
 error and runs every job in-process where it cannot fork, so outputs, exit
 codes and diagnostics are those of the in-process run.  The PDE's step-size
-caps are checked from validation's run plan before either solver starts, so
-a run they reject forks no child.
+caps are checked from the run plan, which validation builds, before either
+solver starts, so a run they reject forks no child.
 
 ``main`` registers ``gc.freeze`` with ``atexit``, once per process.  At
 interpreter exit it moves every object still alive, mostly what numpy, the
@@ -51,7 +51,7 @@ from . import catalog as cat
 from . import expr as ex
 from .convergence import (ConvergenceReport, asc_residuals, asc_residuals_global,
                           interior_gap, monotone_report)
-from .gcore import (PROJECTION, Grid, PenaltyParams, ProblemSpec, StabilityError,
+from .gcore import (PROJECTION, Grid, PenaltyParams, ProblemSpec, RunPlan, StabilityError,
                     contamination_cone_width, obstacle_fields, validate_problem)
 from .lattice import (Batch, DoubleLadderReport, Ladder, SweepCell, _summary_or_raise,
                       double_report, sweep_cells)
@@ -581,7 +581,7 @@ def run(config: RunConfig, assert_mode: bool = False,
               f_lipschitz_z=_fmt(report.f_lipschitz_z))
         # the PDE solves' step-size caps read only the plan's maxima, so a
         # run they reject stops here, before a lattice sweep or a fork
-        plan = report.plan
+        plan = RunPlan.of(spec, grid)
         if config.method != "lattice":
             substeps(plan, grid, penalties)
         if "residual" in config.emit:
@@ -595,7 +595,7 @@ def run(config: RunConfig, assert_mode: bool = False,
         main = SweepCell(penalties)
         batch = Batch.of([lad for lad in (reflected, double, row) if lad is not None],
                          [main] if config.method != "pde" or epsilons else [],
-                         [(main, SweepCell(penalties, eps)) for eps in epsilons], plan)
+                         [(main, SweepCell(penalties, eps)) for eps in epsilons])
         params = PdeSchemeParams(grid=grid, penalty=penalties)
 
         def lattice_batch():
@@ -606,11 +606,11 @@ def run(config: RunConfig, assert_mode: bool = False,
 
         def penalized():
             if config.method != "lattice":
-                return solve_penalized_pde(spec, params, plan=plan)
+                return solve_penalized_pde(spec, params)
 
         def direct():
             if "residual" in config.emit:
-                return solve_double_obstacle_direct(spec, params, plan=plan)
+                return solve_double_obstacle_direct(spec, params)
 
         # the two sides share nothing until the cross gap, so a large enough
         # run sweeps its batch in a child while the PDE solves here, and a
@@ -626,11 +626,11 @@ def run(config: RunConfig, assert_mode: bool = False,
         if pde_field is not None:
             results.fields["pde"] = pde_field
         if config.method == "both":
-            results.cross_gap = interior_gap(spec, grid, base.u, pde_field.u, plan)
+            results.cross_gap = interior_gap(spec, grid, base.u, pde_field.u)
         r_grid = None
         if results.direct_field is not None:
             r_grid, results.residual_sup = complementarity_residual(
-                results.direct_field, spec, grid, plan)
+                results.direct_field, spec, grid)
 
         solved = dict(results.fields, direct=results.direct_field)
         for method, fld in sorted(solved.items()):
@@ -678,7 +678,7 @@ def run(config: RunConfig, assert_mode: bool = False,
             write_report_csv(os.path.join(out_path, "report.csv"), ladder_rows, slope)
         if r_grid is not None:
             write_residual_csv(os.path.join(out_path, "residual.csv"), r_grid, grid)
-        _write_summary(os.path.join(out_path, "summary.json"), config, results, plan)
+        _write_summary(os.path.join(out_path, "summary.json"), config, results)
 
     try:
         os.makedirs(out_path, exist_ok=True)
@@ -706,7 +706,7 @@ def run(config: RunConfig, assert_mode: bool = False,
     return EXIT_OK
 
 
-def _write_summary(path, config, results, plan):
+def _write_summary(path, config, results):
     grid = config.grid
     anchor_x = config.entry.anchor_x if config.entry is not None else \
         0.5 * (grid.x_min + grid.x_max)
@@ -714,7 +714,7 @@ def _write_summary(path, config, results, plan):
     summary = {
         "problem": config.spec.name,
         "method": config.method,
-        "contamination_cone_t0": float(contamination_cone_width(config.spec, grid, plan)[0]),
+        "contamination_cone_t0": float(contamination_cone_width(config.spec, grid)[0]),
         "grid": {"n_t": grid.n_t, "n_x": grid.n_x, "dt": grid.dt, "dx": grid.dx},
         "penalties": {"n_upper": config.penalties.n_upper,
                       "m_lower": ("projection" if config.penalties.project_lower

@@ -26,10 +26,9 @@ class ConvergenceReport(Record):
     rate_slope: float | None = None
 
 
-def interior_gap(spec: ProblemSpec, grid: Grid, a, b, plan=None) -> float:
-    """Sup |a - b| of two grid fields over the uncontaminated interior;
-    ``plan`` is the RunPlan of (spec, grid), built here if None."""
-    return float(np.max(np.abs(np.where(uncontaminated_mask(spec, grid, plan), a - b, 0.0))))
+def interior_gap(spec: ProblemSpec, grid: Grid, a, b) -> float:
+    """Sup |a - b| of two grid fields over the uncontaminated interior."""
+    return float(np.max(np.abs(np.where(uncontaminated_mask(spec, grid), a - b, 0.0))))
 
 
 def _fit_rate_slope(n_values, violations):

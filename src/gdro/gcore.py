@@ -216,7 +216,6 @@ class ValidationReport(Record):
     f_lipschitz_y: float = 0.0
     f_lipschitz_z: float = 0.0
     warnings: list = Factory(list)
-    plan: RunPlan | None = None  # the RunPlan of validate_problem's tables
 
     @property
     def first_violation(self):
@@ -291,7 +290,7 @@ class Coefficients:
             times = grid.dt * (grid.n_t - 1 - np.arange(k, min(k + self.block_rows, grid.n_t)))
             try:
                 tables = [self(name, times[:, None]) for name in names]
-            except ValueError:
+            except ex.ExprError:
                 times = times[:1]
                 tables = [self(name, times[:, None]) for name in names]
             yield times, tables
@@ -349,8 +348,9 @@ class RunPlan(Record, frozen=True):
     """The maxima of sigma, b and l on a reporting grid that a run's step
     sizes and margins read: the PDE's substeps (``pde.substeps``), the
     lattice's ghost margin (``lattice.ghost_cells``) and the contamination
-    cone.  ``validate_problem`` builds it from the tables it evaluates, so a
-    run evaluates sigma, b and l on the whole grid once.
+    cone.  Every layer reads it from ``RunPlan.of(spec, grid)``, which
+    ``validate_problem`` fills from the tables it evaluates, so a run
+    evaluates sigma, b and l on the whole grid once.
 
     sigma_high  the band's upper endpoint
     sigma2      max sigma^2 over the rows t < T, the times a PDE step reads
@@ -368,11 +368,16 @@ class RunPlan(Record, frozen=True):
     sigma: float
     drift: tuple
 
+    _kept = (None, None)  # ((spec, grid), plan) of the last plan built
+
     @classmethod
     def of(cls, spec, grid, tables=None):
         """The plan of ``spec`` on ``grid`` from ``tables``, sigma, b and
-        l at the column ``grid.t[:, None]``, or from tables evaluated here."""
+        l at the column ``grid.t[:, None]``, else the kept plan of an equal
+        (spec, grid), else from tables evaluated here; it is then kept."""
         if tables is None:
+            if cls._kept[0] == (spec, grid):  # true at once for the identical objects
+                return cls._kept[1]
             coeffs = Coefficients(spec, grid.x)
             tables = [coeffs(name, grid.t[:, None]) for name in ("sigma", "b", "l")]
         # tables free of t are cut to one row, which then stands for the
@@ -397,7 +402,8 @@ class RunPlan(Record, frozen=True):
                 np.multiply(lv, sig ** 2, out=buf)
                 buf += bv
                 drift.append(float(np.max(np.abs(buf, out=buf))))
-        return cls(band.sigma_high, sigma2, pde_drift, sigma, tuple(drift))
+        cls._kept = ((spec, grid), cls(band.sigma_high, sigma2, pde_drift, sigma, tuple(drift)))
+        return cls._kept[1]
 
 
 def validate_problem(spec: ProblemSpec, grid: Grid,
@@ -408,7 +414,7 @@ def validate_problem(spec: ProblemSpec, grid: Grid,
     node, the terminal sandwich h(T,.) <= phi <= h'(T,.), and sigma >= 0;
     estimates empirical Lipschitz constants of f in (y, z) by sampled
     difference quotients and warns when they exceed the configured kappa_f.
-    The report's ``plan`` is the RunPlan of the tables it checks.  Returns
+    Builds the RunPlan of (spec, grid) from the tables it checks.  Returns
     the violations it finds; an expression undefined at a node it
     evaluates (``sqrt`` or ``log`` of a negative value, say) raises
     ``expr.DomainError`` instead.
@@ -439,7 +445,7 @@ def validate_problem(spec: ProblemSpec, grid: Grid,
         + first_bad("negative-diffusion", table["sigma"] < 0, "sigma=%.9g < 0",
                     table["sigma"]), key=lambda v: v.t_index)
 
-    report.plan = RunPlan.of(spec, grid, [table[name] for name in ("sigma", "b", "l")])
+    RunPlan.of(spec, grid, [table[name] for name in ("sigma", "b", "l")])
 
     phiv = table["phi"]
     hT = coeffs("h", spec.horizon)[None, :]
@@ -471,18 +477,17 @@ def obstacle_fields(spec: ProblemSpec, grid: Grid):
     return coeffs("h", grid.t[:, None]), coeffs("h_prime", grid.t[:, None])
 
 
-def contamination_cone_width(spec: ProblemSpec, grid: Grid, plan=None) -> np.ndarray:
+def contamination_cone_width(spec: ProblemSpec, grid: Grid) -> np.ndarray:
     """Diagnostic cone width sigma_high * max|sigma(t,x)| * sqrt(T - t) per
-    slice; the max is read from ``plan``, the RunPlan of (spec, grid), or
-    from one built here.  T - t is clamped at 0: the last time dt*n_t can
-    round above T, where the cone is 0, not nan."""
-    plan = plan if plan is not None else RunPlan.of(spec, grid)
+    slice, the max read from the RunPlan of (spec, grid).  T - t is clamped
+    at 0: the last time dt*n_t can round above T, where the cone is 0, not
+    nan."""
+    plan = RunPlan.of(spec, grid)
     return plan.sigma_high * plan.sigma * np.sqrt(np.maximum(grid.t_max - grid.t, 0.0))
 
 
-def uncontaminated_mask(spec: ProblemSpec, grid: Grid, plan=None) -> np.ndarray:
-    """Boolean (n_t+1, n_x) mask of nodes outside the boundary cone; ``plan``
-    is as in contamination_cone_width."""
-    cone = contamination_cone_width(spec, grid, plan)[:, None]
+def uncontaminated_mask(spec: ProblemSpec, grid: Grid) -> np.ndarray:
+    """Boolean (n_t+1, n_x) mask of nodes outside the boundary cone."""
+    cone = contamination_cone_width(spec, grid)[:, None]
     x = grid.x[None, :]
     return (x >= grid.x_min + cone) & (x <= grid.x_max - cone)

@@ -11,7 +11,7 @@ scheme monotone; beyond the domain edges probes clamp to the edge value
 
 Sweeps run on an internally widened x-grid (both band endpoints' drift
 reach plus a few adversarial standard deviations, from the maxima of the
-run plan, gcore.RunPlan) so edge clamping cannot pollute the reported
+run plan, gcore.RunPlan.of) so edge clamping cannot pollute the reported
 window; the returned fields cover the requested grid.
 
 One sweep advances a batch of cells through one backward time loop.  A cell
@@ -45,6 +45,7 @@ from itertools import groupby
 
 import numpy as np
 
+from .expr import ExprError
 from .gcore import (EXPLICIT, NODEWISE_IMPLICIT, DEFAULT_KAPPA_F, PROJECTION,
                     Coefficients, Grid, PenaltyParams, ProblemSpec, RunPlan, StabilityError,
                     broadcast, first_true, obstacle_fields, t_free_rows, uncontaminated_mask)
@@ -206,27 +207,25 @@ class Batch(tuple):
     """The distinct cells of one sweep, as a tuple, and what the sweep keeps
     of them: the SolutionField of each cell in ``keep``, and the reductions
     the ``ladders`` and the ``probes``, pairs (base, probe), read (see
-    CellSummary).  ``plan`` is the gcore.RunPlan of the sweep's (spec,
-    grid), if the caller has one; else the sweep builds it."""
+    CellSummary)."""
 
-    def __new__(cls, cells, keep=(), probes=(), ladders=(), plan=None):
+    def __new__(cls, cells, keep=(), probes=(), ladders=()):
         batch = super().__new__(cls, cells)
         batch.keep, batch.probes, batch.ladders = tuple(keep), tuple(probes), tuple(ladders)
-        batch.plan = plan
         return batch
 
     @classmethod
-    def of(cls, ladders=(), keep=(), probes=(), plan=None):
+    def of(cls, ladders=(), keep=(), probes=()):
         """The batch of the cells ``keep``, the probes' cells and the valid
         cells of ``ladders``, in that order, each once."""
         cells = [*keep, *(c for pair in probes for c in pair),
                  *(c for ladder in ladders for column in ladder.columns for c in column
                    if isinstance(c, SweepCell))]
-        return cls(dict.fromkeys(cells), keep, probes, ladders, plan)
+        return cls(dict.fromkeys(cells), keep, probes, ladders)
 
     def only(self, cells):
         """This batch restricted to ``cells``."""
-        return Batch(cells, self.keep, self.probes, self.ladders, self.plan)
+        return Batch(cells, self.keep, self.probes, self.ladders)
 
 
 class CellSummary(Record):
@@ -262,7 +261,7 @@ class _Reductions:
     asc_residuals does, whatever the block size.
     """
 
-    def __init__(self, spec, grid, live, batch, plan):
+    def __init__(self, spec, grid, live, batch):
         self.row = row = {c: b for b, c in enumerate(live)}
         ladder, order, z = {}, {}, {}  # dicts as ordered sets
         for lad in batch.ladders:
@@ -298,7 +297,7 @@ class _Reductions:
             zcells = {c: k for k, c in enumerate(dict.fromkeys(c for pair in z for c in pair))}
             self.zcells = np.array([row[c] for c in zcells], dtype=np.intp)
             self.index_z = [np.array([zcells[p[s]] for p in z], dtype=np.intp) for s in (0, 1)]
-            self.mask = uncontaminated_mask(spec, grid, plan)
+            self.mask = uncontaminated_mask(spec, grid)
             self.dx = grid.dx
 
     def add(self, u, a_plus, a_minus, top, sigma):
@@ -424,8 +423,7 @@ def _sweep_live(spec, grid, cells, batch):
                                           column([c.penalties.m_value for c in members]), *key),
                        column([c.h_shift or -0.0 for c in members])))
 
-    plan = batch.plan if batch.plan is not None else RunPlan.of(spec, grid)
-    mc = ghost_cells(plan, grid)
+    mc = ghost_cells(RunPlan.of(spec, grid), grid)
     nxe = grid.n_x + 2 * mc
     # core coordinates must match grid.x bitwise so clamped nodes satisfy
     # u == h exactly; hence x_min + dx*(j - mc), not (x_min - mc*dx) + dx*j
@@ -440,7 +438,7 @@ def _sweep_live(spec, grid, cells, batch):
     keep = set(batch.keep)
     kept = [b for b, c in enumerate(live) if c in keep]
     outs = [SolutionField.empty(grid) for _ in kept]
-    reductions = _Reductions(spec, grid, live, batch, plan)
+    reductions = _Reductions(spec, grid, live, batch)
     u = np.broadcast_to(coeffs("phi"), (len(live), nxe)).copy()
     # sigma at T on the reporting grid; at the steps' t_i the tables' core
     # columns give it, as x_min + dx*(j - mc) is grid.x there bitwise
@@ -454,7 +452,8 @@ def _sweep_live(spec, grid, cells, batch):
 
     # the coefficients and kernels come in blocks of time rows
     # k = n_t-1-i, in loop order; a block's kernels cover the rows before
-    # its first failing one, whose error is raised once they are swept.  A
+    # its first failing one, whose error is raised once they are stepped,
+    # before the block reaches the kept fields or the reductions.  A
     # step writes the batch's core into the buffers, row r of a block for
     # slice i0-1-r, which are copied into each kept field and reduced once
     # per block; the defect and the choice, which are not reduced, are made
@@ -492,6 +491,8 @@ def _sweep_live(spec, grid, cells, batch):
                 e_low, e_high, c = e_low[mine], e_high[mine], c[mine]
             defect_buf[r] = np.minimum(e_low - c, e_high - c)[:, core]
             choice_buf[r] = (e_high > e_low)[:, core]  # ties resolve to the low endpoint
+        if error is not None:
+            raise error
         sigma = sv[:n_rows, core]
         rows = slice(i0 - n_rows, i0)
         for q, (b, out) in enumerate(zip(kept, outs)):
@@ -501,8 +502,6 @@ def _sweep_live(spec, grid, cells, batch):
         if reductions.active:
             reductions.add(u_buf[:n_rows], plus_buf[:n_rows], minus_buf[:n_rows], i0, sigma)
         i0 -= n_rows
-        if error is not None:
-            raise error
     return zip(live, reductions.summaries(dict(zip(kept, outs))))
 
 
@@ -512,7 +511,7 @@ def sweep_cells(spec: ProblemSpec, grid: Grid, batch: Batch) -> dict:
 
     The cells go through one batched sweep; an empty batch sweeps nothing.
     A StabilityError of the whole batch is every cell's own.  If the sweep
-    raises a ValueError, each cell is swept on its own, so an error only
+    raises an expr.ExprError, each cell is swept on its own, so an error only
     some cells' values raise (a driver outside its domain at one cell's y)
     stays with those cells; the cells that survive are then swept again as
     one batch, so that the reductions between them exist.
@@ -521,7 +520,7 @@ def sweep_cells(spec: ProblemSpec, grid: Grid, batch: Batch) -> dict:
         return {}
     try:
         return _run_sweep(spec, grid, batch)
-    except ValueError as err:
+    except ExprError as err:
         if len(batch) == 1:
             return {batch[0]: err}
     known = {c: sweep_cells(spec, grid, batch.only([c]))[c] for c in batch}

@@ -16,7 +16,7 @@ of reported steps (``Coefficients.blocks``), and so do sigma^2 and 2*l.
 Freezing them over a step is an O(dt) consistency error, and since the
 substeps are sized on the maxima over every t_i, the bound holds at every
 node the solve reads.  Those maxima come from the run's plan
-(``gcore.RunPlan``), which validation builds from the tables it evaluates,
+(``gcore.RunPlan.of``), which validation builds from its tables,
 so ``substeps`` is scalar arithmetic that a run can check before any solve
 starts.  The obstacle update's scalars, the buffer of ghost values and the
 substep's rows d2, d1, harg, F and a scratch row are allocated once per
@@ -96,9 +96,9 @@ def substeps(plan, grid, penalties, direct=False):
     return nsub
 
 
-def _run_pde(spec, grid, penalties, direct, plan):
-    """The backward loop of both PDE solves, with nsub from ``plan``, the
-    RunPlan of (spec, grid), or from one built here.  Each substep adds its
+def _run_pde(spec, grid, penalties, direct):
+    """The backward loop of both PDE solves, with nsub from the RunPlan of
+    (spec, grid).  Each substep adds its
     a_plus, a_minus and defect into row i of the zeroed field; u and
     sigma_choice are stored at the step's last substep, and every substep
     of a step reads the coefficient rows at t_i.  What is the same for every
@@ -111,8 +111,7 @@ def _run_pde(spec, grid, penalties, direct, plan):
     dt, dx = grid.dt, grid.dx
     if penalties.penalty_mode == NODEWISE_IMPLICIT:
         penalties.check_explicit_cfl(dt)
-    nsub = substeps(plan if plan is not None else RunPlan.of(spec, grid), grid, penalties,
-                    direct)
+    nsub = substeps(RunPlan.of(spec, grid), grid, penalties, direct)
     coeffs = Coefficients(spec, grid.x)
     band = spec.band
     lo2, hi2 = band.sigma_low ** 2, band.sigma_high ** 2
@@ -182,30 +181,28 @@ def _run_pde(spec, grid, penalties, direct, plan):
 
 
 def solve_penalized_pde(spec: ProblemSpec, params: PdeSchemeParams,
-                        threads: int = 1, plan=None) -> SolutionField:
+                        threads: int = 1) -> SolutionField:
     """Explicit scheme for the doubly penalized equation.
 
     Penalties are applied on the incoming (later-time) slice in explicit
     mode; nodewise-implicit mode resolves them exactly against the node
     value, matching the lattice semantics so ladders are comparable.
     ``m_lower="projection"`` replaces the lower penalty with the exact
-    reflection, mirroring the lattice's reflected sweep.  ``plan`` is the
-    gcore.RunPlan of (spec, params.grid), built here if None.  ``threads``
-    is accepted for compatibility and ignored.
+    reflection, mirroring the lattice's reflected sweep.  ``threads`` is
+    accepted for compatibility and ignored.
     """
-    return _run_pde(spec, params.grid, params.penalty, False, plan)
+    return _run_pde(spec, params.grid, params.penalty, False)
 
 
 def solve_double_obstacle_direct(spec: ProblemSpec, params: PdeSchemeParams,
-                                 threads: int = 1, plan=None) -> SolutionField:
+                                 threads: int = 1) -> SolutionField:
     """Explicit step followed by the double projection min(h', max(h, .)).
 
     Penalty intensities are ignored (and excluded from the stability bound);
-    the output satisfies h <= u <= h' exactly at every node.  ``plan`` is
-    as in solve_penalized_pde.  ``threads`` is accepted for compatibility
-    and ignored.
+    the output satisfies h <= u <= h' exactly at every node.  ``threads`` is
+    accepted for compatibility and ignored.
     """
-    return _run_pde(spec, params.grid, params.penalty, True, plan)
+    return _run_pde(spec, params.grid, params.penalty, True)
 
 
 def _dilate(mask, kt, kx):
@@ -223,7 +220,7 @@ def _dilate(mask, kt, kx):
     return out
 
 
-def complementarity_residual(field: SolutionField, spec: ProblemSpec, grid: Grid, plan=None):
+def complementarity_residual(field: SolutionField, spec: ProblemSpec, grid: Grid):
     """Pointwise residual of the double-obstacle equation and its interior sup.
 
     r = max(u - h', min(u - h, -dt_forward(u) - F)) with central space
@@ -231,8 +228,7 @@ def complementarity_residual(field: SolutionField, spec: ProblemSpec, grid: Grid
     final slice, the boundary columns, and a fixed physical margin around
     the realized contact set: one-sided time differences straddle the
     derivative kink at the free boundary, so the residual there is O(1) for
-    any grid and says nothing about consistency.  ``plan`` is as in
-    solve_penalized_pde.
+    any grid and says nothing about consistency.
     """
     u = field.u
     dt, dx = grid.dt, grid.dx
@@ -250,7 +246,7 @@ def complementarity_residual(field: SolutionField, spec: ProblemSpec, grid: Grid
     kt = int(ceil_eps(RESIDUAL_CONTACT_MARGIN_T * grid.t_max / dt))
     kx = int(ceil_eps(RESIDUAL_CONTACT_MARGIN_X * (grid.x_max - grid.x_min) / dx))
     near_contact = _dilate(contact, kt, kx)
-    keep = uncontaminated_mask(spec, grid, plan) & ~near_contact & ~np.isnan(r)
+    keep = uncontaminated_mask(spec, grid) & ~near_contact & ~np.isnan(r)
     keep[grid.n_t, :] = False
     sup = float(np.max(np.abs(np.where(keep, r, 0.0)))) if keep.any() else 0.0
     return r, sup

@@ -8,7 +8,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gdro.cli
@@ -324,19 +324,22 @@ class TestRun:
 
     def test_drift_weight_rejection_names_its_node(self, tmp_path):
         # b grows like t^2, so the upwind drift weight |mu|/dx passes 0.5 at
-        # the first step; the first such node is the widened lattice's edge
-        cfg = _write(tmp_path, {
-            "problem": dict(UNCERTAIN_SINE, b="40*t*t*(1 + 0.1*x)"),
-            "grid": {"n_t": 20, "n_x": 61}, "method": "lattice"})
-        proc = subprocess.run(
-            [sys.executable, "-m", "gdro.cli", "solve", "--config", cfg,
-             "--out", str(tmp_path / "out")], capture_output=True, text=True)
-        assert proc.returncode == EXIT_STABILITY
-        assert ('stability status=rejected detail="drift displacement per step exceeds '
-                '0.5 cells at t=0.95 x=-61: |mu|/dx = 92.055 > 0.5; refine the time grid"'
-                in proc.stderr)
-        assert "RuntimeWarning" not in proc.stderr
-        assert not (tmp_path / "out").exists()
+        # the first step; the first such node is the widened lattice's edge.
+        # An eps-probe equal to the main cell makes a batch of one cell that
+        # reads reductions
+        for ladders in ({}, {"epsilon_list": [0.0]}):
+            cfg = _write(tmp_path, {
+                "problem": dict(UNCERTAIN_SINE, b="40*t*t*(1 + 0.1*x)"),
+                "grid": {"n_t": 20, "n_x": 61}, "method": "lattice", "ladders": ladders})
+            proc = subprocess.run(
+                [sys.executable, "-m", "gdro.cli", "solve", "--config", cfg,
+                 "--out", str(tmp_path / "out")], capture_output=True, text=True)
+            assert proc.returncode == EXIT_STABILITY
+            assert ('stability status=rejected detail="drift displacement per step exceeds '
+                    '0.5 cells at t=0.95 x=-61: |mu|/dx = 92.055 > 0.5; refine the time grid"'
+                    in proc.stderr)
+            assert "RuntimeWarning" not in proc.stderr
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name", ["sigma", "b"])
     def test_non_finite_coefficient_exit(self, tmp_path, capsys, name):
@@ -459,6 +462,43 @@ def test_grid_extremes_exit_cleanly(tmp_path):
                 table = np.genfromtxt(path, delimiter=",", skip_header=1)
                 assert np.isfinite(table).all(), (runs[k], path.name)
     assert len(codes) == 408 and EXIT_OK in codes
+
+
+_LADDER_ENTRIES = st.lists(st.sampled_from([-1.0, 0.0, 4.0, 16.0, 64.0]), max_size=3,
+                           unique=True).map(sorted)
+
+
+@settings(max_examples=600, deadline=None)
+@example(n_t=8, n_x=3, method="pde", emit=[], domain=(0.5, 3.0), drift=("l", 1.0),
+         penalties={}, ladders={"epsilon_list": [0.0]})
+@given(n_t=st.integers(1, 12), n_x=st.integers(3, 15),
+       method=st.sampled_from(["lattice", "pde", "both"]),
+       emit=st.lists(st.sampled_from(["field", "report", "residual"]), unique=True),
+       domain=st.sampled_from([(-3.0, 3.0), (0.5, 3.0)]),
+       drift=st.tuples(st.sampled_from(["b", "l"]), st.floats(0.0, 3.0)),
+       penalties=st.fixed_dictionaries({}, optional={
+           "n_upper": st.sampled_from([0.0, 4.0, 64.0]),
+           "m_lower": st.sampled_from(["projection", 0.0, 4.0, 64.0]),
+           "penalty_mode": st.sampled_from(["explicit", "nodewise-implicit"])}),
+       ladders=st.fixed_dictionaries({}, optional={
+           "epsilon_list": st.lists(st.sampled_from([0.0, -0.0, 0.1, 1e6]), max_size=3),
+           "n_list": _LADDER_ENTRIES, "m_list": _LADDER_ENTRIES}))
+def test_exit_codes_over_ladders_probes_and_drift(tmp_path_factory, n_t, n_x, method, emit,
+                                                   domain, drift, penalties, ladders):
+    """A run on a tiny grid with a drift c*x in b or l, under any method,
+    outputs, penalties, ladders and eps-probes, exits 0, 2, 3 or 4 without
+    raising, and an exit 0 leaves finite fields."""
+    out = tmp_path_factory.mktemp("run")
+    problem = dict(UNCERTAIN_SINE, x_min=domain[0], x_max=domain[1])
+    problem[drift[0]] = "%r*x" % drift[1]
+    rc = main(["solve", "--config", _write(out, {
+        "problem": problem, "grid": {"n_t": n_t, "n_x": n_x}, "method": method,
+        "emit": emit, "penalties": penalties, "ladders": ladders}),
+        "--out", str(out / "out")])
+    assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_STABILITY, EXIT_ASSERT)
+    if rc == EXIT_OK:
+        for path in (out / "out").glob("field_*.csv"):
+            assert np.isfinite(np.genfromtxt(path, delimiter=",", skip_header=1)).all()
 
 
 @pytest.mark.parametrize("method", ["both", "pde"])

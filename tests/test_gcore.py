@@ -186,15 +186,22 @@ def _plan_outcomes(spec, grid, penalties, direct):
             return "StabilityError: %s" % err
         return value.tobytes() if isinstance(value, np.ndarray) else value
 
-    plan = validate_problem(spec, grid).plan
+    validate_problem(spec, grid)
+    plan = RunPlan.of(spec, grid)
     ours = (outcome(pde.substeps, plan, grid, penalties, direct),
             outcome(lattice.ghost_cells, plan, grid),
-            outcome(contamination_cone_width, spec, grid, plan))
+            outcome(contamination_cone_width, spec, grid))
     theirs = (outcome(oracles.reference_substeps, spec, grid, penalties, direct,
                       pde.MAX_SUBSTEPS, pde.MAX_PDE_WORK),
               outcome(oracles.reference_ghost_cells, spec, grid, lattice.MARGIN_SIGMAS),
               outcome(oracles.reference_cone_width, spec, grid))
     return ours, theirs
+
+
+def _fresh_tables(spec, grid):
+    """sigma, b and l at the column grid.t[:, None], evaluated anew."""
+    coeffs = Coefficients(spec, grid.x)
+    return [coeffs(name, grid.t[:, None]) for name in ("sigma", "b", "l")]
 
 
 def _varying(t_dependent, template, *numbers):
@@ -232,7 +239,8 @@ def test_run_plan_equals_the_formulas_it_replaced(spec, n_t, n_x, penalties, dir
     grid = Grid.for_problem(spec, n_t, n_x)
     ours, theirs = _plan_outcomes(spec, grid, penalties, direct)
     assert ours == theirs
-    assert validate_problem(spec, grid).plan == RunPlan.of(spec, grid)
+    validate_problem(spec, grid)
+    assert RunPlan.of(spec, grid) == RunPlan.of(spec, grid, _fresh_tables(spec, grid))
 
 
 @pytest.mark.parametrize("coefficients, grid, penalties, error", [
@@ -248,6 +256,39 @@ def test_run_plan_caps_raise_as_before(coefficients, grid, penalties, error):
     ours, theirs = _plan_outcomes(spec, Grid.for_problem(spec, *grid), penalties, False)
     assert ours == theirs
     assert any(isinstance(o, str) and error in o for o in ours)
+
+
+def test_run_plan_of_keeps_the_last_spec_and_grid(monkeypatch):
+    # one kept entry, looked up by value: an equal (spec, grid) built anew
+    # gets validation's plan without evaluating a table, bit for bit the
+    # plan of fresh tables; a different (spec, grid) replaces the entry
+    def problem(sigma):
+        spec = _spec(sigma=sigma, b="0.3*cos(x - t)", l="0.1*sin(x*t)")
+        return spec, Grid.for_problem(spec, 10, 21)
+
+    def bits(plan):
+        return np.array([plan.sigma_high, plan.sigma2, plan.pde_drift, plan.sigma,
+                         *plan.drift]).tobytes()
+
+    spec, grid = problem("1 + 0.2*sin(x + t)")
+    validate_problem(spec, grid)
+    built = []
+    init = Coefficients.__init__
+    monkeypatch.setattr(Coefficients, "__init__",
+                        lambda coeffs, *args: built.append(args) or init(coeffs, *args))
+    again = problem("1 + 0.2*sin(x + t)")
+    assert again[0] is not spec and again == (spec, grid)
+    kept = RunPlan.of(*again)
+    assert built == []
+    assert bits(kept) == bits(RunPlan.of(spec, grid, _fresh_tables(spec, grid)))
+
+    other = problem("1 + 0.3*sin(x + t)")
+    built.clear()
+    assert RunPlan.of(*other).sigma != kept.sigma
+    assert RunPlan.of(*other) is RunPlan.of(*other)
+    assert len(built) == 1
+    assert bits(RunPlan.of(spec, grid)) == bits(kept)
+    assert len(built) == 2
 
 
 def test_coefficient_blocks_stop_at_an_undefined_row(monkeypatch):

@@ -9,8 +9,9 @@ import oracles
 from gdro import gcore
 from gdro.convergence import monotone_ladder
 from gdro.expr import BinOp, DomainError, Num, UnboundVariableError, parse_expr
-from gdro.gcore import Grid, PenaltyParams, ProblemSpec, RunPlan, StabilityError
-from gdro.lattice import (Batch, SweepCell, _run_sweep, conditional_g_expectation,
+from gdro.gcore import (DEFAULT_KAPPA_F, EXPLICIT, NODEWISE_IMPLICIT, PROJECTION, Grid,
+                        PenaltyParams, ProblemSpec, RunPlan, StabilityError)
+from gdro.lattice import (Batch, Ladder, SweepCell, _run_sweep, conditional_g_expectation,
                           double_ladder, ghost_cells, penalized_sweep, reflected_sweep,
                           sweep_cells)
 from gdro.pde import PdeSchemeParams, solve_penalized_pde
@@ -418,8 +419,10 @@ def test_driver_domain_error_stays_with_its_cell():
 
 
 def test_batch_stability_error_is_every_cells_own(monkeypatch):
-    # the drift weight fails for the whole problem, so the batch is swept
-    # once; the n = 1000 rung keeps its own explicit step-size error
+    # the drift weight fails for the whole problem at its first row, so the
+    # batch is swept once, whether it keeps the cells or reduces them as a
+    # reflected ladder; the n = 1000 rung keeps its own explicit step-size
+    # error
     spec = _spec(b="2")
     grid = Grid.for_problem(spec, 20, 33)
     cells = [SweepCell(PenaltyParams(n_upper=n, m_lower="projection")) for n in (4, 8, 1000)]
@@ -428,11 +431,35 @@ def test_batch_stability_error_is_every_cells_own(monkeypatch):
     run_sweep = gdro.lattice._run_sweep
     monkeypatch.setattr(gdro.lattice, "_run_sweep",
                         lambda *args: calls.append(1) or run_sweep(*args))
-    errors = list(sweep_cells(spec, grid, Batch.of(keep=cells)).values())
-    assert calls == [1]
-    assert all(isinstance(err, StabilityError) for err in errors)
-    assert [str(err) for err in errors] == singles
+    ladder = Ladder((4.0, 8.0, 1000.0), (PROJECTION,), EXPLICIT, DEFAULT_KAPPA_F)
+    for batch in (Batch.of(keep=cells), Batch.of([ladder])):
+        assert list(batch) == cells
+        calls.clear()
+        errors = list(sweep_cells(spec, grid, batch).values())
+        assert calls == [1]
+        assert all(isinstance(err, StabilityError) for err in errors)
+        assert [str(err) for err in errors] == singles
     assert "drift displacement per step" in singles[0] and "CFL" in singles[2]
+
+
+def test_a_defect_error_is_not_retried_cell_by_cell(monkeypatch):
+    # only an expression error is some cells' own; any other ValueError is
+    # a defect of the sweep, which raises once, not as each cell's error
+    spec = _spec()
+    grid = Grid.for_problem(spec, 20, 33)
+    calls = []
+    run_sweep = gdro.lattice._run_sweep
+    monkeypatch.setattr(gdro.lattice, "_run_sweep",
+                        lambda *args: calls.append(1) or run_sweep(*args))
+
+    def defect(*args):
+        raise ValueError("a defect")
+
+    monkeypatch.setattr(gdro.lattice._Reductions, "add", defect)
+    ladder = Ladder((4.0, 16.0), (PROJECTION,), NODEWISE_IMPLICIT, DEFAULT_KAPPA_F)
+    with pytest.raises(ValueError, match="a defect"):
+        sweep_cells(spec, grid, Batch.of([ladder]))
+    assert calls == [1]
 
 
 #: every coefficient varies in t and x, so every block of tables differs

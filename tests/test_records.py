@@ -55,8 +55,7 @@ CASES = [
     (RunPlan, True, {"sigma_high": 1.0, "sigma2": 1.44, "pde_drift": 0.2, "sigma": 1.2,
                      "drift": (0.1, 0.15)}),
     (ValidationReport, False, {"ok": True, "violations": [], "f_lipschitz_y": 0.3,
-                               "f_lipschitz_z": 0.1, "warnings": ["w"],
-                               "plan": RunPlan(1.0, 1.0, 0.0, 1.0, (0.0, 0.0))}),
+                               "f_lipschitz_z": 0.1, "warnings": ["w"]}),
     (DoubleLadderReport, False, {"n_list": [4.0], "m_list": [2.0], "cells": [[None]]}),
     (SolutionField, False, dict(zip(("grid", "u", "z", "a_plus", "a_minus", "k_defect",
                                      "sigma_choice"), [GRID] + ARRAYS))),
@@ -185,8 +184,7 @@ def test_sweep_cell_is_a_dict_key():
 #: (type, the required arguments, the defaults of the other fields)
 DEFAULTS = [
     (ValidationReport, (True,),
-     {"violations": [], "f_lipschitz_y": 0.0, "f_lipschitz_z": 0.0, "warnings": [],
-      "plan": None}),
+     {"violations": [], "f_lipschitz_y": 0.0, "f_lipschitz_z": 0.0, "warnings": []}),
     (SweepCell, (PEN,), {"h_shift": 0.0}),
     (PdeSchemeParams, (GRID,), {"penalty": PenaltyParams()}),
     (ConvergenceReport, (), {"rows": [], "rate_slope": None}),

@@ -55,10 +55,8 @@ import sys
 import tempfile
 import time
 
-from catalog_digests import INLINE
+from catalog_digests import _LIST_ENTRIES, INLINE
 
-_LIST_ENTRIES = ("import json; from gdro.catalog import CATALOG; "
-                 "print(json.dumps({k: list(e.grid) for k, e in sorted(CATALOG.items())}))")
 #: the time of ``import gdro.cli`` after importing the modules named in argv
 _IMPORT = ("import importlib, sys, time\nfor m in sys.argv[1:]: importlib.import_module(m)\n"
            "t = time.perf_counter(); import gdro.cli; print(time.perf_counter() - t)")
